@@ -351,22 +351,20 @@ def _based_space(path: str, base: str | None) -> finite_metric.BasedSpace:
 @click.option("--quasimetric", is_flag=True, default=False,
               help="Emit the raw quasimetric instead of its chain metric.")
 @click.option("--max-points", type=int, default=finite_metric.DEFAULT_MAX_POINTS,
-              show_default=True, help="Cap for the dense shortest-path closure.")
+              show_default=True,
+              help="Largest input point count for the dense shortest-path closure.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def metric_invert(input_path, base, quasimetric, max_points, fmt, output) -> None:
     """Based inversion of a distance-matrix file."""
     based = _based_space(input_path, base)
-    labels = finite_metric.inversion_labels(based)
-    quasi = finite_metric.inversion_quasimetric(based)
     if quasimetric:
-        space = finite_metric.FiniteMetricSpace(labels, quasi, contains_infinity=True,
-                                                validate=False)
+        space = finite_metric.FiniteMetricSpace(finite_metric.inversion_labels(based),
+                                                finite_metric.inversion_quasimetric(based),
+                                                contains_infinity=True, validate=False)
     else:
-        chained = finite_metric.chain_metric(quasi, max_points=max_points)
-        space = finite_metric.FiniteMetricSpace(labels, chained, contains_infinity=True,
-                                                validate=False)
+        space = finite_metric.invert_space(based, max_points=max_points)
     _write_space(space, fmt, output)
 
 
@@ -376,22 +374,20 @@ def metric_invert(input_path, base, quasimetric, max_points, fmt, output) -> Non
 @click.option("--quasimetric", is_flag=True, default=False,
               help="Emit the raw quasimetric instead of its chain metric.")
 @click.option("--max-points", type=int, default=finite_metric.DEFAULT_MAX_POINTS,
-              show_default=True)
+              show_default=True,
+              help="Largest input point count for the dense shortest-path closure.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def metric_sphericalize(input_path, base, quasimetric, max_points, fmt, output) -> None:
     """Based sphericalization of a distance-matrix file."""
     based = _based_space(input_path, base)
-    labels = finite_metric.sphericalization_labels(based)
-    quasi = finite_metric.sphericalization_quasimetric(based)
     if quasimetric:
-        space = finite_metric.FiniteMetricSpace(labels, quasi, contains_infinity=True,
-                                                validate=False)
+        space = finite_metric.FiniteMetricSpace(finite_metric.sphericalization_labels(based),
+                                                finite_metric.sphericalization_quasimetric(based),
+                                                contains_infinity=True, validate=False)
     else:
-        chained = finite_metric.chain_metric(quasi, max_points=max_points)
-        space = finite_metric.FiniteMetricSpace(labels, chained, contains_infinity=True,
-                                                validate=False)
+        space = finite_metric.sphericalize_space(based, max_points=max_points)
     _write_space(space, fmt, output)
 
 

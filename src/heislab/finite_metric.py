@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import floyd_warshall
 
 from heislab.hgroup import pairwise_gauge_dist, points_to_arrays
 from heislab.hlie import HTypeAlgebra
@@ -55,6 +54,8 @@ __all__ = [
 INFINITY_LABEL = "∞"
 
 DEFAULT_SLACK = 1e-9
+# Cap on the points of a space handed to the dense closure; the closed space
+# has one point more (infinity) after sphericalization.
 DEFAULT_MAX_POINTS = 2000
 
 
@@ -83,18 +84,22 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
         i, j = bad[0]
         raise ValueError(f"non-positive off-diagonal distance at (i, j) = ({i}, {j}): "
                          f"{dist[i, j]!r}")
+    # A violation at (i, j) with j < i is the mirror of one at (j, i), since
+    # the matrix is exactly symmetric and float addition commutes; so the
+    # first violating row has all its violating columns at j >= i, and only
+    # those are scanned.  Row a of ``via`` holds d(j, k) + d(i, k) for j = i + a.
     for i in range(n):
-        # min over k of d(i,k) + d(k,j), compared against d(i,j)
-        via = dist[i][:, None] + dist
-        best = via.min(axis=0)
-        bad_j = np.argwhere(dist[i] > best + slack)
+        via = dist[i:] + dist[i]
+        best = via.min(axis=1)
+        bad_j = np.flatnonzero(dist[i, i:] > best + slack)
         if bad_j.size:
-            j = int(bad_j[0][0])
-            k = int(np.argmin(via[:, j]))
+            a = int(bad_j[0])
+            j = i + a
+            k = int(np.argmin(via[a]))
             raise ValueError(
                 f"triangle inequality violated at (i, k, j) = ({i}, {k}, {j}): "
-                f"d(i,j) = {dist[i, j]!r} exceeds d(i,k) + d(k,j) = {via[k, j]!r} "
-                f"by {dist[i, j] - via[k, j]:.3e}"
+                f"d(i,j) = {dist[i, j]!r} exceeds d(i,k) + d(k,j) = {via[a, k]!r} "
+                f"by {dist[i, j] - via[a, k]:.3e}"
             )
 
 
@@ -196,18 +201,16 @@ def sphericalization_labels(based: BasedSpace) -> list[str]:
     return list(based.space.labels) + [INFINITY_LABEL]
 
 
-def chain_metric(quasimetric: np.ndarray, max_points: int = DEFAULT_MAX_POINTS) -> np.ndarray:
+def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     """The largest metric below a quasimetric: its shortest-path closure.
 
     Input must be symmetric and nonnegative with zero diagonal and positive
-    off-diagonal entries.  The closure is computed densely, so the point
-    count is capped (override ``max_points`` deliberately for big inputs).
+    off-diagonal entries.  The closure is dense, O(n^3) in time and O(n^2)
+    in memory; ``invert_space`` and ``sphericalize_space`` cap its size.
     """
     q = np.asarray(quasimetric, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"quasimetric must be a square matrix, got shape {q.shape}")
-    if q.shape[0] > max_points:
-        raise ValueError(f"{q.shape[0]} points exceed the closure cap of {max_points}")
     bad = np.argwhere(q != q.T)
     if bad.size:
         i, j = bad[0]
@@ -217,28 +220,41 @@ def chain_metric(quasimetric: np.ndarray, max_points: int = DEFAULT_MAX_POINTS) 
     off = ~np.eye(q.shape[0], dtype=bool)
     if np.any((q <= 0.0) & off) or not np.all(np.isfinite(q)):
         raise ValueError("quasimetric entries must be positive and finite off the diagonal")
+    # scipy costs about 0.3 s to import; only the commands that close a
+    # metric should pay for it.
+    from scipy.sparse.csgraph import floyd_warshall
     return np.asarray(floyd_warshall(q, directed=False))
 
 
-def invert_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS) -> FiniteMetricSpace:
-    """Chain metric of the based inversion, as a labeled metric space."""
-    if based.space.contains_infinity:
+def _chain_space(based: BasedSpace, quasimetric, labels, max_points: int
+                 ) -> FiniteMetricSpace:
+    names = labels(based)
+    # inverting at the point at infinity replaces it; anything else would add a second one
+    if names.count(INFINITY_LABEL) > 1:
         raise ValueError("space already contains a point at infinity")
-    quasi = inversion_quasimetric(based)
-    chained = chain_metric(quasi, max_points=max_points)
-    return FiniteMetricSpace(inversion_labels(based), chained,
-                             contains_infinity=True, validate=False)
+    if based.space.n > max_points:
+        raise ValueError(f"{based.space.n} points exceed the closure cap of {max_points}")
+    chained = chain_metric(quasimetric(based))
+    return FiniteMetricSpace(names, chained, contains_infinity=True, validate=False)
+
+
+def invert_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS) -> FiniteMetricSpace:
+    """Chain metric of the based inversion, as a labeled metric space.
+
+    ``max_points`` caps the points of the input space.
+    """
+    return _chain_space(based, inversion_quasimetric, inversion_labels, max_points)
 
 
 def sphericalize_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS
                        ) -> FiniteMetricSpace:
-    """Chain metric of the based sphericalization, as a labeled metric space."""
-    if based.space.contains_infinity:
-        raise ValueError("space already contains a point at infinity")
-    quasi = sphericalization_quasimetric(based)
-    chained = chain_metric(quasi, max_points=max_points)
-    return FiniteMetricSpace(sphericalization_labels(based), chained,
-                             contains_infinity=True, validate=False)
+    """Chain metric of the based sphericalization, as a labeled metric space.
+
+    ``max_points`` caps the points of the input space; the result has one
+    point more.
+    """
+    return _chain_space(based, sphericalization_quasimetric, sphericalization_labels,
+                        max_points)
 
 
 def from_group_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-__all__ = ["fingerprint_of_arrays", "canonical_json", "format_float", "float_list"]
+__all__ = ["fingerprint_of_arrays", "canonical_json", "format_float"]
 
 
 def fingerprint_of_arrays(*arrays: np.ndarray) -> str:
@@ -30,6 +30,3 @@ def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
     return repr(float(x))
 
-
-def float_list(values) -> list[float]:
-    return [float(v) for v in np.asarray(values).ravel()]

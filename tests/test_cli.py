@@ -2,6 +2,10 @@
 and byte-level reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +160,52 @@ class TestMetricCommands:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0.0,1.0\n2.0,0.0\n")
         assert run(["metric", "invert", "--input", str(path)]) == 1
+
+    def test_invert_at_infinity_of_a_compactified_file(self, matrix_file, tmp_path):
+        sph = tmp_path / "sph.csv"
+        out = tmp_path / "inv.csv"
+        assert run(["metric", "sphericalize", "--input", str(matrix_file),
+                    "--output", str(sph)]) == 0
+        assert run(["metric", "invert", "--input", str(sph), "--base", fm.INFINITY_LABEL,
+                    "--output", str(out)]) == 0
+        assert fm.load_space_csv(out).n == 41
+        assert run(["metric", "sphericalize", "--input", str(sph)]) == 1
+
+    def test_closure_cap_counts_input_points(self, tmp_path, capsys):
+        out = tmp_path / "sph.csv"
+        for count, code in ((10, 0), (11, 1)):
+            path = tmp_path / f"dist{count}.csv"
+            assert run(["group", "distmat", "--algebra", "H_C:1", "--count", str(count),
+                        "--seed", "5", "--output", str(path)]) == 0
+            assert run(["metric", "sphericalize", "--input", str(path),
+                        "--max-points", "10", "--output", str(out)]) == code
+        assert "11 points exceed the closure cap of 10" in capsys.readouterr().err
+        assert fm.load_space_csv(out).n == 11  # written by the 10-point run
+
+    def test_sphericalize_matches_direct_closure(self, matrix_file, tmp_path):
+        from scipy.sparse.csgraph import floyd_warshall
+        out = tmp_path / "sph.csv"
+        assert run(["metric", "sphericalize", "--input", str(matrix_file),
+                    "--output", str(out)]) == 0
+        based = fm.BasedSpace(fm.load_space_csv(matrix_file), 0)
+        closed = floyd_warshall(fm.sphericalization_quasimetric(based), directed=False)
+        expected = tmp_path / "expected.csv"
+        fm.save_space_csv(fm.FiniteMetricSpace(fm.sphericalization_labels(based), closed,
+                                               contains_infinity=True, validate=False),
+                          expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is imported only by the commands that close a metric
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import heislab.cli, sys; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestDistortCommands:

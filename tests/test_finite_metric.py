@@ -63,6 +63,63 @@ class TestValidation:
             fm.FiniteMetricSpace(["a", "a"], np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def row_loop_validation_error(dist, slack=fm.DEFAULT_SLACK):
+    """Triangle check over every (i, k, j), row by row: the reference."""
+    for i in range(dist.shape[0]):
+        via = dist[i][:, None] + dist
+        best = via.min(axis=0)
+        bad_j = np.argwhere(dist[i] > best + slack)
+        if bad_j.size:
+            j = int(bad_j[0][0])
+            k = int(np.argmin(via[:, j]))
+            return (f"triangle inequality violated at (i, k, j) = ({i}, {k}, {j}): "
+                    f"d(i,j) = {dist[i, j]!r} exceeds d(i,k) + d(k,j) = {via[k, j]!r} "
+                    f"by {dist[i, j] - via[k, j]:.3e}")
+    return None
+
+
+class TestTriangleScanAgainstRowLoop:
+    """The half scan reports the same first witness as the full row loop."""
+
+    @staticmethod
+    def perturbed(rng, n, decimals):
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        noise = rng.uniform(0.5, 1.5, size=(n, n)) ** rng.integers(0, 3)
+        dist = np.triu(dist * noise, 1)
+        if decimals is not None:
+            # rounded entries make exact ties among the candidate k
+            dist = np.maximum(np.round(dist, decimals), 10.0 ** -decimals)
+            dist = np.triu(dist, 1)
+        return dist + dist.T
+
+    @pytest.mark.parametrize("decimals", [None, 1, 2])
+    def test_messages_match(self, decimals):
+        rng = np.random.default_rng(31 + (decimals or 0))
+        violating = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 12))
+            dist = self.perturbed(rng, n, decimals)
+            slack = float(rng.choice([0.0, 1e-9, 0.05]))
+            expected = row_loop_validation_error(dist, slack)
+            if expected is None:
+                fm.validate_distance_matrix(dist, slack)
+                continue
+            violating += 1
+            with pytest.raises(ValueError) as info:
+                fm.validate_distance_matrix(dist, slack)
+            assert str(info.value) == expected
+        assert 50 < violating < 300
+
+    def test_negative_slack_reports_the_diagonal(self):
+        dist = self.perturbed(np.random.default_rng(4), 6, None)
+        expected = row_loop_validation_error(dist, -1.0)
+        assert "(i, k, j) = (0, 0, 0)" in expected
+        with pytest.raises(ValueError) as info:
+            fm.validate_distance_matrix(dist, -1.0)
+        assert str(info.value) == expected
+
+
 class TestInversionQuasimetric:
     def test_collinear_example(self):
         # points {p=0, 1, 2} on the line
@@ -155,11 +212,14 @@ class TestChainMetric:
             fm.chain_metric(q)
 
     def test_point_cap(self):
-        q = np.zeros((5, 5))
-        q[np.triu_indices(5, 1)] = 1.0
-        q = q + q.T
+        # the cap counts the points of the input space, checked before closing
+        based = fm.BasedSpace(euclidean_space(5, 2, seed=2), 0)
+        assert fm.sphericalize_space(based, max_points=5).n == 6
+        assert fm.invert_space(based, max_points=5).n == 5
         with pytest.raises(ValueError, match="exceed the closure cap"):
-            fm.chain_metric(q, max_points=4)
+            fm.sphericalize_space(based, max_points=4)
+        with pytest.raises(ValueError, match="exceed the closure cap"):
+            fm.invert_space(based, max_points=4)
 
     def test_determinism(self):
         space = euclidean_space(50, 2, seed=7)
@@ -323,6 +383,12 @@ class TestWrappers:
         spherical = fm.sphericalize_space(fm.BasedSpace(space, 0))
         with pytest.raises(ValueError, match="already contains"):
             fm.invert_space(fm.BasedSpace(spherical, 0))
+        with pytest.raises(ValueError, match="already contains"):
+            fm.sphericalize_space(fm.BasedSpace(spherical, 0))
+        # based at infinity, the inversion replaces the point at infinity
+        at_infinity = fm.BasedSpace(spherical, spherical.label_index(fm.INFINITY_LABEL))
+        inverted = fm.invert_space(at_infinity)
+        assert inverted.labels == space.labels + [fm.INFINITY_LABEL]
 
     def test_label_index(self):
         space = group_space("H_C:1", 5, seed=20)
