@@ -25,25 +25,16 @@ import numpy as np
 
 __all__ = [
     "AlgebraKind",
-    "AlgebraElement",
     "EpsilonTensor",
     "OCTONION_TRIPLES",
     "QUATERNION_TRIPLES",
     "epsilon_tensor",
     "multiplication_table",
     "multiplication_tensor",
-    "element",
-    "basis",
-    "zero",
-    "one",
-    "mul",
-    "conj",
-    "re",
-    "im",
-    "norm",
     "mul_arrays",
     "conj_arrays",
     "random_elements",
+    "check_arithmetic",
 ]
 
 OCTONION_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 5), (2, 6, 7), (3, 4, 6), (4, 5, 7))
@@ -96,10 +87,6 @@ class EpsilonTensor:
     def __getitem__(self, ijk: tuple[int, int, int]) -> int:
         i, j, k = ijk
         return int(self.values[i - 1, j - 1, k - 1])
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
 
 
 def _epsilon_values(m: int, triples: tuple[tuple[int, int, int], ...]) -> np.ndarray:
@@ -154,106 +141,6 @@ def multiplication_tensor(kind: AlgebraKind) -> np.ndarray:
     return tensor
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Coefficient vector over the canonical basis of one algebra."""
-
-    kind: AlgebraKind
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=np.float64).copy()
-        if coeffs.shape != (self.kind.dim,):
-            raise ValueError(
-                f"coefficient vector of length {coeffs.size} does not match "
-                f"{self.kind.value} (dim {self.kind.dim})"
-            )
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_kind(self, other)
-        return AlgebraElement(self.kind, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_kind(self, other)
-        return AlgebraElement(self.kind, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.kind, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return mul(self, other)
-        return AlgebraElement(self.kind, self.coeffs * float(other))
-
-    def __rmul__(self, other):
-        return AlgebraElement(self.kind, self.coeffs * float(other))
-
-    def __repr__(self) -> str:
-        terms = " + ".join(f"{c:g}*e{i}" for i, c in enumerate(self.coeffs) if c != 0.0)
-        return f"<{self.kind.value}: {terms or '0'}>"
-
-
-def _require_same_kind(a: AlgebraElement, b: AlgebraElement) -> None:
-    if a.kind is not b.kind:
-        raise ValueError(f"kind mismatch: {a.kind.value} vs {b.kind.value}")
-
-
-def element(kind: AlgebraKind, coeffs) -> AlgebraElement:
-    return AlgebraElement(kind, np.asarray(coeffs, dtype=np.float64))
-
-
-def basis(kind: AlgebraKind, i: int) -> AlgebraElement:
-    """The canonical basis element ``e_i``."""
-    if not 0 <= i < kind.dim:
-        raise ValueError(f"basis index {i} out of range for {kind.value}")
-    coeffs = np.zeros(kind.dim)
-    coeffs[i] = 1.0
-    return AlgebraElement(kind, coeffs)
-
-
-def zero(kind: AlgebraKind) -> AlgebraElement:
-    return AlgebraElement(kind, np.zeros(kind.dim))
-
-
-def one(kind: AlgebraKind) -> AlgebraElement:
-    return basis(kind, 0)
-
-
-def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Algebra product ab (bilinear, satisfies |ab| = |a||b|)."""
-    _require_same_kind(a, b)
-    tensor = multiplication_tensor(a.kind)
-    return AlgebraElement(a.kind, np.einsum("i,j,ijk->k", a.coeffs, b.coeffs, tensor))
-
-
-def conj(a: AlgebraElement) -> AlgebraElement:
-    """Conjugation: negates the coefficients of ``e_1 .. e_{dim-1}``."""
-    coeffs = a.coeffs.copy()
-    coeffs[1:] *= -1.0
-    return AlgebraElement(a.kind, coeffs)
-
-
-def re(a: AlgebraElement) -> float:
-    """Real part, the ``e_0`` coefficient."""
-    return float(a.coeffs[0])
-
-
-def im(a: AlgebraElement) -> AlgebraElement:
-    """Imaginary part: zeroes the ``e_0`` coefficient."""
-    coeffs = a.coeffs.copy()
-    coeffs[0] = 0.0
-    return AlgebraElement(a.kind, coeffs)
-
-
-def norm(a: AlgebraElement) -> float:
-    """Euclidean norm of the coefficient vector; satisfies a*conj(a) = |a|^2 e_0."""
-    return float(np.linalg.norm(a.coeffs))
-
-
 def mul_arrays(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rowwise product of two (n, dim) coefficient arrays."""
     tensor = multiplication_tensor(kind)
@@ -270,3 +157,36 @@ def random_elements(kind: AlgebraKind, count: int, rng: np.random.Generator,
                     scale: float = 1.0) -> np.ndarray:
     """Gaussian coefficient rows, one element per row."""
     return scale * rng.standard_normal((count, kind.dim))
+
+
+def check_arithmetic(kinds, samples: int, seed: int = 0, tol: float = 1e-12) -> list[dict]:
+    """Worst relative residuals of the composition law |ab| = |a||b| and of
+    associativity (alternativity a(ab) = (aa)b on the octonions), per kind.
+
+    One seeded stream serves the kinds in order: each draws a and b, and an
+    associative kind then c.  A kind passes when its composition residual is
+    within ``tol`` and its other residual within 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    results = []
+    for kind in kinds:
+        a = random_elements(kind, samples, rng)
+        b = random_elements(kind, samples, rng)
+        ab = mul_arrays(kind, a, b)
+        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        composition = float(np.max(np.abs(np.linalg.norm(ab, axis=1) - scale) / scale))
+        if kind is AlgebraKind.OCTONION:
+            name = "alternativity_residual"
+            left = mul_arrays(kind, a, mul_arrays(kind, a, b))
+            right = mul_arrays(kind, mul_arrays(kind, a, a), b)
+            scale = np.linalg.norm(a, axis=1) ** 2 * np.linalg.norm(b, axis=1)
+        else:
+            name = "associativity_residual"
+            c = random_elements(kind, samples, rng)
+            left = mul_arrays(kind, ab, c)
+            right = mul_arrays(kind, a, mul_arrays(kind, b, c))
+            scale = scale * np.linalg.norm(c, axis=1)
+        residual = float(np.max(np.abs(left - right) / scale[:, None]))
+        results.append({"kind": kind.value, "composition_residual": composition,
+                        name: residual, "passed": composition <= tol and residual <= 1e-12})
+    return results

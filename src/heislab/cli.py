@@ -12,13 +12,14 @@ input files.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 from datetime import datetime, timezone
 
 import click
-import numpy as np
 
+from heislab import algebra as alg_mod
 from heislab import distortion, finite_metric, hgroup, hlie, inversion
 from heislab.util import canonical_json
 
@@ -84,38 +85,11 @@ def algebra_check(kind, samples, tolerance, seed, output, no_timestamp) -> None:
     """Composition law, associativity and alternativity over random samples."""
     if samples < 1:
         raise click.UsageError("--samples must be >= 1")
-    from heislab import algebra as alg_mod
     kinds = list(alg_mod.AlgebraKind) if kind == "all" else [alg_mod.AlgebraKind(kind)]
-    rng = np.random.default_rng(seed)
-    results = []
-    failed = False
-    for k in kinds:
-        a = alg_mod.random_elements(k, samples, rng)
-        b = alg_mod.random_elements(k, samples, rng)
-        ab = alg_mod.mul_arrays(k, a, b)
-        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-        composition = float(np.max(np.abs(np.linalg.norm(ab, axis=1) - scale) / scale))
-        c = alg_mod.random_elements(k, samples, rng)
-        left = alg_mod.mul_arrays(k, ab, c)
-        right = alg_mod.mul_arrays(k, a, alg_mod.mul_arrays(k, b, c))
-        assoc_scale = (scale * np.linalg.norm(c, axis=1))[:, None]
-        associativity = float(np.max(np.abs(left - right) / assoc_scale))
-        entry = {"kind": k.value, "composition_residual": composition}
-        if k is alg_mod.AlgebraKind.OCTONION:
-            aab = alg_mod.mul_arrays(k, a, alg_mod.mul_arrays(k, a, b))
-            aa_b = alg_mod.mul_arrays(k, alg_mod.mul_arrays(k, a, a), b)
-            alt_scale = (np.linalg.norm(a, axis=1) ** 2 * np.linalg.norm(b, axis=1))[:, None]
-            entry["alternativity_residual"] = float(np.max(np.abs(aab - aa_b) / alt_scale))
-            ok = composition <= tolerance and entry["alternativity_residual"] <= 1e-12
-        else:
-            entry["associativity_residual"] = associativity
-            ok = composition <= tolerance and associativity <= 1e-12
-        entry["passed"] = ok
-        failed = failed or not ok
-        results.append(entry)
+    results = alg_mod.check_arithmetic(kinds, samples, seed=seed, tol=tolerance)
     _emit({"command": "algebra check", "samples": samples, "seed": seed,
            "tolerance": tolerance, "results": results}, output, no_timestamp)
-    if failed:
+    if not all(entry["passed"] for entry in results):
         raise MathCheckFailed("an algebra arithmetic check exceeded its tolerance")
 
 
@@ -194,13 +168,7 @@ def group_sample(selector, count, radius, seed, output) -> None:
         raise click.UsageError("--radius must be positive")
     alg = _load_algebra(selector)
     v, z = hgroup.sample_arrays(alg, count, radius, seed)
-    if output:
-        hgroup.save_points_csv(output, alg, v, z)
-    else:
-        import io
-        buffer = io.StringIO()
-        hgroup.save_points_csv(buffer, alg, v, z)
-        click.echo(buffer.getvalue(), nl=False)
+    _save(lambda out: hgroup.save_points_csv(out, alg, v, z), output)
 
 
 @group.command("distmat")
@@ -223,15 +191,19 @@ def group_distmat(selector, count, radius, seed, fmt, output) -> None:
     _write_space(space, fmt, output)
 
 
+def _save(write, output: str | None) -> None:
+    """Write to the output path, or through a buffer to stdout."""
+    if output:
+        write(output)
+        return
+    buffer = io.StringIO()
+    write(buffer)
+    click.echo(buffer.getvalue(), nl=False)
+
+
 def _write_space(space, fmt: str, output: str | None) -> None:
     save = finite_metric.save_space_csv if fmt == "csv" else finite_metric.save_space_json
-    if output:
-        save(space, output)
-        return
-    import io
-    buffer = io.StringIO()
-    save(space, buffer)
-    click.echo(buffer.getvalue(), nl=False)
+    _save(lambda out: save(space, out), output)
 
 
 def _read_space(path: str) -> finite_metric.FiniteMetricSpace:
@@ -286,31 +258,7 @@ def invert_transport(selector, trials, tolerance, radius, seed, output, no_times
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     alg = _load_algebra(selector)
-    rng = np.random.default_rng(seed)
-    branches = {"finite": 0.0, "x_infinite": 0.0, "x_prime_infinite": 0.0, "x_equals_y": 0.0}
-
-    def draw():
-        v, z = hgroup.sample_with_rng(alg, 1, radius, rng)
-        return hgroup.point(alg, v[0], z[0])
-
-    for _ in range(trials):
-        x, xp, y, yp = draw(), draw(), draw(), draw()
-        g = inversion.pair_transporter(x, xp, y, yp)
-        branches["finite"] = max(branches["finite"],
-                                 hgroup.gauge_dist(g(x), xp), hgroup.gauge_dist(g(y), yp))
-        g = inversion.pair_transporter(hgroup.INFINITY, xp, y, yp)
-        branches["x_infinite"] = max(branches["x_infinite"],
-                                     hgroup.gauge_dist(g(hgroup.INFINITY), xp),
-                                     hgroup.gauge_dist(g(y), yp))
-        g = inversion.pair_transporter(x, hgroup.INFINITY, y, yp)
-        image = g(x)
-        if not isinstance(image, hgroup.PointAtInfinity):
-            branches["x_prime_infinite"] = float("inf")
-        branches["x_prime_infinite"] = max(branches["x_prime_infinite"],
-                                           hgroup.gauge_dist(g(y), yp))
-        g = inversion.pair_transporter(x, xp, x, xp)
-        branches["x_equals_y"] = max(branches["x_equals_y"], hgroup.gauge_dist(g(x), xp))
-
+    branches = inversion.transport_errors(alg, trials, radius=radius, seed=seed)
     worst = max(branches.values())
     _emit({"command": "invert transport", "algebra": alg.label,
            "fingerprint": alg.fingerprint, "trials": trials, "seed": seed,
@@ -345,50 +293,32 @@ def _based_space(path: str, base: str | None) -> finite_metric.BasedSpace:
     return finite_metric.BasedSpace(space, index)
 
 
-@metric.command("invert")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--base", default=None, help="Base point label (default: first label).")
-@click.option("--quasimetric", is_flag=True, default=False,
-              help="Emit the raw quasimetric instead of its chain metric.")
-@click.option("--max-points", type=int, default=finite_metric.DEFAULT_MAX_POINTS,
-              show_default=True,
-              help="Largest input point count for the dense shortest-path closure.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def metric_invert(input_path, base, quasimetric, max_points, fmt, output) -> None:
-    """Based inversion of a distance-matrix file."""
-    based = _based_space(input_path, base)
-    if quasimetric:
-        space = finite_metric.FiniteMetricSpace(finite_metric.inversion_labels(based),
-                                                finite_metric.inversion_quasimetric(based),
-                                                contains_infinity=True, validate=False)
-    else:
-        space = finite_metric.invert_space(based, max_points=max_points)
-    _write_space(space, fmt, output)
+# looked up per call, so that a tracer rebinding module-level tables sees the calls
+_SPACE_MAPS = {"invert": finite_metric.invert_space,
+               "sphericalize": finite_metric.sphericalize_space}
 
 
-@metric.command("sphericalize")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--base", default=None, help="Base point label (default: first label).")
-@click.option("--quasimetric", is_flag=True, default=False,
-              help="Emit the raw quasimetric instead of its chain metric.")
-@click.option("--max-points", type=int, default=finite_metric.DEFAULT_MAX_POINTS,
-              show_default=True,
-              help="Largest input point count for the dense shortest-path closure.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def metric_sphericalize(input_path, base, quasimetric, max_points, fmt, output) -> None:
-    """Based sphericalization of a distance-matrix file."""
-    based = _based_space(input_path, base)
-    if quasimetric:
-        space = finite_metric.FiniteMetricSpace(finite_metric.sphericalization_labels(based),
-                                                finite_metric.sphericalization_quasimetric(based),
-                                                contains_infinity=True, validate=False)
-    else:
-        space = finite_metric.sphericalize_space(based, max_points=max_points)
-    _write_space(space, fmt, output)
+def _register_metric_map(name: str, noun: str) -> None:
+    @metric.command(name, help=f"Based {noun} of a distance-matrix file.")
+    @click.option("--input", "input_path", required=True,
+                  type=click.Path(exists=True, dir_okay=False))
+    @click.option("--base", default=None, help="Base point label (default: first label).")
+    @click.option("--quasimetric", is_flag=True, default=False,
+                  help="Emit the raw quasimetric instead of its chain metric.")
+    @click.option("--max-points", type=int, default=finite_metric.DEFAULT_MAX_POINTS,
+                  show_default=True,
+                  help="Largest input point count for the dense shortest-path closure.")
+    @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                  show_default=True)
+    @click.option("--output", type=click.Path(dir_okay=False), default=None)
+    def command(input_path, base, quasimetric, max_points, fmt, output) -> None:
+        based = _based_space(input_path, base)
+        space = _SPACE_MAPS[name](based, max_points=max_points, chain=not quasimetric)
+        _write_space(space, fmt, output)
+
+
+_register_metric_map("invert", "inversion")
+_register_metric_map("sphericalize", "sphericalization")
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +328,13 @@ def metric_sphericalize(input_path, base, quasimetric, max_points, fmt, output) 
 @main.group()
 def distort() -> None:
     """Distortion statistics: quasimobius, quasiconformality, regularity."""
+
+
+def _radius_list(radii: str) -> list[float]:
+    try:
+        return [float(t) for t in radii.split(",") if t.strip()]
+    except ValueError:
+        raise click.UsageError(f"--radii must be comma-separated floats, got {radii!r}") from None
 
 
 @distort.command("qm")
@@ -413,21 +350,16 @@ def distort() -> None:
 @_common
 def distort_qm(domain_path, image_path, samples, raw_pairs, seed, output, no_timestamp) -> None:
     """Strong-quasimobius constant of the identity map between two metrics."""
-    domain = _read_space(domain_path)
-    image = _read_space(image_path)
-    common = [label for label in domain.labels if label in set(image.labels)]
-    if len(common) < 4:
+    d_in, d_out = finite_metric.shared_submatrices(_read_space(domain_path),
+                                                   _read_space(image_path))
+    if len(d_in) < 4:
         raise ValueError("the two spaces share fewer than four labels")
-    d_idx = [domain.label_index(t) for t in common]
-    i_idx = [image.label_index(t) for t in common]
-    d_in = domain.dist[np.ix_(d_idx, d_idx)]
-    d_out = image.dist[np.ix_(i_idx, i_idx)]
     report = distortion.estimate_quasimobius(d_in, d_out, samples=samples, seed=seed)
     if raw_pairs:
         distortion.save_ratio_pairs_csv(report, raw_pairs)
     payload = report.to_dict()
     payload["command"] = "distort qm"
-    payload["points_used"] = len(common)
+    payload["points_used"] = len(d_in)
     _emit(payload, output, no_timestamp)
 
 
@@ -445,10 +377,7 @@ def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
                output, no_timestamp) -> None:
     """Metric quasiconformality ratios of a self-map at shrinking radii."""
     alg = _load_algebra(selector)
-    try:
-        radius_list = [float(t) for t in radii.split(",") if t.strip()]
-    except ValueError:
-        raise click.UsageError(f"--radii must be comma-separated floats, got {radii!r}")
+    radius_list = _radius_list(radii)
     if map_name == "identity":
         point_map = distortion.identity_map(alg)
     elif map_name == "inversion":
@@ -457,13 +386,7 @@ def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
         point_map = distortion.dilation_map(alg, float(map_name.split(":", 1)[1]))
     else:
         raise click.UsageError(f"unknown map {map_name!r} (identity, inversion, dilate:T)")
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    v, z = hgroup.sample_with_rng(alg, 1, 1.0, rng)
-    center = hgroup.point(alg, v[0], z[0])
-    g = hgroup.gauge(center)
-    if g == 0.0:
-        raise ValueError("degenerate random center")
-    center = hgroup.dilate(center_gauge / g, center)
+    center = distortion.random_center(alg, center_gauge, seed=seed)
     report = distortion.estimate_qc_ratio(alg, point_map, center, radius_list,
                                           samples=samples, seed=seed)
     payload = report.to_dict()
@@ -482,11 +405,7 @@ def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
 def distort_regularity(selector, radii, samples, seed, output, no_timestamp) -> None:
     """Fit the volume-growth exponent of gauge balls."""
     alg = _load_algebra(selector)
-    try:
-        radius_list = [float(t) for t in radii.split(",") if t.strip()]
-    except ValueError:
-        raise click.UsageError(f"--radii must be comma-separated floats, got {radii!r}")
-    report = distortion.estimate_regularity(alg, radius_list, samples=samples, seed=seed)
+    report = distortion.estimate_regularity(alg, _radius_list(radii), samples=samples, seed=seed)
     payload = report.to_dict()
     payload["command"] = "distort regularity"
     _emit(payload, output, no_timestamp)
@@ -503,9 +422,6 @@ def run(argv=None) -> int:
     except MathCheckFailed as exc:
         click.echo(f"check failed: {exc}", err=True)
         return 2
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

@@ -25,10 +25,13 @@ import numpy as np
 
 from heislab.hgroup import (
     GroupPoint,
+    dilate,
     dilate_arrays,
+    gauge,
     gauge_arrays,
     gauge_dist_arrays,
     group_mul_arrays,
+    point,
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
@@ -39,6 +42,7 @@ __all__ = [
     "cross_ratio_rows",
     "sample_quadruples",
     "estimate_quasimobius",
+    "random_center",
     "estimate_qc_ratio",
     "estimate_regularity",
     "identity_map",
@@ -198,6 +202,21 @@ def dilation_map(alg: HTypeAlgebra, t: float) -> Callable:
     def apply(v, z):
         return dilate_arrays(t, v, z)
     return apply
+
+
+def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> GroupPoint:
+    """A seeded uniform draw from the unit coordinate box, dilated to ``center_gauge``.
+
+    It draws from the root stream of ``seed``, and :func:`estimate_qc_ratio`
+    samples each radius from a child spawned from that seed, so the center
+    shares no draws with the radii.
+    """
+    v, z = sample_with_rng(alg, 1, 1.0, np.random.default_rng(seed))
+    center = point(alg, v[0], z[0])
+    g = gauge(center)
+    if g == 0.0:
+        raise ValueError("degenerate random center")
+    return dilate(center_gauge / g, center)
 
 
 def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: GroupPoint,

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from heislab.hgroup import pairwise_gauge_dist, points_to_arrays
+from heislab.hgroup import pairwise_gauge_dist
 from heislab.hlie import HTypeAlgebra
 from heislab.util import format_float
 
@@ -43,8 +43,8 @@ __all__ = [
     "chain_metric",
     "invert_space",
     "sphericalize_space",
-    "from_group_sample",
     "from_group_arrays",
+    "shared_submatrices",
     "save_space_csv",
     "load_space_csv",
     "save_space_json",
@@ -73,17 +73,17 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"asymmetric distances at (i, j) = ({i}, {j}): "
-                         f"{dist[i, j]!r} vs {dist[j, i]!r}")
+                         f"{format_float(dist[i, j])} vs {format_float(dist[j, i])}")
     diag = np.argwhere(np.diag(dist) != 0.0)
     if diag.size:
         i = int(diag[0][0])
-        raise ValueError(f"nonzero diagonal at i = {i}: {dist[i, i]!r}")
+        raise ValueError(f"nonzero diagonal at i = {i}: {format_float(dist[i, i])}")
     off = ~np.eye(n, dtype=bool)
     bad = np.argwhere((dist <= 0.0) & off)
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"non-positive off-diagonal distance at (i, j) = ({i}, {j}): "
-                         f"{dist[i, j]!r}")
+                         f"{format_float(dist[i, j])}")
     # A violation at (i, j) with j < i is the mirror of one at (j, i), since
     # the matrix is exactly symmetric and float addition commutes; so the
     # first violating row has all its violating columns at j >= i, and only
@@ -98,7 +98,8 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
             k = int(np.argmin(via[a]))
             raise ValueError(
                 f"triangle inequality violated at (i, k, j) = ({i}, {k}, {j}): "
-                f"d(i,j) = {dist[i, j]!r} exceeds d(i,k) + d(k,j) = {via[a, k]!r} "
+                f"d(i,j) = {format_float(dist[i, j])} exceeds "
+                f"d(i,k) + d(k,j) = {format_float(via[a, k])} "
                 f"by {dist[i, j] - via[a, k]:.3e}"
             )
 
@@ -146,10 +147,6 @@ class BasedSpace:
         if not 0 <= self.base_index < self.space.n:
             raise ValueError(f"base index {self.base_index} out of range "
                              f"for {self.space.n} points")
-
-    @property
-    def base_label(self) -> str:
-        return self.space.labels[self.base_index]
 
 
 def _inversion_quasimetric_matrix(dist: np.ndarray, base: int) -> np.ndarray:
@@ -226,9 +223,12 @@ def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     return np.asarray(floyd_warshall(q, directed=False))
 
 
-def _chain_space(based: BasedSpace, quasimetric, labels, max_points: int
+def _chain_space(based: BasedSpace, quasimetric, labels, max_points: int, chain: bool
                  ) -> FiniteMetricSpace:
     names = labels(based)
+    if not chain:
+        return FiniteMetricSpace(names, quasimetric(based), contains_infinity=True,
+                                 validate=False)
     # inverting at the point at infinity replaces it; anything else would add a second one
     if names.count(INFINITY_LABEL) > 1:
         raise ValueError("space already contains a point at infinity")
@@ -238,23 +238,26 @@ def _chain_space(based: BasedSpace, quasimetric, labels, max_points: int
     return FiniteMetricSpace(names, chained, contains_infinity=True, validate=False)
 
 
-def invert_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS) -> FiniteMetricSpace:
+def invert_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS,
+                 chain: bool = True) -> FiniteMetricSpace:
     """Chain metric of the based inversion, as a labeled metric space.
 
-    ``max_points`` caps the points of the input space.
+    ``max_points`` caps the points of the input space.  With ``chain=False``
+    the space carries the raw quasimetric, unvalidated and uncapped.
     """
-    return _chain_space(based, inversion_quasimetric, inversion_labels, max_points)
+    return _chain_space(based, inversion_quasimetric, inversion_labels, max_points, chain)
 
 
-def sphericalize_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS
-                       ) -> FiniteMetricSpace:
+def sphericalize_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS,
+                       chain: bool = True) -> FiniteMetricSpace:
     """Chain metric of the based sphericalization, as a labeled metric space.
 
     ``max_points`` caps the points of the input space; the result has one
-    point more.
+    point more.  With ``chain=False`` the space carries the raw quasimetric,
+    unvalidated and uncapped.
     """
     return _chain_space(based, sphericalization_quasimetric, sphericalization_labels,
-                        max_points)
+                        max_points, chain)
 
 
 def from_group_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
@@ -274,10 +277,13 @@ def from_group_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
     return FiniteMetricSpace(labels, dist)
 
 
-def from_group_sample(points) -> FiniteMetricSpace:
-    """Gauge distance matrix of a list of group points."""
-    alg, v, z = points_to_arrays(points)
-    return from_group_arrays(alg, v, z)
+def shared_submatrices(a: FiniteMetricSpace, b: FiniteMetricSpace
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The distance matrices of two spaces on their shared labels, in the order of ``a``."""
+    index_b = {label: i for i, label in enumerate(b.labels)}
+    idx_a = [i for i, label in enumerate(a.labels) if label in index_b]
+    idx_b = [index_b[a.labels[i]] for i in idx_a]
+    return a.dist[np.ix_(idx_a, idx_a)], b.dist[np.ix_(idx_b, idx_b)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ with identity (0, 0) and inverse (-v, -z).  The Koranyi gauge
 is homogeneous of degree one under the dilations (v, z) -> (t v, t^2 z),
 and ``d(p, q) = ||q^{-1} p||`` is a left-invariant distance on every
 Heisenberg-type algebra (on other structure tensors it is only a
-quasimetric).  Batch variants of the kernels operate on (n, dim) coordinate
+quasimetric).  Batch variants of the kernels operate on (..., dim) coordinate
 arrays and are used by the samplers and verifiers.
 """
 
@@ -39,17 +39,13 @@ __all__ = [
     "gauge",
     "gauge_dist",
     "left_translate",
-    "sample_points",
     "sample_arrays",
     "sample_with_rng",
     "group_mul_arrays",
-    "group_inv_arrays",
     "dilate_arrays",
     "gauge_arrays",
     "gauge_dist_arrays",
     "pairwise_gauge_dist",
-    "points_to_arrays",
-    "arrays_to_points",
     "save_points_csv",
     "load_points_csv",
 ]
@@ -170,10 +166,6 @@ def group_mul_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> tuple[np.ndarray, np.
     return v1 + v2, z1 + z2 + 0.5 * corr
 
 
-def group_inv_arrays(v, z) -> tuple[np.ndarray, np.ndarray]:
-    return -v, -z
-
-
 def dilate_arrays(t, v, z) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise dilation; t may be scalar or one factor per row."""
     t = np.asarray(t, dtype=np.float64)
@@ -185,12 +177,13 @@ def dilate_arrays(t, v, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauge_arrays(alg: HTypeAlgebra, v, z) -> np.ndarray:
-    a = 0.25 * np.sum(np.asarray(v) ** 2, axis=1)
-    return (a * a + np.sum(np.asarray(z) ** 2, axis=1)) ** 0.25
+    """Rowwise gauge of (..., dim) coordinate arrays."""
+    a = 0.25 * np.sum(np.asarray(v) ** 2, axis=-1)
+    return (a * a + np.sum(np.asarray(z) ** 2, axis=-1)) ** 0.25
 
 
 def gauge_dist_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> np.ndarray:
-    """Rowwise gauge distance between two point arrays."""
+    """Rowwise gauge distance between two point arrays; leading dimensions broadcast."""
     dv = v1 - v2
     dz = z1 - z2 - 0.5 * bracket_arrays(alg, v2, v1)
     return gauge_arrays(alg, dv, dz)
@@ -208,35 +201,10 @@ def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
     out = np.empty((n, n))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        vq = v[start:stop]
-        zq = z[start:stop]
-        dv = v[None, :, :] - vq[:, None, :]  # entry [q, p] = v_p - v_q
-        i, j, coeff, selector = alg._upper_entries
-        if i.size:
-            terms = coeff * (vq[:, None, i] * v[None, :, j] - vq[:, None, j] * v[None, :, i])
-            corr = np.einsum("qpm,mk->qpk", terms, selector)
-        else:
-            corr = np.zeros((stop - start, n, alg.dim_z))
-        dz = z[None, :, :] - zq[:, None, :] - 0.5 * corr
-        a = 0.25 * np.sum(dv * dv, axis=2)
-        out[start:stop] = (a * a + np.sum(dz * dz, axis=2)) ** 0.25
+        # entry [q, p] = d(p, q)
+        out[start:stop] = gauge_dist_arrays(alg, v[None, :, :], z[None, :, :],
+                                            v[start:stop, None, :], z[start:stop, None, :])
     return out
-
-
-def points_to_arrays(points) -> tuple[HTypeAlgebra, np.ndarray, np.ndarray]:
-    points = list(points)
-    if not points:
-        raise ValueError("empty point list")
-    alg = points[0].algebra
-    for p in points[1:]:
-        _require_same_parent(points[0], p)
-    v = np.stack([p.v for p in points])
-    z = np.stack([p.z for p in points])
-    return alg, v, z
-
-
-def arrays_to_points(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> list[GroupPoint]:
-    return [GroupPoint(alg, v[i], z[i]) for i in range(v.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +230,6 @@ def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
 def sample_arrays(alg: HTypeAlgebra, count: int, radius: float,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
     return sample_with_rng(alg, count, radius, np.random.default_rng(seed))
-
-
-def sample_points(alg: HTypeAlgebra, count: int, radius: float, seed: int) -> list[GroupPoint]:
-    """Seeded uniform sample from the coordinate box of the gauge ball."""
-    v, z = sample_arrays(alg, count, radius, seed)
-    return arrays_to_points(alg, v, z)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "bracket",
     "bracket_arrays",
     "j_map",
+    "apply_j_rows",
     "check_h_type",
     "check_j2",
     "make_heisenberg",
@@ -127,7 +128,10 @@ def bracket(alg: HTypeAlgebra, x, y) -> np.ndarray:
 
 
 def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Rowwise bracket of two (n, dim_v) arrays; returns (n, dim_z).
+    """Rowwise bracket of two (..., dim_v) arrays; returns (..., dim_z).
+
+    Leading dimensions broadcast, so ``x[:, None]`` against ``y[None]``
+    gives the bracket of every pair of rows.
 
     Evaluated over strictly-upper structure entries as
     ``sum B[k,i,j] (x_i y_j - x_j y_i)``, which keeps the bracket exactly
@@ -139,9 +143,9 @@ def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     y = np.asarray(y, dtype=np.float64)
     i, j, coeff, selector = alg._upper_entries
     if i.size == 0:
-        return np.zeros((x.shape[0], alg.dim_z))
-    terms = coeff * (x[:, i] * y[:, j] - x[:, j] * y[:, i])
-    return np.einsum("nm,mk->nk", terms, selector)
+        return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (alg.dim_z,))
+    terms = coeff * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+    return np.einsum("...m,mk->...k", terms, selector)
 
 
 def j_map(alg: HTypeAlgebra, z) -> np.ndarray:
@@ -152,7 +156,7 @@ def j_map(alg: HTypeAlgebra, z) -> np.ndarray:
     return np.einsum("k,kij->ji", z, alg.structure)
 
 
-def _apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
     """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v)."""
     return np.einsum("sk,kij,si->sj", z_rows, alg.structure, x_rows)
 
@@ -271,7 +275,7 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     x_sq = np.sum(x * x, axis=1)
     z_sq = np.sum(z * z, axis=1)
     keep = (x_sq > 1e-16) & (z_sq > 1e-16)
-    jx = _apply_j_rows(alg, z[keep], x[keep])
+    jx = apply_j_rows(alg, z[keep], x[keep])
     target = z_sq[keep] * x_sq[keep]
     residual = np.abs(np.sum(jx * jx, axis=1) - target) / target
     if residual.size:
@@ -282,8 +286,8 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
 def _j2_residuals(alg: HTypeAlgebra, x: np.ndarray, z: np.ndarray,
                   zp: np.ndarray) -> np.ndarray:
     """Distance of J_z J_z' x from span{J_{Z_k} x}, for unit rows x, z, z'."""
-    inner = _apply_j_rows(alg, zp, x)
-    target = _apply_j_rows(alg, z, inner)
+    inner = apply_j_rows(alg, zp, x)
+    target = apply_j_rows(alg, z, inner)
     # generators[s, k, :] = J_{Z_k} x_s
     generators = np.einsum("kij,si->skj", alg.structure, x)
     gram = np.einsum("skv,slv->skl", generators, generators)

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from heislab.hlie import HTypeAlgebra, check_h_type
+from heislab.hlie import HTypeAlgebra, apply_j_rows, check_h_type
 from heislab.hgroup import (
     INFINITY,
     ExtendedPoint,
@@ -41,10 +41,10 @@ from heislab.hgroup import (
     PointAtInfinity,
     gauge,
     gauge_arrays,
+    gauge_dist,
     gauge_dist_arrays,
     group_inv,
     group_mul,
-    identity,
     left_translate,
     point,
     sample_with_rng,
@@ -54,9 +54,9 @@ __all__ = [
     "InversionReport",
     "sigma",
     "sigma_arrays",
-    "sigma_extended",
     "phi_at",
     "pair_transporter",
+    "transport_errors",
     "verify_inversion",
 ]
 
@@ -76,19 +76,10 @@ def sigma_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray
     n4 = a * a + np.sum(z * z, axis=1)
     if np.any(n4 == 0.0):
         raise ValueError("inversion is undefined at the identity")
-    jv = np.einsum("sk,kij,si->sj", z, alg.structure, v)
+    jv = apply_j_rows(alg, z, v)
     v_new = -(a[:, None] * v - jv) / n4[:, None]
     z_new = -z / n4[:, None]
     return v_new, z_new
-
-
-def sigma_extended(alg: HTypeAlgebra, x: ExtendedPoint) -> ExtendedPoint:
-    """sigma on the one-point extension: swaps the identity and infinity."""
-    if isinstance(x, PointAtInfinity):
-        return identity(alg)
-    if gauge(x) == 0.0:
-        return INFINITY
-    return sigma(x)
 
 
 def phi_at(x: GroupPoint) -> Callable[[ExtendedPoint], ExtendedPoint]:
@@ -187,6 +178,38 @@ def pair_transporter(x: ExtendedPoint, x_prime: ExtendedPoint,
         return last(middle(first(w)))
 
     return _anchored(base, [(x, x_prime), (y, y_prime)])
+
+
+def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
+                     seed: int = 0) -> dict[str, float]:
+    """Worst gauge error of :func:`pair_transporter` at its targets, per case branch.
+
+    Each trial draws x, x', y, y' in turn from one seeded stream; missing an
+    infinite target counts as an infinite error.
+    """
+    rng = np.random.default_rng(seed)
+    errors = {"finite": 0.0, "x_infinite": 0.0, "x_prime_infinite": 0.0, "x_equals_y": 0.0}
+
+    def draw() -> GroupPoint:
+        v, z = sample_with_rng(alg, 1, radius, rng)
+        return point(alg, v[0], z[0])
+
+    def record(branch: str, g, *hits) -> None:
+        for source, target in hits:
+            image = g(source)
+            if isinstance(target, PointAtInfinity):
+                error = 0.0 if isinstance(image, PointAtInfinity) else float("inf")
+            else:
+                error = gauge_dist(image, target)
+            errors[branch] = max(errors[branch], error)
+
+    for _ in range(trials):
+        x, xp, y, yp = draw(), draw(), draw(), draw()
+        record("finite", pair_transporter(x, xp, y, yp), (x, xp), (y, yp))
+        record("x_infinite", pair_transporter(INFINITY, xp, y, yp), (INFINITY, xp), (y, yp))
+        record("x_prime_infinite", pair_transporter(x, INFINITY, y, yp), (x, INFINITY), (y, yp))
+        record("x_equals_y", pair_transporter(x, xp, x, xp), (x, xp))
+    return errors
 
 
 @dataclass

@@ -13,7 +13,6 @@ from heislab import finite_metric as fm
 from heislab import hgroup, hlie, inversion
 from heislab.algebra import AlgebraKind
 from heislab.cli import run
-from heislab.hgroup import INFINITY
 
 HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -30,26 +29,13 @@ def builtin(name):
 
 def test_criterion_01_division_algebra_soundness():
     started = time.perf_counter()
-    rng = np.random.default_rng(101)
-    kind = AlgebraKind.OCTONION
-    a = al.random_elements(kind, 100000, rng)
-    b = al.random_elements(kind, 100000, rng)
-    ab = al.mul_arrays(kind, a, b)
-    scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    composition = float(np.max(np.abs(np.linalg.norm(ab, axis=1) - scale) / scale))
-    composition_ok = composition <= 1e-12
-
-    kind = AlgebraKind.QUATERNION
-    q1 = al.random_elements(kind, 100000, rng)
-    q2 = al.random_elements(kind, 100000, rng)
-    q3 = al.random_elements(kind, 100000, rng)
-    left = al.mul_arrays(kind, al.mul_arrays(kind, q1, q2), q3)
-    right = al.mul_arrays(kind, q1, al.mul_arrays(kind, q2, q3))
-    norms = (np.linalg.norm(q1, axis=1) * np.linalg.norm(q2, axis=1)
-             * np.linalg.norm(q3, axis=1))[:, None]
-    associativity = float(np.max(np.abs(left - right) / norms))
+    # the same check as `heislab algebra check`
+    octonion, quaternion = al.check_arithmetic([AlgebraKind.OCTONION, AlgebraKind.QUATERNION],
+                                               100000, seed=101)
+    composition = octonion["composition_residual"]
+    associativity = quaternion["associativity_residual"]
     elapsed = time.perf_counter() - started
-    ok = composition_ok and associativity <= 1e-14 and elapsed < 5.0
+    ok = composition <= 1e-12 and associativity <= 1e-14 and elapsed < 5.0
     report(1, ok, f"octonion composition residual {composition:.2e} <= 1e-12 over 1e5 "
                   f"pairs, quaternion associativity {associativity:.2e} <= 1e-14, "
                   f"runtime {elapsed:.2f}s < 5s")
@@ -232,30 +218,9 @@ def test_criterion_10_regularity_exponents():
 
 
 def test_criterion_11_transporter_totality():
-    alg = builtin("H_H:1")
-    rng = np.random.default_rng(116)
-
-    def draw():
-        v, z = hgroup.sample_with_rng(alg, 1, 1.0, rng)
-        return hgroup.point(alg, v[0], z[0])
-
-    worst = {"finite": 0.0, "x_infinite": 0.0, "x_prime_infinite": 0.0, "x_equals_y": 0.0}
-    for _ in range(1000):
-        x, xp, y, yp = draw(), draw(), draw(), draw()
-        g = inversion.pair_transporter(x, xp, y, yp)
-        worst["finite"] = max(worst["finite"], hgroup.gauge_dist(g(x), xp),
-                              hgroup.gauge_dist(g(y), yp))
-        g = inversion.pair_transporter(INFINITY, xp, y, yp)
-        worst["x_infinite"] = max(worst["x_infinite"],
-                                  hgroup.gauge_dist(g(INFINITY), xp),
-                                  hgroup.gauge_dist(g(y), yp))
-        g = inversion.pair_transporter(x, INFINITY, y, yp)
-        image_ok = isinstance(g(x), hgroup.PointAtInfinity)
-        worst["x_prime_infinite"] = max(worst["x_prime_infinite"],
-                                        0.0 if image_ok else np.inf,
-                                        hgroup.gauge_dist(g(y), yp))
-        g = inversion.pair_transporter(x, xp, x, xp)
-        worst["x_equals_y"] = max(worst["x_equals_y"], hgroup.gauge_dist(g(x), xp))
+    # the same sweep as `heislab invert transport`
+    worst = inversion.transport_errors(builtin("H_H:1"), 1000, radius=1.0, seed=116)
+    assert set(worst) == {"finite", "x_infinite", "x_prime_infinite", "x_equals_y"}
     peak = max(worst.values())
     ok = peak <= 1e-9
     report(11, ok, f"transporter hits its targets on 1e3 random quadruples in each of "

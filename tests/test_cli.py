@@ -248,6 +248,24 @@ class TestDistortCommands:
     def test_qc_rejects_unknown_map(self):
         assert run(["distort", "qc", "--algebra", "H_C:1", "--map", "twist"]) == 1
 
+    def test_qc_center_is_not_the_first_radius_sample(self, tmp_path):
+        # the center must not repeat the draws of the first radius
+        out = tmp_path / "qc.json"
+        assert run(["distort", "qc", "--algebra", "H_C:1", "--samples", "100",
+                    "--seed", "7", "--output", str(out), "--no-timestamp"]) == 0
+        center = np.array(read_json(out)["statistics"]["center"]["v"])
+        alg = hlie.algebra_from_name("H_C:1")
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+        first = hgroup.sample_with_rng(alg, 100, 1.0, rng)[0][0]
+        cross = center[0] * first[1] - center[1] * first[0]
+        assert abs(cross) > 1e-3 * np.linalg.norm(center) * np.linalg.norm(first)
+
+    @pytest.mark.parametrize("command", ["qc", "regularity"])
+    def test_malformed_radii(self, command, capsys):
+        assert run(["distort", command, "--algebra", "H_C:1", "--radii", "0.1,x"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --radii must be comma-separated floats, got '0.1,x'\n")
+
     def test_regularity_report(self, tmp_path):
         out = tmp_path / "reg.json"
         assert run(["distort", "regularity", "--algebra", "H_C:1",

@@ -153,9 +153,16 @@ class TestQuasimobius:
 
 class TestQcRatio:
     def center(self, alg, seed, target=1.0):
-        v, z = hgroup.sample_arrays(alg, 1, 1.0, seed)
-        c = hgroup.point(alg, v[0], z[0])
-        return hgroup.dilate(target / hgroup.gauge(c), c)
+        return dt.random_center(alg, target, seed=seed)
+
+    def test_random_center_is_a_dilated_root_draw(self):
+        alg = builtin("H_H:1")
+        c = dt.random_center(alg, 2.5, seed=30)
+        assert hgroup.gauge(c) == pytest.approx(2.5, rel=1e-14)
+        v, z = hgroup.sample_arrays(alg, 1, 1.0, seed=30)  # the root stream of the seed
+        t = c.v[0] / v[0, 0]
+        assert np.allclose(c.v, t * v[0], rtol=1e-14)
+        assert np.allclose(c.z, t * t * z[0], rtol=1e-14)
 
     def test_identity_map_is_one(self):
         alg = builtin("H_C:1")

@@ -6,6 +6,7 @@ import pytest
 
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
+from heislab.util import format_float
 
 
 def euclidean_space(count, dim, seed, labels=None):
@@ -54,6 +55,20 @@ class TestValidation:
         dist = np.maximum(dist, dist.T)
         fm.validate_distance_matrix(dist)  # within the 1e-9 slack
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.0, 1.0], [1.5, 0.0]], "asymmetric distances at (i, j) = (0, 1): 1.0 vs 1.5"),
+        ([[0.0, 1.0], [1.0, 0.5]], "nonzero diagonal at i = 1: 0.5"),
+        ([[0.0, -2.0], [-2.0, 0.0]],
+         "non-positive off-diagonal distance at (i, j) = (0, 1): -2.0"),
+        ([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]],
+         "triangle inequality violated at (i, k, j) = (0, 1, 2): "
+         "d(i,j) = 5.0 exceeds d(i,k) + d(k,j) = 2.0 by 3.000e+00"),
+    ], ids=["asymmetric", "diagonal", "non-positive", "triangle"])
+    def test_messages_show_plain_floats(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            fm.validate_distance_matrix(np.array(rows))
+        assert str(info.value) == message
+
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="labels do not match"):
             fm.FiniteMetricSpace(["a"], np.zeros((2, 2)))
@@ -73,7 +88,8 @@ def row_loop_validation_error(dist, slack=fm.DEFAULT_SLACK):
             j = int(bad_j[0][0])
             k = int(np.argmin(via[:, j]))
             return (f"triangle inequality violated at (i, k, j) = ({i}, {k}, {j}): "
-                    f"d(i,j) = {dist[i, j]!r} exceeds d(i,k) + d(k,j) = {via[k, j]!r} "
+                    f"d(i,j) = {format_float(dist[i, j])} exceeds "
+                    f"d(i,k) + d(k,j) = {format_float(via[k, j])} "
                     f"by {dist[i, j] - via[k, j]:.3e}")
     return None
 
@@ -287,9 +303,8 @@ class TestQuasimetricInvolution:
 class TestGroupSamples:
     def test_two_point_matrix(self):
         alg = hlie.algebra_from_name("H_C:1")
-        p = hgroup.point(alg, [2.0, 0.0], [0.0])  # gauge 1 from the identity
-        e = hgroup.identity(alg)
-        space = fm.from_group_sample([e, p])
+        # the identity and a point at gauge 1 from it
+        space = fm.from_group_arrays(alg, np.array([[0.0, 0.0], [2.0, 0.0]]), np.zeros((2, 1)))
         assert np.allclose(space.dist, [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_abelian_sample_is_scaled_euclidean(self):
@@ -395,3 +410,21 @@ class TestWrappers:
         assert space.label_index("3") == 3
         with pytest.raises(ValueError, match="unknown point label"):
             space.label_index("missing")
+
+    def test_raw_quasimetric_spaces(self):
+        based = fm.BasedSpace(group_space("H_C:1", 12, seed=21), 3)
+        for space_map, quasimetric, labels in (
+                (fm.invert_space, fm.inversion_quasimetric, fm.inversion_labels),
+                (fm.sphericalize_space, fm.sphericalization_quasimetric,
+                 fm.sphericalization_labels)):
+            raw = space_map(based, max_points=2, chain=False)  # the cap only bounds closures
+            assert raw.labels == labels(based) and raw.contains_infinity
+            assert np.array_equal(raw.dist, quasimetric(based))
+
+    def test_shared_submatrices(self):
+        a = euclidean_space(6, 2, seed=22, labels=list("abcdef"))
+        b = fm.FiniteMetricSpace(list("xfdb"), euclidean_space(4, 2, seed=23).dist)
+        d_a, d_b = fm.shared_submatrices(a, b)
+        # shared labels b, d, f in the order of a; rows 3, 2, 1 of b
+        assert np.array_equal(d_a, a.dist[np.ix_([1, 3, 5], [1, 3, 5])])
+        assert np.array_equal(d_b, b.dist[np.ix_([3, 2, 1], [3, 2, 1])])

@@ -274,11 +274,11 @@ class TestBallVolumeHomogeneity:
 class TestSampling:
     def test_count_precondition(self):
         with pytest.raises(ValueError, match="count"):
-            hgroup.sample_points(builtin("H_C:1"), 0, 1.0, seed=0)
+            hgroup.sample_arrays(builtin("H_C:1"), 0, 1.0, seed=0)
 
     def test_radius_precondition(self):
         with pytest.raises(ValueError, match="radius"):
-            hgroup.sample_points(builtin("H_C:1"), 5, 0.0, seed=0)
+            hgroup.sample_arrays(builtin("H_C:1"), 5, 0.0, seed=0)
 
     def test_determinism(self):
         alg = builtin("H_H:1")
@@ -309,10 +309,9 @@ class TestSampling:
 
     def test_points_list(self):
         alg = builtin("H_R:5")
-        points = hgroup.sample_points(alg, 10, 1.0, seed=13)
-        assert len(points) == 10
-        assert all(p.algebra is alg for p in points)
-        assert all(p.z.shape == (0,) for p in points)
+        v, z = hgroup.sample_arrays(alg, 10, 1.0, seed=13)
+        assert v.shape == (10, 5)
+        assert z.shape == (10, 0)
 
 
 class TestPointFiles:

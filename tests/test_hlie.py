@@ -49,6 +49,29 @@ class TestBracket:
         with pytest.raises(ValueError, match="shape"):
             hlie.bracket(alg, [1, 0, 0], [0, 1])
 
+    @pytest.mark.parametrize("name", ["H_O", "truncated_HH", "H_R:3"])
+    def test_leading_dimensions_broadcast(self, name):
+        alg = hlie.algebra_from_name(name)
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((5, alg.dim_v))
+        y = rng.standard_normal((7, alg.dim_v))
+        table = hlie.bracket_arrays(alg, x[:, None, :], y[None, :, :])
+        assert table.shape == (5, 7, alg.dim_z)
+        for i in range(5):
+            rows = hlie.bracket_arrays(alg, np.repeat(x[i:i + 1], 7, axis=0), y)
+            assert np.array_equal(table[i], rows)
+
+
+class TestApplyJRows:
+    @pytest.mark.parametrize("name", ["H_C:2", "H_O", "truncated_HH"])
+    def test_matches_the_j_matrices(self, name):
+        alg = hlie.algebra_from_name(name)
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((20, alg.dim_z))
+        x = rng.standard_normal((20, alg.dim_v))
+        expected = np.stack([hlie.j_map(alg, zs) @ xs for zs, xs in zip(z, x)])
+        assert np.allclose(hlie.apply_j_rows(alg, z, x), expected, atol=1e-13)
+
 
 class TestJMap:
     def test_complex_rotation(self):
