@@ -23,8 +23,11 @@ from itertools import permutations
 
 import numpy as np
 
+from heislab.util import Report
+
 __all__ = [
     "AlgebraKind",
+    "ArithmeticReport",
     "EpsilonTensor",
     "OCTONION_TRIPLES",
     "QUATERNION_TRIPLES",
@@ -159,7 +162,21 @@ def random_elements(kind: AlgebraKind, count: int, rng: np.random.Generator,
     return scale * rng.standard_normal((count, kind.dim))
 
 
-def check_arithmetic(kinds, samples: int, seed: int = 0, tol: float = 1e-12) -> list[dict]:
+@dataclass
+class ArithmeticReport(Report):
+    """Per-kind residuals of :func:`check_arithmetic`; each result carries ``passed``."""
+
+    samples: int
+    seed: int
+    tolerance: float
+    results: list[dict]
+
+    @property
+    def passed(self) -> bool:
+        return all(entry["passed"] for entry in self.results)
+
+
+def check_arithmetic(kinds, samples: int, seed: int = 0, tol: float = 1e-12) -> ArithmeticReport:
     """Worst relative residuals of the composition law |ab| = |a||b| and of
     associativity (alternativity a(ab) = (aa)b on the octonions), per kind.
 
@@ -189,4 +206,4 @@ def check_arithmetic(kinds, samples: int, seed: int = 0, tol: float = 1e-12) -> 
         residual = float(np.max(np.abs(left - right) / scale[:, None]))
         results.append({"kind": kind.value, "composition_residual": composition,
                         name: residual, "passed": composition <= tol and residual <= 1e-12})
-    return results
+    return ArithmeticReport(samples, seed, tol, results)

@@ -4,10 +4,10 @@ invert finite metrics, and emit replayable JSON reports.
 Exit codes: 0 when the requested computation ran (regardless of the
 mathematical outcome, which lives in the report), 2 when an ``--expect``
 option or a built-in guarantee was violated, and 1 for usage or I/O errors.
-Every report embeds the seed, sample counts, tolerance, and a fingerprint
-of the algebra's structure constants, so runs can be replayed exactly;
-with ``--no-timestamp`` the emitted bytes are a pure function of argv and
-input files.
+Every report embeds the seed and sample count, and a report on an algebra
+the fingerprint of its structure constants, so runs can be replayed
+exactly; with ``--no-timestamp`` the emitted bytes are a pure function of
+argv and input files.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ def _load_algebra(selector: str) -> hlie.HTypeAlgebra:
     return hlie.algebra_from_name(selector)
 
 
-def _emit(payload: dict, output: str | None, no_timestamp: bool) -> None:
+def _emit(command: str, report, output: str | None, no_timestamp: bool, **extra) -> None:
+    """Write a library report as the command's JSON, with the keys the CLI owns."""
+    payload = {"command": command, **report.to_dict(), **extra}
     if not no_timestamp:
-        payload = dict(payload)
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = canonical_json(payload)
     if output:
@@ -86,10 +87,9 @@ def algebra_check(kind, samples, tolerance, seed, output, no_timestamp) -> None:
     if samples < 1:
         raise click.UsageError("--samples must be >= 1")
     kinds = list(alg_mod.AlgebraKind) if kind == "all" else [alg_mod.AlgebraKind(kind)]
-    results = alg_mod.check_arithmetic(kinds, samples, seed=seed, tol=tolerance)
-    _emit({"command": "algebra check", "samples": samples, "seed": seed,
-           "tolerance": tolerance, "results": results}, output, no_timestamp)
-    if not all(entry["passed"] for entry in results):
+    report = alg_mod.check_arithmetic(kinds, samples, seed=seed, tol=tolerance)
+    _emit("algebra check", report, output, no_timestamp)
+    if not report.passed:
         raise MathCheckFailed("an algebra arithmetic check exceeded its tolerance")
 
 
@@ -115,7 +115,7 @@ def lie_check_htype(selector, samples, tolerance, expect, seed, output, no_times
     """Certify or refute |J_Z X| = |Z||X|."""
     alg = _load_algebra(selector)
     report = hlie.check_h_type(alg, samples=samples, tol=tolerance, seed=seed)
-    _emit({"command": "lie check-htype", **report.to_dict()}, output, no_timestamp)
+    _emit("lie check-htype", report, output, no_timestamp)
     if expect == "htype" and not report.is_h_type:
         raise MathCheckFailed(f"{alg.label} failed the Heisenberg-type check "
                               f"(residual {report.max_residual:.3e})")
@@ -135,7 +135,7 @@ def lie_check_j2(selector, samples, tolerance, expect, seed, output, no_timestam
     """Certify or refute the J^2-condition (requires a Heisenberg-type algebra)."""
     alg = _load_algebra(selector)
     report = hlie.check_j2(alg, samples=samples, tol=tolerance, seed=seed)
-    _emit({"command": "lie check-j2", **report.to_dict()}, output, no_timestamp)
+    _emit("lie check-j2", report, output, no_timestamp)
     if expect == "j2" and not report.satisfies_j2:
         raise MathCheckFailed(f"{alg.label} failed the J^2 check "
                               f"(residual {report.max_residual:.3e})")
@@ -238,7 +238,7 @@ def invert_verify(selector, samples, tolerance, radius, threads, expect, seed,
     alg = _load_algebra(selector)
     report = inversion.verify_inversion(alg, samples=samples, seed=seed, tol=tolerance,
                                         radius=radius, threads=threads)
-    _emit({"command": "invert verify", **report.to_dict()}, output, no_timestamp)
+    _emit("invert verify", report, output, no_timestamp)
     if expect == "exact" and not report.is_exact_inversion:
         raise MathCheckFailed(f"{alg.label}: max |r - 1| = "
                               f"{report.max_relative_deviation:.3e} exceeds tolerance")
@@ -258,15 +258,11 @@ def invert_transport(selector, trials, tolerance, radius, seed, output, no_times
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     alg = _load_algebra(selector)
-    branches = inversion.transport_errors(alg, trials, radius=radius, seed=seed)
-    worst = max(branches.values())
-    _emit({"command": "invert transport", "algebra": alg.label,
-           "fingerprint": alg.fingerprint, "trials": trials, "seed": seed,
-           "tolerance": tolerance, "max_gauge_error": worst,
-           "per_branch": branches, "passed": worst <= tolerance},
-          output, no_timestamp)
-    if worst > tolerance:
-        raise MathCheckFailed(f"transporter gauge error {worst:.3e} exceeds {tolerance}")
+    report = inversion.transport_errors(alg, trials, radius=radius, seed=seed, tol=tolerance)
+    _emit("invert transport", report, output, no_timestamp)
+    if not report.passed:
+        raise MathCheckFailed(f"transporter gauge error {report.max_gauge_error:.3e} "
+                              f"exceeds {tolerance}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +353,7 @@ def distort_qm(domain_path, image_path, samples, raw_pairs, seed, output, no_tim
     report = distortion.estimate_quasimobius(d_in, d_out, samples=samples, seed=seed)
     if raw_pairs:
         distortion.save_ratio_pairs_csv(report, raw_pairs)
-    payload = report.to_dict()
-    payload["command"] = "distort qm"
-    payload["points_used"] = len(d_in)
-    _emit(payload, output, no_timestamp)
+    _emit("distort qm", report, output, no_timestamp, points_used=len(d_in))
 
 
 @distort.command("qc")
@@ -383,16 +376,17 @@ def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
     elif map_name == "inversion":
         point_map = distortion.inversion_map(alg)
     elif map_name.startswith("dilate:"):
-        point_map = distortion.dilation_map(alg, float(map_name.split(":", 1)[1]))
+        try:
+            factor = float(map_name.split(":", 1)[1])
+        except ValueError:
+            raise click.UsageError(f"--map dilate:T needs a number T, got {map_name!r}") from None
+        point_map = distortion.dilation_map(alg, factor)
     else:
         raise click.UsageError(f"unknown map {map_name!r} (identity, inversion, dilate:T)")
     center = distortion.random_center(alg, center_gauge, seed=seed)
     report = distortion.estimate_qc_ratio(alg, point_map, center, radius_list,
                                           samples=samples, seed=seed)
-    payload = report.to_dict()
-    payload["command"] = "distort qc"
-    payload["map"] = map_name
-    _emit(payload, output, no_timestamp)
+    _emit("distort qc", report, output, no_timestamp, map=map_name)
 
 
 @distort.command("regularity")
@@ -406,9 +400,7 @@ def distort_regularity(selector, radii, samples, seed, output, no_timestamp) -> 
     """Fit the volume-growth exponent of gauge balls."""
     alg = _load_algebra(selector)
     report = distortion.estimate_regularity(alg, _radius_list(radii), samples=samples, seed=seed)
-    payload = report.to_dict()
-    payload["command"] = "distort regularity"
-    _emit(payload, output, no_timestamp)
+    _emit("distort regularity", report, output, no_timestamp)
 
 
 # ---------------------------------------------------------------------------

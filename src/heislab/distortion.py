@@ -35,6 +35,7 @@ from heislab.hgroup import (
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
+from heislab.util import Report
 
 __all__ = [
     "DistortionReport",
@@ -53,32 +54,16 @@ __all__ = [
 
 
 @dataclass
-class DistortionReport:
+class DistortionReport(Report):
     """Container for one distortion experiment; statistics are per kind."""
 
     kind: str  # quasimobius | quasiconformal | regularity
     samples: int
     seed: int
     statistics: dict
-    tolerance: Optional[float] = None
-    algebra_label: Optional[str] = None
+    algebra: Optional[str] = None
     fingerprint: Optional[str] = None
     raw_pairs: Optional[tuple] = field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "kind": self.kind,
-            "samples": self.samples,
-            "seed": self.seed,
-            "statistics": self.statistics,
-        }
-        if self.tolerance is not None:
-            payload["tolerance"] = self.tolerance
-        if self.algebra_label is not None:
-            payload["algebra"] = self.algebra_label
-        if self.fingerprint is not None:
-            payload["fingerprint"] = self.fingerprint
-        return payload
 
 
 def cross_ratio(dist: np.ndarray, quad) -> float:
@@ -129,6 +114,8 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     in either matrix) are skipped and counted.  The envelope bins log10 of
     the source cross-ratio and records the worst image cross-ratio per bin.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     d_in = np.asarray(d_in, dtype=np.float64)
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_in.shape != d_out.shape or d_in.ndim != 2:
@@ -268,12 +255,9 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: GroupPoint
             entry["ratio"] = sup / inf
             entry["insufficient_sampling"] = False
         per_radius.append(entry)
-    statistics = {"per_radius": per_radius,
-                  "center": {"v": [float(t) for t in center.v],
-                             "z": [float(t) for t in center.z]},
-                  "annulus_width": annulus_width}
+    statistics = {"per_radius": per_radius, "center": center, "annulus_width": annulus_width}
     return DistortionReport("quasiconformal", samples, seed, statistics,
-                            algebra_label=alg.label, fingerprint=alg.fingerprint)
+                            algebra=alg.label, fingerprint=alg.fingerprint)
 
 
 def _euclidean_ball_volume(dim: int, radius: float) -> float:
@@ -305,6 +289,8 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000, seed: i
     fewer samples than the coordinate box in high dimension.  The radii
     must span at least one decade.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     radii = sorted(float(r) for r in radii)
     if len(radii) < 2 or radii[0] <= 0.0:
         raise ValueError("need at least two positive radii")
@@ -346,4 +332,4 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000, seed: i
         "per_radius": per_radius,
     }
     return DistortionReport("regularity", samples, seed, statistics,
-                            algebra_label=alg.label, fingerprint=alg.fingerprint)
+                            algebra=alg.label, fingerprint=alg.fingerprint)

@@ -226,12 +226,12 @@ def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
 def _chain_space(based: BasedSpace, quasimetric, labels, max_points: int, chain: bool
                  ) -> FiniteMetricSpace:
     names = labels(based)
-    if not chain:
-        return FiniteMetricSpace(names, quasimetric(based), contains_infinity=True,
-                                 validate=False)
     # inverting at the point at infinity replaces it; anything else would add a second one
     if names.count(INFINITY_LABEL) > 1:
         raise ValueError("space already contains a point at infinity")
+    if not chain:
+        return FiniteMetricSpace(names, quasimetric(based), contains_infinity=True,
+                                 validate=False)
     if based.space.n > max_points:
         raise ValueError(f"{based.space.n} points exceed the closure cap of {max_points}")
     chained = chain_metric(quasimetric(based))

@@ -18,7 +18,7 @@ arrays and are used by the samplers and verifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -55,7 +55,7 @@ __all__ = [
 class GroupPoint:
     """A group element in exponential coordinates over its parent algebra."""
 
-    algebra: HTypeAlgebra
+    algebra: HTypeAlgebra = field(repr=False)  # so a report writes a point as {v, z}
     v: np.ndarray
     z: np.ndarray
 

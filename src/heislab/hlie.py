@@ -17,21 +17,22 @@ seeded random sampling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from heislab import algebra as _algebra
 from heislab.algebra import AlgebraKind
-from heislab.util import fingerprint_of_arrays
+from heislab.util import Report, fingerprint_of_arrays
 
 __all__ = [
     "HTypeAlgebra",
     "HTypeReport",
     "J2Report",
+    "J2Witness",
     "bracket",
     "bracket_arrays",
     "j_map",
@@ -192,61 +193,40 @@ def _orthonormal_pairs(rng: np.random.Generator, count: int, dim: int,
 
 
 @dataclass
-class HTypeReport:
+class HTypeReport(Report):
     """Outcome of the |J_Z X| = |Z||X| certification."""
 
-    label: str
+    algebra: str
     fingerprint: str
     is_h_type: bool
     max_residual: float
     samples: int
     tolerance: float
     seed: int
+    kind: str = field(default="h_type", init=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "h_type",
-            "algebra": self.label,
-            "fingerprint": self.fingerprint,
-            "is_h_type": self.is_h_type,
-            "max_residual": self.max_residual,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
+
+class J2Witness(NamedTuple):
+    """Unit rows x, z, z' whose ``J_z J_z' x`` lies farthest from span{J_W x}."""
+
+    x: np.ndarray
+    z: np.ndarray
+    z_prime: np.ndarray
 
 
 @dataclass
-class J2Report:
+class J2Report(Report):
     """Outcome of the J^2-condition certification."""
 
-    label: str
+    algebra: str
     fingerprint: str
     satisfies_j2: bool
     max_residual: float
-    witness: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    witness: Optional[J2Witness]
     samples: int
     tolerance: float
     seed: int
-
-    def to_dict(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            x, z, zp = self.witness
-            witness = {"x": [float(t) for t in x],
-                       "z": [float(t) for t in z],
-                       "z_prime": [float(t) for t in zp]}
-        return {
-            "kind": "j2",
-            "algebra": self.label,
-            "fingerprint": self.fingerprint,
-            "satisfies_j2": self.satisfies_j2,
-            "max_residual": self.max_residual,
-            "witness": witness,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
+    kind: str = field(default="j2", init=False)
 
 
 def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
@@ -341,7 +321,7 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
     # earliest near-maximal triple, so basis witnesses win ties over samples
     worst_index = int(np.argmax(residuals >= worst * (1.0 - 1e-12)))
     ok = worst <= tol
-    witness = None if ok else (x[worst_index], z[worst_index], zp[worst_index])
+    witness = None if ok else J2Witness(x[worst_index], z[worst_index], zp[worst_index])
     return J2Report(alg.label, alg.fingerprint, ok, worst, witness, samples, tol, seed)
 
 

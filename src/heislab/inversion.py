@@ -28,8 +28,8 @@ map carrying any admissible quadruple (x, x', y, y') to ``g(x) = x'``,
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,9 +49,12 @@ from heislab.hgroup import (
     point,
     sample_with_rng,
 )
+from heislab.util import Report
 
 __all__ = [
     "InversionReport",
+    "TransportReport",
+    "WorstPair",
     "sigma",
     "sigma_arrays",
     "phi_at",
@@ -180,12 +183,27 @@ def pair_transporter(x: ExtendedPoint, x_prime: ExtendedPoint,
     return _anchored(base, [(x, x_prime), (y, y_prime)])
 
 
+@dataclass
+class TransportReport(Report):
+    """Outcome of the :func:`transport_errors` sweep of the transporter's case branches."""
+
+    algebra: str
+    fingerprint: str
+    trials: int
+    seed: int
+    tolerance: float
+    per_branch: dict[str, float]
+    max_gauge_error: float
+    passed: bool
+
+
 def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
-                     seed: int = 0) -> dict[str, float]:
+                     seed: int = 0, tol: float = 1e-9) -> TransportReport:
     """Worst gauge error of :func:`pair_transporter` at its targets, per case branch.
 
     Each trial draws x, x', y, y' in turn from one seeded stream; missing an
-    infinite target counts as an infinite error.
+    infinite target counts as an infinite error.  The sweep passes when no
+    branch's error exceeds ``tol``.
     """
     rng = np.random.default_rng(seed)
     errors = {"finite": 0.0, "x_infinite": 0.0, "x_prime_infinite": 0.0, "x_equals_y": 0.0}
@@ -209,43 +227,32 @@ def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
         record("x_infinite", pair_transporter(INFINITY, xp, y, yp), (INFINITY, xp), (y, yp))
         record("x_prime_infinite", pair_transporter(x, INFINITY, y, yp), (x, INFINITY), (y, yp))
         record("x_equals_y", pair_transporter(x, xp, x, xp), (x, xp))
-    return errors
+    worst = max(errors.values())
+    return TransportReport(alg.label, alg.fingerprint, trials, seed, tol, errors, worst,
+                           worst <= tol)
+
+
+class WorstPair(NamedTuple):
+    """The sampled pair with the largest deviation of the identity."""
+
+    p: GroupPoint
+    q: GroupPoint
 
 
 @dataclass
-class InversionReport:
+class InversionReport(Report):
     """Worst-case deviation of d(sigma p, sigma q) * ||p|| ||q|| / d(p, q) from 1."""
 
-    algebra_label: str
+    algebra: str
     fingerprint: str
     samples: int
     seed: int
     tolerance: float
     max_relative_deviation: float
     is_exact_inversion: bool
-    worst_pair: Optional[tuple[GroupPoint, GroupPoint]]
+    worst_pair: WorstPair
     pairs_used: int
-
-    def to_dict(self) -> dict:
-        worst = None
-        if self.worst_pair is not None:
-            p, q = self.worst_pair
-            worst = {
-                "p": {"v": [float(t) for t in p.v], "z": [float(t) for t in p.z]},
-                "q": {"v": [float(t) for t in q.v], "z": [float(t) for t in q.z]},
-            }
-        return {
-            "kind": "inversion",
-            "algebra": self.algebra_label,
-            "fingerprint": self.fingerprint,
-            "samples": self.samples,
-            "pairs_used": self.pairs_used,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "max_relative_deviation": self.max_relative_deviation,
-            "is_exact_inversion": self.is_exact_inversion,
-            "worst_pair": worst,
-        }
+    kind: str = field(default="inversion", init=False)
 
 
 def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
@@ -265,7 +272,7 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
     ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp[keep] * gq[keep] / d_pq[keep]
     deviation = np.abs(ratio - 1.0)
     worst = int(np.argmax(deviation))
-    pair = (vp[worst].copy(), zp[worst].copy(), vq[worst].copy(), zq[worst].copy())
+    pair = WorstPair(point(alg, vp[worst], zp[worst]), point(alg, vq[worst], zq[worst]))
     return used, float(deviation[worst]), pair
 
 
@@ -306,16 +313,5 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
             worst_pair = pair
     if worst_pair is None:
         raise ValueError("no usable sample pairs were generated")
-    p = point(alg, worst_pair[0], worst_pair[1])
-    q = point(alg, worst_pair[2], worst_pair[3])
-    return InversionReport(
-        algebra_label=alg.label,
-        fingerprint=alg.fingerprint,
-        samples=samples,
-        seed=seed,
-        tolerance=tol,
-        max_relative_deviation=worst_dev,
-        is_exact_inversion=worst_dev <= tol,
-        worst_pair=(p, q),
-        pairs_used=used_total,
-    )
+    return InversionReport(alg.label, alg.fingerprint, samples, seed, tol, worst_dev,
+                           worst_dev <= tol, worst_pair, used_total)

@@ -1,13 +1,41 @@
-"""Shared helpers: structure-constant fingerprints and canonical JSON."""
+"""Shared helpers: the report base, structure-constant fingerprints and canonical JSON."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 
-__all__ = ["fingerprint_of_arrays", "canonical_json", "format_float"]
+__all__ = ["Report", "fingerprint_of_arrays", "canonical_json", "format_float"]
+
+
+class Report:
+    """Base of the report dataclasses: ``to_dict`` is the JSON payload, keyed by field name.
+
+    Arrays become float lists; named tuples and nested dataclasses (a
+    ``GroupPoint`` gives ``{"v", "z"}``) become dicts.  A ``repr=False``
+    field stays out, and so does a field that defaults to None and is None.
+    """
+
+    def to_dict(self) -> dict:
+        return _jsonable(self)
+
+
+def _jsonable(value):
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)
+                if f.repr and not (f.default is None and getattr(value, f.name) is None)}
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64).tolist()
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    return value
 
 
 def fingerprint_of_arrays(*arrays: np.ndarray) -> str:
@@ -29,4 +57,3 @@ def canonical_json(payload: dict) -> str:
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
     return repr(float(x))
-

@@ -31,7 +31,7 @@ def test_criterion_01_division_algebra_soundness():
     started = time.perf_counter()
     # the same check as `heislab algebra check`
     octonion, quaternion = al.check_arithmetic([AlgebraKind.OCTONION, AlgebraKind.QUATERNION],
-                                               100000, seed=101)
+                                               100000, seed=101).results
     composition = octonion["composition_residual"]
     associativity = quaternion["associativity_residual"]
     elapsed = time.perf_counter() - started
@@ -219,9 +219,9 @@ def test_criterion_10_regularity_exponents():
 
 def test_criterion_11_transporter_totality():
     # the same sweep as `heislab invert transport`
-    worst = inversion.transport_errors(builtin("H_H:1"), 1000, radius=1.0, seed=116)
-    assert set(worst) == {"finite", "x_infinite", "x_prime_infinite", "x_equals_y"}
-    peak = max(worst.values())
+    sweep = inversion.transport_errors(builtin("H_H:1"), 1000, radius=1.0, seed=116)
+    assert set(sweep.per_branch) == {"finite", "x_infinite", "x_prime_infinite", "x_equals_y"}
+    peak = sweep.max_gauge_error
     ok = peak <= 1e-9
     report(11, ok, f"transporter hits its targets on 1e3 random quadruples in each of "
                    f"the four case branches, max gauge error {peak:.2e} <= 1e-9")

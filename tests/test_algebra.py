@@ -221,16 +221,18 @@ class TestAssociativity:
 
 class TestCheckArithmetic:
     def test_reports_each_kind(self):
-        results = al.check_arithmetic(ALL_KINDS, 5000, seed=3)
+        report = al.check_arithmetic(ALL_KINDS, 5000, seed=3)
+        results = report.results
         assert [r["kind"] for r in results] == [k.value for k in ALL_KINDS]
-        assert all(r["passed"] for r in results)
+        assert all(r["passed"] for r in results) and report.passed
         assert "alternativity_residual" in results[-1]
         assert all("associativity_residual" in r for r in results[:-1])
 
     def test_tolerance_is_applied(self):
-        (entry,) = al.check_arithmetic([AlgebraKind.OCTONION], 1000, seed=3, tol=0.0)
+        report = al.check_arithmetic([AlgebraKind.OCTONION], 1000, seed=3, tol=0.0)
+        (entry,) = report.results
         assert entry["composition_residual"] > 0.0
-        assert entry["passed"] is False
+        assert entry["passed"] is False and report.passed is False
 
 
 class TestImaginaryBracket:

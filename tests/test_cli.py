@@ -171,6 +171,16 @@ class TestMetricCommands:
         assert fm.load_space_csv(out).n == 41
         assert run(["metric", "sphericalize", "--input", str(sph)]) == 1
 
+    @pytest.mark.parametrize("command", ["sphericalize", "invert"])
+    @pytest.mark.parametrize("flags", [[], ["--quasimetric"]])
+    def test_second_infinity_is_refused(self, matrix_file, tmp_path, capsys, command, flags):
+        sph = tmp_path / "sph.csv"
+        assert run(["metric", "sphericalize", "--input", str(matrix_file),
+                    "--output", str(sph)]) == 0
+        capsys.readouterr()
+        assert run(["metric", command, "--input", str(sph), "--base", "3", *flags]) == 1
+        assert capsys.readouterr().err == "error: space already contains a point at infinity\n"
+
     def test_closure_cap_counts_input_points(self, tmp_path, capsys):
         out = tmp_path / "sph.csv"
         for count, code in ((10, 0), (11, 1)):
@@ -248,6 +258,11 @@ class TestDistortCommands:
     def test_qc_rejects_unknown_map(self):
         assert run(["distort", "qc", "--algebra", "H_C:1", "--map", "twist"]) == 1
 
+    def test_qc_rejects_unparseable_dilation(self, capsys):
+        assert run(["distort", "qc", "--algebra", "H_C:1", "--map", "dilate:abc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --map dilate:T needs a number T, got 'dilate:abc'\n")
+
     def test_qc_center_is_not_the_first_radius_sample(self, tmp_path):
         # the center must not repeat the draws of the first radius
         out = tmp_path / "qc.json"
@@ -290,6 +305,61 @@ class TestTransportCommand:
         assert set(payload["per_branch"]) == {
             "finite", "x_infinite", "x_prime_infinite", "x_equals_y"}
         assert payload["max_gauge_error"] <= 1e-9
+
+
+class TestReportSchema:
+    """The exact keys of each report command's JSON (statistics keys for distort)."""
+
+    COMMON = {"command", "samples", "seed"}
+    ALGEBRA = {"algebra", "fingerprint", "kind"}
+    CASES = {
+        "algebra check": (["algebra", "check", "--kind", "quaternion", "--samples", "100"],
+                          COMMON | {"tolerance", "results"}, None),
+        "lie check-htype": (["lie", "check-htype", "--algebra", "H_C:1", "--samples", "100"],
+                            COMMON | ALGEBRA | {"is_h_type", "max_residual", "tolerance"},
+                            None),
+        "lie check-j2": (["lie", "check-j2", "--algebra", "H_H:1", "--samples", "100"],
+                         COMMON | ALGEBRA | {"satisfies_j2", "max_residual", "witness",
+                                             "tolerance"}, None),
+        "invert verify": (["invert", "verify", "--algebra", "H_C:1", "--samples", "100"],
+                          COMMON | ALGEBRA | {"pairs_used", "tolerance",
+                                              "max_relative_deviation", "is_exact_inversion",
+                                              "worst_pair"}, None),
+        "invert transport": (["invert", "transport", "--algebra", "H_C:1", "--trials", "5"],
+                             {"command", "seed", "algebra", "fingerprint", "trials",
+                              "tolerance", "max_gauge_error", "per_branch", "passed"}, None),
+        "distort qm": (["distort", "qm", "--domain", "{dist}", "--image", "{sph}",
+                        "--samples", "100"],
+                       COMMON | {"kind", "statistics", "points_used"},
+                       {"strong_constant", "min_ratio", "quadruples_used",
+                        "degenerate_skipped", "envelope"}),
+        "distort qc": (["distort", "qc", "--algebra", "H_C:1", "--samples", "100"],
+                       COMMON | ALGEBRA | {"statistics", "map"},
+                       {"per_radius", "center", "annulus_width"}),
+        "distort regularity": (["distort", "regularity", "--algebra", "H_C:1",
+                                "--samples", "1000"],
+                               COMMON | ALGEBRA | {"statistics"},
+                               {"fitted_exponent", "fit_residual", "homogeneous_dimension",
+                                "per_radius"}),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_exact_keys(self, command, tmp_path):
+        files = {"dist": str(tmp_path / "dist.csv"), "sph": str(tmp_path / "sph.csv")}
+        if command == "distort qm":
+            assert run(["group", "distmat", "--algebra", "H_C:1", "--count", "12",
+                        "--output", files["dist"]]) == 0
+            assert run(["metric", "sphericalize", "--input", files["dist"],
+                        "--output", files["sph"]]) == 0
+        argv, keys, statistics = self.CASES[command]
+        out = tmp_path / "report.json"
+        assert run([arg.format(**files) for arg in argv]
+                   + ["--output", str(out), "--no-timestamp"]) == 0
+        payload = read_json(out)
+        assert payload["command"] == command
+        assert set(payload) == keys
+        if statistics is not None:
+            assert set(payload["statistics"]) == statistics
 
 
 class TestReproducibility:

@@ -122,6 +122,12 @@ class TestQuasimobius:
         c = report.statistics["strong_constant"]
         assert 1.0 <= c <= 16.0
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_must_be_positive(self, samples):
+        _, _, _, d = gauge_matrix("H_C:1", 10, 40)
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            dt.estimate_quasimobius(d, d, samples=samples)
+
     def test_too_few_points(self):
         dist = np.zeros((3, 3))
         with pytest.raises(ValueError, match="at least four"):
@@ -227,6 +233,11 @@ class TestRegularity:
         with pytest.raises(ValueError, match="decade"):
             dt.estimate_regularity(alg, [0.5, 1.0, 2.0], samples=100, seed=34)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sample_count_must_be_positive(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            dt.estimate_regularity(builtin("H_C:1"), [0.1, 1.0], samples=samples)
+
     def test_positive_radii_required(self):
         alg = builtin("H_C:1")
         with pytest.raises(ValueError, match="positive"):
@@ -260,3 +271,10 @@ class TestReport:
         assert payload["algebra"] == "H_C:1"
         assert "fingerprint" in payload
         assert payload["statistics"]["homogeneous_dimension"] == 4
+
+    def test_unset_fields_and_raw_pairs_stay_out(self):
+        _, _, _, d = gauge_matrix("H_C:1", 10, 41)
+        report = dt.estimate_quasimobius(d, d, samples=100, seed=41)
+        assert report.raw_pairs is not None and report.algebra is None
+        assert set(report.to_dict()) == {"kind", "samples", "seed", "statistics"}
+

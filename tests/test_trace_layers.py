@@ -1,13 +1,18 @@
 """The traced benchmark names library functions and their parameters in
-``perfbench/run.py`` (LAYERS) and ``perfbench/tracing.py`` (SPECIAL_COUNTS);
-``--trace 1`` aborts when one of them no longer exists."""
+``perfbench/run.py`` (LAYERS) and ``perfbench/tracing.py`` (SPECIAL_COUNTS),
+and its counters read fields of the results; ``--trace 1`` aborts when one
+of them no longer exists."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from heislab import hlie
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +65,37 @@ def test_counters_bind_existing_parameters():
     for name, names in params.items():
         signature = inspect.signature(resolve(name))
         assert names <= set(signature.parameters), (name, names)
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def small_calls():
+    """Traced name -> (args, kwargs) of one small real call."""
+    h_c1 = hlie.algebra_from_name("H_C:1")
+    d = np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))) + 1.0 - np.eye(6)
+    return {
+        "hlie.check_h_type": ((h_c1,), {"samples": 50}),
+        "hlie.check_j2": ((hlie.algebra_from_name("H_H:1"),), {"samples": 50}),
+        "inversion.verify_inversion": ((h_c1,), {"samples": 200, "seed": 1}),
+        "distortion.estimate_quasimobius": ((d, d), {"samples": 100, "seed": 1}),
+        "distortion.estimate_regularity": ((h_c1, [0.5, 5.0]), {"samples": 2000, "seed": 1}),
+        "distortion.cross_ratio_rows": ((d, np.array([[0, 1, 2, 3], [2, 3, 4, 5]])), {}),
+        "util.canonical_json": (({"a": 1.5},), {}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(special_counts()))
+def test_counters_read_real_results(name):
+    # each counter reads fields such as pairs_used, samples and statistics[...]
+    counter = load_tracing().SPECIAL_COUNTS[name]
+    args, kwargs = small_calls()[name]
+    fn = resolve(name)
+    rows, nbytes, used, attempted = counter(fn, args, kwargs, fn(*args, **kwargs))
+    assert all(isinstance(c, int) and c >= 0 for c in (rows, nbytes, used, attempted))
+    assert rows + nbytes > 0
+    assert used <= attempted and (used > 0) == (attempted > 0)
