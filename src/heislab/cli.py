@@ -274,19 +274,16 @@ def metric() -> None:
     """Inversion and sphericalization of finite metric spaces."""
 
 
-def _based_space(path: str, base: str | None) -> finite_metric.BasedSpace:
-    space = _read_space(path)
+def _base_index(space: finite_metric.FiniteMetricSpace, base: str | None) -> int:
+    """The index of the point labeled ``base``, else of the point numbered ``base``."""
     if base is None:
-        index = 0
-    else:
-        try:
-            index = space.label_index(base)
-        except ValueError:
-            if base.isdigit() and int(base) < space.n:
-                index = int(base)
-            else:
-                raise
-    return finite_metric.BasedSpace(space, index)
+        return 0
+    try:
+        return space.label_index(base)
+    except ValueError:
+        if base.isdigit() and int(base) < space.n:
+            return int(base)
+        raise
 
 
 # looked up per call, so that a tracer rebinding module-level tables sees the calls
@@ -298,7 +295,8 @@ def _register_metric_map(name: str, noun: str) -> None:
     @metric.command(name, help=f"Based {noun} of a distance-matrix file.")
     @click.option("--input", "input_path", required=True,
                   type=click.Path(exists=True, dir_okay=False))
-    @click.option("--base", default=None, help="Base point label (default: first label).")
+    @click.option("--base", default=None,
+                  help="Base point: a label, else a point index (default: the first point).")
     @click.option("--quasimetric", is_flag=True, default=False,
                   help="Emit the raw quasimetric instead of its chain metric.")
     @click.option("--max-points", type=int, default=finite_metric.DEFAULT_MAX_POINTS,
@@ -308,8 +306,9 @@ def _register_metric_map(name: str, noun: str) -> None:
                   show_default=True)
     @click.option("--output", type=click.Path(dir_okay=False), default=None)
     def command(input_path, base, quasimetric, max_points, fmt, output) -> None:
-        based = _based_space(input_path, base)
-        space = _SPACE_MAPS[name](based, max_points=max_points, chain=not quasimetric)
+        space = _read_space(input_path)
+        space = _SPACE_MAPS[name](space, _base_index(space, base), max_points=max_points,
+                                  chain=not quasimetric)
         _write_space(space, fmt, output)
 
 

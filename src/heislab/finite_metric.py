@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +33,9 @@ from heislab.util import format_float
 __all__ = [
     "INFINITY_LABEL",
     "FiniteMetricSpace",
-    "BasedSpace",
     "validate_distance_matrix",
     "inversion_quasimetric",
-    "inversion_labels",
     "sphericalization_quasimetric",
-    "sphericalization_labels",
     "chain_metric",
     "invert_space",
     "sphericalize_space",
@@ -59,12 +55,11 @@ DEFAULT_SLACK = 1e-9
 DEFAULT_MAX_POINTS = 2000
 
 
-def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> None:
-    """Raise with the offending entry or triple if ``dist`` is not a metric."""
-    dist = np.asarray(dist)
+def _check_entries(dist: np.ndarray) -> None:
+    """Raise with the first offending entry unless ``dist`` is square, finite,
+    symmetric, zero on the diagonal and positive off it."""
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {dist.shape}")
-    n = dist.shape[0]
     bad = np.argwhere(~np.isfinite(dist))
     if bad.size:
         i, j = bad[0]
@@ -78,17 +73,23 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
     if diag.size:
         i = int(diag[0][0])
         raise ValueError(f"nonzero diagonal at i = {i}: {format_float(dist[i, i])}")
-    off = ~np.eye(n, dtype=bool)
+    off = ~np.eye(dist.shape[0], dtype=bool)
     bad = np.argwhere((dist <= 0.0) & off)
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"non-positive off-diagonal distance at (i, j) = ({i}, {j}): "
                          f"{format_float(dist[i, j])}")
+
+
+def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> None:
+    """Raise with the offending entry or triple if ``dist`` is not a metric."""
+    dist = np.asarray(dist)
+    _check_entries(dist)
     # A violation at (i, j) with j < i is the mirror of one at (j, i), since
     # the matrix is exactly symmetric and float addition commutes; so the
     # first violating row has all its violating columns at j >= i, and only
     # those are scanned.  Row a of ``via`` holds d(j, k) + d(i, k) for j = i + a.
-    for i in range(n):
+    for i in range(dist.shape[0]):
         via = dist[i:] + dist[i]
         best = via.min(axis=1)
         bad_j = np.flatnonzero(dist[i, i:] > best + slack)
@@ -107,8 +108,7 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
 class FiniteMetricSpace:
     """A labeled point set with a validated symmetric distance matrix."""
 
-    def __init__(self, labels, dist, contains_infinity: bool = False,
-                 validate: bool = True, slack: float = DEFAULT_SLACK):
+    def __init__(self, labels, dist, validate: bool = True):
         labels = [str(t) for t in labels]
         dist = np.asarray(dist, dtype=np.float64).copy()
         if dist.shape != (len(labels), len(labels)):
@@ -116,15 +116,18 @@ class FiniteMetricSpace:
         if len(set(labels)) != len(labels):
             raise ValueError("labels must be unique")
         if validate:
-            validate_distance_matrix(dist, slack)
+            validate_distance_matrix(dist)
         dist.setflags(write=False)
         self.labels = labels
         self.dist = dist
-        self.contains_infinity = bool(contains_infinity)
 
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    @property
+    def contains_infinity(self) -> bool:
+        return INFINITY_LABEL in self.labels
 
     def label_index(self, label: str) -> int:
         try:
@@ -136,21 +139,20 @@ class FiniteMetricSpace:
         return f"FiniteMetricSpace(n={self.n}, contains_infinity={self.contains_infinity})"
 
 
-@dataclass(frozen=True)
-class BasedSpace:
-    """A finite metric space with a distinguished base point."""
-
-    space: FiniteMetricSpace
-    base_index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.base_index < self.space.n:
-            raise ValueError(f"base index {self.base_index} out of range "
-                             f"for {self.space.n} points")
+def _check_base(dist: np.ndarray, base: int) -> None:
+    if not 0 <= base < dist.shape[0]:
+        raise ValueError(f"base index {base} out of range for {dist.shape[0]} points")
 
 
-def _inversion_quasimetric_matrix(dist: np.ndarray, base: int) -> np.ndarray:
-    """The inversion-quasimetric formula applied to a raw symmetric matrix."""
+def inversion_quasimetric(dist: np.ndarray, base: int) -> np.ndarray:
+    """Quasimetric of the inversion of ``dist`` at point ``base``, over the
+    punctured set plus infinity.
+
+    Rows keep the original point order with the base point removed; the
+    final row is the added point at infinity.  The output is symmetric with
+    zero diagonal but may violate the triangle inequality.
+    """
+    _check_base(dist, base)
     n = dist.shape[0]
     keep = [i for i in range(n) if i != base]
     to_base = dist[base, keep]
@@ -166,26 +168,12 @@ def _inversion_quasimetric_matrix(dist: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
-def inversion_quasimetric(based: BasedSpace) -> np.ndarray:
-    """Quasimetric of the based inversion, over the punctured set plus infinity.
-
-    Rows keep the original point order with the base point removed; the
-    final row is the added point at infinity.  The output is symmetric with
-    zero diagonal but may violate the triangle inequality.
-    """
-    return _inversion_quasimetric_matrix(based.space.dist, based.base_index)
-
-
-def inversion_labels(based: BasedSpace) -> list[str]:
-    labels = [t for i, t in enumerate(based.space.labels) if i != based.base_index]
-    return labels + [INFINITY_LABEL]
-
-
-def sphericalization_quasimetric(based: BasedSpace) -> np.ndarray:
-    """Quasimetric of the based sphericalization, over all points plus infinity."""
-    dist = based.space.dist
+def sphericalization_quasimetric(dist: np.ndarray, base: int) -> np.ndarray:
+    """Quasimetric of the sphericalization of ``dist`` at point ``base``, over
+    all points plus infinity (the final row)."""
+    _check_base(dist, base)
     n = dist.shape[0]
-    weight = 1.0 + dist[based.base_index]
+    weight = 1.0 + dist[base]
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = dist / np.outer(weight, weight)
     out[:n, n] = 1.0 / weight
@@ -194,74 +182,60 @@ def sphericalization_quasimetric(based: BasedSpace) -> np.ndarray:
     return out
 
 
-def sphericalization_labels(based: BasedSpace) -> list[str]:
-    return list(based.space.labels) + [INFINITY_LABEL]
-
-
 def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     """The largest metric below a quasimetric: its shortest-path closure.
 
-    Input must be symmetric and nonnegative with zero diagonal and positive
-    off-diagonal entries.  The closure is dense, O(n^3) in time and O(n^2)
-    in memory; ``invert_space`` and ``sphericalize_space`` cap its size.
+    Input must be square, finite and symmetric with zero diagonal and
+    positive off-diagonal entries.  The closure is dense, O(n^3) in time and
+    O(n^2) in memory; ``invert_space`` and ``sphericalize_space`` cap its size.
     """
     q = np.asarray(quasimetric, dtype=np.float64)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise ValueError(f"quasimetric must be a square matrix, got shape {q.shape}")
-    bad = np.argwhere(q != q.T)
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"asymmetric quasimetric at (i, j) = ({i}, {j})")
-    if np.any(np.diag(q) != 0.0):
-        raise ValueError("quasimetric must have a zero diagonal")
-    off = ~np.eye(q.shape[0], dtype=bool)
-    if np.any((q <= 0.0) & off) or not np.all(np.isfinite(q)):
-        raise ValueError("quasimetric entries must be positive and finite off the diagonal")
+    _check_entries(q)
     # scipy costs about 0.3 s to import; only the commands that close a
     # metric should pay for it.
     from scipy.sparse.csgraph import floyd_warshall
     return np.asarray(floyd_warshall(q, directed=False))
 
 
-def _chain_space(based: BasedSpace, quasimetric, labels, max_points: int, chain: bool
-                 ) -> FiniteMetricSpace:
-    names = labels(based)
+def _chain_space(space: FiniteMetricSpace, labels: list[str], quasimetric: np.ndarray,
+                 max_points: int, chain: bool) -> FiniteMetricSpace:
     # inverting at the point at infinity replaces it; anything else would add a second one
-    if names.count(INFINITY_LABEL) > 1:
+    if labels.count(INFINITY_LABEL) > 1:
         raise ValueError("space already contains a point at infinity")
     if not chain:
-        return FiniteMetricSpace(names, quasimetric(based), contains_infinity=True,
-                                 validate=False)
-    if based.space.n > max_points:
-        raise ValueError(f"{based.space.n} points exceed the closure cap of {max_points}")
-    chained = chain_metric(quasimetric(based))
-    return FiniteMetricSpace(names, chained, contains_infinity=True, validate=False)
+        return FiniteMetricSpace(labels, quasimetric, validate=False)
+    if space.n > max_points:
+        raise ValueError(f"{space.n} points exceed the closure cap of {max_points}")
+    return FiniteMetricSpace(labels, chain_metric(quasimetric), validate=False)
 
 
-def invert_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS,
+def invert_space(space: FiniteMetricSpace, base: int, max_points: int = DEFAULT_MAX_POINTS,
                  chain: bool = True) -> FiniteMetricSpace:
-    """Chain metric of the based inversion, as a labeled metric space.
+    """Chain metric of the inversion at point index ``base``, as a labeled metric space.
 
     ``max_points`` caps the points of the input space.  With ``chain=False``
     the space carries the raw quasimetric, unvalidated and uncapped.
     """
-    return _chain_space(based, inversion_quasimetric, inversion_labels, max_points, chain)
+    quasimetric = inversion_quasimetric(space.dist, base)
+    labels = [t for i, t in enumerate(space.labels) if i != base] + [INFINITY_LABEL]
+    return _chain_space(space, labels, quasimetric, max_points, chain)
 
 
-def sphericalize_space(based: BasedSpace, max_points: int = DEFAULT_MAX_POINTS,
+def sphericalize_space(space: FiniteMetricSpace, base: int,
+                       max_points: int = DEFAULT_MAX_POINTS,
                        chain: bool = True) -> FiniteMetricSpace:
-    """Chain metric of the based sphericalization, as a labeled metric space.
+    """Chain metric of the sphericalization at point index ``base``, as a
+    labeled metric space.
 
     ``max_points`` caps the points of the input space; the result has one
     point more.  With ``chain=False`` the space carries the raw quasimetric,
     unvalidated and uncapped.
     """
-    return _chain_space(based, sphericalization_quasimetric, sphericalization_labels,
-                        max_points, chain)
+    quasimetric = sphericalization_quasimetric(space.dist, base)
+    return _chain_space(space, space.labels + [INFINITY_LABEL], quasimetric, max_points, chain)
 
 
-def from_group_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
-                      labels=None) -> FiniteMetricSpace:
+def from_group_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> FiniteMetricSpace:
     """Gauge distance matrix of a coordinate sample."""
     n = v.shape[0]
     if n < 2:
@@ -272,9 +246,7 @@ def from_group_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
     if collisions.size:
         pairs = sorted({(min(int(i), int(j)), max(int(i), int(j))) for i, j in collisions})
         raise ValueError(f"duplicate points at distance zero: indices {pairs}")
-    if labels is None:
-        labels = [str(i) for i in range(n)]
-    return FiniteMetricSpace(labels, dist)
+    return FiniteMetricSpace([str(i) for i in range(n)], dist)
 
 
 def shared_submatrices(a: FiniteMetricSpace, b: FiniteMetricSpace
@@ -305,8 +277,7 @@ def save_space_csv(space: FiniteMetricSpace, path_or_file) -> None:
             write(fh)
 
 
-def load_space_csv(path, validate: bool = True, slack: float = DEFAULT_SLACK
-                   ) -> FiniteMetricSpace:
+def load_space_csv(path) -> FiniteMetricSpace:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -328,9 +299,7 @@ def load_space_csv(path, validate: bool = True, slack: float = DEFAULT_SLACK
     if len(rows) != len(labels):
         raise ValueError(f"distance file {path}: {len(rows)} data rows do not match "
                          f"{len(labels)} labels")
-    contains_infinity = bool(labels) and labels[-1] == INFINITY_LABEL
-    return FiniteMetricSpace(labels, np.asarray(rows), contains_infinity,
-                             validate=validate, slack=slack)
+    return FiniteMetricSpace(labels, np.asarray(rows))
 
 
 def save_space_json(space: FiniteMetricSpace, path_or_file) -> None:
@@ -346,8 +315,7 @@ def save_space_json(space: FiniteMetricSpace, path_or_file) -> None:
         Path(path_or_file).write_text(text, encoding="utf-8")
 
 
-def load_space_json(path, validate: bool = True, slack: float = DEFAULT_SLACK
-                    ) -> FiniteMetricSpace:
+def load_space_json(path) -> FiniteMetricSpace:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -355,8 +323,4 @@ def load_space_json(path, validate: bool = True, slack: float = DEFAULT_SLACK
     for key in ("labels", "dist"):
         if key not in data:
             raise ValueError(f"distance file {path} is missing the field {key!r}")
-    contains_infinity = bool(data.get("contains_infinity",
-                                      bool(data["labels"]) and
-                                      data["labels"][-1] == INFINITY_LABEL))
-    return FiniteMetricSpace(data["labels"], np.asarray(data["dist"], dtype=np.float64),
-                             contains_infinity, validate=validate, slack=slack)
+    return FiniteMetricSpace(data["labels"], np.asarray(data["dist"], dtype=np.float64))

@@ -129,10 +129,7 @@ def group_inv(p: GroupPoint) -> GroupPoint:
 
 def dilate(t: float, p: GroupPoint) -> GroupPoint:
     """The canonical dilation (v, z) -> (t v, t^2 z); a group automorphism."""
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"dilation factor must be positive, got {t}")
-    return GroupPoint(p.algebra, t * p.v, (t * t) * p.z)
+    return GroupPoint(p.algebra, *dilate_arrays(t, p.v, p.z))
 
 
 def gauge(p: GroupPoint) -> float:
@@ -169,8 +166,9 @@ def group_mul_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> tuple[np.ndarray, np.
 def dilate_arrays(t, v, z) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise dilation; t may be scalar or one factor per row."""
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t <= 0.0):
-        raise ValueError("dilation factors must be positive")
+    bad = t[~((t > 0.0) & (t < np.inf))]
+    if bad.size:
+        raise ValueError(f"dilation factor must be positive and finite, got {bad.flat[0]}")
     if t.ndim == 0:
         return t * v, (t * t) * z
     return t[:, None] * v, (t * t)[:, None] * z
@@ -220,8 +218,11 @@ def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+    if not 2.0 * radius * radius < np.inf:
+        raise ValueError(f"radius {radius} is too large: the width 2 r^2 of its "
+                         "coordinate box overflows")
     v = rng.uniform(-2.0 * radius, 2.0 * radius, size=(count, alg.dim_v))
     z = rng.uniform(-radius * radius, radius * radius, size=(count, alg.dim_z))
     return v, z

@@ -144,10 +144,9 @@ def test_criterion_07_sandwich_bounds():
                                             euclid + euclid.T)
     ok = True
     for space in (group_sample, euclidean_sample):
-        based = fm.BasedSpace(space, 0)
-        inv_q = fm.inversion_quasimetric(based)
+        inv_q = fm.inversion_quasimetric(space.dist, 0)
         ok = ok and _sandwich_holds(inv_q, fm.chain_metric(inv_q))
-        sph_q = fm.sphericalization_quasimetric(based)
+        sph_q = fm.sphericalization_quasimetric(space.dist, 0)
         ok = ok and _sandwich_holds(sph_q, fm.chain_metric(sph_q))
     report(7, ok, "1/4 * quasimetric <= chain metric <= quasimetric entrywise on "
                   "200-point gauge and Euclidean samples, inversion and "
@@ -158,11 +157,10 @@ def test_criterion_08_sixteen_t_quasimobius_bound():
     alg = builtin("H_C:1")
     v, z = hgroup.sample_arrays(alg, 300, 1.0, seed=111)
     space = fm.from_group_arrays(alg, v, z)
-    based = fm.BasedSpace(space, 0)
-    spherical = fm.sphericalize_space(based)
+    spherical = fm.sphericalize_space(space, 0)
     rep_sphere = dt.estimate_quasimobius(space.dist, spherical.dist[:300, :300],
                                          samples=10**6, seed=112)
-    inverted = fm.invert_space(based)
+    inverted = fm.invert_space(space, 0)
     rep_invert = dt.estimate_quasimobius(space.dist[1:, 1:],
                                          inverted.dist[:299, :299],
                                          samples=10**6, seed=113)
@@ -178,8 +176,7 @@ def test_criterion_09_cross_ratio_invariance_under_inversion():
     alg = builtin("H_C:1")
     v, z = hgroup.sample_arrays(alg, 100, 1.0, seed=114)
     space = fm.from_group_arrays(alg, v, z)
-    based = fm.BasedSpace(space, 0)
-    t = fm.inversion_quasimetric(based)[:99, :99]  # finite points, base removed
+    t = fm.inversion_quasimetric(space.dist, 0)[:99, :99]  # finite points, base removed
     d = space.dist[1:, 1:]
     m = 99
     grid_y, grid_z, grid_w = np.meshgrid(np.arange(m), np.arange(m), np.arange(m),

@@ -60,6 +60,27 @@ class TestExitCodes:
     def test_unknown_command_returns_one(self):
         assert run(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invert", "verify", "--algebra", "H_C:1", "--samples", "10", "--radius", "1e160"],
+         "radius 1e+160 is too large: the width 2 r^2 of its coordinate box overflows"),
+        (["invert", "verify", "--algebra", "H_C:1", "--samples", "10", "--radius", "nan"],
+         "radius must be positive and finite, got nan"),
+        (["invert", "verify", "--algebra", "H_C:1", "--samples", "10", "--radius", "inf"],
+         "radius must be positive and finite, got inf"),
+        (["group", "sample", "--algebra", "H_C:1", "--count", "3", "--radius", "nan"],
+         "radius must be positive and finite, got nan"),
+        (["group", "sample", "--algebra", "H_C:1", "--count", "3", "--radius", "inf"],
+         "radius must be positive and finite, got inf"),
+        (["group", "distmat", "--algebra", "H_C:1", "--count", "3", "--radius", "nan"],
+         "radius must be positive and finite, got nan"),
+        (["group", "distmat", "--algebra", "H_C:1", "--count", "3", "--radius", "inf"],
+         "radius must be positive and finite, got inf"),
+    ], ids=["verify-1e160", "verify-nan", "verify-inf", "sample-nan", "sample-inf",
+            "distmat-nan", "distmat-inf"])
+    def test_unusable_radius_is_one_error_line(self, argv, message, capsys):
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_expect_htype_on_control_returns_two(self, tmp_path):
         out = tmp_path / "report.json"
         code = run(["lie", "check-htype", "--algebra", "degenerate_sum",
@@ -141,8 +162,11 @@ class TestMetricCommands:
         out = tmp_path / "quasi.csv"
         assert run(["metric", "invert", "--input", str(matrix_file), "--base", "0",
                     "--quasimetric", "--output", str(out)]) == 0
-        space = fm.load_space_csv(out, validate=False)
-        assert space.labels[-1] == fm.INFINITY_LABEL
+        raw = fm.invert_space(fm.load_space_csv(matrix_file), 0, chain=False)
+        expected = tmp_path / "expected.csv"
+        fm.save_space_csv(raw, expected)
+        assert raw.labels[-1] == fm.INFINITY_LABEL
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_sphericalize(self, matrix_file, tmp_path):
         out = tmp_path / "sph.json"
@@ -151,10 +175,36 @@ class TestMetricCommands:
         space = fm.load_space_json(out)
         assert space.n == 41
         assert np.max(space.dist) <= 1.0 + 1e-12
+        # the point-at-infinity flag is derived from the labels and still written
+        inv = tmp_path / "inv.json"
+        dist = tmp_path / "dist.json"
+        assert run(["metric", "invert", "--input", str(matrix_file),
+                    "--format", "json", "--output", str(inv)]) == 0
+        assert run(["group", "distmat", "--algebra", "H_C:1", "--count", "5",
+                    "--format", "json", "--output", str(dist)]) == 0
+        for path, flag in ((out, "true"), (inv, "true"), (dist, "false")):
+            assert path.read_text(encoding="utf-8").endswith(
+                f'"contains_infinity": {flag}\n}}\n')
 
     def test_unknown_base_label(self, matrix_file):
         assert run(["metric", "invert", "--input", str(matrix_file),
                     "--base", "missing"]) == 1
+
+    def test_base_falls_back_to_point_index(self, matrix_file, tmp_path, capsys):
+        path = tmp_path / "letters.csv"
+        space = fm.FiniteMetricSpace(list("abcde"), fm.load_space_csv(matrix_file).dist[:5, :5])
+        fm.save_space_csv(space, path)
+        expected = tmp_path / "expected.csv"
+        fm.save_space_csv(fm.invert_space(space, 2), expected)
+        for base in ("c", "2"):  # a label, else a point index
+            out = tmp_path / f"inv_{base}.csv"
+            assert run(["metric", "invert", "--input", str(path), "--base", base,
+                        "--output", str(out)]) == 0
+            assert out.read_bytes() == expected.read_bytes()
+        assert fm.load_space_csv(expected).labels == ["a", "b", "d", "e", fm.INFINITY_LABEL]
+        capsys.readouterr()
+        assert run(["metric", "invert", "--input", str(path), "--base", "99"]) == 1
+        assert capsys.readouterr().err == "error: unknown point label '99'\n"
 
     def test_invalid_matrix_file(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -197,11 +247,11 @@ class TestMetricCommands:
         out = tmp_path / "sph.csv"
         assert run(["metric", "sphericalize", "--input", str(matrix_file),
                     "--output", str(out)]) == 0
-        based = fm.BasedSpace(fm.load_space_csv(matrix_file), 0)
-        closed = floyd_warshall(fm.sphericalization_quasimetric(based), directed=False)
+        space = fm.load_space_csv(matrix_file)
+        closed = floyd_warshall(fm.sphericalization_quasimetric(space.dist, 0), directed=False)
         expected = tmp_path / "expected.csv"
-        fm.save_space_csv(fm.FiniteMetricSpace(fm.sphericalization_labels(based), closed,
-                                               contains_infinity=True, validate=False),
+        fm.save_space_csv(fm.FiniteMetricSpace(space.labels + [fm.INFINITY_LABEL], closed,
+                                               validate=False),
                           expected)
         assert out.read_bytes() == expected.read_bytes()
 
@@ -262,6 +312,13 @@ class TestDistortCommands:
         assert run(["distort", "qc", "--algebra", "H_C:1", "--map", "dilate:abc"]) == 1
         assert capsys.readouterr().err == (
             "error: --map dilate:T needs a number T, got 'dilate:abc'\n")
+
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_qc_rejects_non_finite_dilation(self, factor, capsys):
+        assert run(["distort", "qc", "--algebra", "H_C:1", "--map", f"dilate:{factor}",
+                    "--samples", "100"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dilation factor must be positive and finite, got {factor}\n")
 
     def test_qc_center_is_not_the_first_radius_sample(self, tmp_path):
         # the center must not repeat the draws of the first radius

@@ -55,8 +55,7 @@ class TestCrossRatioInvariance:
         # the d(., p) factors cancel algebraically
         alg, v, z, dist = gauge_matrix("H_C:1", 60, seed=1)
         space = fm.FiniteMetricSpace([str(i) for i in range(60)], dist)
-        based = fm.BasedSpace(space, 0)
-        t = fm.inversion_quasimetric(based)
+        t = fm.inversion_quasimetric(space.dist, 0)
         rng = np.random.default_rng(2)
         quads = dt.sample_quadruples(59, 5000, rng)  # rows of t, finite points only
         original = dt.cross_ratio_rows(dist[1:, 1:], quads)
@@ -110,13 +109,12 @@ class TestQuasimobius:
     def test_sixteen_t_bound_for_chain_constructions(self):
         alg, v, z, dist = gauge_matrix("H_C:1", 120, seed=14)
         space = fm.FiniteMetricSpace([str(i) for i in range(120)], dist)
-        based = fm.BasedSpace(space, 0)
-        spherical = fm.sphericalize_space(based)
+        spherical = fm.sphericalize_space(space, 0)
         report = dt.estimate_quasimobius(dist, spherical.dist[:120, :120],
                                          samples=200000, seed=15)
         c = report.statistics["strong_constant"]
         assert 1.0 <= c <= 16.0
-        inverted = fm.invert_space(based)
+        inverted = fm.invert_space(space, 0)
         report = dt.estimate_quasimobius(dist[1:, 1:], inverted.dist[:119, :119],
                                          samples=200000, seed=16)
         c = report.statistics["strong_constant"]

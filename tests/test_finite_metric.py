@@ -141,9 +141,8 @@ class TestInversionQuasimetric:
         # points {p=0, 1, 2} on the line
         space = fm.FiniteMetricSpace(["p", "a", "b"],
                                      [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        based = fm.BasedSpace(space, 0)
-        t = fm.inversion_quasimetric(based)
-        assert fm.inversion_labels(based) == ["a", "b", fm.INFINITY_LABEL]
+        t = fm.inversion_quasimetric(space.dist, 0)
+        assert fm.invert_space(space, 0, chain=False).labels == ["a", "b", fm.INFINITY_LABEL]
         assert t[0, 1] == pytest.approx(0.5)   # t_p(a, b) = 1 / (1 * 2)
         assert t[0, 2] == pytest.approx(1.0)   # t_p(a, inf) = 1 / d(a, p)
         assert t[1, 2] == pytest.approx(0.5)   # t_p(b, inf)
@@ -152,41 +151,39 @@ class TestInversionQuasimetric:
 
     def test_scaling_homogeneity(self):
         space = euclidean_space(20, 3, seed=1)
-        based = fm.BasedSpace(space, 4)
-        t = fm.inversion_quasimetric(based)
-        scaled = fm.FiniteMetricSpace(space.labels, 3.0 * space.dist)
-        t_scaled = fm.inversion_quasimetric(fm.BasedSpace(scaled, 4))
+        t = fm.inversion_quasimetric(space.dist, 4)
+        t_scaled = fm.inversion_quasimetric(3.0 * space.dist, 4)
         assert np.allclose(t_scaled, t / 3.0, atol=1e-15)
 
     def test_zero_distance_to_base(self):
         dist = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="distance zero from the base"):
-            fm._inversion_quasimetric_matrix(dist, 0)
+            fm.inversion_quasimetric(dist, 0)
 
     def test_base_index_range(self):
         space = euclidean_space(5, 2, seed=2)
-        with pytest.raises(ValueError, match="out of range"):
-            fm.BasedSpace(space, 7)
+        for space_map in (fm.invert_space, fm.sphericalize_space):
+            for base in (-1, 5):
+                with pytest.raises(ValueError, match=f"base index {base} out of range"):
+                    space_map(space, base)
 
 
 class TestSphericalization:
     def test_base_to_infinity_is_one(self):
         space = euclidean_space(10, 3, seed=3)
-        based = fm.BasedSpace(space, 2)
-        s = fm.sphericalization_quasimetric(based)
+        s = fm.sphericalization_quasimetric(space.dist, 2)
         assert s[2, 10] == pytest.approx(1.0)  # 1 / (1 + d(p, p))
-        assert fm.sphericalization_labels(based)[-1] == fm.INFINITY_LABEL
+        assert fm.sphericalize_space(space, 2).labels == space.labels + [fm.INFINITY_LABEL]
 
     def test_far_points_approach_infinity(self):
         dist = np.array([[0.0, 1000.0], [1000.0, 0.0]])
         space = fm.FiniteMetricSpace(["p", "far"], dist)
-        s = fm.sphericalization_quasimetric(fm.BasedSpace(space, 0))
+        s = fm.sphericalization_quasimetric(space.dist, 0)
         assert s[1, 2] == pytest.approx(1.0 / 1001.0)
 
     def test_diameter_bounds_on_euclidean_sample(self):
         space = euclidean_space(100, 3, seed=4)
-        based = fm.BasedSpace(space, 0)
-        s = fm.sphericalization_quasimetric(based)
+        s = fm.sphericalization_quasimetric(space.dist, 0)
         d_hat = fm.chain_metric(s)
         off = ~np.eye(s.shape[0], dtype=bool)
         assert np.max(d_hat) <= 1.0 + 1e-12
@@ -227,21 +224,35 @@ class TestChainMetric:
         with pytest.raises(ValueError, match="zero diagonal"):
             fm.chain_metric(q)
 
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 1.0, 2.0]],
+        [[0.0, np.inf], [np.inf, 0.0]],
+        [[0.0, 1.0], [2.0, 0.0]],
+        [[1.0, 1.0], [1.0, 0.0]],
+        [[0.0, -1.0], [-1.0, 0.0]],
+    ], ids=["shape", "non-finite", "asymmetric", "diagonal", "non-positive"])
+    def test_entry_errors_match_validation(self, rows):
+        q = np.array(rows)
+        with pytest.raises(ValueError) as expected:
+            fm.validate_distance_matrix(q)
+        with pytest.raises(ValueError) as info:
+            fm.chain_metric(q)
+        assert str(info.value) == str(expected.value)
+
     def test_point_cap(self):
         # the cap counts the points of the input space, checked before closing
-        based = fm.BasedSpace(euclidean_space(5, 2, seed=2), 0)
-        assert fm.sphericalize_space(based, max_points=5).n == 6
-        assert fm.invert_space(based, max_points=5).n == 5
+        space = euclidean_space(5, 2, seed=2)
+        assert fm.sphericalize_space(space, 0, max_points=5).n == 6
+        assert fm.invert_space(space, 0, max_points=5).n == 5
         with pytest.raises(ValueError, match="exceed the closure cap"):
-            fm.sphericalize_space(based, max_points=4)
+            fm.sphericalize_space(space, 0, max_points=4)
         with pytest.raises(ValueError, match="exceed the closure cap"):
-            fm.invert_space(based, max_points=4)
+            fm.invert_space(space, 0, max_points=4)
 
     def test_determinism(self):
         space = euclidean_space(50, 2, seed=7)
-        based = fm.BasedSpace(space, 0)
-        a = fm.chain_metric(fm.inversion_quasimetric(based))
-        b = fm.chain_metric(fm.inversion_quasimetric(based))
+        a = fm.chain_metric(fm.inversion_quasimetric(space.dist, 0))
+        b = fm.chain_metric(fm.inversion_quasimetric(space.dist, 0))
         assert a.tobytes() == b.tobytes()
 
 
@@ -252,8 +263,7 @@ class TestSandwich:
     ], ids=["H_C:1", "euclidean_R3"])
     def test_inversion_sandwich_is_exhaustive(self, make):
         space = make()
-        based = fm.BasedSpace(space, 0)
-        q = fm.inversion_quasimetric(based)
+        q = fm.inversion_quasimetric(space.dist, 0)
         chained = fm.chain_metric(q)
         off = ~np.eye(q.shape[0], dtype=bool)
         assert np.all(chained[off] >= 0.25 * q[off] - 1e-15)
@@ -265,8 +275,7 @@ class TestSandwich:
     ], ids=["H_C:1", "euclidean_R3"])
     def test_sphericalization_sandwich_is_exhaustive(self, make):
         space = make()
-        based = fm.BasedSpace(space, 0)
-        s = fm.sphericalization_quasimetric(based)
+        s = fm.sphericalization_quasimetric(space.dist, 0)
         chained = fm.chain_metric(s)
         off = ~np.eye(s.shape[0], dtype=bool)
         assert np.all(chained[off] >= 0.25 * s[off] - 1e-15)
@@ -278,9 +287,8 @@ class TestQuasimetricInvolution:
         # invert at p, re-base the quasimetric at some q, invert again: the
         # d(. , base) factors cancel, so quadruple cross-ratios persist
         space = euclidean_space(40, 3, seed=12)
-        based = fm.BasedSpace(space, 0)
-        t_p = fm.inversion_quasimetric(based)
-        t_pq = fm._inversion_quasimetric_matrix(t_p, 5)
+        t_p = fm.inversion_quasimetric(space.dist, 0)
+        t_pq = fm.inversion_quasimetric(t_p, 5)
         rng = np.random.default_rng(13)
 
         def cross(dist, a, b, c, d):
@@ -345,10 +353,14 @@ class TestFiles:
 
     def test_json_round_trip(self, tmp_path):
         space = group_space("H_H:1", 25, seed=17)
-        based = fm.BasedSpace(space, 3)
-        inverted = fm.invert_space(based)
+        inverted = fm.invert_space(space, 3)
+        # the flag is derived from the labels and still written
+        fm.save_space_json(space, tmp_path / "space.json")
+        assert (tmp_path / "space.json").read_text(encoding="utf-8").endswith(
+            '"contains_infinity": false\n}\n')
         path = tmp_path / "dist.json"
         fm.save_space_json(inverted, path)
+        assert path.read_text(encoding="utf-8").endswith('"contains_infinity": true\n}\n')
         loaded = fm.load_space_json(path)
         assert loaded.contains_infinity
         assert loaded.labels[-1] == fm.INFINITY_LABEL
@@ -356,7 +368,7 @@ class TestFiles:
 
     def test_infinity_label_detected_in_csv(self, tmp_path):
         space = group_space("H_C:1", 30, seed=18)
-        spherical = fm.sphericalize_space(fm.BasedSpace(space, 0))
+        spherical = fm.sphericalize_space(space, 0)
         path = tmp_path / "sph.csv"
         fm.save_space_csv(spherical, path)
         assert fm.load_space_csv(path).contains_infinity
@@ -395,14 +407,13 @@ class TestFiles:
 class TestWrappers:
     def test_invert_space_blocks_double_compactification(self):
         space = group_space("H_C:1", 20, seed=19)
-        spherical = fm.sphericalize_space(fm.BasedSpace(space, 0))
+        spherical = fm.sphericalize_space(space, 0)
         with pytest.raises(ValueError, match="already contains"):
-            fm.invert_space(fm.BasedSpace(spherical, 0))
+            fm.invert_space(spherical, 0)
         with pytest.raises(ValueError, match="already contains"):
-            fm.sphericalize_space(fm.BasedSpace(spherical, 0))
+            fm.sphericalize_space(spherical, 0)
         # based at infinity, the inversion replaces the point at infinity
-        at_infinity = fm.BasedSpace(spherical, spherical.label_index(fm.INFINITY_LABEL))
-        inverted = fm.invert_space(at_infinity)
+        inverted = fm.invert_space(spherical, spherical.label_index(fm.INFINITY_LABEL))
         assert inverted.labels == space.labels + [fm.INFINITY_LABEL]
 
     def test_label_index(self):
@@ -412,14 +423,14 @@ class TestWrappers:
             space.label_index("missing")
 
     def test_raw_quasimetric_spaces(self):
-        based = fm.BasedSpace(group_space("H_C:1", 12, seed=21), 3)
+        space = group_space("H_C:1", 12, seed=21)
+        punctured = space.labels[:3] + space.labels[4:]
         for space_map, quasimetric, labels in (
-                (fm.invert_space, fm.inversion_quasimetric, fm.inversion_labels),
-                (fm.sphericalize_space, fm.sphericalization_quasimetric,
-                 fm.sphericalization_labels)):
-            raw = space_map(based, max_points=2, chain=False)  # the cap only bounds closures
-            assert raw.labels == labels(based) and raw.contains_infinity
-            assert np.array_equal(raw.dist, quasimetric(based))
+                (fm.invert_space, fm.inversion_quasimetric, punctured),
+                (fm.sphericalize_space, fm.sphericalization_quasimetric, space.labels)):
+            raw = space_map(space, 3, max_points=2, chain=False)  # the cap only bounds closures
+            assert raw.labels == labels + [fm.INFINITY_LABEL] and raw.contains_infinity
+            assert np.array_equal(raw.dist, quasimetric(space.dist, 3))
 
     def test_shared_submatrices(self):
         a = euclidean_space(6, 2, seed=22, labels=list("abcdef"))

@@ -118,10 +118,11 @@ class TestDilations:
     def test_nonpositive_factor(self):
         alg = builtin("H_C:1")
         p = hgroup.identity(alg)
-        with pytest.raises(ValueError, match="positive"):
-            hgroup.dilate(0.0, p)
-        with pytest.raises(ValueError, match="positive"):
-            hgroup.dilate(-2.0, p)
+        for t in (0.0, -2.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                hgroup.dilate(t, p)
+            with pytest.raises(ValueError, match="positive and finite"):
+                hgroup.dilate_arrays(np.array([1.0, t]), np.zeros((2, 2)), np.zeros((2, 1)))
 
 
 class TestGauge:
