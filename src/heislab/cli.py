@@ -254,15 +254,18 @@ def invert_verify(selector, samples, tolerance, radius, threads, expect, seed,
 @click.option("--radius", type=float, default=1.0, show_default=True)
 @_common
 def invert_transport(selector, trials, tolerance, radius, seed, output, no_timestamp) -> None:
-    """Exercise all transporter case branches on random quadruples."""
+    """Exercise all transporter case branches on random quadruples and free points."""
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
     alg = _load_algebra(selector)
     report = inversion.transport_errors(alg, trials, radius=radius, seed=seed, tol=tolerance)
     _emit("invert transport", report, output, no_timestamp)
     if not report.passed:
-        raise MathCheckFailed(f"transporter gauge error {report.max_gauge_error:.3e} "
-                              f"exceeds {tolerance}")
+        failed = " and ".join(f"{name} {value:.3e}" for name, value in (
+            ("gauge error", report.max_gauge_error),
+            ("cross-ratio deviation", report.max_cross_ratio_deviation))
+            if not value <= tolerance)
+        raise MathCheckFailed(f"transporter {failed} above tolerance {tolerance}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +284,7 @@ def _base_index(space: finite_metric.FiniteMetricSpace, base: str | None) -> int
     try:
         return space.label_index(base)
     except ValueError:
-        if base.isdigit() and int(base) < space.n:
+        if base.isdecimal() and int(base) < space.n:
             return int(base)
         raise
 

@@ -30,7 +30,7 @@ from heislab.hgroup import (
     gauge,
     gauge_arrays,
     gauge_dist_arrays,
-    group_mul_arrays,
+    group_mul,
     point,
     sample_with_rng,
 )
@@ -39,7 +39,6 @@ from heislab.util import Report
 
 __all__ = [
     "DistortionReport",
-    "cross_ratio",
     "cross_ratio_rows",
     "sample_quadruples",
     "estimate_quasimobius",
@@ -51,6 +50,11 @@ __all__ = [
     "dilation_map",
     "save_ratio_pairs_csv",
 ]
+
+# log10 bins of the source cross-ratio in the quasimobius envelope
+BINS_PER_DECADE = 4
+# relative half-width of the sampled annulus r (1 +- width) of a qc ratio
+ANNULUS_WIDTH = 0.05
 
 
 @dataclass
@@ -64,18 +68,6 @@ class DistortionReport(Report):
     algebra: Optional[str] = None
     fingerprint: Optional[str] = None
     raw_pairs: Optional[tuple] = field(default=None, repr=False)
-
-
-def cross_ratio(dist: np.ndarray, quad) -> float:
-    """Cross-ratio of one quadruple of distinct point indices."""
-    x, y, z, w = (int(t) for t in quad)
-    if len({x, y, z, w}) != 4:
-        raise ValueError(f"quadruple {(x, y, z, w)} has repeated points")
-    dist = np.asarray(dist)
-    denominator = dist[x, z] * dist[y, w]
-    if denominator == 0.0:
-        raise ValueError(f"degenerate quadruple {(x, y, z, w)}: zero denominator")
-    return float(dist[x, y] * dist[z, w] / denominator)
 
 
 def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray) -> np.ndarray:
@@ -105,7 +97,7 @@ def sample_quadruples(n_points: int, count: int, rng: np.random.Generator) -> np
 
 
 def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100000,
-                         seed: int = 0, bins_per_decade: int = 4) -> DistortionReport:
+                         seed: int = 0) -> DistortionReport:
     """Best strong-quasimobius constant of the identity map between two metrics.
 
     Samples quadruples; each is also evaluated with the middle pair swapped,
@@ -135,13 +127,13 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     ratio = t_out / t_in
 
     logs = np.log10(t_in)
-    edges = np.floor(logs * bins_per_decade).astype(np.int64)
+    edges = np.floor(logs * BINS_PER_DECADE).astype(np.int64)
     envelope = []
     for edge in np.unique(edges):
         mask = edges == edge
         envelope.append({
-            "t_low": float(10.0 ** (edge / bins_per_decade)),
-            "t_high": float(10.0 ** ((edge + 1) / bins_per_decade)),
+            "t_low": float(10.0 ** (edge / BINS_PER_DECADE)),
+            "t_high": float(10.0 ** ((edge + 1) / BINS_PER_DECADE)),
             "max_t_out": float(np.max(t_out[mask])),
             "max_ratio": float(np.max(ratio[mask])),
         })
@@ -207,11 +199,10 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Grou
 
 
 def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: GroupPoint,
-                      radii, samples: int = 20000, seed: int = 0,
-                      annulus_width: float = 0.05) -> DistortionReport:
+                      radii, samples: int = 20000, seed: int = 0) -> DistortionReport:
     """Monte-Carlo metric quasiconformality ratios of a self-map at one point.
 
-    For each radius r, sample points in the gauge annulus r (1 +- width)
+    For each radius r, sample points in the gauge annulus r (1 +- ANNULUS_WIDTH)
     around the center (box directions rescaled by dilation), then report
     sup of image distances over the inner half against inf over the outer
     half.  A radius with an empty half is flagged as insufficient.
@@ -230,9 +221,9 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: GroupPoint
         g = gauge_arrays(alg, v, z)
         keep = g > 1e-12
         v, z, g = v[keep], z[keep], g[keep]
-        rho = rng.uniform((1.0 - annulus_width) * r, (1.0 + annulus_width) * r, size=g.size)
+        rho = rng.uniform((1.0 - ANNULUS_WIDTH) * r, (1.0 + ANNULUS_WIDTH) * r, size=g.size)
         v, z = dilate_arrays(rho / g, v, z)
-        v, z = group_mul_arrays(alg, np.broadcast_to(center.v, v.shape), (
+        v, z = group_mul(alg, np.broadcast_to(center.v, v.shape), (
             np.broadcast_to(center.z, z.shape)), v, z)
         d_in = gauge_dist_arrays(alg, v, z,
                                  np.broadcast_to(center.v, v.shape),
@@ -255,7 +246,7 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: GroupPoint
             entry["ratio"] = sup / inf
             entry["insufficient_sampling"] = False
         per_radius.append(entry)
-    statistics = {"per_radius": per_radius, "center": center, "annulus_width": annulus_width}
+    statistics = {"per_radius": per_radius, "center": center, "annulus_width": ANNULUS_WIDTH}
     return DistortionReport("quasiconformal", samples, seed, statistics,
                             algebra=alg.label, fingerprint=alg.fingerprint)
 
@@ -276,8 +267,8 @@ def _uniform_ball(rng: np.random.Generator, count: int, dim: int,
     return direction * (scale / norms)[:, None]
 
 
-def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000, seed: int = 0,
-                        center: Optional[GroupPoint] = None) -> DistortionReport:
+def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
+                        seed: int = 0) -> DistortionReport:
     """Least-squares volume-growth exponent of gauge balls.
 
     Per radius, the ball measure is estimated by uniform sampling of a
@@ -303,15 +294,7 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000, seed: i
         rng = np.random.default_rng(chunk_seed)
         v = _uniform_ball(rng, samples, alg.dim_v, 2.0 * r)
         z = _uniform_ball(rng, samples, alg.dim_z, r * r)
-        if center is not None:
-            v, z = group_mul_arrays(alg, np.broadcast_to(center.v, v.shape),
-                                    np.broadcast_to(center.z, z.shape), v, z)
-            d = gauge_dist_arrays(alg, v, z,
-                                  np.broadcast_to(center.v, v.shape),
-                                  np.broadcast_to(center.z, z.shape))
-        else:
-            d = gauge_arrays(alg, v, z)
-        hits = int(np.count_nonzero(d <= r))
+        hits = int(np.count_nonzero(gauge_arrays(alg, v, z) <= r))
         if hits == 0:
             raise ValueError(f"no hits at radius {r}: fit would be degenerate; "
                              "raise the sample count")

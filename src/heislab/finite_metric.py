@@ -320,7 +320,11 @@ def load_space_json(path) -> FiniteMetricSpace:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed distance file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"distance file {path} does not hold a JSON object")
     for key in ("labels", "dist"):
         if key not in data:
             raise ValueError(f"distance file {path} is missing the field {key!r}")
+    if not isinstance(data["labels"], list):
+        raise ValueError(f"distance file {path}: the field 'labels' is not a list")
     return FiniteMetricSpace(data["labels"], np.asarray(data["dist"], dtype=np.float64))

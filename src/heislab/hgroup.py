@@ -12,14 +12,13 @@ with identity (0, 0) and inverse (-v, -z).  The Koranyi gauge
 is homogeneous of degree one under the dilations (v, z) -> (t v, t^2 z),
 and ``d(p, q) = ||q^{-1} p||`` is a left-invariant distance on every
 Heisenberg-type algebra (on other structure tensors it is only a
-quasimetric).  Batch variants of the kernels operate on (..., dim) coordinate
-arrays and are used by the samplers and verifiers.
+quasimetric).  The kernels operate rowwise on (..., dim) coordinate arrays;
+a single point is a :class:`GroupPoint`, which reports write as ``{v, z}``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
 
 import numpy as np
 
@@ -28,26 +27,17 @@ from heislab.util import format_float
 
 __all__ = [
     "GroupPoint",
-    "PointAtInfinity",
-    "INFINITY",
-    "ExtendedPoint",
     "point",
-    "identity",
-    "group_mul",
-    "group_inv",
     "dilate",
     "gauge",
-    "gauge_dist",
-    "left_translate",
     "sample_arrays",
     "sample_with_rng",
-    "group_mul_arrays",
+    "group_mul",
     "dilate_arrays",
     "gauge_arrays",
     "gauge_dist_arrays",
     "pairwise_gauge_dist",
     "save_points_csv",
-    "load_points_csv",
 ]
 
 
@@ -78,53 +68,8 @@ class GroupPoint:
         return f"GroupPoint({self.algebra.label}, v={self.v}, z={self.z})"
 
 
-class PointAtInfinity:
-    """The added point of the one-point extension; a singleton."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = PointAtInfinity()
-
-ExtendedPoint = Union[GroupPoint, PointAtInfinity]
-
-
 def point(alg: HTypeAlgebra, v, z) -> GroupPoint:
     return GroupPoint(alg, np.asarray(v, dtype=np.float64), np.asarray(z, dtype=np.float64))
-
-
-def identity(alg: HTypeAlgebra) -> GroupPoint:
-    return GroupPoint(alg, np.zeros(alg.dim_v), np.zeros(alg.dim_z))
-
-
-def _require_same_parent(p: GroupPoint, q: GroupPoint) -> HTypeAlgebra:
-    if p.algebra is q.algebra:
-        return p.algebra
-    if (p.algebra.dim_v, p.algebra.dim_z) != (q.algebra.dim_v, q.algebra.dim_z) or \
-            not np.array_equal(p.algebra.structure, q.algebra.structure):
-        raise ValueError(
-            f"parent algebra mismatch: {p.algebra.label} vs {q.algebra.label}"
-        )
-    return p.algebra
-
-
-def group_mul(p: GroupPoint, q: GroupPoint) -> GroupPoint:
-    """The product pq: (v + v', z + z' + [v, v']/2)."""
-    alg = _require_same_parent(p, q)
-    corr = bracket_arrays(alg, p.v[None, :], q.v[None, :])[0]
-    return GroupPoint(alg, p.v + q.v, p.z + q.z + 0.5 * corr)
-
-
-def group_inv(p: GroupPoint) -> GroupPoint:
-    return GroupPoint(p.algebra, -p.v, -p.z)
 
 
 def dilate(t: float, p: GroupPoint) -> GroupPoint:
@@ -138,27 +83,12 @@ def gauge(p: GroupPoint) -> float:
     return float((a * a + p.z @ p.z) ** 0.25)
 
 
-def gauge_dist(p: GroupPoint, q: GroupPoint) -> float:
-    """Left-invariant gauge distance ||q^{-1} p||."""
-    return gauge(group_mul(group_inv(q), p))
-
-
-def left_translate(g: GroupPoint) -> Callable[[ExtendedPoint], ExtendedPoint]:
-    """The isometry x -> g x, extended to fix the point at infinity."""
-
-    def translate(x: ExtendedPoint) -> ExtendedPoint:
-        if isinstance(x, PointAtInfinity):
-            return INFINITY
-        return group_mul(g, x)
-
-    return translate
-
-
 # ---------------------------------------------------------------------------
-# batch kernels on coordinate arrays
+# kernels on coordinate arrays
 
 
-def group_mul_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
+def group_mul(alg: HTypeAlgebra, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise product (v1 + v2, z1 + z2 + [v1, v2] / 2); the inverse of (v, z) is (-v, -z)."""
     corr = bracket_arrays(alg, v1, v2)
     return v1 + v2, z1 + z2 + 0.5 * corr
 
@@ -254,31 +184,3 @@ def save_points_csv(path_or_file, alg: HTypeAlgebra, v: np.ndarray, z: np.ndarra
     else:
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
             write(fh)
-
-
-def load_points_csv(path, alg: HTypeAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = _csv_header(alg)
-        if header != expected:
-            raise ValueError(
-                f"point file {path}: header {header} does not match {alg.label} "
-                f"(expected {expected})"
-            )
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(expected):
-                raise ValueError(f"point file {path}: row {lineno} has {len(parts)} fields, "
-                                 f"expected {len(expected)}")
-            try:
-                rows.append([float(t) for t in parts])
-            except ValueError:
-                raise ValueError(f"point file {path}: row {lineno} has a non-numeric field") from None
-    if not rows:
-        raise ValueError(f"point file {path}: no data rows")
-    data = np.asarray(rows, dtype=np.float64)
-    return data[:, :alg.dim_v], data[:, alg.dim_v:]

@@ -33,20 +33,16 @@ __all__ = [
     "HTypeReport",
     "J2Report",
     "J2Witness",
-    "bracket",
     "bracket_arrays",
-    "j_map",
     "apply_j_rows",
     "check_h_type",
     "check_j2",
     "make_heisenberg",
     "make_truncated_quaternionic",
     "make_degenerate_direct_sum",
-    "bracket_vs_algebra_consistency",
     "algebra_from_name",
     "builtin_names",
     "load_algebra_spec",
-    "save_algebra_spec",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -114,20 +110,6 @@ class HTypeAlgebra:
         return f"HTypeAlgebra({self.label!r}, dim_v={self.dim_v}, dim_z={self.dim_z})"
 
 
-def _require_horizontal(alg: HTypeAlgebra, x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (alg.dim_v,):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({alg.dim_v},) for {alg.label}")
-    return x
-
-
-def bracket(alg: HTypeAlgebra, x, y) -> np.ndarray:
-    """The bracket [x, y] of two horizontal vectors, as a center vector."""
-    x = _require_horizontal(alg, x, "x")
-    y = _require_horizontal(alg, y, "y")
-    return bracket_arrays(alg, x[None, :], y[None, :])[0]
-
-
 def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rowwise bracket of two (..., dim_v) arrays; returns (..., dim_z).
 
@@ -147,14 +129,6 @@ def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
         return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (alg.dim_z,))
     terms = coeff * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
     return np.einsum("...m,mk->...k", terms, selector)
-
-
-def j_map(alg: HTypeAlgebra, z) -> np.ndarray:
-    """The skew-symmetric operator J_Z on the horizontal layer, as a matrix."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (alg.dim_z,):
-        raise ValueError(f"z has shape {z.shape}, expected ({alg.dim_z},) for {alg.label}")
-    return np.einsum("k,kij->ji", z, alg.structure)
 
 
 def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
@@ -393,31 +367,6 @@ def make_degenerate_direct_sum() -> HTypeAlgebra:
     return HTypeAlgebra("degenerate_sum", 4, 1, tensor)
 
 
-def bracket_vs_algebra_consistency(kind: AlgebraKind, n: int = 1, samples: int = 10000,
-                                   seed: int = 0) -> float:
-    """Max deviation between the structure-constant bracket and -sum_i Im(x_i conj(y_i)).
-
-    The blockwise division-algebra formula identifies Im(K) with the center
-    via e_k <-> Z_k; the structure constants of :func:`make_heisenberg` are
-    oriented so this holds with the single global sign baked in here.
-    """
-    alg = make_heisenberg(kind, n)
-    if alg.dim_z == 0:
-        return 0.0
-    d = kind.dim
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, alg.dim_v))
-    y = rng.standard_normal((samples, alg.dim_v))
-    lhs = bracket_arrays(alg, x, y)
-    rhs = np.zeros((samples, alg.dim_z))
-    for i in range(n):
-        xi = x[:, i * d:(i + 1) * d]
-        yi = y[:, i * d:(i + 1) * d]
-        prod = _algebra.mul_arrays(kind, xi, _algebra.conj_arrays(kind, yi))
-        rhs -= prod[:, 1:]
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 _BUILTIN_FIXED = {
     "truncated_HH": make_truncated_quaternionic,
     "degenerate_sum": make_degenerate_direct_sum,
@@ -453,19 +402,6 @@ def algebra_from_name(name: str) -> HTypeAlgebra:
         f"unknown algebra name {name!r} (expected one of {', '.join(builtin_names())}, "
         "or a path to an algebra-spec JSON file)"
     )
-
-
-def save_algebra_spec(alg: HTypeAlgebra, path) -> None:
-    """Write {label, dim_v, dim_z, entries} with 1-based upper-triangle entries."""
-    entries = []
-    for k in range(alg.dim_z):
-        for i in range(alg.dim_v):
-            for j in range(i + 1, alg.dim_v):
-                value = alg.structure[k, i, j]
-                if value != 0.0:
-                    entries.append([i + 1, j + 1, k + 1, float(value)])
-    payload = {"label": alg.label, "dim_v": alg.dim_v, "dim_z": alg.dim_z, "entries": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_algebra_spec(path) -> HTypeAlgebra:

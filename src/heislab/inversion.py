@@ -22,40 +22,35 @@ quaternionic algebra.
 Conjugating by left translations gives an inversion ``phi_x`` centered at
 any point x, and composing two of them around a middle translation yields a
 map carrying any admissible quadruple (x, x', y, y') to ``g(x) = x'``,
-``g(y) = y'``.
+``g(y) = y'``.  Both act rowwise on :class:`ExtendedPoints`, one quadruple
+per row.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from heislab.hlie import HTypeAlgebra, apply_j_rows, check_h_type
 from heislab.hgroup import (
-    INFINITY,
-    ExtendedPoint,
     GroupPoint,
-    PointAtInfinity,
-    gauge,
+    dilate_arrays,
     gauge_arrays,
-    gauge_dist,
     gauge_dist_arrays,
-    group_inv,
     group_mul,
-    left_translate,
     point,
     sample_with_rng,
 )
 from heislab.util import Report
 
 __all__ = [
+    "ExtendedPoints",
     "InversionReport",
     "TransportReport",
     "WorstPair",
-    "sigma",
     "sigma_arrays",
     "phi_at",
     "pair_transporter",
@@ -64,12 +59,7 @@ __all__ = [
 ]
 
 _CHUNK = 16384
-
-
-def sigma(p: GroupPoint) -> GroupPoint:
-    """The gauge inversion; undefined at the identity."""
-    v, z = sigma_arrays(p.algebra, p.v[None, :], p.z[None, :])
-    return GroupPoint(p.algebra, v[0], z[0])
+_TRIALS_PER_CHUNK = 2048
 
 
 def sigma_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray
@@ -85,102 +75,138 @@ def sigma_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray
     return v_new, z_new
 
 
-def phi_at(x: GroupPoint) -> Callable[[ExtendedPoint], ExtendedPoint]:
-    """The inversion centered at x: ``l_x . sigma . l_x^{-1}`` on the extension.
+class ExtendedPoints(NamedTuple):
+    """Rows of the one-point extension: coordinates plus a mask of the rows at infinity.
 
-    Maps x to infinity and infinity to x, and is an involution.
-    """
-    alg = x.algebra
-    x_inv = group_inv(x)
-
-    def apply(w: ExtendedPoint) -> ExtendedPoint:
-        if isinstance(w, PointAtInfinity):
-            return x
-        if np.array_equal(w.v, x.v) and np.array_equal(w.z, x.z):
-            return INFINITY
-        shifted = group_mul(x_inv, w)
-        if gauge(shifted) == 0.0:
-            return INFINITY
-        return group_mul(x, sigma(shifted))
-
-    return apply
-
-
-def _identity_map(w: ExtendedPoint) -> ExtendedPoint:
-    return w
-
-
-def _extended_equal(a: ExtendedPoint, b: ExtendedPoint) -> bool:
-    a_inf = isinstance(a, PointAtInfinity)
-    b_inf = isinstance(b, PointAtInfinity)
-    if a_inf or b_inf:
-        return a_inf and b_inf
-    return np.array_equal(a.v, b.v) and np.array_equal(a.z, b.z)
-
-
-def _anchored(base: Callable[[ExtendedPoint], ExtendedPoint],
-              anchors: list[tuple[ExtendedPoint, ExtendedPoint]]
-              ) -> Callable[[ExtendedPoint], ExtendedPoint]:
-    """Wrap a map so the defining anchor points hit their images exactly.
-
-    At the anchors the composite collapses algebraically (the same way an
-    inversion sends its own center to infinity), so returning the stored
-    image is the exact value; the fourth-root scaling of the gauge would
-    otherwise inflate even one float rounding of a central coordinate into
-    a visible gauge error.  All other inputs go through the numeric map.
+    A row at infinity carries zero coordinates.
     """
 
-    def apply(w: ExtendedPoint) -> ExtendedPoint:
-        for source, image in anchors:
-            if _extended_equal(w, source):
-                return image
-        return base(w)
-
-    return apply
+    v: np.ndarray
+    z: np.ndarray
+    inf: np.ndarray
 
 
-def pair_transporter(x: ExtendedPoint, x_prime: ExtendedPoint,
-                     y: ExtendedPoint, y_prime: ExtendedPoint
-                     ) -> Callable[[ExtendedPoint], ExtendedPoint]:
-    """A map g of the one-point extension with g(x) = x' and g(y) = y'.
+def _dilate(p: ExtendedPoints, t: np.ndarray) -> ExtendedPoints:
+    return ExtendedPoints(*dilate_arrays(t, p.v, p.z), p.inf)
 
-    Requires x' = y' exactly when x = y.  For x != y the map is
-    ``phi_{x'} . l_z . phi_x`` with ``z = phi_{x'}(y') * phi_x(y)^{-1}``,
-    where an inversion centered at infinity degenerates to the identity;
-    for x = y it is the single translation carrying x to x' (or an
-    inversion/identity when one of them is infinite).  The two defining
-    points map to their images exactly; see :func:`_anchored`.
+
+def _equal(a: ExtendedPoints, b: ExtendedPoints) -> np.ndarray:
+    """Rowwise exact equality on the extension."""
+    return (a.inf == b.inf) & np.all(a.v == b.v, axis=1) & np.all(a.z == b.z, axis=1)
+
+
+def phi_at(alg: HTypeAlgebra, x: ExtendedPoints, w: ExtendedPoints) -> ExtendedPoints:
+    """Rowwise image of w under the inversion centered at x, ``l_x . sigma . l_x^{-1}``.
+
+    It swaps x with infinity and is an involution; where x is infinite it
+    is the identity.  A point whose shift ``x^{-1} w`` has gauge zero in
+    floating point goes to infinity with x itself.
     """
-    x_eq_y = _extended_equal(x, y)
-    xp_eq_yp = _extended_equal(x_prime, y_prime)
-    if x_eq_y != xp_eq_yp:
+    sv, sz = group_mul(alg, -x.v, -x.z, w.v, w.z)
+    a = 0.25 * np.sum(sv * sv, axis=1)
+    zero = a * a + np.sum(sz * sz, axis=1) == 0.0
+    v = np.where(x.inf[:, None], w.v, np.where(w.inf[:, None], x.v, 0.0))
+    z = np.where(x.inf[:, None], w.z, np.where(w.inf[:, None], x.z, 0.0))
+    inf = np.where(x.inf, w.inf, zero & ~w.inf)
+    live = ~(x.inf | w.inf | zero)
+    v[live], z[live] = group_mul(alg, x.v[live], x.z[live],
+                                 *sigma_arrays(alg, sv[live], sz[live]))
+    return ExtendedPoints(v, z, inf)
+
+
+def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoints,
+                     y: ExtendedPoints, y_prime: ExtendedPoints,
+                     w: ExtendedPoints) -> ExtendedPoints:
+    """Rowwise image of w under a map g of the extension with g(x) = x' and g(y) = y'.
+
+    Requires x' = y' exactly where x = y.  The map is
+    ``phi_{x'} . l_m . phi_x`` with ``m = phi_{x'}(y') phi_x(y)^{-1}``.  Where
+    x = y both middle points are infinite, so m has zero coordinates and is
+    the identity.  x reaches x' exactly: phi_x sends it to infinity, which
+    l_m fixes and phi_{x'} sends to x'.  Rows of w equal to y return y'
+    exactly.  There the composite collapses algebraically, and without the
+    anchor the fourth-root scaling of the gauge would inflate one rounding of
+    a central coordinate into a visible gauge error (7.7e-7 on H_O over
+    1000 seeded trials).
+
+    Each row is composed at unit scale: it is dilated by the power of two
+    nearest the reciprocal of the size of x, x', y, y' (the largest |v_i|
+    or sqrt|z_k|, which unlike the gauge does not underflow), and the image
+    is dilated back.  Power-of-two dilations are exact, so the targets
+    stay exact.  Far from unit scale phi_x and l_m meet at reciprocal
+    scales, and their sums round away the central coordinates of w: on
+    H_C:1 the cross-ratio deviation of free points reached 1.8e-5 at radius
+    10 and 1.7e-2 at radius 1e-3.
+    """
+    size = np.max([np.maximum(np.max(np.abs(p.v), axis=1, initial=0.0),
+                              np.sqrt(np.max(np.abs(p.z), axis=1, initial=0.0)))
+                   for p in (x, x_prime, y, y_prime)], axis=0)
+    scale = np.exp2(np.round(np.log2(np.where(size > 0.0, size, 1.0))))
+    x, x_prime, y, y_prime, w = (_dilate(p, 1.0 / scale) for p in (x, x_prime, y, y_prime, w))
+    same = _equal(x, y)
+    if np.any(same != _equal(x_prime, y_prime)):
         raise ValueError("degenerate quadruple: x' = y' must hold exactly when x = y")
-
-    if x_eq_y:
-        x_inf = isinstance(x, PointAtInfinity)
-        xp_inf = isinstance(x_prime, PointAtInfinity)
-        if x_inf and xp_inf:
-            base = _identity_map
-        elif x_inf:
-            base = phi_at(x_prime)
-        elif xp_inf:
-            base = phi_at(x)
-        else:
-            base = left_translate(group_mul(x_prime, group_inv(x)))
-        return _anchored(base, [(x, x_prime)])
-
-    first = _identity_map if isinstance(x, PointAtInfinity) else phi_at(x)
-    last = _identity_map if isinstance(x_prime, PointAtInfinity) else phi_at(x_prime)
-    fy = first(y)
-    ly = last(y_prime)
-    if isinstance(fy, PointAtInfinity) or isinstance(ly, PointAtInfinity):
+    fy = phi_at(alg, x, y)
+    ly = phi_at(alg, x_prime, y_prime)
+    if np.any((fy.inf | ly.inf) & ~same):
         raise ValueError("degenerate quadruple: transported middle point is infinite")
-    middle = left_translate(group_mul(ly, group_inv(fy)))
+    mv, mz = group_mul(alg, ly.v, ly.z, -fy.v, -fy.z)
+    fw = phi_at(alg, x, w)
+    tv, tz = group_mul(alg, mv, mz, fw.v, fw.z)
+    moved = ExtendedPoints(np.where(fw.inf[:, None], 0.0, tv),
+                           np.where(fw.inf[:, None], 0.0, tz), fw.inf)
+    image = phi_at(alg, x_prime, moved)
+    anchor = _equal(w, y)
+    return _dilate(ExtendedPoints(np.where(anchor[:, None], y_prime.v, image.v),
+                                  np.where(anchor[:, None], y_prime.z, image.z),
+                                  np.where(anchor, y_prime.inf, image.inf)), scale)
 
-    def base(w: ExtendedPoint) -> ExtendedPoint:
-        return last(middle(first(w)))
 
-    return _anchored(base, [(x, x_prime), (y, y_prime)])
+def _concat(*points: ExtendedPoints) -> ExtendedPoints:
+    return ExtendedPoints(*(np.concatenate(parts) for parts in zip(*points)))
+
+
+def _gauge_errors(alg: HTypeAlgebra, image: ExtendedPoints,
+                  target: ExtendedPoints) -> np.ndarray:
+    """Rowwise gauge distance, infinite where exactly one of the two rows is infinite."""
+    return np.where(image.inf | target.inf, np.where(image.inf == target.inf, 0.0, np.inf),
+                    gauge_dist_arrays(alg, image.v, image.z, target.v, target.z))
+
+
+def _gauge_cross_ratios(alg: HTypeAlgebra, p: list[ExtendedPoints]) -> np.ndarray:
+    """Rowwise ``d(p1, p2) d(p3, p4) / (d(p1, p3) d(p2, p4))``.
+
+    A distance to a point at infinity counts as 1: each point appears once in
+    the numerator and once in the denominator, so the infinite factors cancel.
+    """
+    def d(a: ExtendedPoints, b: ExtendedPoints) -> np.ndarray:
+        return np.where(a.inf | b.inf, 1.0, gauge_dist_arrays(alg, a.v, a.z, b.v, b.z))
+
+    return d(p[0], p[1]) * d(p[2], p[3]) / (d(p[0], p[2]) * d(p[1], p[3]))
+
+
+def _sweep_chunk(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> dict[str, tuple]:
+    """Per branch, the worst target error and cross-ratio deviation of the
+    trials whose eight points are the consecutive rows of (v, z)."""
+    count = v.shape[0] // 8
+    finite = np.zeros(count, dtype=bool)
+    x, xp, y, yp, *free = (ExtendedPoints(v[k::8], z[k::8], finite) for k in range(8))
+    infinity = ExtendedPoints(np.zeros_like(x.v), np.zeros_like(x.z), ~finite)
+    branches = {"finite": (x, xp, y, yp), "x_infinite": (infinity, xp, y, yp),
+                "x_prime_infinite": (x, infinity, y, yp), "x_equals_y": (x, xp, x, xp)}
+    worst = {}
+    # coincident or underflowing free points give inf/NaN ratios, which fail the sweep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        before = _gauge_cross_ratios(alg, free)
+        for branch, (bx, bxp, by, byp) in branches.items():
+            image = pair_transporter(alg, *(_concat(*[p] * 6) for p in (bx, bxp, by, byp)),
+                                     _concat(bx, by, *free))
+            blocks = [ExtendedPoints(*(a[k * count:(k + 1) * count] for a in image))
+                      for k in range(6)]
+            error = _gauge_errors(alg, _concat(*blocks[:2]), _concat(bxp, byp))
+            ratio = _gauge_cross_ratios(alg, blocks[2:]) / before
+            worst[branch] = (np.max(error), np.max(np.abs(ratio - 1.0)))
+    return worst
 
 
 @dataclass
@@ -194,42 +220,38 @@ class TransportReport(Report):
     tolerance: float
     per_branch: dict[str, float]
     max_gauge_error: float
+    cross_ratio_per_branch: dict[str, float]
+    max_cross_ratio_deviation: float
     passed: bool
 
 
 def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
                      seed: int = 0, tol: float = 1e-9) -> TransportReport:
-    """Worst gauge error of :func:`pair_transporter` at its targets, per case branch.
+    """Per case branch of :func:`pair_transporter`, its worst gauge error at the
+    targets and its worst cross-ratio deviation at four free points.
 
-    Each trial draws x, x', y, y' in turn from one seeded stream; missing an
-    infinite target counts as an infinite error.  The sweep passes when no
-    branch's error exceeds ``tol``.
+    Each trial draws x, x', y, y' and four free points p1..p4 in turn from one
+    seeded stream, in fixed chunks of trials that bound the memory.  Missing
+    an infinite target counts as an infinite error.  The deviation is
+    ``|CR(g p) / CR(p) - 1|`` of the gauge cross-ratio, which a
+    1-quasiconformal map of a J^2 group keeps.  The sweep passes when every
+    error and every deviation is at most ``tol``; a NaN deviation fails it.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    errors = {"finite": 0.0, "x_infinite": 0.0, "x_prime_infinite": 0.0, "x_equals_y": 0.0}
-
-    def draw() -> GroupPoint:
-        v, z = sample_with_rng(alg, 1, radius, rng)
-        return point(alg, v[0], z[0])
-
-    def record(branch: str, g, *hits) -> None:
-        for source, target in hits:
-            image = g(source)
-            if isinstance(target, PointAtInfinity):
-                error = 0.0 if isinstance(image, PointAtInfinity) else float("inf")
-            else:
-                error = gauge_dist(image, target)
-            errors[branch] = max(errors[branch], error)
-
-    for _ in range(trials):
-        x, xp, y, yp = draw(), draw(), draw(), draw()
-        record("finite", pair_transporter(x, xp, y, yp), (x, xp), (y, yp))
-        record("x_infinite", pair_transporter(INFINITY, xp, y, yp), (INFINITY, xp), (y, yp))
-        record("x_prime_infinite", pair_transporter(x, INFINITY, y, yp), (x, INFINITY), (y, yp))
-        record("x_equals_y", pair_transporter(x, xp, x, xp), (x, xp))
-    worst = max(errors.values())
+    chunks = []
+    for start in range(0, trials, _TRIALS_PER_CHUNK):
+        count = min(_TRIALS_PER_CHUNK, trials - start)
+        chunks.append(_sweep_chunk(alg, *sample_with_rng(alg, 8 * count, radius, rng)))
+    # np.max, unlike max(), keeps a NaN
+    errors = {b: float(np.max([c[b][0] for c in chunks])) for b in chunks[0]}
+    deviations = {b: float(np.max([c[b][1] for c in chunks])) for b in chunks[0]}
+    worst = float(np.max(list(errors.values())))
+    worst_deviation = float(np.max(list(deviations.values())))
     return TransportReport(alg.label, alg.fingerprint, trials, seed, tol, errors, worst,
-                           worst <= tol)
+                           deviations, worst_deviation,
+                           worst <= tol and worst_deviation <= tol)
 
 
 class WorstPair(NamedTuple):

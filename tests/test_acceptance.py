@@ -13,6 +13,7 @@ from heislab import finite_metric as fm
 from heislab import hgroup, hlie, inversion
 from heislab.algebra import AlgebraKind
 from heislab.cli import run
+from oracles import j_map
 
 HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -63,8 +64,8 @@ def test_criterion_03_j2_dichotomy():
     control = hlie.check_j2(builtin("truncated_HH"), samples=10000, seed=103)
     x, z, zp = control.witness
     alg = builtin("truncated_HH")
-    target = hlie.j_map(alg, z) @ (hlie.j_map(alg, zp) @ x)
-    generators = np.stack([hlie.j_map(alg, w) @ x for w in np.eye(alg.dim_z)])
+    target = j_map(alg, z) @ (j_map(alg, zp) @ x)
+    generators = np.stack([j_map(alg, w) @ x for w in np.eye(alg.dim_z)])
     rank_grew = (np.linalg.matrix_rank(np.vstack([generators, target]), tol=1e-9)
                  == np.linalg.matrix_rank(generators, tol=1e-9) + 1)
     ok = (worst <= 1e-12 and not control.satisfies_j2
@@ -109,8 +110,8 @@ def test_criterion_06_gauge_metric_axioms():
         worst_triangle = max(worst_triangle, float(np.max(d13 - d12 - d23)))
 
         sel = slice(0, 100000)
-        tv1, tz1 = hgroup.group_mul_arrays(alg, v3[sel], z3[sel], v1[sel], z1[sel])
-        tv2, tz2 = hgroup.group_mul_arrays(alg, v3[sel], z3[sel], v2[sel], z2[sel])
+        tv1, tz1 = hgroup.group_mul(alg, v3[sel], z3[sel], v1[sel], z1[sel])
+        tv2, tz2 = hgroup.group_mul(alg, v3[sel], z3[sel], v2[sel], z2[sel])
         moved = hgroup.gauge_dist_arrays(alg, tv1, tz1, tv2, tz2)
         worst_invariance = max(worst_invariance,
                                float(np.max(np.abs(moved - d12[sel]))))
@@ -215,13 +216,24 @@ def test_criterion_10_regularity_exponents():
 
 
 def test_criterion_11_transporter_totality():
-    # the same sweep as `heislab invert transport`
+    # the same sweep as `heislab invert transport`: targets hit, and cross-ratios of
+    # free points kept, on a J^2 group; both controls move the cross-ratios
     sweep = inversion.transport_errors(builtin("H_H:1"), 1000, radius=1.0, seed=116)
     assert set(sweep.per_branch) == {"finite", "x_infinite", "x_prime_infinite", "x_equals_y"}
+    assert set(sweep.cross_ratio_per_branch) == set(sweep.per_branch)
     peak = sweep.max_gauge_error
-    ok = peak <= 1e-9
+    deviation = sweep.max_cross_ratio_deviation
+    controls = {name: inversion.transport_errors(builtin(name), 1000, radius=1.0, seed=116)
+                for name in ("truncated_HH", "degenerate_sum")}
+    ok = (peak <= 1e-9 and deviation <= 1e-9 and sweep.passed
+          and all(not c.passed and c.max_cross_ratio_deviation > 1e-3
+                  for c in controls.values()))
+    detail = ", ".join(f"{name} {c.max_cross_ratio_deviation:.2f}"
+                       for name, c in controls.items())
     report(11, ok, f"transporter hits its targets on 1e3 random quadruples in each of "
-                   f"the four case branches, max gauge error {peak:.2e} <= 1e-9")
+                   f"the four case branches, max gauge error {peak:.2e} <= 1e-9, and keeps "
+                   f"free-point cross-ratios within {deviation:.2e} <= 1e-9; the controls "
+                   f"fail with deviations {detail}")
 
 
 def test_criterion_12_cli_reproducibility(tmp_path):

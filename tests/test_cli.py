@@ -13,6 +13,7 @@ import pytest
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
 from heislab.cli import run
+from oracles import write_algebra_spec
 
 
 def read_json(path):
@@ -117,7 +118,8 @@ class TestGroupCommands:
                     "--radius", "1.5", "--seed", "3", "--output", str(out)])
         assert code == 0
         alg = hlie.algebra_from_name("H_C:2")
-        v, z = hgroup.load_points_csv(out, alg)
+        data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        v, z = data[:, :alg.dim_v], data[:, alg.dim_v:]
         ov, oz = hgroup.sample_arrays(alg, 50, 1.5, seed=3)
         assert v.tobytes() == ov.tobytes()
         assert z.tobytes() == oz.tobytes()
@@ -203,8 +205,9 @@ class TestMetricCommands:
             assert out.read_bytes() == expected.read_bytes()
         assert fm.load_space_csv(expected).labels == ["a", "b", "d", "e", fm.INFINITY_LABEL]
         capsys.readouterr()
-        assert run(["metric", "invert", "--input", str(path), "--base", "99"]) == 1
-        assert capsys.readouterr().err == "error: unknown point label '99'\n"
+        for base in ("99", "\u00b3"):  # out of range; a digit that int() rejects
+            assert run(["metric", "invert", "--input", str(path), "--base", base]) == 1
+            assert capsys.readouterr().err == f"error: unknown point label '{base}'\n"
 
     def test_invalid_matrix_file(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -362,6 +365,26 @@ class TestTransportCommand:
         assert set(payload["per_branch"]) == {
             "finite", "x_infinite", "x_prime_infinite", "x_equals_y"}
         assert payload["max_gauge_error"] <= 1e-9
+        assert set(payload["cross_ratio_per_branch"]) == set(payload["per_branch"])
+        assert payload["max_cross_ratio_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("name,code", [("truncated_HH", 2), ("degenerate_sum", 2),
+                                           ("H_C:1", 0), ("H_O", 0)])
+    def test_free_points_decide_the_exit_code(self, name, code, tmp_path, capsys):
+        out = tmp_path / "transport.json"
+        assert run(["invert", "transport", "--algebra", name, "--trials", "200",
+                    "--seed", "10", "--output", str(out), "--no-timestamp"]) == code
+        payload = read_json(out)
+        assert payload["passed"] is (code == 0)
+        assert payload["max_gauge_error"] == 0.0
+        err = capsys.readouterr().err
+        if code:
+            # the targets are hit on any algebra; the free points expose a non-J^2
+            # group in every branch, and the message names the cross-ratios
+            assert min(payload["cross_ratio_per_branch"].values()) > 1e-3
+            assert err.startswith("check failed: transporter cross-ratio deviation ")
+        else:
+            assert err == ""
 
 
 class TestReportSchema:
@@ -384,7 +407,9 @@ class TestReportSchema:
                                               "worst_pair"}, None),
         "invert transport": (["invert", "transport", "--algebra", "H_C:1", "--trials", "5"],
                              {"command", "seed", "algebra", "fingerprint", "trials",
-                              "tolerance", "max_gauge_error", "per_branch", "passed"}, None),
+                              "tolerance", "max_gauge_error", "per_branch",
+                              "max_cross_ratio_deviation", "cross_ratio_per_branch",
+                              "passed"}, None),
         "distort qm": (["distort", "qm", "--domain", "{dist}", "--image", "{sph}",
                         "--samples", "100"],
                        COMMON | {"kind", "statistics", "points_used"},
@@ -464,7 +489,7 @@ class TestReproducibility:
 class TestAlgebraSpecFiles:
     def test_spec_file_through_cli(self, tmp_path):
         spec_path = tmp_path / "custom.json"
-        hlie.save_algebra_spec(hlie.make_truncated_quaternionic(), spec_path)
+        write_algebra_spec(hlie.make_truncated_quaternionic(), spec_path)
         out = tmp_path / "report.json"
         code = run(["lie", "check-j2", "--algebra", str(spec_path),
                     "--output", str(out), "--no-timestamp"])

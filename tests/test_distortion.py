@@ -21,33 +21,32 @@ def gauge_matrix(name, count, seed, radius=1.0):
     return alg, v, z, hgroup.pairwise_gauge_dist(alg, v, z)
 
 
+def cross_ratio(dist, quad):
+    return dt.cross_ratio_rows(np.asarray(dist), np.array([quad]))[0]
+
+
 class TestCrossRatio:
     def test_equilateral_is_one(self):
         dist = np.ones((4, 4)) - np.eye(4)
-        assert dt.cross_ratio(dist, (0, 1, 2, 3)) == 1.0
+        assert cross_ratio(dist, (0, 1, 2, 3)) == 1.0
 
     def test_double_swap_symmetry(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, size=(6, 3))
         dist = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        a = dt.cross_ratio(dist, (0, 1, 2, 3))
-        b = dt.cross_ratio(dist, (1, 0, 3, 2))
+        a = cross_ratio(dist, (0, 1, 2, 3))
+        b = cross_ratio(dist, (1, 0, 3, 2))
         assert a == pytest.approx(b, rel=1e-15)
 
     def test_collinear_value(self):
         dist = np.abs(np.subtract.outer([0.0, 1, 2, 3], [0.0, 1, 2, 3]))
-        assert dt.cross_ratio(dist, (0, 1, 2, 3)) == pytest.approx(0.25)
-
-    def test_repeated_points_rejected(self):
-        dist = np.ones((4, 4)) - np.eye(4)
-        with pytest.raises(ValueError, match="repeated"):
-            dt.cross_ratio(dist, (0, 1, 1, 3))
+        assert cross_ratio(dist, (0, 1, 2, 3)) == pytest.approx(0.25)
 
     def test_zero_denominator_rejected(self):
+        # a degenerate row comes out infinite, and estimate_quasimobius skips it
         dist = np.ones((4, 4)) - np.eye(4)
         dist[0, 2] = dist[2, 0] = 0.0
-        with pytest.raises(ValueError, match="degenerate"):
-            dt.cross_ratio(dist, (0, 1, 2, 3))
+        assert cross_ratio(dist, (0, 1, 2, 3)) == np.inf
 
 
 class TestCrossRatioInvariance:
@@ -67,8 +66,8 @@ class TestCrossRatioInvariance:
         v, z = hgroup.sample_arrays(alg, 50, 1.0, seed=3)
         dist = hgroup.pairwise_gauge_dist(alg, v, z)
         gv, gz = hgroup.sample_arrays(alg, 1, 1.0, seed=4)
-        tv, tz = hgroup.group_mul_arrays(alg, np.broadcast_to(gv[0], v.shape),
-                                         np.broadcast_to(gz[0], z.shape), v, z)
+        tv, tz = hgroup.group_mul(alg, np.broadcast_to(gv[0], v.shape),
+                                  np.broadcast_to(gz[0], z.shape), v, z)
         moved = hgroup.pairwise_gauge_dist(alg, tv, tz)
         rng = np.random.default_rng(5)
         quads = dt.sample_quadruples(50, 3000, rng)
@@ -214,17 +213,6 @@ class TestRegularity:
         alg = builtin("H_C:1")
         report = dt.estimate_regularity(alg, np.logspace(-1, 1, 7), samples=300000, seed=31)
         assert abs(report.statistics["fitted_exponent"] - 4.0) <= 0.05
-
-    def test_centered_estimate_matches(self):
-        alg = builtin("H_C:1")
-        v, z = hgroup.sample_arrays(alg, 1, 1.0, seed=32)
-        center = hgroup.point(alg, v[0], z[0])
-        report = dt.estimate_regularity(alg, [0.1, 1.0], samples=100000, seed=33,
-                                        center=center)
-        uncentered = dt.estimate_regularity(alg, [0.1, 1.0], samples=100000, seed=33)
-        # left invariance: same underlying measure, identical hit counts
-        assert [e["hits"] for e in report.statistics["per_radius"]] == \
-               [e["hits"] for e in uncentered.statistics["per_radius"]]
 
     def test_decade_precondition(self):
         alg = builtin("H_C:1")

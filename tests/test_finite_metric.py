@@ -1,6 +1,8 @@
 """Finite metric spaces: validation, inversion/sphericalization quasimetrics,
 chain metrics with sandwich bounds, and distance-matrix files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,17 @@ class TestFiles:
         path = tmp_path / "bad.json"
         path.write_text('{"labels": ["a"]}')
         with pytest.raises(ValueError, match="missing the field"):
+            fm.load_space_json(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("5", "does not hold a JSON object"),
+        ("[1, 2]", "does not hold a JSON object"),
+        ('{"labels": 5, "dist": [[0]]}', "'labels' is not a list"),
+    ])
+    def test_json_wrong_types(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"distance file {path}") + ".*" + message):
             fm.load_space_json(path)
 
     def test_empty_csv(self, tmp_path):

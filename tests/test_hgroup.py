@@ -23,29 +23,26 @@ def random_points(alg, count, seed, radius=1.0):
 class TestGroupLaw:
     def test_complex_half_bracket(self):
         alg = builtin("H_C:1")
-        p = hgroup.point(alg, [1, 0], [0])  # X_1
-        q = hgroup.point(alg, [0, 1], [0])  # Y_1
-        product = hgroup.group_mul(p, q)
-        assert np.array_equal(product.v, [1.0, 1.0])
-        assert np.array_equal(product.z, [0.5])
+        # X_1 Y_1
+        v, z = hgroup.group_mul(alg, np.array([[1.0, 0.0]]), np.zeros((1, 1)),
+                                np.array([[0.0, 1.0]]), np.zeros((1, 1)))
+        assert np.array_equal(v, [[1.0, 1.0]])
+        assert np.array_equal(z, [[0.5]])
 
     def test_identity_element(self):
         alg = builtin("H_H:1")
-        v, z = random_points(alg, 1, seed=0)
-        p = hgroup.point(alg, v[0], z[0])
-        e = hgroup.identity(alg)
-        assert np.array_equal(hgroup.group_mul(p, e).v, p.v)
-        assert np.array_equal(hgroup.group_mul(p, e).z, p.z)
-        assert np.array_equal(hgroup.group_mul(e, p).z, p.z)
+        v, z = random_points(alg, 100, seed=0)
+        ev, ez = np.zeros_like(v), np.zeros_like(z)
+        for product in (hgroup.group_mul(alg, v, z, ev, ez), hgroup.group_mul(alg, ev, ez, v, z)):
+            assert np.array_equal(product[0], v) and np.array_equal(product[1], z)
 
     def test_inverse_is_negation(self):
         alg = builtin("H_O")
-        v, z = random_points(alg, 1, seed=1)
-        p = hgroup.point(alg, v[0], z[0])
-        product = hgroup.group_mul(p, hgroup.group_inv(p))
+        v, z = random_points(alg, 100, seed=1)
+        pv, pz = hgroup.group_mul(alg, v, z, -v, -z)
         # the exact-antisymmetric bracket makes p p^{-1} land on the identity bitwise
-        assert np.array_equal(product.v, np.zeros(8))
-        assert np.array_equal(product.z, np.zeros(7))
+        assert np.array_equal(pv, np.zeros((100, 8)))
+        assert np.array_equal(pz, np.zeros((100, 7)))
 
     @pytest.mark.parametrize("name", ALGEBRA_NAMES)
     def test_associativity_bulk(self, name):
@@ -53,25 +50,11 @@ class TestGroupLaw:
         v1, z1 = random_points(alg, 100000, seed=2)
         v2, z2 = random_points(alg, 100000, seed=3)
         v3, z3 = random_points(alg, 100000, seed=4)
-        left = hgroup.group_mul_arrays(alg, *hgroup.group_mul_arrays(alg, v1, z1, v2, z2),
-                                       v3, z3)
-        right = hgroup.group_mul_arrays(alg, v1, z1,
-                                        *hgroup.group_mul_arrays(alg, v2, z2, v3, z3))
+        left = hgroup.group_mul(alg, *hgroup.group_mul(alg, v1, z1, v2, z2), v3, z3)
+        right = hgroup.group_mul(alg, v1, z1, *hgroup.group_mul(alg, v2, z2, v3, z3))
         worst = max(np.max(np.abs(left[0] - right[0])),
                     np.max(np.abs(left[1] - right[1])) if alg.dim_z else 0.0)
         assert worst <= 1e-12
-
-    def test_parent_mismatch(self):
-        p = hgroup.identity(builtin("H_C:1"))
-        q = hgroup.identity(builtin("H_H:1"))
-        with pytest.raises(ValueError, match="parent algebra mismatch"):
-            hgroup.group_mul(p, q)
-
-    def test_same_structure_different_objects_allowed(self):
-        a1, a2 = builtin("H_C:1"), builtin("H_C:1")
-        p = hgroup.identity(a1)
-        q = hgroup.identity(a2)
-        assert hgroup.gauge_dist(p, q) == 0.0
 
 
 class TestDilations:
@@ -94,9 +77,9 @@ class TestDilations:
         v, z = random_points(alg, 2000, seed=6)
         w, y = random_points(alg, 2000, seed=7)
         t = 1.7
-        left = hgroup.group_mul_arrays(alg, *hgroup.dilate_arrays(t, v, z),
-                                       *hgroup.dilate_arrays(t, w, y))
-        right = hgroup.dilate_arrays(t, *hgroup.group_mul_arrays(alg, v, z, w, y))
+        left = hgroup.group_mul(alg, *hgroup.dilate_arrays(t, v, z),
+                                *hgroup.dilate_arrays(t, w, y))
+        right = hgroup.dilate_arrays(t, *hgroup.group_mul(alg, v, z, w, y))
         assert np.max(np.abs(left[0] - right[0])) <= 1e-12
         assert np.max(np.abs(left[1] - right[1])) <= 1e-12
 
@@ -117,7 +100,7 @@ class TestDilations:
 
     def test_nonpositive_factor(self):
         alg = builtin("H_C:1")
-        p = hgroup.identity(alg)
+        p = hgroup.point(alg, [0.0, 0.0], [0.0])
         for t in (0.0, -2.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 hgroup.dilate(t, p)
@@ -143,7 +126,7 @@ class TestGauge:
 
     def test_zero_only_at_identity(self):
         alg = builtin("H_C:1")
-        assert hgroup.gauge(hgroup.identity(alg)) == 0.0
+        assert hgroup.gauge(hgroup.point(alg, [0, 0], [0])) == 0.0
         assert hgroup.gauge(hgroup.point(alg, [1e-8, 0], [0])) > 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -166,20 +149,18 @@ class TestGaugeDistance:
     def test_distance_to_identity_is_gauge(self):
         alg = builtin("H_C:3")
         v, z = random_points(alg, 50, seed=10)
-        e = hgroup.identity(alg)
-        for i in range(50):
-            p = hgroup.point(alg, v[i], z[i])
-            assert hgroup.gauge_dist(p, e) == pytest.approx(hgroup.gauge(p), abs=1e-14)
+        d = hgroup.gauge_dist_arrays(alg, v, z, np.zeros_like(v), np.zeros_like(z))
+        assert np.array_equal(d, hgroup.gauge_arrays(alg, v, z))
 
     def test_hand_composed_example(self):
         # q^{-1} p = (X_1 - Y_1, Z/2) whose gauge is (4/16 + 1/4)^(1/4)
         alg = builtin("H_C:1")
-        p = hgroup.point(alg, [1, 0], [0])
-        q = hgroup.point(alg, [0, 1], [0])
-        composed = hgroup.group_mul(hgroup.group_inv(q), p)
-        assert np.array_equal(composed.v, [1.0, -1.0])
-        assert np.array_equal(composed.z, [0.5])
-        assert hgroup.gauge_dist(p, q) == pytest.approx(0.5 ** 0.25, abs=1e-15)
+        pv, qv, zero = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), np.zeros((1, 1))
+        cv, cz = hgroup.group_mul(alg, -qv, -zero, pv, zero)
+        assert np.array_equal(cv, [[1.0, -1.0]])
+        assert np.array_equal(cz, [[0.5]])
+        d = hgroup.gauge_dist_arrays(alg, pv, zero, qv, zero)
+        assert d[0] == pytest.approx(0.5 ** 0.25, abs=1e-15)
 
     def test_exact_symmetry(self):
         alg = builtin("H_H:2")
@@ -196,8 +177,8 @@ class TestGaugeDistance:
         v1, z1 = random_points(alg, 10000, seed=14)
         v2, z2 = random_points(alg, 10000, seed=15)
         base = hgroup.gauge_dist_arrays(alg, v1, z1, v2, z2)
-        tv1, tz1 = hgroup.group_mul_arrays(alg, vg, zg, v1, z1)
-        tv2, tz2 = hgroup.group_mul_arrays(alg, vg, zg, v2, z2)
+        tv1, tz1 = hgroup.group_mul(alg, vg, zg, v1, z1)
+        tv2, tz2 = hgroup.group_mul(alg, vg, zg, v2, z2)
         moved = hgroup.gauge_dist_arrays(alg, tv1, tz1, tv2, tz2)
         assert np.max(np.abs(moved - base)) <= 1e-10
 
@@ -223,18 +204,6 @@ class TestGaugeDistance:
             scaled = hgroup.gauge_dist_arrays(alg, *hgroup.dilate_arrays(s, v1, z1),
                                               *hgroup.dilate_arrays(s, v2, z2))
             assert np.max(np.abs(scaled - s * base)) <= 1e-10 * max(1.0, s)
-
-    def test_left_translate_map(self):
-        alg = builtin("H_C:1")
-        g = hgroup.point(alg, [1, 2], [3])
-        translate = hgroup.left_translate(g)
-        assert translate(hgroup.INFINITY) is hgroup.INFINITY
-        e = hgroup.identity(alg)
-        moved = translate(e)
-        assert np.array_equal(moved.v, g.v) and np.array_equal(moved.z, g.z)
-        # translating by the identity is the identity map
-        by_e = hgroup.left_translate(e)(g)
-        assert np.array_equal(by_e.v, g.v) and np.array_equal(by_e.z, g.z)
 
     def test_pairwise_matrix_matches_rowwise(self):
         alg = builtin("H_H:1")
@@ -322,35 +291,20 @@ class TestPointFiles:
         v, z = hgroup.sample_arrays(alg, 250, 1.3, seed=14)
         path = tmp_path / "points.csv"
         hgroup.save_points_csv(path, alg, v, z)
-        rv, rz = hgroup.load_points_csv(path, alg)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rv, rz = data[:, :alg.dim_v], data[:, alg.dim_v:]
         assert rv.tobytes() == v.tobytes()
         assert rz.tobytes() == z.tobytes()
 
     def test_header_mismatch(self, tmp_path):
+        # the header names the coordinates of the algebra the file was written for
         alg_a, alg_b = builtin("H_C:1"), builtin("H_H:1")
         path = tmp_path / "points.csv"
         v, z = hgroup.sample_arrays(alg_a, 4, 1.0, seed=15)
         hgroup.save_points_csv(path, alg_a, v, z)
-        with pytest.raises(ValueError, match="header"):
-            hgroup.load_points_csv(path, alg_b)
-
-    def test_bad_row_width(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text("v_1,v_2,z_1\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="fields"):
-            hgroup.load_points_csv(path, builtin("H_C:1"))
-
-    def test_non_numeric_field(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text("v_1,v_2,z_1\n1.0,x,3.0\n")
-        with pytest.raises(ValueError, match="non-numeric"):
-            hgroup.load_points_csv(path, builtin("H_C:1"))
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "points.csv"
-        path.write_text("v_1,v_2,z_1\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            hgroup.load_points_csv(path, builtin("H_C:1"))
+        header = path.read_text(encoding="utf-8").splitlines()[0]
+        assert header == "v_1,v_2,z_1"
+        assert len(header.split(",")) != alg_b.dim_v + alg_b.dim_z
 
 
 class TestPointValidation:

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from heislab import algebra as al
 from heislab import hlie
 from heislab.algebra import AlgebraKind
+from oracles import bracket, j_map, write_algebra_spec
 
 HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -22,18 +24,18 @@ def every_builtin():
 class TestBracket:
     def test_complex_x1_y1(self):
         alg = hlie.algebra_from_name("H_C:1")
-        assert np.array_equal(hlie.bracket(alg, [1, 0], [0, 1]), [1.0])
+        assert np.array_equal(bracket(alg, [1, 0], [0, 1]), [1.0])
 
     def test_antisymmetry_on_equal_arguments(self):
         alg = hlie.algebra_from_name("H_H:2")
         rng = np.random.default_rng(0)
         x = rng.standard_normal(alg.dim_v)
-        assert np.array_equal(hlie.bracket(alg, x, x), np.zeros(3))
+        assert np.array_equal(bracket(alg, x, x), np.zeros(3))
 
     def test_quaternion_x1_w1(self):
         alg = hlie.algebra_from_name("H_H:1")
         # [X_1, W_1] = Z_3
-        assert np.array_equal(hlie.bracket(alg, np.eye(4)[0], np.eye(4)[3]), [0, 0, 1.0])
+        assert np.array_equal(bracket(alg, np.eye(4)[0], np.eye(4)[3]), [0, 0, 1.0])
 
     def test_exact_antisymmetry_in_floats(self):
         alg = hlie.algebra_from_name("H_O")
@@ -47,7 +49,7 @@ class TestBracket:
     def test_dimension_mismatch(self):
         alg = hlie.algebra_from_name("H_C:1")
         with pytest.raises(ValueError, match="shape"):
-            hlie.bracket(alg, [1, 0, 0], [0, 1])
+            bracket(alg, [1, 0, 0], [0, 1])
 
     @pytest.mark.parametrize("name", ["H_O", "truncated_HH", "H_R:3"])
     def test_leading_dimensions_broadcast(self, name):
@@ -69,7 +71,7 @@ class TestApplyJRows:
         rng = np.random.default_rng(3)
         z = rng.standard_normal((20, alg.dim_z))
         x = rng.standard_normal((20, alg.dim_v))
-        expected = np.stack([hlie.j_map(alg, zs) @ xs for zs, xs in zip(z, x)])
+        expected = np.stack([j_map(alg, zs) @ xs for zs, xs in zip(z, x)])
         assert np.allclose(hlie.apply_j_rows(alg, z, x), expected, atol=1e-13)
 
 
@@ -78,18 +80,18 @@ class TestJMap:
         # solving <J_Z X, Y> = <Z, [X, Y]> over the H_C(1) basis by hand
         # gives J_Z X_1 = Y_1 and J_Z Y_1 = -X_1
         alg = hlie.algebra_from_name("H_C:1")
-        j = hlie.j_map(alg, [1.0])
+        j = j_map(alg, [1.0])
         assert np.array_equal(j @ np.array([1.0, 0.0]), [0.0, 1.0])
         assert np.array_equal(j @ np.array([0.0, 1.0]), [-1.0, 0.0])
 
     def test_zero_center_vector(self):
         alg = hlie.algebra_from_name("H_H:1")
-        assert np.array_equal(hlie.j_map(alg, np.zeros(3)), np.zeros((4, 4)))
+        assert np.array_equal(j_map(alg, np.zeros(3)), np.zeros((4, 4)))
 
     def test_octonion_first_column(self):
         # [X_0, X_k] = Z_k forces J_{Z_1} X_0 = X_1
         alg = hlie.algebra_from_name("H_O")
-        j = hlie.j_map(alg, np.eye(7)[0])
+        j = j_map(alg, np.eye(7)[0])
         assert np.array_equal(j @ np.eye(8)[0], np.eye(8)[1])
 
     @pytest.mark.parametrize("alg", every_builtin(), ids=lambda a: a.label)
@@ -119,7 +121,7 @@ class TestJMap:
         rng = np.random.default_rng(8)
         z1, z2 = hlie._orthonormal_pairs(rng, 200, alg.dim_z)
         for a, b in zip(z1, z2):
-            ja, jb = hlie.j_map(alg, a), hlie.j_map(alg, b)
+            ja, jb = j_map(alg, a), j_map(alg, b)
             assert np.max(np.abs(ja @ jb + jb @ ja)) <= 1e-12
 
     @pytest.mark.parametrize("alg", every_builtin(), ids=lambda a: a.label)
@@ -129,7 +131,7 @@ class TestJMap:
         rng = np.random.default_rng(9)
         x = rng.standard_normal(alg.dim_v)
         x /= np.linalg.norm(x)
-        generators = np.stack([hlie.j_map(alg, z) @ x for z in np.eye(alg.dim_z)])
+        generators = np.stack([j_map(alg, z) @ x for z in np.eye(alg.dim_z)])
         assert np.linalg.matrix_rank(generators, tol=1e-9) == alg.dim_z
 
     @settings(max_examples=30, deadline=None)
@@ -138,8 +140,8 @@ class TestJMap:
         alg = hlie.algebra_from_name("H_H:1")
         x, y, zfull = data
         z = zfull[:3]
-        lhs = float((hlie.j_map(alg, z) @ x) @ y)
-        rhs = float(z @ hlie.bracket(alg, x, y))
+        lhs = float((j_map(alg, z) @ x) @ y)
+        rhs = float(z @ bracket(alg, x, y))
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -197,8 +199,8 @@ class TestCheckJ2:
         alg = hlie.make_truncated_quaternionic()
         report = hlie.check_j2(alg, samples=500, seed=2)
         x, z, zp = report.witness
-        target = hlie.j_map(alg, z) @ (hlie.j_map(alg, zp) @ x)
-        generators = np.stack([hlie.j_map(alg, w) @ x for w in np.eye(alg.dim_z)])
+        target = j_map(alg, z) @ (j_map(alg, zp) @ x)
+        generators = np.stack([j_map(alg, w) @ x for w in np.eye(alg.dim_z)])
         base_rank = np.linalg.matrix_rank(generators, tol=1e-9)
         augmented = np.linalg.matrix_rank(np.vstack([generators, target]), tol=1e-9)
         assert augmented == base_rank + 1
@@ -209,9 +211,9 @@ class TestCheckJ2:
         alg = hlie.make_truncated_quaternionic()
         x = np.eye(4)[0]
         z1, z2 = np.eye(2)
-        target = hlie.j_map(alg, z1) @ (hlie.j_map(alg, z2) @ x)
-        g1 = hlie.j_map(alg, z1) @ x
-        g2 = hlie.j_map(alg, z2) @ x
+        target = j_map(alg, z1) @ (j_map(alg, z2) @ x)
+        g1 = j_map(alg, z1) @ x
+        g2 = j_map(alg, z2) @ x
         assert abs(target @ g1) <= 1e-14
         assert abs(target @ g2) <= 1e-14
         assert np.linalg.norm(target) == pytest.approx(1.0, abs=1e-14)
@@ -231,8 +233,8 @@ class TestConstructors:
     def test_quaternionic_block(self):
         alg = hlie.make_heisenberg(AlgebraKind.QUATERNION, 1)
         assert (alg.dim_v, alg.dim_z) == (4, 3)
-        assert np.array_equal(hlie.bracket(alg, np.eye(4)[0], np.eye(4)[1]), [1, 0, 0])
-        assert np.array_equal(hlie.bracket(alg, np.eye(4)[2], np.eye(4)[3]), [1, 0, 0])
+        assert np.array_equal(bracket(alg, np.eye(4)[0], np.eye(4)[1]), [1, 0, 0])
+        assert np.array_equal(bracket(alg, np.eye(4)[2], np.eye(4)[3]), [1, 0, 0])
 
     def test_real_is_abelian(self):
         alg = hlie.make_heisenberg(AlgebraKind.REAL, 5)
@@ -243,7 +245,7 @@ class TestConstructors:
         alg = hlie.make_heisenberg(AlgebraKind.OCTONION, 1)
         assert (alg.dim_v, alg.dim_z) == (8, 7)
         # eps_124 = +1, so [X_1, X_2] = Z_4
-        assert np.array_equal(hlie.bracket(alg, np.eye(8)[1], np.eye(8)[2]), np.eye(7)[3])
+        assert np.array_equal(bracket(alg, np.eye(8)[1], np.eye(8)[2]), np.eye(7)[3])
 
     def test_octonion_rejects_extra_blocks(self):
         with pytest.raises(ValueError, match="octonion"):
@@ -295,26 +297,36 @@ class TestAlgebraConsistency:
         (AlgebraKind.OCTONION, 1),
     ], ids=lambda v: getattr(v, "value", v))
     def test_structure_matches_division_algebra_formula(self, kind, n):
-        assert hlie.bracket_vs_algebra_consistency(kind, n, samples=10000, seed=0) <= 1e-12
+        # the bracket equals -sum_i Im(x_i conj(y_i)) blockwise, with Im(K) = z via e_k <-> Z_k
+        alg = hlie.make_heisenberg(kind, n)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((10000, alg.dim_v))
+        y = rng.standard_normal((10000, alg.dim_v))
+        rhs = np.zeros((10000, alg.dim_z))
+        d = kind.dim
+        for i in range(n):
+            xi, yi = x[:, i * d:(i + 1) * d], y[:, i * d:(i + 1) * d]
+            rhs -= al.mul_arrays(kind, xi, al.conj_arrays(kind, yi))[:, 1:]
+        assert np.max(np.abs(hlie.bracket_arrays(alg, x, y) - rhs), initial=0.0) <= 1e-12
 
     def test_hand_evaluation_complex(self):
         # x = 1, y = i: -Im(x conj(y)) = -Im(-i) = i, matching [X_1, Y_1] = Z
         alg = hlie.make_heisenberg(AlgebraKind.COMPLEX, 1)
-        got = hlie.bracket(alg, [1.0, 0.0], [0.0, 1.0])
+        got = bracket(alg, [1.0, 0.0], [0.0, 1.0])
         assert np.array_equal(got, [1.0])
 
     def test_equal_arguments_vanish(self):
         rng = np.random.default_rng(3)
         alg = hlie.make_heisenberg(AlgebraKind.QUATERNION, 1)
         x = rng.standard_normal(4)
-        assert np.array_equal(hlie.bracket(alg, x, x), np.zeros(3))
+        assert np.array_equal(bracket(alg, x, x), np.zeros(3))
 
 
 class TestSpecFiles:
     def test_round_trip(self, tmp_path):
         alg = hlie.make_heisenberg(AlgebraKind.QUATERNION, 2)
         path = tmp_path / "hh2.json"
-        hlie.save_algebra_spec(alg, path)
+        write_algebra_spec(alg, path)
         loaded = hlie.load_algebra_spec(path)
         assert loaded.label == alg.label
         assert np.array_equal(loaded.structure, alg.structure)
@@ -357,7 +369,7 @@ class TestSpecFiles:
 
     def test_loaded_spec_passes_checks(self, tmp_path):
         path = tmp_path / "ho.json"
-        hlie.save_algebra_spec(hlie.make_heisenberg(AlgebraKind.OCTONION, 1), path)
+        write_algebra_spec(hlie.make_heisenberg(AlgebraKind.OCTONION, 1), path)
         alg = hlie.load_algebra_spec(path)
         assert hlie.check_h_type(alg, samples=200, seed=0).is_h_type
         assert hlie.check_j2(alg, samples=200, seed=0).satisfies_j2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heislab import distortion, hgroup, hlie, inversion
-from heislab.hgroup import INFINITY, PointAtInfinity
+from heislab.inversion import ExtendedPoints
 
 H_TYPE_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -18,21 +18,34 @@ def sample(alg, count, seed, radius=1.0):
     return hgroup.sample_arrays(alg, count, radius, seed)
 
 
+def finite(v, z):
+    return ExtendedPoints(v, z, np.zeros(len(v), dtype=bool))
+
+
+def infinite(alg, count):
+    return ExtendedPoints(np.zeros((count, alg.dim_v)), np.zeros((count, alg.dim_z)),
+                          np.ones(count, dtype=bool))
+
+
+def dist(alg, a, b):
+    """Gauge distances of finite rows."""
+    assert not (np.any(a.inf) or np.any(b.inf))
+    return hgroup.gauge_dist_arrays(alg, a.v, a.z, b.v, b.z)
+
+
 class TestSigmaClosedForm:
     def test_zero_center_reflects(self):
         # gauge((v, 0)) = |v|/2, so |v| = 2 sits on the unit sphere and maps to -v
         alg = builtin("H_H:1")
-        p = hgroup.point(alg, [2.0, 0.0, 0.0, 0.0], np.zeros(3))
-        image = inversion.sigma(p)
-        assert np.allclose(image.v, [-2.0, 0.0, 0.0, 0.0], atol=1e-15)
-        assert np.array_equal(image.z, np.zeros(3))
+        sv, sz = inversion.sigma_arrays(alg, np.array([[2.0, 0.0, 0.0, 0.0]]), np.zeros((1, 3)))
+        assert np.allclose(sv, [[-2.0, 0.0, 0.0, 0.0]], atol=1e-15)
+        assert np.array_equal(sz, np.zeros((1, 3)))
 
     def test_zero_horizontal_inverts_center(self):
         alg = builtin("H_C:1")
-        p = hgroup.point(alg, [0.0, 0.0], [0.25])
-        image = inversion.sigma(p)
-        assert np.array_equal(image.v, [0.0, 0.0])
-        assert np.allclose(image.z, [-4.0], atol=1e-14)
+        sv, sz = inversion.sigma_arrays(alg, np.zeros((1, 2)), np.array([[0.25]]))
+        assert np.array_equal(sv, [[0.0, 0.0]])
+        assert np.allclose(sz, [[-4.0]], atol=1e-14)
 
     def test_abelian_case_is_scaled_mobius_reflection(self):
         # with no center, sigma(v) = -4 v / |v|^2
@@ -46,7 +59,7 @@ class TestSigmaClosedForm:
     def test_undefined_at_identity(self):
         alg = builtin("H_C:1")
         with pytest.raises(ValueError, match="undefined at the identity"):
-            inversion.sigma(hgroup.identity(alg))
+            inversion.sigma_arrays(alg, np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)))
 
     @pytest.mark.parametrize("name", H_TYPE_NAMES + ["truncated_HH"])
     def test_involution(self, name):
@@ -87,8 +100,11 @@ class TestVerifyInversion:
         p, q = report.worst_pair
         # replay the worst pair through the identity by hand
         alg = p.algebra
-        r = (hgroup.gauge_dist(inversion.sigma(p), inversion.sigma(q))
-             * hgroup.gauge(p) * hgroup.gauge(q) / hgroup.gauge_dist(p, q))
+        pv, pz, qv, qz = p.v[None], p.z[None], q.v[None], q.z[None]
+        d_image = hgroup.gauge_dist_arrays(alg, *inversion.sigma_arrays(alg, pv, pz),
+                                           *inversion.sigma_arrays(alg, qv, qz))[0]
+        r = (d_image * hgroup.gauge(p) * hgroup.gauge(q)
+             / hgroup.gauge_dist_arrays(alg, pv, pz, qv, qz)[0])
         assert abs(r - 1.0) == pytest.approx(report.max_relative_deviation, rel=1e-12)
 
     def test_threads_do_not_change_the_report(self):
@@ -125,21 +141,19 @@ class TestVerifyInversion:
 class TestPhiAt:
     def test_phi_at_identity_extends_sigma(self):
         alg = builtin("H_C:1")
-        phi = inversion.phi_at(hgroup.identity(alg))
         v, z = sample(alg, 100, seed=4)
+        image = inversion.phi_at(alg, finite(np.zeros_like(v), np.zeros_like(z)), finite(v, z))
         sv, sz = inversion.sigma_arrays(alg, v, z)
-        for i in range(100):
-            image = phi(hgroup.point(alg, v[i], z[i]))
-            assert np.allclose(image.v, sv[i], atol=1e-12)
-            assert np.allclose(image.z, sz[i], atol=1e-12)
+        assert not np.any(image.inf)
+        assert np.allclose(image.v, sv, atol=1e-12)
+        assert np.allclose(image.z, sz, atol=1e-12)
 
     def test_center_swaps_with_infinity(self):
         alg = builtin("H_H:1")
-        v, z = sample(alg, 1, seed=5)
-        x = hgroup.point(alg, v[0], z[0])
-        phi = inversion.phi_at(x)
-        assert isinstance(phi(x), PointAtInfinity)
-        back = phi(INFINITY)
+        x = finite(*sample(alg, 5, seed=5))
+        assert np.all(inversion.phi_at(alg, x, x).inf)
+        back = inversion.phi_at(alg, x, infinite(alg, 5))
+        assert not np.any(back.inf)
         assert np.array_equal(back.v, x.v) and np.array_equal(back.z, x.z)
 
     def test_involution_on_random_points(self):
@@ -151,96 +165,85 @@ class TestPhiAt:
         wv, wz = sample(alg, 10000, seed=7)
 
         def phi(pv, pz):
-            sv, sz = inversion.sigma_arrays(
-                alg, *hgroup.group_mul_arrays(alg, -x_v, -x_z, pv, pz))
-            return hgroup.group_mul_arrays(alg, x_v, x_z, sv, sz)
+            sv, sz = inversion.sigma_arrays(alg, *hgroup.group_mul(alg, -x_v, -x_z, pv, pz))
+            return hgroup.group_mul(alg, x_v, x_z, sv, sz)
 
         bv, bz = phi(*phi(wv, wz))
         worst = max(np.max(np.abs(bv - wv)), np.max(np.abs(bz - wz)))
         assert worst <= 1e-9
-        # spot-check agreement with the scalar map
-        scalar = inversion.phi_at(hgroup.point(alg, v[0], z[0]))
-        image = scalar(hgroup.point(alg, wv[0], wz[0]))
-        one_v, one_z = phi(wv[:1], wz[:1])
-        assert np.allclose(image.v, one_v[0], atol=1e-12)
-        assert np.allclose(image.z, one_z[0], atol=1e-12)
+        # the library map agrees with the hand composition
+        x = finite(x_v, x_z)
+        image = inversion.phi_at(alg, x, finite(wv, wz))
+        assert np.array_equal(image.v, phi(wv, wz)[0])
+        assert np.array_equal(image.z, phi(wv, wz)[1])
+        back = inversion.phi_at(alg, x, image)
+        assert max(np.max(np.abs(back.v - wv)), np.max(np.abs(back.z - wz))) <= 1e-9
 
 
 class TestPairTransporter:
-    def rand(self, alg, rng, radius=1.0):
-        v, z = hgroup.sample_with_rng(alg, 1, radius, rng)
-        return hgroup.point(alg, v[0], z[0])
+    def rand(self, alg, rng, count=200, radius=1.0):
+        return finite(*hgroup.sample_with_rng(alg, count, radius, rng))
 
     @pytest.mark.parametrize("name", ["H_C:1", "H_H:1", "H_O"])
     def test_all_finite_branch(self, name):
         alg = builtin(name)
         rng = np.random.default_rng(8)
-        for _ in range(200):
-            x, xp, y, yp = (self.rand(alg, rng) for _ in range(4))
-            g = inversion.pair_transporter(x, xp, y, yp)
-            assert hgroup.gauge_dist(g(x), xp) <= 1e-9
-            assert hgroup.gauge_dist(g(y), yp) <= 1e-9
+        x, xp, y, yp = (self.rand(alg, rng) for _ in range(4))
+        assert np.max(dist(alg, inversion.pair_transporter(alg, x, xp, y, yp, x), xp)) <= 1e-9
+        assert np.max(dist(alg, inversion.pair_transporter(alg, x, xp, y, yp, y), yp)) <= 1e-9
 
     def test_x_infinite_branch(self):
         alg = builtin("H_H:1")
         rng = np.random.default_rng(9)
-        for _ in range(200):
-            xp, y, yp = (self.rand(alg, rng) for _ in range(3))
-            g = inversion.pair_transporter(INFINITY, xp, y, yp)
-            assert hgroup.gauge_dist(g(INFINITY), xp) <= 1e-9
-            assert hgroup.gauge_dist(g(y), yp) <= 1e-9
+        xp, y, yp = (self.rand(alg, rng) for _ in range(3))
+        inf = infinite(alg, 200)
+        assert np.max(dist(alg, inversion.pair_transporter(alg, inf, xp, y, yp, inf), xp)) <= 1e-9
+        assert np.max(dist(alg, inversion.pair_transporter(alg, inf, xp, y, yp, y), yp)) <= 1e-9
 
     def test_x_prime_infinite_branch(self):
         alg = builtin("H_H:1")
         rng = np.random.default_rng(10)
-        for _ in range(200):
-            x, y, yp = (self.rand(alg, rng) for _ in range(3))
-            g = inversion.pair_transporter(x, INFINITY, y, yp)
-            assert isinstance(g(x), PointAtInfinity)
-            assert hgroup.gauge_dist(g(y), yp) <= 1e-9
+        x, y, yp = (self.rand(alg, rng) for _ in range(3))
+        inf = infinite(alg, 200)
+        assert np.all(inversion.pair_transporter(alg, x, inf, y, yp, x).inf)
+        assert np.max(dist(alg, inversion.pair_transporter(alg, x, inf, y, yp, y), yp)) <= 1e-9
 
     def test_both_infinite_branch(self):
         alg = builtin("H_C:1")
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            y, yp = (self.rand(alg, rng) for _ in range(2))
-            g = inversion.pair_transporter(INFINITY, INFINITY, y, yp)
-            assert isinstance(g(INFINITY), PointAtInfinity)
-            assert hgroup.gauge_dist(g(y), yp) <= 1e-9
+        y, yp = (self.rand(alg, rng) for _ in range(2))
+        inf = infinite(alg, 200)
+        assert np.all(inversion.pair_transporter(alg, inf, inf, y, yp, inf).inf)
+        assert np.max(dist(alg, inversion.pair_transporter(alg, inf, inf, y, yp, y), yp)) <= 1e-9
 
     def test_equal_pair_branch(self):
         alg = builtin("H_C:1")
         rng = np.random.default_rng(12)
-        for _ in range(200):
-            x, xp = (self.rand(alg, rng) for _ in range(2))
-            g = inversion.pair_transporter(x, xp, x, xp)
-            assert hgroup.gauge_dist(g(x), xp) <= 1e-9
+        x, xp = (self.rand(alg, rng) for _ in range(2))
+        assert np.max(dist(alg, inversion.pair_transporter(alg, x, xp, x, xp, x), xp)) <= 1e-9
         # fixing two finite points: x = x', y = y', x != y
-        x, y = (self.rand(alg, rng) for _ in range(2))
-        g = inversion.pair_transporter(x, x, y, y)
-        assert hgroup.gauge_dist(g(x), x) <= 1e-9
-        assert hgroup.gauge_dist(g(y), y) <= 1e-9
+        y = self.rand(alg, rng)
+        assert np.max(dist(alg, inversion.pair_transporter(alg, x, x, y, y, x), x)) <= 1e-9
+        assert np.max(dist(alg, inversion.pair_transporter(alg, x, x, y, y, y), y)) <= 1e-9
 
     def test_equal_pair_with_infinity(self):
         alg = builtin("H_C:1")
         rng = np.random.default_rng(13)
-        x = self.rand(alg, rng)
-        xp = self.rand(alg, rng)
-        g = inversion.pair_transporter(INFINITY, xp, INFINITY, xp)
-        assert hgroup.gauge_dist(g(INFINITY), xp) <= 1e-9
-        g = inversion.pair_transporter(x, INFINITY, x, INFINITY)
-        assert isinstance(g(x), PointAtInfinity)
-        g = inversion.pair_transporter(INFINITY, INFINITY, INFINITY, INFINITY)
-        assert isinstance(g(INFINITY), PointAtInfinity)
+        x, xp = (self.rand(alg, rng, count=1) for _ in range(2))
+        inf = infinite(alg, 1)
+        g_inf = inversion.pair_transporter(alg, inf, xp, inf, xp, inf)
+        assert np.max(dist(alg, g_inf, xp)) <= 1e-9
+        assert np.all(inversion.pair_transporter(alg, x, inf, x, inf, x).inf)
+        assert np.all(inversion.pair_transporter(alg, inf, inf, inf, inf, inf).inf)
 
     def test_degenerate_quadruples_rejected(self):
         alg = builtin("H_C:1")
         rng = np.random.default_rng(14)
-        a, b, c = (self.rand(alg, rng) for _ in range(3))
+        a, b, c = (self.rand(alg, rng, count=3) for _ in range(3))
         with pytest.raises(ValueError, match="degenerate quadruple"):
-            inversion.pair_transporter(a, b, a, c)  # x = y but x' != y'
+            inversion.pair_transporter(alg, a, b, a, c, a)  # x = y but x' != y'
         with pytest.raises(ValueError, match="degenerate quadruple"):
-            inversion.pair_transporter(a, b, c, b)  # x' = y' but x != y
+            inversion.pair_transporter(alg, a, b, c, b, a)  # x' = y' but x != y
 
     def test_numeric_path_is_continuous_at_the_anchor(self):
         # a slightly perturbed anchor goes through the numeric factorization
@@ -248,11 +251,38 @@ class TestPairTransporter:
         # so the tolerance is much coarser than the anchor's exact hit)
         alg = builtin("H_H:1")
         rng = np.random.default_rng(15)
-        for _ in range(50):
-            x, xp, y, yp = (self.rand(alg, rng) for _ in range(4))
-            g = inversion.pair_transporter(x, xp, y, yp)
-            nudged = hgroup.point(alg, y.v + 1e-12, y.z)
-            assert hgroup.gauge_dist(g(nudged), yp) <= 1e-3
+        x, xp, y, yp = (self.rand(alg, rng, count=50) for _ in range(4))
+        nudged = finite(y.v + 1e-12, y.z)
+        assert np.max(dist(alg, inversion.pair_transporter(alg, x, xp, y, yp, nudged), yp)) <= 1e-3
+
+
+class TestTransportErrors:
+    def test_nan_deviation_fails_the_sweep(self, monkeypatch):
+        real = inversion._gauge_cross_ratios
+
+        def one_nan(alg, points):
+            ratios = real(alg, points)
+            ratios[3] = np.nan
+            return ratios
+
+        monkeypatch.setattr(inversion, "_gauge_cross_ratios", one_nan)
+        report = inversion.transport_errors(builtin("H_C:1"), 10, seed=1)
+        assert report.max_gauge_error == 0.0
+        assert all(np.isnan(d) for d in report.cross_ratio_per_branch.values())
+        assert np.isnan(report.max_cross_ratio_deviation) and not report.passed
+
+    @pytest.mark.parametrize("radius", [1e-30, 1e-3, 100.0, 1e30])
+    def test_verdict_is_free_of_the_scale(self, radius):
+        # composed at unit scale; otherwise 1.7e-2 at radius 1e-3 and 1.8e-5 at 10 on H_C:1
+        good = inversion.transport_errors(builtin("H_C:1"), 300, radius=radius, seed=2)
+        bad = inversion.transport_errors(builtin("truncated_HH"), 300, radius=radius, seed=2)
+        assert good.passed and good.max_gauge_error == 0.0
+        assert good.max_cross_ratio_deviation <= 1e-11
+        assert not bad.passed and bad.max_cross_ratio_deviation > 1.0
+
+    def test_trials_precondition(self):
+        with pytest.raises(ValueError, match="trials"):
+            inversion.transport_errors(builtin("H_C:1"), 0)
 
 
 class TestQuasiconformalityOfSigma:
