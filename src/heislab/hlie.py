@@ -86,15 +86,29 @@ class HTypeAlgebra:
         return stack
 
     @cached_property
-    def _upper_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Nonzero strictly-upper structure entries, plus a center selector matrix."""
+    def _j_columns(self) -> np.ndarray:
+        """The structure tensor as a (dim_v, dim_z * dim_v) matrix M, so that
+        ``(x @ M)[k * dim_v + j] = (J_{Z_k} x)_j``."""
+        matrix = self.structure.transpose(1, 0, 2).reshape(self.dim_v, self.dim_z * self.dim_v)
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
+    def _bracket_slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Strictly-upper structure entries as (slots, dim_z) arrays i, j, coeff.
+
+        Slot p holds, for each center direction k, its p-th entry in (i, j)
+        order; directions with fewer entries are padded with coefficient 0.
+        """
         k, i, j = np.nonzero(self.structure)
         keep = i < j
         k, i, j = k[keep], i[keep], j[keep]
-        coeff = self.structure[k, i, j]
-        selector = np.zeros((k.size, self.dim_z))
-        selector[np.arange(k.size), k] = 1.0
-        return i, j, coeff, selector
+        slot = np.arange(k.size) - np.searchsorted(k, k)  # rank within direction k
+        shape = (int(slot.max(initial=-1)) + 1, self.dim_z)
+        first, second = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+        coeff = np.zeros(shape)
+        first[slot, k], second[slot, k], coeff[slot, k] = i, j, self.structure[k, i, j]
+        return first, second, coeff
 
     @cached_property
     def fingerprint(self) -> str:
@@ -116,24 +130,45 @@ def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     Leading dimensions broadcast, so ``x[:, None]`` against ``y[None]``
     gives the bracket of every pair of rows.
 
-    Evaluated over strictly-upper structure entries as
-    ``sum B[k,i,j] (x_i y_j - x_j y_i)``, which keeps the bracket exactly
-    antisymmetric in floating point: [x, x] = 0 and [x, y] = -[y, x]
-    bitwise, so gauge distances vanish on, and are symmetric across,
-    coincident points.
+    Evaluated as ``sum B[k,i,j] (x_i y_j - x_j y_i)`` over the strictly-upper
+    structure entries, which keeps the bracket exactly antisymmetric in
+    floating point: [x, x] = 0 and [x, y] = -[y, x] bitwise, so gauge
+    distances vanish on, and are symmetric across, coincident points.  The
+    entries of each center direction are summed in one fixed order, so a
+    row's bracket does not depend on how many rows share the call; a BLAS
+    product against a coefficient matrix does not guarantee that (its
+    one-row path reorders sums of three or more terms).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    i, j, coeff, selector = alg._upper_entries
-    if i.size == 0:
-        return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (alg.dim_z,))
-    terms = coeff * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
-    return np.einsum("...m,mk->...k", terms, selector)
+    i, j, coeff = alg._bracket_slots
+    terms = coeff * (x[..., i] * y[..., j] - x[..., j] * y[..., i])  # (..., slots, dim_z)
+    out = np.zeros(terms.shape[:-2] + (alg.dim_z,))
+    for slot in range(terms.shape[-2]):
+        out += terms[..., slot, :]
+    return out
+
+
+def _j_images(alg: HTypeAlgebra, x_rows: np.ndarray) -> np.ndarray:
+    """``J_{Z_k} x_rows[s]`` for every row s and center basis vector Z_k;
+    returns (n, dim_z, dim_v)."""
+    return (x_rows @ alg._j_columns).reshape(x_rows.shape[0], alg.dim_z, alg.dim_v)
 
 
 def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v)."""
-    return np.einsum("sk,kij,si->sj", z_rows, alg.structure, x_rows)
+    """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v).
+
+    The images under every J_{Z_k} come from one matrix product, weighted
+    by z_rows[s, k] and summed.  Rows run in blocks of a fixed size, which
+    bounds the (rows, dim_z * dim_v) intermediate.
+    """
+    z_rows = np.asarray(z_rows, dtype=np.float64)
+    x_rows = np.asarray(x_rows, dtype=np.float64)
+    out = np.empty(x_rows.shape)
+    for start in range(0, x_rows.shape[0], _algebra._ROW_BLOCK):
+        rows = slice(start, start + _algebra._ROW_BLOCK)
+        np.einsum("sk,skj->sj", z_rows[rows], _j_images(alg, x_rows[rows]), out=out[rows])
+    return out
 
 
 def _unit_rows(rng: np.random.Generator, count: int, dim: int, floor: float = 1e-8) -> np.ndarray:
@@ -242,8 +277,7 @@ def _j2_residuals(alg: HTypeAlgebra, x: np.ndarray, z: np.ndarray,
     """Distance of J_z J_z' x from span{J_{Z_k} x}, for unit rows x, z, z'."""
     inner = apply_j_rows(alg, zp, x)
     target = apply_j_rows(alg, z, inner)
-    # generators[s, k, :] = J_{Z_k} x_s
-    generators = np.einsum("kij,si->skj", alg.structure, x)
+    generators = _j_images(alg, x)
     gram = np.einsum("skv,slv->skl", generators, generators)
     rhs = np.einsum("skv,sv->sk", generators, target)
     coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]

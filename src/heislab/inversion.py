@@ -114,35 +114,51 @@ def phi_at(alg: HTypeAlgebra, x: ExtendedPoints, w: ExtendedPoints) -> ExtendedP
     return ExtendedPoints(v, z, inf)
 
 
+def _unit_scale(*points: ExtendedPoints) -> np.ndarray:
+    """Per row, the power of two nearest the size of the points: the largest
+    |v_i| or sqrt|z_k|, which unlike the gauge does not underflow.  Dilating
+    by its reciprocal brings the row to unit scale, exactly."""
+    size = np.max([np.maximum(np.max(np.abs(p.v), axis=1, initial=0.0),
+                              np.sqrt(np.max(np.abs(p.z), axis=1, initial=0.0)))
+                   for p in points], axis=0)
+    return np.exp2(np.round(np.log2(np.where(size > 0.0, size, 1.0))))
+
+
+def _concat(*points: ExtendedPoints) -> ExtendedPoints:
+    return ExtendedPoints(*(np.concatenate(parts) for parts in zip(*points)))
+
+
 def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoints,
                      y: ExtendedPoints, y_prime: ExtendedPoints,
                      w: ExtendedPoints) -> ExtendedPoints:
     """Rowwise image of w under a map g of the extension with g(x) = x' and g(y) = y'.
 
-    Requires x' = y' exactly where x = y.  The map is
-    ``phi_{x'} . l_m . phi_x`` with ``m = phi_{x'}(y') phi_x(y)^{-1}``.  Where
-    x = y both middle points are infinite, so m has zero coordinates and is
-    the identity.  x reaches x' exactly: phi_x sends it to infinity, which
-    l_m fixes and phi_{x'} sends to x'.  Rows of w equal to y return y'
-    exactly.  There the composite collapses algebraically, and without the
-    anchor the fourth-root scaling of the gauge would inflate one rounding of
-    a central coordinate into a visible gauge error (7.7e-7 on H_O over
-    1000 seeded trials).
+    w holds one or more blocks of rows, each block paired row for row with
+    the quadruple; everything that depends only on the quadruple is
+    computed once for all blocks.  Requires x' = y' exactly where x = y.
+    The map is ``phi_{x'} . l_m . phi_x`` with ``m = phi_{x'}(y') phi_x(y)^{-1}``.
+    Where x = y both middle points are infinite, so m has zero coordinates
+    and is the identity.  x reaches x' exactly: phi_x sends it to infinity,
+    which l_m fixes and phi_{x'} sends to x'.  Rows of w equal to y return
+    y' exactly.  There the composite collapses algebraically, and without
+    the anchor the fourth-root scaling of the gauge would inflate one
+    rounding of a central coordinate into a visible gauge error (7.7e-7 on
+    H_O over 1000 seeded trials).
 
-    Each row is composed at unit scale: it is dilated by the power of two
-    nearest the reciprocal of the size of x, x', y, y' (the largest |v_i|
-    or sqrt|z_k|, which unlike the gauge does not underflow), and the image
-    is dilated back.  Power-of-two dilations are exact, so the targets
-    stay exact.  Far from unit scale phi_x and l_m meet at reciprocal
-    scales, and their sums round away the central coordinates of w: on
-    H_C:1 the cross-ratio deviation of free points reached 1.8e-5 at radius
-    10 and 1.7e-2 at radius 1e-3.
+    Each row is composed at unit scale: it is dilated by the reciprocal of
+    the :func:`_unit_scale` of x, x', y, y', and the image is dilated back.
+    Power-of-two dilations are exact, so the targets stay exact.  Far from
+    unit scale phi_x and l_m meet at reciprocal scales, and their sums
+    round away the central coordinates of w: on H_C:1 the cross-ratio
+    deviation of free points reached 1.8e-5 at radius 10 and 1.7e-2 at
+    radius 1e-3.
     """
-    size = np.max([np.maximum(np.max(np.abs(p.v), axis=1, initial=0.0),
-                              np.sqrt(np.max(np.abs(p.z), axis=1, initial=0.0)))
-                   for p in (x, x_prime, y, y_prime)], axis=0)
-    scale = np.exp2(np.round(np.log2(np.where(size > 0.0, size, 1.0))))
-    x, x_prime, y, y_prime, w = (_dilate(p, 1.0 / scale) for p in (x, x_prime, y, y_prime, w))
+    rows = x.inf.size
+    blocks = w.inf.size // max(rows, 1)
+    if blocks * rows != w.inf.size:
+        raise ValueError(f"w has {w.inf.size} rows, not a whole number of blocks of {rows}")
+    scale = _unit_scale(x, x_prime, y, y_prime)
+    x, x_prime, y, y_prime = (_dilate(p, 1.0 / scale) for p in (x, x_prime, y, y_prime))
     same = _equal(x, y)
     if np.any(same != _equal(x_prime, y_prime)):
         raise ValueError("degenerate quadruple: x' = y' must hold exactly when x = y")
@@ -151,6 +167,9 @@ def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoin
     if np.any((fy.inf | ly.inf) & ~same):
         raise ValueError("degenerate quadruple: transported middle point is infinite")
     mv, mz = group_mul(alg, ly.v, ly.z, -fy.v, -fy.z)
+    x, x_prime, y, y_prime = (_concat(*[p] * blocks) for p in (x, x_prime, y, y_prime))
+    mv, mz, scale = (np.concatenate([a] * blocks) for a in (mv, mz, scale))
+    w = _dilate(w, 1.0 / scale)
     fw = phi_at(alg, x, w)
     tv, tz = group_mul(alg, mv, mz, fw.v, fw.z)
     moved = ExtendedPoints(np.where(fw.inf[:, None], 0.0, tv),
@@ -160,10 +179,6 @@ def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoin
     return _dilate(ExtendedPoints(np.where(anchor[:, None], y_prime.v, image.v),
                                   np.where(anchor[:, None], y_prime.z, image.z),
                                   np.where(anchor, y_prime.inf, image.inf)), scale)
-
-
-def _concat(*points: ExtendedPoints) -> ExtendedPoints:
-    return ExtendedPoints(*(np.concatenate(parts) for parts in zip(*points)))
 
 
 def _gauge_errors(alg: HTypeAlgebra, image: ExtendedPoints,
@@ -195,16 +210,17 @@ def _sweep_chunk(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> dict[str, t
     branches = {"finite": (x, xp, y, yp), "x_infinite": (infinity, xp, y, yp),
                 "x_prime_infinite": (x, infinity, y, yp), "x_equals_y": (x, xp, x, xp)}
     worst = {}
-    # coincident or underflowing free points give inf/NaN ratios, which fail the sweep
+    # coincident free points give inf/NaN ratios, which fail the sweep
     with np.errstate(divide="ignore", invalid="ignore"):
-        before = _gauge_cross_ratios(alg, free)
         for branch, (bx, bxp, by, byp) in branches.items():
-            image = pair_transporter(alg, *(_concat(*[p] * 6) for p in (bx, bxp, by, byp)),
-                                     _concat(bx, by, *free))
+            image = pair_transporter(alg, bx, bxp, by, byp, _concat(bx, by, *free))
             blocks = [ExtendedPoints(*(a[k * count:(k + 1) * count] for a in image))
                       for k in range(6)]
             error = _gauge_errors(alg, _concat(*blocks[:2]), _concat(bxp, byp))
-            ratio = _gauge_cross_ratios(alg, blocks[2:]) / before
+            # both cross-ratios at the transporter's unit scale, where no gauge under- or overflows
+            shrink = 1.0 / _unit_scale(bx, bxp, by, byp)
+            ratio = (_gauge_cross_ratios(alg, [_dilate(p, shrink) for p in blocks[2:]])
+                     / _gauge_cross_ratios(alg, [_dilate(p, shrink) for p in free]))
             worst[branch] = (np.max(error), np.max(np.abs(ratio - 1.0)))
     return worst
 
@@ -234,8 +250,12 @@ def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
     seeded stream, in fixed chunks of trials that bound the memory.  Missing
     an infinite target counts as an infinite error.  The deviation is
     ``|CR(g p) / CR(p) - 1|`` of the gauge cross-ratio, which a
-    1-quasiconformal map of a J^2 group keeps.  The sweep passes when every
-    error and every deviation is at most ``tol``; a NaN deviation fails it.
+    1-quasiconformal map of a J^2 group keeps.  Both ratios are taken with
+    the free points and their images dilated to the unit scale of the
+    trial's quadruple, which keeps every gauge finite and nonzero from
+    radius 1e-150 to 1e150 (below about 1e-154 the square of the dilation
+    factor overflows).  The sweep passes when every error and every
+    deviation is at most ``tol``; a NaN deviation fails it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

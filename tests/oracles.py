@@ -1,13 +1,22 @@
 """Test oracles and fixtures: the bracket and the J-map of single vectors,
 which the library evaluates only rowwise (``hlie.bracket_arrays``,
-``hlie.apply_j_rows``), and an algebra-spec writer, which it does not need."""
+``hlie.apply_j_rows``); einsum forms of the three bilinear kernels
+(``hlie.bracket_arrays``, ``hlie.apply_j_rows``, ``algebra.mul_arrays``),
+as the library evaluated them before it used cached structure matrices;
+and an algebra-spec writer, which the library does not need."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 
+from heislab.algebra import _ROW_BLOCK, AlgebraKind, multiplication_tensor
 from heislab.hlie import HTypeAlgebra, bracket_arrays
+
+
+# Row counts that cover the kernels' row blocks: one row, one block and one
+# block +- 1, three blocks + 5.
+ROW_COUNTS = [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5]
 
 
 def _require_horizontal(alg: HTypeAlgebra, x: np.ndarray, name: str) -> np.ndarray:
@@ -30,6 +39,30 @@ def j_map(alg: HTypeAlgebra, z) -> np.ndarray:
     if z.shape != (alg.dim_z,):
         raise ValueError(f"z has shape {z.shape}, expected ({alg.dim_z},) for {alg.label}")
     return np.einsum("k,kij->ji", z, alg.structure)
+
+
+def bracket_einsum(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Reference rowwise bracket: the strictly-upper terms contracted with a center selector."""
+    k, i, j = np.nonzero(alg.structure)
+    keep = i < j
+    k, i, j = k[keep], i[keep], j[keep]
+    coeff = alg.structure[k, i, j]
+    selector = np.zeros((k.size, alg.dim_z))
+    selector[np.arange(k.size), k] = 1.0
+    if i.size == 0:
+        return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (alg.dim_z,))
+    terms = coeff * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
+    return np.einsum("...m,mk->...k", terms, selector)
+
+
+def apply_j_rows_einsum(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
+    """Reference rowwise J-map: one three-operand einsum against the structure tensor."""
+    return np.einsum("sk,kij,si->sj", z_rows, alg.structure, x_rows)
+
+
+def mul_arrays_einsum(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reference rowwise division-algebra product against the multiplication tensor."""
+    return np.einsum("ni,nj,ijk->nk", a, b, multiplication_tensor(kind))
 
 
 def write_algebra_spec(alg: HTypeAlgebra, path) -> None:

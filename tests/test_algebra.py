@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from heislab import algebra as al
 from heislab.algebra import AlgebraKind
+from oracles import ROW_COUNTS, mul_arrays_einsum
 
 ALL_KINDS = list(AlgebraKind)
 
@@ -104,6 +105,7 @@ class TestBasisProducts:
         assert np.linalg.norm(product) ** 2 == pytest.approx(2.0, abs=1e-14)
 
     def test_random_products_against_oracle(self):
+        # and bitwise the einsum form
         rng = np.random.default_rng(1)
         for kind in ALL_KINDS:
             a = rng.standard_normal((20, kind.dim))
@@ -111,6 +113,15 @@ class TestBasisProducts:
             got = al.mul_arrays(kind, a, b)
             for row, x, y in zip(got, a, b):
                 assert np.allclose(row, brute_force_product(kind, x, y), atol=1e-14)
+            assert np.array_equal(got, mul_arrays_einsum(kind, a, b))
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_row_blocks(self, kind, rows):
+        rng = np.random.default_rng(rows)
+        a = rng.standard_normal((rows, kind.dim))
+        b = rng.standard_normal((rows, kind.dim))
+        assert np.array_equal(al.mul_arrays(kind, a, b), mul_arrays_einsum(kind, a, b))
 
     def test_quaternion_table_is_standard(self):
         k = AlgebraKind.QUATERNION

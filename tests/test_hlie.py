@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from heislab import algebra as al
 from heislab import hlie
 from heislab.algebra import AlgebraKind
-from oracles import bracket, j_map, write_algebra_spec
+from oracles import (ROW_COUNTS, apply_j_rows_einsum, bracket, bracket_einsum, j_map,
+                     write_algebra_spec)
 
 HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -19,6 +20,30 @@ HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 def every_builtin():
     return [hlie.algebra_from_name(name) for name in
             HEISENBERG_NAMES + ["truncated_HH"]]
+
+
+def kernel_algebras():
+    """Every builtin algebra with both controls, for the kernel oracle tests."""
+    return every_builtin() + [hlie.make_degenerate_direct_sum()]
+
+
+@pytest.fixture
+def dense_spec(tmp_path):
+    """A spec-file algebra whose every bracket coefficient is nonzero and
+    non-unit, so that each center direction and each J-image sums several terms."""
+    rng = np.random.default_rng(40)
+    dim_v, dim_z = 6, 3
+    entries = [[i, j, k, float(rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 3.0))]
+               for i in range(1, dim_v + 1) for j in range(i + 1, dim_v + 1)
+               for k in range(1, dim_z + 1)]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"label": "dense", "dim_v": dim_v, "dim_z": dim_z,
+                                "entries": entries}))
+    return hlie.load_algebra_spec(path)
+
+
+def assert_close_relative(got, expected, rel=1e-15):
+    assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
 
 
 class TestBracket:
@@ -38,13 +63,30 @@ class TestBracket:
         assert np.array_equal(bracket(alg, np.eye(4)[0], np.eye(4)[3]), [0, 0, 1.0])
 
     def test_exact_antisymmetry_in_floats(self):
-        alg = hlie.algebra_from_name("H_O")
+        # and bitwise agreement with the einsum form, at any row count
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((500, alg.dim_v))
-        y = rng.standard_normal((500, alg.dim_v))
-        forward = hlie.bracket_arrays(alg, x, y)
-        backward = hlie.bracket_arrays(alg, y, x)
-        assert np.array_equal(forward, -backward)
+        for alg in kernel_algebras():
+            x = rng.standard_normal((500, alg.dim_v))
+            y = rng.standard_normal((500, alg.dim_v))
+            forward = hlie.bracket_arrays(alg, x, y)
+            backward = hlie.bracket_arrays(alg, y, x)
+            assert np.array_equal(forward, -backward), alg.label
+            assert np.array_equal(forward, bracket_einsum(alg, x, y)), alg.label
+            assert np.array_equal(hlie.bracket_arrays(alg, x, x), np.zeros((500, alg.dim_z)))
+            for rows in (1, 2, 3):
+                assert np.array_equal(hlie.bracket_arrays(alg, x[:rows], y[:rows]),
+                                      forward[:rows]), (alg.label, rows)
+
+    def test_dense_spec_algebra(self, dense_spec):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((500, dense_spec.dim_v))
+        y = rng.standard_normal((500, dense_spec.dim_v))
+        forward = hlie.bracket_arrays(dense_spec, x, y)
+        assert np.array_equal(forward, -hlie.bracket_arrays(dense_spec, y, x))
+        assert np.array_equal(hlie.bracket_arrays(dense_spec, x, x), np.zeros((500, 3)))
+        assert_close_relative(forward, bracket_einsum(dense_spec, x, y))
+        table = hlie.bracket_arrays(dense_spec, x[:40, None, :], x[None, :40, :])
+        assert np.array_equal(table, -table.transpose(1, 0, 2))
 
     def test_dimension_mismatch(self):
         alg = hlie.algebra_from_name("H_C:1")
@@ -65,14 +107,39 @@ class TestBracket:
 
 
 class TestApplyJRows:
-    @pytest.mark.parametrize("name", ["H_C:2", "H_O", "truncated_HH"])
+    @pytest.mark.parametrize("name", ["H_C:2", "H_O", "truncated_HH", "H_R:5", "H_C:1",
+                                      "H_C:3", "H_H:1", "H_H:2", "degenerate_sum"])
     def test_matches_the_j_matrices(self, name):
+        # and bitwise the einsum form
         alg = hlie.algebra_from_name(name)
         rng = np.random.default_rng(3)
         z = rng.standard_normal((20, alg.dim_z))
         x = rng.standard_normal((20, alg.dim_v))
         expected = np.stack([j_map(alg, zs) @ xs for zs, xs in zip(z, x)])
-        assert np.allclose(hlie.apply_j_rows(alg, z, x), expected, atol=1e-13)
+        got = hlie.apply_j_rows(alg, z, x)
+        assert np.allclose(got, expected, atol=1e-13)
+        assert np.array_equal(got, apply_j_rows_einsum(alg, z, x))
+
+    @pytest.mark.parametrize("rows", ROW_COUNTS)
+    @pytest.mark.parametrize("name", ["H_O", "H_H:2"])
+    def test_row_blocks(self, name, rows):
+        alg = hlie.algebra_from_name(name)
+        rng = np.random.default_rng(rows)
+        z = rng.standard_normal((rows, alg.dim_z))
+        x = rng.standard_normal((rows, alg.dim_v))
+        assert np.array_equal(hlie.apply_j_rows(alg, z, x), apply_j_rows_einsum(alg, z, x))
+
+    @pytest.mark.parametrize("rows", [20, al._ROW_BLOCK + 1, 3 * al._ROW_BLOCK + 5])
+    def test_dense_spec_algebra(self, dense_spec, rows):
+        rng = np.random.default_rng(rows)
+        z = rng.standard_normal((rows, dense_spec.dim_z))
+        x = rng.standard_normal((rows, dense_spec.dim_v))
+        assert_close_relative(hlie.apply_j_rows(dense_spec, z, x),
+                              apply_j_rows_einsum(dense_spec, z, x))
+
+    def test_no_rows(self):
+        alg = hlie.algebra_from_name("H_O")
+        assert hlie.apply_j_rows(alg, np.zeros((0, 7)), np.zeros((0, 8))).shape == (0, 8)
 
 
 class TestJMap:

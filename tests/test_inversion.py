@@ -245,6 +245,18 @@ class TestPairTransporter:
         with pytest.raises(ValueError, match="degenerate quadruple"):
             inversion.pair_transporter(alg, a, b, c, b, a)  # x' = y' but x != y
 
+    def test_blocks_of_w_share_the_quadruple(self):
+        alg = builtin("H_O")
+        rng = np.random.default_rng(16)
+        x, xp, y, yp, w = (self.rand(alg, rng, count=30) for _ in range(5))
+        stacked = inversion.pair_transporter(alg, x, xp, y, yp, inversion._concat(w, x, y))
+        for k, block in enumerate((w, x, y)):
+            alone = inversion.pair_transporter(alg, x, xp, y, yp, block)
+            for got, expected in zip(stacked, alone):
+                assert np.array_equal(got[30 * k:30 * (k + 1)], expected)
+        with pytest.raises(ValueError, match="whole number of blocks"):
+            inversion.pair_transporter(alg, x, xp, y, yp, self.rand(alg, rng, count=31))
+
     def test_numeric_path_is_continuous_at_the_anchor(self):
         # a slightly perturbed anchor goes through the numeric factorization
         # and must land near the image (gauge is Holder-1/2 across the center,
@@ -271,9 +283,10 @@ class TestTransportErrors:
         assert all(np.isnan(d) for d in report.cross_ratio_per_branch.values())
         assert np.isnan(report.max_cross_ratio_deviation) and not report.passed
 
-    @pytest.mark.parametrize("radius", [1e-30, 1e-3, 100.0, 1e30])
+    @pytest.mark.parametrize("radius", [1e-150, 1e-30, 1e-3, 100.0, 1e30, 1e150])
     def test_verdict_is_free_of_the_scale(self, radius):
-        # composed at unit scale; otherwise 1.7e-2 at radius 1e-3 and 1.8e-5 at 10 on H_C:1
+        # composed at unit scale; otherwise 1.7e-2 at radius 1e-3 and 1.8e-5 at 10 on H_C:1.
+        # The cross-ratios are taken at unit scale too; otherwise NaN at 1e-150 and 1e150.
         good = inversion.transport_errors(builtin("H_C:1"), 300, radius=radius, seed=2)
         bad = inversion.transport_errors(builtin("truncated_HH"), 300, radius=radius, seed=2)
         assert good.passed and good.max_gauge_error == 0.0
