@@ -102,17 +102,25 @@ def lie() -> None:
     """Structure checks of step-two algebras."""
 
 
+_INERT_SAMPLES = "Recorded in the report for replay only; the certificate is exact."
+
+
 @lie.command("check-htype")
 @click.option("--algebra", "selector", required=True,
               help="Builtin name (H_R:n, H_C:n, H_H:n, H_O, truncated_HH, degenerate_sum) "
                    "or algebra-spec JSON path.")
-@click.option("--samples", type=int, default=10000, show_default=True)
+@click.option("--samples", type=int, default=10000, show_default=True, help=_INERT_SAMPLES)
 @click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
 @click.option("--expect", type=click.Choice(["htype", "not-htype"]), default=None,
               help="Fail (exit 2) unless the verdict matches.")
 @_common
 def lie_check_htype(selector, samples, tolerance, expect, seed, output, no_timestamp) -> None:
-    """Certify or refute |J_Z X| = |Z||X|."""
+    """Certify or refute |J_Z X| = |Z||X|, exactly.
+
+    The certificate is the Clifford relations over the center basis.
+    --samples and --seed are recorded in the report for replay only; they
+    change no verdict, residual or witness.
+    """
     alg = _load_algebra(selector)
     report = hlie.check_h_type(alg, samples=samples, tol=tolerance, seed=seed)
     _emit("lie check-htype", report, output, no_timestamp)
@@ -126,13 +134,18 @@ def lie_check_htype(selector, samples, tolerance, expect, seed, output, no_times
 @lie.command("check-j2")
 @click.option("--algebra", "selector", required=True,
               help="Builtin name or algebra-spec JSON path.")
-@click.option("--samples", type=int, default=10000, show_default=True)
+@click.option("--samples", type=int, default=10000, show_default=True, help=_INERT_SAMPLES)
 @click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
 @click.option("--expect", type=click.Choice(["j2", "not-j2"]), default=None,
               help="Fail (exit 2) unless the verdict matches.")
 @_common
 def lie_check_j2(selector, samples, tolerance, expect, seed, output, no_timestamp) -> None:
-    """Certify or refute the J^2-condition (requires a Heisenberg-type algebra)."""
+    """Certify or refute the J^2-condition, exactly (requires a Heisenberg-type algebra).
+
+    The certificate is the coefficients of one cubic per pair of center
+    basis vectors.  --samples and --seed are recorded in the report for
+    replay only; they change no verdict, residual or witness.
+    """
     alg = _load_algebra(selector)
     report = hlie.check_j2(alg, samples=samples, tol=tolerance, seed=seed)
     _emit("lie check-j2", report, output, no_timestamp)

@@ -24,14 +24,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from heislab.hgroup import (
-    GroupPoint,
-    dilate,
+    Point,
     dilate_arrays,
-    gauge,
     gauge_arrays,
     gauge_dist_arrays,
     group_mul,
-    point,
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
@@ -183,7 +180,7 @@ def dilation_map(alg: HTypeAlgebra, t: float) -> Callable:
     return apply
 
 
-def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> GroupPoint:
+def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Point:
     """A seeded uniform draw from the unit coordinate box, dilated to ``center_gauge``.
 
     It draws from the root stream of ``seed``, and :func:`estimate_qc_ratio`
@@ -191,14 +188,13 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Grou
     shares no draws with the radii.
     """
     v, z = sample_with_rng(alg, 1, 1.0, np.random.default_rng(seed))
-    center = point(alg, v[0], z[0])
-    g = gauge(center)
+    g = gauge_arrays(alg, v, z)[0]
     if g == 0.0:
         raise ValueError("degenerate random center")
-    return dilate(center_gauge / g, center)
+    return Point(*(row[0] for row in dilate_arrays(center_gauge / g, v, z)))
 
 
-def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: GroupPoint,
+def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
                       radii, samples: int = 20000, seed: int = 0) -> DistortionReport:
     """Monte-Carlo metric quasiconformality ratios of a self-map at one point.
 

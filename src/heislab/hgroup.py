@@ -13,12 +13,13 @@ is homogeneous of degree one under the dilations (v, z) -> (t v, t^2 z),
 and ``d(p, q) = ||q^{-1} p||`` is a left-invariant distance on every
 Heisenberg-type algebra (on other structure tensors it is only a
 quasimetric).  The kernels operate rowwise on (..., dim) coordinate arrays;
-a single point is a :class:`GroupPoint`, which reports write as ``{v, z}``.
+a report holds a single point as a :class:`Point`, which it writes as
+``{v, z}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +27,7 @@ from heislab.hlie import HTypeAlgebra, bracket_arrays
 from heislab.util import format_float
 
 __all__ = [
-    "GroupPoint",
-    "point",
-    "dilate",
-    "gauge",
+    "Point",
     "sample_arrays",
     "sample_with_rng",
     "group_mul",
@@ -41,46 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GroupPoint:
-    """A group element in exponential coordinates over its parent algebra."""
+class Point(NamedTuple):
+    """One group element: its horizontal and central coordinates."""
 
-    algebra: HTypeAlgebra = field(repr=False)  # so a report writes a point as {v, z}
     v: np.ndarray
     z: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=np.float64).copy()
-        z = np.asarray(self.z, dtype=np.float64).copy()
-        if v.shape != (self.algebra.dim_v,) or z.shape != (self.algebra.dim_z,):
-            raise ValueError(
-                f"coordinates of shape {v.shape}/{z.shape} do not match "
-                f"{self.algebra.label} (dim_v={self.algebra.dim_v}, dim_z={self.algebra.dim_z})"
-            )
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(z))):
-            raise ValueError("group point coordinates must be finite")
-        v.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "z", z)
-
-    def __repr__(self) -> str:
-        return f"GroupPoint({self.algebra.label}, v={self.v}, z={self.z})"
-
-
-def point(alg: HTypeAlgebra, v, z) -> GroupPoint:
-    return GroupPoint(alg, np.asarray(v, dtype=np.float64), np.asarray(z, dtype=np.float64))
-
-
-def dilate(t: float, p: GroupPoint) -> GroupPoint:
-    """The canonical dilation (v, z) -> (t v, t^2 z); a group automorphism."""
-    return GroupPoint(p.algebra, *dilate_arrays(t, p.v, p.z))
-
-
-def gauge(p: GroupPoint) -> float:
-    """The Koranyi gauge (|v|^4/16 + |z|^2)^(1/4); zero only at the identity."""
-    a = 0.25 * float(p.v @ p.v)
-    return float((a * a + p.z @ p.z) ** 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +101,18 @@ def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
 # ---------------------------------------------------------------------------
 # sampling
 
+_MIN_RADIUS = 1e-150
+
+
 def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Uniform draws from the bounding box of the gauge ball of the given radius.
 
     The box is |v_i| <= 2 r, |z_k| <= r^2 (the tight coordinate box of
     ``gauge <= r``).  Draw order is fixed: all horizontal coordinates first,
-    then all central ones.
+    then all central ones.  The radius must lie in [1e-150, about 9.5e153]:
+    above, the box width 2 r^2 overflows; below about 1.5e-154, r^2 is
+    subnormal and the central coordinates lose their precision.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -153,6 +121,9 @@ def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
     if not 2.0 * radius * radius < np.inf:
         raise ValueError(f"radius {radius} is too large: the width 2 r^2 of its "
                          "coordinate box overflows")
+    if radius < _MIN_RADIUS:
+        raise ValueError(f"radius {radius} is too small: below {_MIN_RADIUS} the central "
+                         "coordinates, of size r^2, near the float underflow")
     v = rng.uniform(-2.0 * radius, 2.0 * radius, size=(count, alg.dim_v))
     z = rng.uniform(-radius * radius, radius * radius, size=(count, alg.dim_z))
     return v, z

@@ -10,8 +10,9 @@ An algebra is of Heisenberg type when ``|J_Z X| = |Z||X|`` for all X, Z
 (equivalently ``J_Z^2 = -|Z|^2 I``).  A Heisenberg-type algebra satisfies
 the J^2-condition when for every X and every orthogonal pair Z, Z' in the
 center, ``J_Z J_{Z'} X`` again lies in the span of ``{J_W X : W in z}``.
-Both conditions are checked numerically here, with exact basis sweeps plus
-seeded random sampling.
+Both conditions are polynomial identities in the structure constants
+(Cowling-Dooley-Koranyi-Ricci 1991), and both are certified exactly here
+from the coefficients of those identities; no random sampling is involved.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -171,36 +173,6 @@ def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> n
     return out
 
 
-def _unit_rows(rng: np.random.Generator, count: int, dim: int, floor: float = 1e-8) -> np.ndarray:
-    out = np.empty((count, dim))
-    filled = 0
-    while filled < count:
-        cand = rng.standard_normal((count - filled, dim))
-        norms = np.linalg.norm(cand, axis=1)
-        ok = norms > floor
-        good = cand[ok] / norms[ok][:, None]
-        out[filled:filled + good.shape[0]] = good
-        filled += good.shape[0]
-    return out
-
-
-def _orthonormal_pairs(rng: np.random.Generator, count: int, dim: int,
-                       floor: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise orthonormal pairs via Gram-Schmidt, resampling degenerate draws."""
-    first = _unit_rows(rng, count, dim, floor)
-    second = np.empty_like(first)
-    need = np.arange(count)
-    while need.size:
-        cand = rng.standard_normal((need.size, dim))
-        cand -= np.sum(cand * first[need], axis=1, keepdims=True) * first[need]
-        norms = np.linalg.norm(cand, axis=1)
-        ok = norms > floor
-        rows = need[ok]
-        second[rows] = cand[ok] / norms[ok][:, None]
-        need = need[~ok]
-    return first, second
-
-
 @dataclass
 class HTypeReport(Report):
     """Outcome of the |J_Z X| = |Z||X| certification."""
@@ -216,7 +188,7 @@ class HTypeReport(Report):
 
 
 class J2Witness(NamedTuple):
-    """Unit rows x, z, z' whose ``J_z J_z' x`` lies farthest from span{J_W x}."""
+    """Unit rows x, z, z' whose ``J_z J_z' x`` lies off span{J_W x}."""
 
     x: np.ndarray
     z: np.ndarray
@@ -240,35 +212,21 @@ class J2Report(Report):
 
 def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
                  seed: int = 0) -> HTypeReport:
-    """Certify |J_Z X|^2 = |Z|^2 |X|^2 over a basis sweep plus random samples.
+    """Certify |J_Z X| = |Z||X| exactly, by the Clifford relations over the center basis.
 
-    The residual is relative, ``||J_Z X|^2 - |Z|^2|X|^2| / (|Z|^2|X|^2)``.
-    The basis sweep also checks the operator identity J_Z^2 + |Z|^2 I = 0
-    for each basis Z.  With an empty center the condition holds vacuously.
+    ``|J_Z X|^2 = sum_ab Z_a Z_b <X, S_ab X>`` with the symmetric matrices
+    ``S_ab = (J_a^T J_b + J_b^T J_a) / 2``, so the condition holds for all X
+    and Z exactly when ``S_ab = delta_ab I``.  The residual is the largest
+    entry of ``S_ab - delta_ab I``.  With an empty center the condition holds
+    vacuously.  ``samples`` and ``seed`` are recorded in the report for
+    replay only; they change no verdict or residual.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if alg.dim_z == 0:
-        return HTypeReport(alg.label, alg.fingerprint, True, 0.0, samples, tol, seed)
-
-    worst = 0.0
-    eye = np.eye(alg.dim_v)
-    for jk in alg.j_stack:
-        col_sq = np.sum(jk * jk, axis=0)  # |J_{Z_k} e_i|^2, target 1
-        worst = max(worst, float(np.max(np.abs(col_sq - 1.0))))
-        worst = max(worst, float(np.max(np.abs(jk @ jk + eye))))
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, alg.dim_v))
-    z = rng.standard_normal((samples, alg.dim_z))
-    x_sq = np.sum(x * x, axis=1)
-    z_sq = np.sum(z * z, axis=1)
-    keep = (x_sq > 1e-16) & (z_sq > 1e-16)
-    jx = apply_j_rows(alg, z[keep], x[keep])
-    target = z_sq[keep] * x_sq[keep]
-    residual = np.abs(np.sum(jx * jx, axis=1) - target) / target
-    if residual.size:
-        worst = max(worst, float(np.max(residual)))
+    gram = np.einsum("aij,bik->abjk", alg.j_stack, alg.j_stack)  # J_a^T J_b
+    clifford = 0.5 * (gram + gram.transpose(1, 0, 2, 3))
+    clifford -= np.einsum("ab,jk->abjk", np.eye(alg.dim_z), np.eye(alg.dim_v))
+    worst = float(np.max(np.abs(clifford), initial=0.0))
     return HTypeReport(alg.label, alg.fingerprint, worst <= tol, worst, samples, tol, seed)
 
 
@@ -285,14 +243,30 @@ def _j2_residuals(alg: HTypeAlgebra, x: np.ndarray, z: np.ndarray,
     return np.linalg.norm(target - projection, axis=1)
 
 
+def _j2_cubic(alg: HTypeAlgebra, a: int, b: int) -> np.ndarray:
+    """Coefficients T of ``F_ab(X)_i = sum_jkl T[i,j,k,l] X_j X_k X_l``, symmetric in
+    (j, k, l), for ``F_ab(X) = |X|^2 J_a J_b X - sum_c <J_c X, J_a J_b X> J_c X``."""
+    j = alg.j_stack
+    product = j[a] @ j[b]
+    cubic = np.einsum("ij,kl->ijkl", product, np.eye(alg.dim_v))
+    cubic -= np.tensordot(j, j.transpose(0, 2, 1) @ product, axes=(0, 0))
+    return sum(cubic.transpose(0, *order) for order in permutations((1, 2, 3))) / 6.0
+
+
 def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
              seed: int = 0) -> J2Report:
-    """Certify the J^2-condition over a basis sweep plus random samples.
+    """Certify the J^2-condition exactly, by the coefficients of one cubic per center pair.
 
-    Residuals are Euclidean distances of ``J_Z J_{Z'} X`` from the span of
-    ``{J_{Z_k} X}``, normalized by |Z||Z'||X| (all sampled at norm one).
-    Requires the algebra to pass the Heisenberg-type check first; a center
-    of dimension 0 or 1 satisfies the condition vacuously.
+    On a Heisenberg-type algebra the ``J_c X / |X|`` are orthonormal, and
+    ``J_z J_z' = sum_{a != b} z_a z'_b J_a J_b`` for orthogonal z, z'.  So the
+    condition holds exactly when, for every ordered pair a != b, the cubic
+    :func:`_j2_cubic` vanishes identically.  The residual is its largest
+    coefficient over all pairs.  The witness x is the normalized polarization
+    point ``e_j +- e_k +- e_l`` of that coefficient whose ``J_{e_a} J_{e_b} x``
+    lies farthest from span{J_W x}; polarization puts one of them off the
+    span.  Requires a Heisenberg-type algebra; a center of dimension 0 or 1
+    satisfies the condition vacuously.  ``samples`` and ``seed`` are recorded
+    in the report for replay only; they change no verdict, residual or witness.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -302,35 +276,23 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
             f"{alg.label} is not of Heisenberg type "
             f"(residual {precheck.max_residual:.3e}); the J^2 check does not apply"
         )
-    if alg.dim_z <= 1:
-        return J2Report(alg.label, alg.fingerprint, True, 0.0, None, samples, tol, seed)
-
-    xs, zs, zps = [], [], []
-    eye_v = np.eye(alg.dim_v)
-    eye_z = np.eye(alg.dim_z)
-    for a in range(alg.dim_v):
-        for b in range(alg.dim_z):
-            for c in range(alg.dim_z):
-                if b != c:
-                    xs.append(eye_v[a])
-                    zs.append(eye_z[b])
-                    zps.append(eye_z[c])
-    rng = np.random.default_rng(seed)
-    xs.append(_unit_rows(rng, samples, alg.dim_v))
-    z1, z2 = _orthonormal_pairs(rng, samples, alg.dim_z)
-    zs.append(z1)
-    zps.append(z2)
-    x = np.vstack([np.atleast_2d(t) for t in xs])
-    z = np.vstack([np.atleast_2d(t) for t in zs])
-    zp = np.vstack([np.atleast_2d(t) for t in zps])
-
-    residuals = _j2_residuals(alg, x, z, zp)
-    worst = float(np.max(residuals))
-    # earliest near-maximal triple, so basis witnesses win ties over samples
-    worst_index = int(np.argmax(residuals >= worst * (1.0 - 1e-12)))
-    ok = worst <= tol
-    witness = None if ok else J2Witness(x[worst_index], z[worst_index], zp[worst_index])
-    return J2Report(alg.label, alg.fingerprint, ok, worst, witness, samples, tol, seed)
+    worst, largest = 0.0, None
+    for a, b in permutations(range(alg.dim_z), 2):
+        cubic = np.abs(_j2_cubic(alg, a, b))
+        index = np.unravel_index(np.argmax(cubic), cubic.shape)
+        if cubic[index] > worst:
+            worst, largest = float(cubic[index]), (a, b, index[1:])
+    witness = None
+    if worst > tol:
+        a, b, (j, k, l) = largest
+        signs = np.array([[1, s, t] for s in (1, -1) for t in (1, -1)])  # e_j +- e_k +- e_l
+        x = signs @ np.eye(alg.dim_v)[[j, k, l]]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        z, zp = np.eye(alg.dim_z)[[a] * 4], np.eye(alg.dim_z)[[b] * 4]
+        best = int(np.argmax(_j2_residuals(alg, x, z, zp)))
+        witness = J2Witness(x[best], z[best], zp[best])
+    return J2Report(alg.label, alg.fingerprint, worst <= tol, worst, witness, samples, tol,
+                    seed)
 
 
 def _set_bracket(tensor: np.ndarray, k: int, i: int, j: int, value: float) -> None:

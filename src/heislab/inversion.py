@@ -36,12 +36,11 @@ import numpy as np
 
 from heislab.hlie import HTypeAlgebra, apply_j_rows, check_h_type
 from heislab.hgroup import (
-    GroupPoint,
+    Point,
     dilate_arrays,
     gauge_arrays,
     gauge_dist_arrays,
     group_mul,
-    point,
     sample_with_rng,
 )
 from heislab.util import Report
@@ -253,9 +252,9 @@ def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
     1-quasiconformal map of a J^2 group keeps.  Both ratios are taken with
     the free points and their images dilated to the unit scale of the
     trial's quadruple, which keeps every gauge finite and nonzero from
-    radius 1e-150 to 1e150 (below about 1e-154 the square of the dilation
-    factor overflows).  The sweep passes when every error and every
-    deviation is at most ``tol``; a NaN deviation fails it.
+    radius 1e-150, the smallest the sampler accepts, to 1e150.  The sweep
+    passes when every error and every deviation is at most ``tol``; a NaN
+    deviation fails it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -277,8 +276,8 @@ def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
 class WorstPair(NamedTuple):
     """The sampled pair with the largest deviation of the identity."""
 
-    p: GroupPoint
-    q: GroupPoint
+    p: Point
+    q: Point
 
 
 @dataclass
@@ -314,7 +313,9 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
     ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp[keep] * gq[keep] / d_pq[keep]
     deviation = np.abs(ratio - 1.0)
     worst = int(np.argmax(deviation))
-    pair = WorstPair(point(alg, vp[worst], zp[worst]), point(alg, vq[worst], zq[worst]))
+    # copies, so that a chunk's result does not keep its sample alive
+    pair = WorstPair(Point(vp[worst].copy(), zp[worst].copy()),
+                     Point(vq[worst].copy(), zq[worst].copy()))
     return used, float(deviation[worst]), pair
 
 

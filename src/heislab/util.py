@@ -14,8 +14,8 @@ __all__ = ["Report", "fingerprint_of_arrays", "canonical_json", "format_float"]
 class Report:
     """Base of the report dataclasses: ``to_dict`` is the JSON payload, keyed by field name.
 
-    Arrays become float lists; named tuples and nested dataclasses (a
-    ``GroupPoint`` gives ``{"v", "z"}``) become dicts.  A ``repr=False``
+    Arrays become float lists; named tuples (an ``hgroup.Point`` gives
+    ``{"v", "z"}``) and nested dataclasses become dicts.  A ``repr=False``
     field stays out, and so does a field that defaults to None and is None.
     """
 

@@ -76,8 +76,14 @@ class TestExitCodes:
          "radius must be positive and finite, got nan"),
         (["group", "distmat", "--algebra", "H_C:1", "--count", "3", "--radius", "inf"],
          "radius must be positive and finite, got inf"),
+        (["invert", "transport", "--algebra", "H_C:1", "--trials", "10", "--radius", "1e-200"],
+         "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
+         "near the float underflow"),
+        (["group", "sample", "--algebra", "H_C:1", "--count", "3", "--radius", "1e-200"],
+         "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
+         "near the float underflow"),
     ], ids=["verify-1e160", "verify-nan", "verify-inf", "sample-nan", "sample-inf",
-            "distmat-nan", "distmat-inf"])
+            "distmat-nan", "distmat-inf", "transport-1e-200", "sample-1e-200"])
     def test_unusable_radius_is_one_error_line(self, argv, message, capsys):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -161,7 +161,7 @@ class TestQcRatio:
     def test_random_center_is_a_dilated_root_draw(self):
         alg = builtin("H_H:1")
         c = dt.random_center(alg, 2.5, seed=30)
-        assert hgroup.gauge(c) == pytest.approx(2.5, rel=1e-14)
+        assert hgroup.gauge_arrays(alg, c.v, c.z) == pytest.approx(2.5, rel=1e-14)
         v, z = hgroup.sample_arrays(alg, 1, 1.0, seed=30)  # the root stream of the seed
         t = c.v[0] / v[0, 0]
         assert np.allclose(c.v, t * v[0], rtol=1e-14)

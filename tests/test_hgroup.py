@@ -61,16 +61,13 @@ class TestDilations:
     def test_unit_factor_is_identity(self):
         alg = builtin("H_C:1")
         v, z = random_points(alg, 1, seed=5)
-        p = hgroup.point(alg, v[0], z[0])
-        q = hgroup.dilate(1.0, p)
-        assert np.array_equal(q.v, p.v) and np.array_equal(q.z, p.z)
+        dv, dz = hgroup.dilate_arrays(1.0, v, z)
+        assert np.array_equal(dv, v) and np.array_equal(dz, z)
 
     def test_coordinates_scale_by_degree(self):
-        alg = builtin("H_H:1")
-        p = hgroup.point(alg, [1, 2, 3, 4], [5, 6, 7])
-        q = hgroup.dilate(2.0, p)
-        assert np.array_equal(q.v, [2, 4, 6, 8])
-        assert np.array_equal(q.z, [20, 24, 28])
+        v, z = hgroup.dilate_arrays(2.0, np.array([[1.0, 2, 3, 4]]), np.array([[5.0, 6, 7]]))
+        assert np.array_equal(v, [[2, 4, 6, 8]])
+        assert np.array_equal(z, [[20, 24, 28]])
 
     def test_automorphism(self):
         alg = builtin("H_O")
@@ -84,11 +81,10 @@ class TestDilations:
         assert np.max(np.abs(left[1] - right[1])) <= 1e-12
 
     def test_semigroup_property(self):
-        alg = builtin("H_C:1")
-        p = hgroup.point(alg, [1, 1], [1])
-        a = hgroup.dilate(2.0, hgroup.dilate(3.0, p))
-        b = hgroup.dilate(6.0, p)
-        assert np.allclose(a.v, b.v) and np.allclose(a.z, b.z)
+        v, z = np.array([[1.0, 1.0]]), np.array([[1.0]])
+        a = hgroup.dilate_arrays(2.0, *hgroup.dilate_arrays(3.0, v, z))
+        b = hgroup.dilate_arrays(6.0, v, z)
+        assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])
 
     def test_gauge_homogeneity(self):
         alg = builtin("H_H:2")
@@ -99,11 +95,9 @@ class TestDilations:
             assert np.max(np.abs(gt - t * g)) <= 1e-10 * max(1.0, t)
 
     def test_nonpositive_factor(self):
-        alg = builtin("H_C:1")
-        p = hgroup.point(alg, [0.0, 0.0], [0.0])
         for t in (0.0, -2.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
-                hgroup.dilate(t, p)
+                hgroup.dilate_arrays(t, np.zeros((1, 2)), np.zeros((1, 1)))
             with pytest.raises(ValueError, match="positive and finite"):
                 hgroup.dilate_arrays(np.array([1.0, t]), np.zeros((2, 2)), np.zeros((2, 1)))
 
@@ -111,32 +105,32 @@ class TestDilations:
 class TestGauge:
     def test_pure_center(self):
         alg = builtin("H_H:1")
-        p = hgroup.point(alg, np.zeros(4), [4.0, 0.0, 0.0])
-        assert hgroup.gauge(p) == pytest.approx(2.0, abs=1e-15)
+        assert hgroup.gauge_arrays(alg, np.zeros(4), np.array([4.0, 0.0, 0.0])) == pytest.approx(
+            2.0, abs=1e-15)
 
     def test_pure_horizontal(self):
         alg = builtin("H_C:1")
-        p = hgroup.point(alg, [2.0, 0.0], [0.0])
-        assert hgroup.gauge(p) == pytest.approx(1.0, abs=1e-15)
+        assert hgroup.gauge_arrays(alg, np.array([2.0, 0.0]), np.array([0.0])) == pytest.approx(
+            1.0, abs=1e-15)
 
     def test_mixed_example(self):
         alg = builtin("H_C:1")
-        p = hgroup.point(alg, [1.0, 0.0], [1.0])
-        assert hgroup.gauge(p) == pytest.approx((1.0 / 16.0 + 1.0) ** 0.25, abs=1e-15)
+        assert hgroup.gauge_arrays(alg, np.array([1.0, 0.0]), np.array([1.0])) == pytest.approx(
+            (1.0 / 16.0 + 1.0) ** 0.25, abs=1e-15)
 
     def test_zero_only_at_identity(self):
         alg = builtin("H_C:1")
-        assert hgroup.gauge(hgroup.point(alg, [0, 0], [0])) == 0.0
-        assert hgroup.gauge(hgroup.point(alg, [1e-8, 0], [0])) > 0.0
+        assert hgroup.gauge_arrays(alg, np.zeros(2), np.zeros(1)) == 0.0
+        assert hgroup.gauge_arrays(alg, np.array([1e-8, 0.0]), np.zeros(1)) > 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(coords=arrays(np.float64, (5,), elements=st.floats(min_value=-5, max_value=5)),
            t=st.floats(min_value=0.1, max_value=10.0))
     def test_homogeneity_hypothesis(self, coords, t):
         alg = builtin("H_H:1")
-        p = hgroup.point(alg, coords[:4], coords[4:5].repeat(3))
-        assert hgroup.gauge(hgroup.dilate(t, p)) == pytest.approx(
-            t * hgroup.gauge(p), rel=1e-10, abs=1e-12)
+        v, z = coords[:4], coords[4:5].repeat(3)
+        assert hgroup.gauge_arrays(alg, *hgroup.dilate_arrays(t, v, z)) == pytest.approx(
+            t * hgroup.gauge_arrays(alg, v, z), rel=1e-10, abs=1e-12)
 
 
 class TestGaugeDistance:
@@ -305,13 +299,3 @@ class TestPointFiles:
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "v_1,v_2,z_1"
         assert len(header.split(",")) != alg_b.dim_v + alg_b.dim_z
-
-
-class TestPointValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="do not match"):
-            hgroup.point(builtin("H_C:1"), [1.0], [0.0])
-
-    def test_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            hgroup.point(builtin("H_C:1"), [np.nan, 0.0], [0.0])

@@ -42,6 +42,24 @@ def dense_spec(tmp_path):
     return hlie.load_algebra_spec(path)
 
 
+def orthonormal_pairs(rng, count, dim):
+    """Rowwise orthonormal pairs (z, z') by Gram-Schmidt on Gaussian draws."""
+    first = rng.standard_normal((count, dim))
+    first /= np.linalg.norm(first, axis=1, keepdims=True)
+    second = rng.standard_normal((count, dim))
+    second -= np.sum(second * first, axis=1, keepdims=True) * first
+    return first, second / np.linalg.norm(second, axis=1, keepdims=True)
+
+
+def assert_witness_raises_rank(alg, witness):
+    """Brute-force oracle: stacking J_z J_z' x onto the generators J_W x raises their rank."""
+    x, z, zp = witness
+    target = j_map(alg, z) @ (j_map(alg, zp) @ x)
+    generators = np.stack([j_map(alg, w) @ x for w in np.eye(alg.dim_z)])
+    base_rank = np.linalg.matrix_rank(generators, tol=1e-9)
+    assert np.linalg.matrix_rank(np.vstack([generators, target]), tol=1e-9) == base_rank + 1
+
+
 def assert_close_relative(got, expected, rel=1e-15):
     assert np.max(np.abs(got - expected)) <= rel * np.max(np.abs(expected))
 
@@ -185,8 +203,7 @@ class TestJMap:
         # polarization of J_Z^2 = -|Z|^2 I on Heisenberg-type algebras
         if alg.dim_z < 2:
             return
-        rng = np.random.default_rng(8)
-        z1, z2 = hlie._orthonormal_pairs(rng, 200, alg.dim_z)
+        z1, z2 = orthonormal_pairs(np.random.default_rng(8), 200, alg.dim_z)
         for a, b in zip(z1, z2):
             ja, jb = j_map(alg, a), j_map(alg, b)
             assert np.max(np.abs(ja @ jb + jb @ ja)) <= 1e-12
@@ -224,7 +241,7 @@ class TestCheckHType:
         assert report.is_h_type and report.max_residual == 0.0
 
     def test_degenerate_direct_sum_fails(self):
-        # J_Z annihilates X_3, so the basis sweep sees residual exactly 1
+        # J_Z annihilates X_3, so the Clifford relation J_Z^T J_Z = I misses by exactly 1
         report = hlie.check_h_type(hlie.make_degenerate_direct_sum(), samples=500, seed=1)
         assert not report.is_h_type
         assert report.max_residual >= 0.5
@@ -262,15 +279,8 @@ class TestCheckJ2:
         assert report.witness is not None
 
     def test_witness_outside_span_by_rank_augmentation(self):
-        # brute-force oracle: stacking the target onto the generators raises the rank
         alg = hlie.make_truncated_quaternionic()
-        report = hlie.check_j2(alg, samples=500, seed=2)
-        x, z, zp = report.witness
-        target = j_map(alg, z) @ (j_map(alg, zp) @ x)
-        generators = np.stack([j_map(alg, w) @ x for w in np.eye(alg.dim_z)])
-        base_rank = np.linalg.matrix_rank(generators, tol=1e-9)
-        augmented = np.linalg.matrix_rank(np.vstack([generators, target]), tol=1e-9)
-        assert augmented == base_rank + 1
+        assert_witness_raises_rank(alg, hlie.check_j2(alg, samples=500, seed=2).witness)
 
     def test_hand_computed_basis_witness(self):
         # J_{Z_1} J_{Z_2} X_1 acts as multiplication by the third imaginary
@@ -294,6 +304,67 @@ class TestCheckJ2:
         payload = report.to_dict()
         assert payload["satisfies_j2"] is False
         assert set(payload["witness"]) == {"x", "z", "z_prime"}
+
+
+class TestExactCertificates:
+    """Both checks are identities in the structure constants: nothing is sampled."""
+
+    @pytest.mark.parametrize("name", HEISENBERG_NAMES + ["truncated_HH", "degenerate_sum"])
+    def test_reports_are_free_of_seed_and_samples(self, name):
+        alg = hlie.algebra_from_name(name)
+        htype, j2 = set(), set()
+        for seed in (0, 1, 2**31 - 1):
+            for samples in (1, 100, 10000):
+                report = hlie.check_h_type(alg, samples=samples, seed=seed).to_dict()
+                assert (report.pop("samples"), report.pop("seed")) == (samples, seed)
+                htype.add(json.dumps(report, sort_keys=True))
+                try:
+                    report = hlie.check_j2(alg, samples=samples, seed=seed).to_dict()
+                except ValueError as exc:
+                    j2.add(str(exc))
+                    continue
+                assert (report.pop("samples"), report.pop("seed")) == (samples, seed)
+                j2.add(json.dumps(report, sort_keys=True))
+        assert len(htype) == 1 and len(j2) == 1, (htype, j2)
+
+    @staticmethod
+    def rotated_spec(alg, tmp_path, seed):
+        """``alg`` in a random orthonormal basis of each layer, as an algebra-spec file."""
+        rng = np.random.default_rng(seed)
+        rot_v = np.linalg.qr(rng.standard_normal((alg.dim_v, alg.dim_v)))[0]
+        rot_z = np.linalg.qr(rng.standard_normal((alg.dim_z, alg.dim_z)))[0]
+        tensor = np.einsum("ka,ib,jc,abc->kij", rot_z, rot_v, rot_v, alg.structure)
+        entries = [[i + 1, j + 1, k + 1, float(tensor[k, i, j])] for k in range(alg.dim_z)
+                   for i in range(alg.dim_v) for j in range(i + 1, alg.dim_v)]
+        path = tmp_path / f"{alg.label}-rotated.json"
+        path.write_text(json.dumps({"label": alg.label, "dim_v": alg.dim_v,
+                                    "dim_z": alg.dim_z, "entries": entries}))
+        return hlie.load_algebra_spec(path)
+
+    @pytest.mark.parametrize("name", ["H_H:2", "H_O"])
+    def test_orthogonal_change_of_basis_keeps_the_certificates(self, name, tmp_path):
+        alg = self.rotated_spec(hlie.algebra_from_name(name), tmp_path, seed=11)
+        htype = hlie.check_h_type(alg)
+        j2 = hlie.check_j2(alg)
+        assert htype.is_h_type and htype.max_residual <= 1e-12
+        assert j2.satisfies_j2 and j2.max_residual <= 1e-12
+
+    def test_orthogonal_change_of_basis_keeps_the_control_failing(self, tmp_path):
+        alg = self.rotated_spec(hlie.make_truncated_quaternionic(), tmp_path, seed=11)
+        assert hlie.check_h_type(alg).max_residual <= 1e-12
+        report = hlie.check_j2(alg)
+        assert not report.satisfies_j2 and report.max_residual >= 0.1
+        assert_witness_raises_rank(alg, report.witness)
+
+    def test_perturbed_coefficient_fails_h_type_at_its_size(self, tmp_path):
+        path = tmp_path / "ho.json"
+        write_algebra_spec(hlie.make_heisenberg(AlgebraKind.OCTONION, 1), path)
+        spec = json.loads(path.read_text())
+        spec["entries"][0][3] = 1.0 + 1e-6
+        path.write_text(json.dumps(spec))
+        report = hlie.check_h_type(hlie.load_algebra_spec(path))
+        assert not report.is_h_type
+        assert 1e-7 <= report.max_residual <= 1e-5
 
 
 class TestConstructors:

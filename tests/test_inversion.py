@@ -94,16 +94,16 @@ class TestVerifyInversion:
         assert report.max_relative_deviation <= 1e-9
 
     def test_truncated_control_is_falsified(self):
-        report = inversion.verify_inversion(builtin("truncated_HH"), samples=20000, seed=7)
+        alg = builtin("truncated_HH")
+        report = inversion.verify_inversion(alg, samples=20000, seed=7)
         assert not report.is_exact_inversion
         assert report.max_relative_deviation >= 1e-3
         p, q = report.worst_pair
         # replay the worst pair through the identity by hand
-        alg = p.algebra
         pv, pz, qv, qz = p.v[None], p.z[None], q.v[None], q.z[None]
         d_image = hgroup.gauge_dist_arrays(alg, *inversion.sigma_arrays(alg, pv, pz),
                                            *inversion.sigma_arrays(alg, qv, qz))[0]
-        r = (d_image * hgroup.gauge(p) * hgroup.gauge(q)
+        r = (d_image * hgroup.gauge_arrays(alg, pv, pz)[0] * hgroup.gauge_arrays(alg, qv, qz)[0]
              / hgroup.gauge_dist_arrays(alg, pv, pz, qv, qz)[0])
         assert abs(r - 1.0) == pytest.approx(report.max_relative_deviation, rel=1e-12)
 
@@ -302,8 +302,8 @@ class TestQuasiconformalityOfSigma:
     def test_ratio_decreases_toward_one(self):
         alg = builtin("H_C:1")
         v, z = sample(alg, 1, seed=16)
-        center = hgroup.point(alg, v[0], z[0])
-        center = hgroup.dilate(1.0 / hgroup.gauge(center), center)
+        v, z = hgroup.dilate_arrays(1.0 / hgroup.gauge_arrays(alg, v, z)[0], v, z)
+        center = hgroup.Point(v[0], z[0])
         report = distortion.estimate_qc_ratio(alg, distortion.inversion_map(alg), center,
                                               [1e-1, 1e-2, 1e-3], samples=30000, seed=17)
         ratios = [entry["ratio"] for entry in report.statistics["per_radius"]]
