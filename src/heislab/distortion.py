@@ -17,7 +17,6 @@ coordinates.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,7 +31,7 @@ from heislab.hgroup import (
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
-from heislab.util import Report
+from heislab.util import Report, format_floats
 
 __all__ = [
     "DistortionReport",
@@ -52,6 +51,8 @@ __all__ = [
 BINS_PER_DECADE = 4
 # relative half-width of the sampled annulus r (1 +- width) of a qc ratio
 ANNULUS_WIDTH = 0.05
+# rows per block of a qc ratio's point arrays after the draw
+_QC_BLOCK = 16384
 
 
 @dataclass
@@ -151,10 +152,9 @@ def save_ratio_pairs_csv(report: DistortionReport, path) -> None:
     if report.raw_pairs is None:
         raise ValueError("report carries no raw cross-ratio pairs")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_in", "t_out"])
-        for a, b in zip(*report.raw_pairs):
-            writer.writerow([repr(float(a)), repr(float(b))])
+        # the lines csv.writer would write: float strings need no quoting
+        fh.write("t_in,t_out\r\n")
+        fh.writelines(f"{a},{b}\r\n" for a, b in zip(*map(format_floats, report.raw_pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,49 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Poin
     return Point(*(row[0] for row in dilate_arrays(center_gauge / g, v, z)))
 
 
+def _annulus_entry(alg: HTypeAlgebra, point_map: Callable, center: Point, image_center,
+                   r: float, samples: int, rng: np.random.Generator) -> dict:
+    """One radius of :func:`estimate_qc_ratio`: the whole draw, then the
+    dilation radii, then the point arrays in fixed blocks of rows."""
+    v, z = sample_with_rng(alg, samples, 1.0, rng)
+    g = np.concatenate([gauge_arrays(alg, v[s:s + _QC_BLOCK], z[s:s + _QC_BLOCK])
+                        for s in range(0, samples, _QC_BLOCK)])
+    keep = np.flatnonzero(g > 1e-12)
+    rho = rng.uniform((1.0 - ANNULUS_WIDTH) * r, (1.0 + ANNULUS_WIDTH) * r, size=keep.size)
+    fc_v, fc_z = image_center
+    inner_points = outer_points = 0
+    sup, inf = np.float64(-np.inf), np.float64(np.inf)
+    for start in range(0, keep.size, _QC_BLOCK):
+        rows = keep[start:start + _QC_BLOCK]
+        bv, bz = dilate_arrays(rho[start:start + _QC_BLOCK] / g[rows], v[rows], z[rows])
+        bv, bz = group_mul(alg, np.broadcast_to(center.v, bv.shape),
+                           np.broadcast_to(center.z, bz.shape), bv, bz)
+        d_in = gauge_dist_arrays(alg, bv, bz,
+                                 np.broadcast_to(center.v, bv.shape),
+                                 np.broadcast_to(center.z, bz.shape))
+        fv, fz = point_map(bv, bz)
+        d_out = gauge_dist_arrays(alg, fv, fz,
+                                  np.broadcast_to(fc_v[0], fv.shape),
+                                  np.broadcast_to(fc_z[0], fz.shape))
+        inner = d_in <= r
+        count = int(np.count_nonzero(inner))
+        inner_points += count
+        outer_points += inner.size - count
+        # np.maximum/np.minimum, unlike max/min, keep a NaN
+        if count:
+            sup = np.maximum(sup, np.max(d_out[inner]))
+        if count < inner.size:
+            inf = np.minimum(inf, np.min(d_out[~inner]))
+    entry = {"radius": r, "inner_points": inner_points, "outer_points": outer_points}
+    if inner_points == 0 or outer_points == 0:
+        entry["ratio"] = None
+        entry["insufficient_sampling"] = True
+    else:
+        entry["ratio"] = float(sup) / float(inf)
+        entry["insufficient_sampling"] = False
+    return entry
+
+
 def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
                       radii, samples: int = 20000, seed: int = 0) -> DistortionReport:
     """Monte-Carlo metric quasiconformality ratios of a self-map at one point.
@@ -208,40 +251,11 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
         raise ValueError("radii must be positive")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
-    fc_v, fc_z = point_map(center.v[None, :], center.z[None, :])
-    per_radius = []
+    image_center = point_map(center.v[None, :], center.z[None, :])
     seeds = np.random.SeedSequence(seed).spawn(len(radii))
-    for r, chunk_seed in zip(radii, seeds):
-        rng = np.random.default_rng(chunk_seed)
-        v, z = sample_with_rng(alg, samples, 1.0, rng)
-        g = gauge_arrays(alg, v, z)
-        keep = g > 1e-12
-        v, z, g = v[keep], z[keep], g[keep]
-        rho = rng.uniform((1.0 - ANNULUS_WIDTH) * r, (1.0 + ANNULUS_WIDTH) * r, size=g.size)
-        v, z = dilate_arrays(rho / g, v, z)
-        v, z = group_mul(alg, np.broadcast_to(center.v, v.shape), (
-            np.broadcast_to(center.z, z.shape)), v, z)
-        d_in = gauge_dist_arrays(alg, v, z,
-                                 np.broadcast_to(center.v, v.shape),
-                                 np.broadcast_to(center.z, z.shape))
-        fv, fz = point_map(v, z)
-        d_out = gauge_dist_arrays(alg, fv, fz,
-                                  np.broadcast_to(fc_v[0], fv.shape),
-                                  np.broadcast_to(fc_z[0], fz.shape))
-        inner = d_in <= r
-        outer = ~inner
-        entry = {"radius": r,
-                 "inner_points": int(np.count_nonzero(inner)),
-                 "outer_points": int(np.count_nonzero(outer))}
-        if entry["inner_points"] == 0 or entry["outer_points"] == 0:
-            entry["ratio"] = None
-            entry["insufficient_sampling"] = True
-        else:
-            sup = float(np.max(d_out[inner]))
-            inf = float(np.min(d_out[outer]))
-            entry["ratio"] = sup / inf
-            entry["insufficient_sampling"] = False
-        per_radius.append(entry)
+    per_radius = [_annulus_entry(alg, point_map, center, image_center, r, samples,
+                                 np.random.default_rng(chunk_seed))
+                  for r, chunk_seed in zip(radii, seeds)]
     statistics = {"per_radius": per_radius, "center": center, "annulus_width": ANNULUS_WIDTH}
     return DistortionReport("quasiconformal", samples, seed, statistics,
                             algebra=alg.label, fingerprint=alg.fingerprint)

@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from heislab.hgroup import pairwise_gauge_dist
 from heislab.hlie import HTypeAlgebra
-from heislab.util import format_float
+from heislab.util import format_float, format_floats
 
 __all__ = [
     "INFINITY_LABEL",
@@ -81,28 +84,79 @@ def _check_entries(dist: np.ndarray) -> None:
                          f"{format_float(dist[i, j])}")
 
 
+# Rows of the triangle scan summed into one buffer per worker: a block of
+# 128 rows of a 1000-point matrix (1 MB) stays in cache.
+_SCAN_BLOCK = 128
+
+
+def _scan_workers() -> int:
+    """Threads for the triangle scan: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _first_bad_row(dist: np.ndarray, slack: float, rows: range, found: list, slot: int) -> None:
+    """Store in ``found[slot]`` the first row of ``rows`` with a triangle violation.
+
+    Rows are scanned in increasing order, and the scan stops once another
+    worker has stored a smaller row; each worker writes only its own slot,
+    so a stale read of the others only scans a row more.  Row a of the buffer holds
+    d(j, k) + d(i, k) for j = j0 + a, as the witness of ``_triangle_error``
+    computes it.
+    """
+    n = dist.shape[0]
+    buf = np.empty((min(_SCAN_BLOCK, n), n), dtype=dist.dtype)
+    best = np.empty(buf.shape[0], dtype=dist.dtype)
+    for i in rows:
+        if i > min(found):
+            return
+        for j0 in range(i, n, _SCAN_BLOCK):
+            m = min(_SCAN_BLOCK, n - j0)
+            np.add(dist[j0:j0 + m], dist[i], out=buf[:m])
+            np.min(buf[:m], axis=1, out=best[:m])
+            if np.any(dist[i, j0:j0 + m] > best[:m] + slack):
+                found[slot] = i
+                return
+
+
+def _triangle_error(dist: np.ndarray, i: int, slack: float) -> ValueError:
+    """The message naming the first violating (i, k, j) of row i."""
+    via = dist[i:] + dist[i]
+    a = int(np.flatnonzero(dist[i, i:] > via.min(axis=1) + slack)[0])
+    j = i + a
+    k = int(np.argmin(via[a]))
+    return ValueError(
+        f"triangle inequality violated at (i, k, j) = ({i}, {k}, {j}): "
+        f"d(i,j) = {format_float(dist[i, j])} exceeds "
+        f"d(i,k) + d(k,j) = {format_float(via[a, k])} "
+        f"by {dist[i, j] - via[a, k]:.3e}"
+    )
+
+
 def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> None:
-    """Raise with the offending entry or triple if ``dist`` is not a metric."""
+    """Raise with the offending entry or triple if ``dist`` is not a metric.
+
+    The triangle scan runs on the available CPUs; the verdict and the
+    reported triple do not depend on how many.
+    """
     dist = np.asarray(dist)
     _check_entries(dist)
     # A violation at (i, j) with j < i is the mirror of one at (j, i), since
     # the matrix is exactly symmetric and float addition commutes; so the
     # first violating row has all its violating columns at j >= i, and only
-    # those are scanned.  Row a of ``via`` holds d(j, k) + d(i, k) for j = i + a.
-    for i in range(dist.shape[0]):
-        via = dist[i:] + dist[i]
-        best = via.min(axis=1)
-        bad_j = np.flatnonzero(dist[i, i:] > best + slack)
-        if bad_j.size:
-            a = int(bad_j[0])
-            j = i + a
-            k = int(np.argmin(via[a]))
-            raise ValueError(
-                f"triangle inequality violated at (i, k, j) = ({i}, {k}, {j}): "
-                f"d(i,j) = {format_float(dist[i, j])} exceeds "
-                f"d(i,k) + d(k,j) = {format_float(via[a, k])} "
-                f"by {dist[i, j] - via[a, k]:.3e}"
-            )
+    # those are scanned.  Worker w takes the rows i = w (mod workers), which
+    # balances the triangle; the smallest row any worker reports is the
+    # first violating row.
+    n = dist.shape[0]
+    workers = _scan_workers() if n > _SCAN_BLOCK else 1
+    found = [n] * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        scans = [pool.submit(_first_bad_row, dist, slack, range(w, n, workers), found, w)
+                 for w in range(1, workers)]
+        _first_bad_row(dist, slack, range(0, n, workers), found, 0)
+        for scan in scans:
+            scan.result()
+    if min(found) < n:
+        raise _triangle_error(dist, min(found), slack)
 
 
 class FiniteMetricSpace:
@@ -265,10 +319,25 @@ def save_space_csv(space: FiniteMetricSpace, path_or_file) -> None:
     """First row labels, then the matrix with round-trip float formatting."""
 
     def write(fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(space.labels)
-        for row in space.dist:
-            writer.writerow([format_float(x) for x in row])
+        csv.writer(fh).writerow(space.labels)
+        dist = space.dist
+        bits = dist.view(np.int64)
+        n = dist.shape[0]
+        # Each upper-triangle entry is formatted once: row i formats
+        # d[i, i:] and hands d[i, j] on to row j, which writes it as d[j, i]
+        # unless the two differ in their bits; row j then drops it.
+        lower = [[] for _ in range(n)]
+        for i in range(n):
+            upper = format_floats(dist[i, i:])
+            row = lower[i]
+            lower[i] = None
+            for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+                row[j] = format_float(dist[i, j])
+            for later, text in zip(lower[i + 1:], upper[1:]):
+                later.append(text)
+            row.extend(upper)
+            # float strings need no quoting: this is csv.writer's line, faster
+            fh.write(",".join(row) + "\r\n")
 
     if hasattr(path_or_file, "write"):
         write(path_or_file)
@@ -277,7 +346,9 @@ def save_space_csv(space: FiniteMetricSpace, path_or_file) -> None:
             write(fh)
 
 
-def load_space_csv(path) -> FiniteMetricSpace:
+def _load_space_csv_rows(path) -> FiniteMetricSpace:
+    """The field-by-field reader: every file ``load_space_csv`` does not parse
+    as a plain numeric block ends here, with its result or its message."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -302,10 +373,31 @@ def load_space_csv(path) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels, np.asarray(rows))
 
 
+def load_space_csv(path) -> FiniteMetricSpace:
+    # The label row may hold quoted commas and newlines, so csv reads it;
+    # numpy parses the rows below it.  numpy accepts a subset of what
+    # ``float`` accepts (no underscores, quotes or non-ASCII digits), so any
+    # failure, warning or shape mismatch goes to the field-by-field reader.
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            labels = next(csv.reader(fh))
+        except StopIteration:
+            return _load_space_csv_rows(path)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dist = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            dist = None
+    if dist is None or dist.shape != (len(labels), len(labels)):
+        return _load_space_csv_rows(path)
+    return FiniteMetricSpace(labels, dist)
+
+
 def save_space_json(space: FiniteMetricSpace, path_or_file) -> None:
     payload = {
         "labels": space.labels,
-        "dist": [[float(x) for x in row] for row in space.dist],
+        "dist": space.dist.tolist(),
         "contains_infinity": space.contains_infinity,
     }
     text = json.dumps(payload, indent=2) + "\n"

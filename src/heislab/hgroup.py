@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from heislab.hlie import HTypeAlgebra, bracket_arrays
-from heislab.util import format_float
+from heislab.util import format_floats
 
 __all__ = [
     "Point",
@@ -148,7 +148,7 @@ def save_points_csv(path_or_file, alg: HTypeAlgebra, v: np.ndarray, z: np.ndarra
     def write(fh) -> None:
         fh.write(",".join(_csv_header(alg)) + "\n")
         for row in rows:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+            fh.write(",".join(format_floats(row)) + "\n")
 
     if hasattr(path_or_file, "write"):
         write(path_or_file)

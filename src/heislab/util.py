@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 
-__all__ = ["Report", "fingerprint_of_arrays", "canonical_json", "format_float"]
+__all__ = ["Report", "fingerprint_of_arrays", "canonical_json", "format_float", "format_floats"]
 
 
 class Report:
@@ -57,3 +57,8 @@ def canonical_json(payload: dict) -> str:
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips to the same float64."""
     return repr(float(x))
+
+
+def format_floats(values) -> list[str]:
+    """``format_float`` of each element of a 1-d array, in bulk."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))

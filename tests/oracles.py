@@ -3,15 +3,20 @@ which the library evaluates only rowwise (``hlie.bracket_arrays``,
 ``hlie.apply_j_rows``); einsum forms of the three bilinear kernels
 (``hlie.bracket_arrays``, ``hlie.apply_j_rows``, ``algebra.mul_arrays``),
 as the library evaluated them before it used cached structure matrices;
-and an algebra-spec writer, which the library does not need."""
+an algebra-spec writer, which the library does not need; and the
+distance-matrix CSV writer and reader as they were before the writer
+formatted each symmetric pair once and the reader parsed with numpy."""
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
 from heislab.algebra import _ROW_BLOCK, AlgebraKind, multiplication_tensor
+from heislab.finite_metric import FiniteMetricSpace
 from heislab.hlie import HTypeAlgebra, bracket_arrays
+from heislab.util import format_float
 
 
 # Row counts that cover the kernels' row blocks: one row, one block and one
@@ -72,3 +77,44 @@ def write_algebra_spec(alg: HTypeAlgebra, path) -> None:
                for c, a, b in zip(k, i, j) if a < b]
     payload = {"label": alg.label, "dim_v": alg.dim_v, "dim_z": alg.dim_z, "entries": entries}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def save_space_csv_rowwise(space: FiniteMetricSpace, path_or_file) -> None:
+    """First row labels, then the matrix with round-trip float formatting."""
+
+    def write(fh) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(space.labels)
+        for row in space.dist:
+            writer.writerow([format_float(x) for x in row])
+
+    if hasattr(path_or_file, "write"):
+        write(path_or_file)
+    else:
+        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+
+
+def load_space_csv_rowloop(path) -> FiniteMetricSpace:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            labels = next(reader)
+        except StopIteration:
+            raise ValueError(f"distance file {path} is empty") from None
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(labels):
+                raise ValueError(f"distance file {path}: row {lineno} has {len(row)} "
+                                 f"fields, expected {len(labels)}")
+            try:
+                rows.append([float(t) for t in row])
+            except ValueError:
+                raise ValueError(f"distance file {path}: row {lineno} has a "
+                                 "non-numeric field") from None
+    if len(rows) != len(labels):
+        raise ValueError(f"distance file {path}: {len(rows)} data rows do not match "
+                         f"{len(labels)} labels")
+    return FiniteMetricSpace(labels, np.asarray(rows))

@@ -1,6 +1,7 @@
 """Distortion statistics: cross-ratios and their invariances, quasimobius
 constants, quasiconformality ratios, and volume-growth exponents."""
 
+import csv
 import math
 
 import numpy as np
@@ -153,6 +154,18 @@ class TestQuasimobius:
         assert rows[0] == "t_in,t_out"
         assert len(rows) == report.statistics["quadruples_used"] + 1
 
+    def test_raw_pairs_csv_bytes(self, tmp_path):
+        # the bytes of csv.writer with one row per pair
+        _, _, _, dist = gauge_matrix("H_H:1", 30, seed=22)
+        report = dt.estimate_quasimobius(dist, np.sqrt(dist), samples=500, seed=23)
+        dt.save_ratio_pairs_csv(report, tmp_path / "pairs.csv")
+        with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t_in", "t_out"])
+            for a, b in zip(*report.raw_pairs):
+                writer.writerow([repr(float(a)), repr(float(b))])
+        assert (tmp_path / "pairs.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
 
 class TestQcRatio:
     def center(self, alg, seed, target=1.0):
@@ -188,6 +201,23 @@ class TestQcRatio:
         entry = report.statistics["per_radius"][0]
         assert entry["insufficient_sampling"] is True
         assert entry["ratio"] is None
+
+    @pytest.mark.parametrize("name, map_name", [("H_C:1", "inversion"), ("H_H:2", "dilation"),
+                                                ("H_O", "inversion")])
+    def test_row_blocks_do_not_change_the_report(self, monkeypatch, name, map_name):
+        alg = builtin(name)
+        point_map = (dt.inversion_map(alg) if map_name == "inversion"
+                     else dt.dilation_map(alg, 3.0))
+        center = self.center(alg, 31)
+
+        def report(block):
+            monkeypatch.setattr(dt, "_QC_BLOCK", block)
+            return dt.estimate_qc_ratio(alg, point_map, center, [1.0, 0.1, 0.01],
+                                        samples=5000, seed=32).to_dict()
+        whole = report(5000)
+        assert [e["inner_points"] > 0 for e in whole["statistics"]["per_radius"]] == [True] * 3
+        for block in (7, 1024, 4999):
+            assert report(block) == whole
 
     def test_radii_must_decrease(self):
         alg = builtin("H_C:1")

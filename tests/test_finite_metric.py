@@ -1,7 +1,13 @@
 """Finite metric spaces: validation, inversion/sphericalization quasimetrics,
 chain metrics with sandwich bounds, and distance-matrix files."""
 
+import importlib.util
+import io
+import json
 import re
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +15,7 @@ import pytest
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
 from heislab.util import format_float
+from oracles import load_space_csv_rowloop, save_space_csv_rowwise
 
 
 def euclidean_space(count, dim, seed, labels=None):
@@ -136,6 +143,83 @@ class TestTriangleScanAgainstRowLoop:
         with pytest.raises(ValueError) as info:
             fm.validate_distance_matrix(dist, -1.0)
         assert str(info.value) == expected
+
+    @staticmethod
+    def scan_message(monkeypatch, dist, slack, workers):
+        monkeypatch.setattr(fm, "_scan_workers", lambda: workers)
+        try:
+            fm.validate_distance_matrix(dist, slack)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 259])
+    def test_sizes_around_the_block(self, monkeypatch, n):
+        # violations planted at columns on both sides of the 128-row block
+        # edges, in rows that fall to different workers
+        rng = np.random.default_rng(n)
+        edges = [j for j in (126, 127, 128, 129, 255, 256, n - 1) if j < n]
+        outcomes = set()
+        for trial in range(8):
+            pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+            dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+            if trial % 4 == 3:
+                # rounded entries make exact ties among the candidate k
+                dist = np.maximum(np.round(dist, 2), 0.01) - np.eye(n) * 0.01
+            for _ in range(trial % 3):
+                j = int(rng.choice(edges))
+                i = int(rng.integers(0, j))
+                dist[i, j] = dist[j, i] = 3.0 * dist[i, j] + 0.5
+            slack = [0.0, 1e-9, 0.05][trial % 3]
+            expected = row_loop_validation_error(dist, slack)
+            outcomes.add(expected is None)
+            for workers in (1, 2, 3):
+                assert self.scan_message(monkeypatch, dist, slack, workers) == expected
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [129, 259])
+    def test_smallest_row_wins_across_workers(self, monkeypatch, n):
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n, 2))
+        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        assert self.scan_message(monkeypatch, dist, fm.DEFAULT_SLACK, 2) is None
+        # rows 101 and 102 fail; they belong to different workers for 2 and 3
+        for i, j in ((102, n - 1), (101, 127), (n - 2, n - 1)):
+            dist[i, j] = dist[j, i] = 3.0 * dist[i, j] + 1.0
+        expected = row_loop_validation_error(dist)
+        assert "(i, k, j) = (101, " in expected
+        for workers in (1, 2, 3):
+            assert self.scan_message(monkeypatch, dist, fm.DEFAULT_SLACK, workers) == expected
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        dist = euclidean_space(300, 2, seed=7).dist.copy()
+        for i in (290, 171, 170, 169, 95):
+            dist[i, 299] = dist[299, i] = 3.0 * dist[i, 299] + 1.0
+        expected = row_loop_validation_error(dist)
+        assert "(i, k, j) = (95, " in expected
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert self.scan_message(monkeypatch, dist, fm.DEFAULT_SLACK, 7) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_scan_threads_open_no_span(self, monkeypatch):
+        # the traced benchmark fails on spans of worker threads it cannot parent
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        monkeypatch.setattr(fm, "_scan_workers", lambda: 2)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            fm.FiniteMetricSpace([str(i) for i in range(300)], euclidean_space(300, 2, 6).dist)
+        finally:
+            tracer.uninstall()
+        root = threading.get_ident()
+        assert {span[6] for span in tracer.spans} == {root}
+        assert tracer.worker_parents() == set()
 
 
 class TestInversionQuasimetric:
@@ -368,6 +452,15 @@ class TestFiles:
         assert loaded.labels[-1] == fm.INFINITY_LABEL
         assert loaded.dist.tobytes() == inverted.dist.tobytes()
 
+    def test_json_bytes_match_per_entry_conversion(self, tmp_path):
+        space = fm.FiniteMetricSpace(["a", "b", "c"], [[0.0, 0.1, 1 / 3], [0.1, -0.0, 1e-310],
+                                                       [1 / 3, 1e-310, 0.0]], validate=False)
+        expected = json.dumps({"labels": space.labels,
+                               "dist": [[float(x) for x in row] for row in space.dist],
+                               "contains_infinity": False}, indent=2) + "\n"
+        fm.save_space_json(space, tmp_path / "space.json")
+        assert (tmp_path / "space.json").read_text(encoding="utf-8") == expected
+
     def test_infinity_label_detected_in_csv(self, tmp_path):
         space = group_space("H_C:1", 30, seed=18)
         spherical = fm.sphericalize_space(space, 0)
@@ -415,6 +508,140 @@ class TestFiles:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             fm.load_space_csv(path)
+
+
+class TestCsvWriterAgainstRowwise:
+    """The writer formats each symmetric pair once, and writes the bytes of
+    csv.writer over every entry."""
+
+    @staticmethod
+    def assert_same_bytes(space, tmp_path):
+        expected, written = io.StringIO(), io.StringIO()
+        save_space_csv_rowwise(space, expected)
+        fm.save_space_csv(space, written)
+        assert written.getvalue() == expected.getvalue()
+        save_space_csv_rowwise(space, tmp_path / "expected.csv")
+        fm.save_space_csv(space, tmp_path / "written.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        return written.getvalue()
+
+    @pytest.mark.parametrize("name, count", [("H_C:1", 1), ("H_C:1", 2), ("H_C:1", 150),
+                                             ("H_H:2", 60), ("H_O", 40)])
+    def test_gauge_matrices(self, tmp_path, name, count):
+        if count == 1:
+            space = fm.FiniteMetricSpace(["0"], [[0.0]])
+        else:
+            space = group_space(name, count, seed=40)
+        self.assert_same_bytes(space, tmp_path)
+        if count > 3:
+            self.assert_same_bytes(fm.sphericalize_space(space, 1), tmp_path)
+            self.assert_same_bytes(fm.invert_space(space, 0, chain=False), tmp_path)
+
+    def test_empty_space(self, tmp_path):
+        assert self.assert_same_bytes(fm.FiniteMetricSpace([], np.zeros((0, 0))), tmp_path) == "\r\n"
+
+    def test_negative_zero_diagonal(self, tmp_path):
+        dist = euclidean_space(7, 2, seed=41).dist.copy()
+        dist[[0, 3, 6], [0, 3, 6]] = -0.0
+        space = fm.FiniteMetricSpace([str(i) for i in range(7)], dist)
+        text = self.assert_same_bytes(space, tmp_path)
+        assert text.count("-0.0") == 3
+
+    def test_asymmetric_raw_space(self, tmp_path):
+        rng = np.random.default_rng(42)
+        dist = rng.uniform(0.5, 2.0, size=(30, 30))
+        dist[np.triu_indices(30, 1)] = dist.T[np.triu_indices(30, 1)]
+        dist[4, 9] = -dist[9, 4]             # differ in the sign only
+        dist[5, 2], dist[2, 5] = 0.0, -0.0   # equal values, different bits
+        dist[7, 1] = np.inf
+        dist[1, 8], dist[8, 1] = np.nan, -np.nan
+        dist[10, 20] = np.nextafter(dist[20, 10], 3.0)
+        space = fm.FiniteMetricSpace([str(i) for i in range(30)], dist, validate=False)
+        self.assert_same_bytes(space, tmp_path)
+
+    def test_labels_needing_quotes(self, tmp_path):
+        labels = ["a,b", 'say "hi"', "line\nbreak", "cr\r\nlf", " lead", "", fm.INFINITY_LABEL]
+        space = fm.FiniteMetricSpace(labels, euclidean_space(7, 3, seed=43).dist)
+        self.assert_same_bytes(space, tmp_path)
+        loaded = fm.load_space_csv(tmp_path / "written.csv")
+        assert loaded.labels == labels
+        assert loaded.dist.tobytes() == space.dist.tobytes()
+
+
+# Files on which the numpy parser and the field-by-field reader may part ways.
+CSV_CORPUS = {
+    "plain": "a,b,c\n0,1,1.5\n1,0,1\n1.5,1,0\n",
+    "underscores": "a,b\n0,1_0\n1_0,0\n",
+    "quoted_numbers": 'a,b\n0,"1"\n"1",0\n',
+    "padded": "a,b\n 0 , 1 \n\t1, 0\t\n",
+    "blank_lines": "a,b\n\n0,1\n\n\n1,0\n\n",
+    "whitespace_line": "a,b\n0,1\n  \n1,0\n",
+    "whitespace_line_one_label": "a\n0\n \n",
+    "hash_comment": "a,b\n0,1 # c\n1,0\n",
+    "hash_line": "a,b\n# c\n0,1\n1,0\n",
+    "nan": "a,b\nnan,1\n1,0\n",
+    "inf": "a,b\n0,inf\ninf,0\n",
+    "hex": "a,b\n0,0x1p0\n0x1p0,0\n",
+    "unicode_digits": "a,b\n0,\u0661\n\u0661,0\n",
+    "lf": "a,b\n0,2.5\n2.5,0\n",
+    "crlf": "a,b\r\n0,2.5\r\n2.5,0\r\n",
+    "cr": "a,b\r0,2.5\r2.5,0\r",
+    "no_final_newline": "a,b\n0,2.5\n2.5,0",
+    "multiline_label": '"a\nx",b\n0,1\n1,0\n',
+    "short_row": "a,b\n0,1\n1\n",
+    "short_rows": "a,b,c\n0,1\n1,0\n",
+    "long_row": "a,b\n0,1,2\n1,0,2\n",
+    "empty_field": "a,b\n0,\n1,0\n",
+    "trailing_comma": "a,b\n0,1,\n1,0,\n",
+    "labels_only": "a,b\n",
+    "labels_only_no_newline": "a,b",
+    "empty_file": "",
+    "blank_label_row": "\n0\n",
+    "extra_row": "a,b\n0,1\n1,0\n1,0\n",
+    "asymmetric": "a,b\n0,1\n2,0\n",
+    "triangle": "a,b,c\n0,1,5\n1,0,1\n5,1,0\n",
+    "duplicate_labels": "a,a\n0,1\n1,0\n",
+}
+
+
+def load_outcome(load, path):
+    try:
+        space = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return space.labels, space.dist.tobytes()
+
+
+class TestCsvLoaderAgainstRowLoop:
+    """numpy parses plain files; every other file gets the row loop's result or message."""
+
+    @pytest.mark.parametrize("name", sorted(CSV_CORPUS))
+    def test_corpus(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(CSV_CORPUS[name].encode("utf-8"))
+        assert load_outcome(fm.load_space_csv, path) == load_outcome(load_space_csv_rowloop, path)
+
+    def test_written_files_skip_the_row_loop(self, tmp_path, monkeypatch):
+        space = fm.sphericalize_space(group_space("H_H:1", 80, seed=44), 0)
+        path = tmp_path / "sph.csv"
+        fm.save_space_csv(space, path)
+
+        def row_loop(path):
+            raise AssertionError("a written file went through the row loop")
+        monkeypatch.setattr(fm, "_load_space_csv_rows", row_loop)
+        loaded = fm.load_space_csv(path)
+        assert loaded.labels == space.labels
+        assert loaded.dist.tobytes() == space.dist.tobytes()
+
+    def test_underscores_take_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "u.csv"
+        path.write_text(CSV_CORPUS["underscores"], encoding="utf-8")
+        calls = []
+        row_loop = fm._load_space_csv_rows
+        monkeypatch.setattr(fm, "_load_space_csv_rows",
+                            lambda path: calls.append(path) or row_loop(path))
+        assert fm.load_space_csv(path).dist[0, 1] == 10.0
+        assert calls == [path]
 
 
 class TestWrappers:

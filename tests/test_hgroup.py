@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from heislab import hgroup, hlie
+from heislab.util import format_float, format_floats
 
 ALGEBRA_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O", "truncated_HH"]
 
@@ -289,6 +290,24 @@ class TestPointFiles:
         rv, rz = data[:, :alg.dim_v], data[:, alg.dim_v:]
         assert rv.tobytes() == v.tobytes()
         assert rz.tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("name", ["H_C:2", "H_R:3"])
+    def test_bytes_match_per_entry_formatting(self, tmp_path, name):
+        alg = builtin(name)
+        v, z = hgroup.sample_arrays(alg, 300, 1e-3, seed=16)
+        v[0, 0], v[1, 0], v[2, 0] = -0.0, 5e-324, np.inf
+        path = tmp_path / "points.csv"
+        hgroup.save_points_csv(path, alg, v, z)
+        lines = [",".join(hgroup._csv_header(alg))]
+        lines += [",".join(format_float(x) for x in row) for row in np.hstack([v, z])]
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+    def test_format_floats_is_format_float_in_bulk(self):
+        values = np.array([0.0, -0.0, 0.1, 1 / 3, 1e-310, -np.inf, np.nan, 2.0 ** 60, 1e22])
+        assert format_floats(values) == [format_float(x) for x in values]
+        assert format_floats(values.astype(np.float32)) == [
+            format_float(x) for x in values.astype(np.float32)]
+        assert format_floats([]) == []
 
     def test_header_mismatch(self, tmp_path):
         # the header names the coordinates of the algebra the file was written for
