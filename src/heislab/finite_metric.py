@@ -99,9 +99,9 @@ def _first_bad_row(dist: np.ndarray, slack: float, rows: range, found: list, slo
 
     Rows are scanned in increasing order, and the scan stops once another
     worker has stored a smaller row; each worker writes only its own slot,
-    so a stale read of the others only scans a row more.  Row a of the buffer holds
-    d(j, k) + d(i, k) for j = j0 + a, as the witness of ``_triangle_error``
-    computes it.
+    so a stale read of the others only scans a row more.  Row a of the
+    buffer holds d(j, k) + d(i, k) for j = j0 + a, as the witness of
+    ``_triangle_error`` computes it.
     """
     n = dist.shape[0]
     buf = np.empty((min(_SCAN_BLOCK, n), n), dtype=dist.dtype)
