@@ -24,6 +24,7 @@ import numpy as np
 
 from heislab.hgroup import (
     Point,
+    _check_radius,
     dilate_arrays,
     gauge_arrays,
     gauge_dist_arrays,
@@ -249,6 +250,9 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0.0 for r in radii):
         raise ValueError("radii must be positive")
+    # each annulus is a unit sample dilated by about r: the sampler's range holds
+    for r in radii:
+        _check_radius(r)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     image_center = point_map(center.v[None, :], center.z[None, :])

@@ -10,7 +10,9 @@ sphericalization quasimetric keeps every point and divides by
 ``(1 + d(., p))`` factors instead.  Both may violate the triangle
 inequality; the chain metric (the largest metric below a quasimetric,
 realized on a finite set by the all-pairs shortest-path closure of the
-entry weights) repairs them.  For quasimetrics built from a genuine metric
+entry weights) repairs them.  The closure is Floyd–Warshall in numpy that
+runs only the pivots able to change an entry, found by the same blocked
+triangle scan that validation runs.  For quasimetrics built from a genuine metric
 the chain metric stays within the sandwich
 
     quasimetric / 4  <=  chain metric  <=  quasimetric,
@@ -53,8 +55,10 @@ __all__ = [
 INFINITY_LABEL = "∞"
 
 DEFAULT_SLACK = 1e-9
-# Cap on the points of a space handed to the dense closure; the closed space
-# has one point more (infinity) after sphericalization.
+# Cap on the points of a space handed to the closure (numpy Floyd–Warshall,
+# O(n^2) memory; one triangle scan when nothing needs closing, O(n^3) pivots
+# when much does); the closed space has one point more (infinity) after
+# sphericalization.
 DEFAULT_MAX_POINTS = 2000
 
 
@@ -85,7 +89,8 @@ def _check_entries(dist: np.ndarray) -> None:
 
 
 # Rows of the triangle scan summed into one buffer per worker: a block of
-# 128 rows of a 1000-point matrix (1 MB) stays in cache.
+# 128 rows of a 1000-point matrix (1 MB) stays in cache.  The closure's
+# pivots update the matrix in blocks of the same size.
 _SCAN_BLOCK = 128
 
 
@@ -94,28 +99,52 @@ def _scan_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _first_bad_row(dist: np.ndarray, slack: float, rows: range, found: list, slot: int) -> None:
-    """Store in ``found[slot]`` the first row of ``rows`` with a triangle violation.
+def _on_workers(workers: int, task) -> None:
+    """Run ``task(w)`` for w in range(workers): w = 0 here, the others on threads."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task, w) for w in range(1, workers)]
+        task(0)
+        for future in futures:
+            future.result()
 
-    Rows are scanned in increasing order, and the scan stops once another
-    worker has stored a smaller row; each worker writes only its own slot,
-    so a stale read of the others only scans a row more.  Row a of the
-    buffer holds d(j, k) + d(i, k) for j = j0 + a, as the witness of
-    ``_triangle_error`` computes it.
+
+def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
+               pivots: np.ndarray | None = None) -> None:
+    """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some j >= i.
+
+    Row a of the buffer holds d(j, k) + d(i, k) for j = j0 + a, as the
+    witness of ``_triangle_error`` computes it.  Validation (no ``pivots``)
+    shares ``bad`` between the workers: each scans its rows in increasing
+    order and stops at its first violating row, or once another worker has
+    flagged a smaller one; each worker writes only its own rows, so a stale
+    read only scans a row more.  The closure gives each worker its own
+    ``bad`` and ``pivots``: every row is scanned to its end, and a violating
+    (i, k, j) flags row j >= i too (its mirror (j, k, i) violates) and
+    pivot k.  A worker stops once rows i.. and every pivot are flagged, as
+    nothing is left to flag.
     """
     n = dist.shape[0]
     buf = np.empty((min(_SCAN_BLOCK, n), n), dtype=dist.dtype)
     best = np.empty(buf.shape[0], dtype=dist.dtype)
     for i in rows:
-        if i > min(found):
+        if pivots is None:
+            if bad[:i].any():
+                return
+        elif bad[i:].all() and pivots.all():
             return
         for j0 in range(i, n, _SCAN_BLOCK):
             m = min(_SCAN_BLOCK, n - j0)
             np.add(dist[j0:j0 + m], dist[i], out=buf[:m])
             np.min(buf[:m], axis=1, out=best[:m])
-            if np.any(dist[i, j0:j0 + m] > best[:m] + slack):
-                found[slot] = i
+            over = dist[i, j0:j0 + m] > best[:m] + slack
+            if not over.any():
+                continue
+            bad[i] = True
+            if pivots is None:
                 return
+            bad[j0:j0 + m] |= over
+            if not pivots.all():
+                pivots |= (buf[:m] < dist[i, j0:j0 + m, None]).any(axis=0)
 
 
 def _triangle_error(dist: np.ndarray, i: int, slack: float) -> ValueError:
@@ -144,19 +173,14 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
     # the matrix is exactly symmetric and float addition commutes; so the
     # first violating row has all its violating columns at j >= i, and only
     # those are scanned.  Worker w takes the rows i = w (mod workers), which
-    # balances the triangle; the smallest row any worker reports is the
-    # first violating row.
+    # balances the triangle; the smallest row any worker flags is the first
+    # violating row.
     n = dist.shape[0]
     workers = _scan_workers() if n > _SCAN_BLOCK else 1
-    found = [n] * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        scans = [pool.submit(_first_bad_row, dist, slack, range(w, n, workers), found, w)
-                 for w in range(1, workers)]
-        _first_bad_row(dist, slack, range(0, n, workers), found, 0)
-        for scan in scans:
-            scan.result()
-    if min(found) < n:
-        raise _triangle_error(dist, min(found), slack)
+    bad = np.zeros(n, dtype=bool)
+    _on_workers(workers, lambda w: _scan_rows(dist, slack, range(w, n, workers), bad))
+    if bad.any():
+        raise _triangle_error(dist, int(np.argmax(bad)), slack)
 
 
 class FiniteMetricSpace:
@@ -236,19 +260,80 @@ def sphericalization_quasimetric(dist: np.ndarray, base: int) -> np.ndarray:
     return out
 
 
+def _relax(d: np.ndarray, k: int, blocks: list, buf: np.ndarray, lower: np.ndarray,
+           changed: np.ndarray | None) -> None:
+    """Pivot k of Floyd–Warshall, d_ij <- min(d_ij, d_ik + d_kj), on the row
+    blocks ``blocks`` (slices or index arrays) of ``d``.  With ``changed``,
+    flag the rows the pivot lowers."""
+    for rows in blocks:
+        block = d[rows]
+        m = block.shape[0]
+        np.add(block[:, k, None], d[k], out=buf[:m])
+        if changed is not None:
+            np.less(buf[:m], block, out=lower[:m])
+            changed[rows] |= lower[:m].any(axis=1)
+        np.minimum(block, buf[:m], out=block)
+        if isinstance(rows, np.ndarray):
+            d[rows] = block
+
+
 def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     """The largest metric below a quasimetric: its shortest-path closure.
 
     Input must be square, finite and symmetric with zero diagonal and
-    positive off-diagonal entries.  The closure is dense, O(n^3) in time and
-    O(n^2) in memory; ``invert_space`` and ``sphericalize_space`` cap its size.
+    positive off-diagonal entries.  The result is Floyd–Warshall's in
+    ascending pivot order, bit for bit, with every pivot that provably
+    changes nothing skipped.  Its cost, timed on 2 shared cores against
+    scipy's compiled Floyd–Warshall in the same process:
+
+    - no triangle violation: one slack-0 triangle scan on the available
+      CPUs, and the input comes back unchanged (n = 1000: 0.6-1.0 s
+      against 1.6-2.0 s; n = 2000: 5.8 s against 15.8 s);
+    - a few violations: the scan plus O(active rows * n) per useful pivot
+      (the 2 entries a sphericalized gauge sample changes cost a few ms);
+    - dense violations: every pivot runs on every row, O(n^3) in numpy on
+      one thread (n = 1000 with 63-97 % of the entries lowered: 3.5-3.7 s
+      against 1.7-2.0 s).
+
+    Memory is the input, one n x n working matrix and a 128-row buffer per
+    scan worker.  ``invert_space`` and ``sphericalize_space`` cap its size.
     """
     q = np.asarray(quasimetric, dtype=np.float64)
     _check_entries(q)
-    # scipy costs about 0.3 s to import; only the commands that close a
-    # metric should pay for it.
-    from scipy.sparse.csgraph import floyd_warshall
-    return np.asarray(floyd_warshall(q, directed=False))
+    d = q.copy()
+    np.fill_diagonal(d, 0.0)  # a -0.0 diagonal closes to +0.0
+    # Pivot k sets d_ij <- min(d_ij, fl(d_ik + d_kj)) and leaves row and
+    # column k alone (d_kk = 0), and every update is mirrored, so row k
+    # equals column k.  While row k is unchanged from q (k is clean), pivot
+    # k can lower d_ij only if fl(q_ik + q_kj) < q_ij: only if k is a
+    # useful pivot of the slack-0 scan, and only in an active row, one with
+    # a violation in q.  So a clean pivot runs on the active rows if it is
+    # useful and is skipped if not; a dirty one runs on every row, since
+    # a + (b + c) can round below (a + b) + c and lower a row that had no
+    # violation.  Once every later row is dirty, no change needs tracking.
+    n = d.shape[0]
+    workers = _scan_workers() if n > _SCAN_BLOCK else 1
+    marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
+    _on_workers(workers, lambda w: _scan_rows(d, 0.0, range(w, n, workers), *marks[w]))
+    active = np.logical_or.reduce([bad for bad, _ in marks])
+    useful = np.logical_or.reduce([pivots for _, pivots in marks])
+    if not active.any():
+        return d
+    every_row = [slice(r, r + _SCAN_BLOCK) for r in range(0, n, _SCAN_BLOCK)]
+    index = np.flatnonzero(active)
+    active_rows = [index[r:r + _SCAN_BLOCK] for r in range(0, index.size, _SCAN_BLOCK)]
+    buf = np.empty((min(_SCAN_BLOCK, n), n))
+    lower = np.empty(buf.shape, dtype=bool)
+    dirty = np.zeros(n, dtype=bool)
+    for k in range(n):
+        if dirty[k]:
+            blocks = every_row
+        elif useful[k]:
+            blocks = active_rows
+        else:
+            continue
+        _relax(d, k, blocks, buf, lower, None if dirty[k + 1:].all() else dirty)
+    return d
 
 
 def _chain_space(space: FiniteMetricSpace, labels: list[str], quasimetric: np.ndarray,
@@ -356,16 +441,17 @@ def _load_space_csv_rows(path) -> FiniteMetricSpace:
         except StopIteration:
             raise ValueError(f"distance file {path} is empty") from None
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # a quoted label may span lines: number rows by line, not by record
             if len(row) != len(labels):
-                raise ValueError(f"distance file {path}: row {lineno} has {len(row)} "
+                raise ValueError(f"distance file {path}: row {reader.line_num} has {len(row)} "
                                  f"fields, expected {len(labels)}")
             try:
                 rows.append([float(t) for t in row])
             except ValueError:
-                raise ValueError(f"distance file {path}: row {lineno} has a "
+                raise ValueError(f"distance file {path}: row {reader.line_num} has a "
                                  "non-numeric field") from None
     if len(rows) != len(labels):
         raise ValueError(f"distance file {path}: {len(rows)} data rows do not match "

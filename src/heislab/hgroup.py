@@ -104,18 +104,10 @@ def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
 _MIN_RADIUS = 1e-150
 
 
-def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
-                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draws from the bounding box of the gauge ball of the given radius.
-
-    The box is |v_i| <= 2 r, |z_k| <= r^2 (the tight coordinate box of
-    ``gauge <= r``).  Draw order is fixed: all horizontal coordinates first,
-    then all central ones.  The radius must lie in [1e-150, about 9.5e153]:
-    above, the box width 2 r^2 overflows; below about 1.5e-154, r^2 is
-    subnormal and the central coordinates lose their precision.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+def _check_radius(radius: float) -> None:
+    """Raise unless the radius lies in [1e-150, about 9.5e153]: above, the
+    box width 2 r^2 overflows; below about 1.5e-154, r^2 is subnormal and the
+    central coordinates lose their precision."""
     if not 0.0 < radius < np.inf:
         raise ValueError(f"radius must be positive and finite, got {radius}")
     if not 2.0 * radius * radius < np.inf:
@@ -124,6 +116,20 @@ def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
     if radius < _MIN_RADIUS:
         raise ValueError(f"radius {radius} is too small: below {_MIN_RADIUS} the central "
                          "coordinates, of size r^2, near the float underflow")
+
+
+def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform draws from the bounding box of the gauge ball of the given radius.
+
+    The box is |v_i| <= 2 r, |z_k| <= r^2 (the tight coordinate box of
+    ``gauge <= r``).  Draw order is fixed: all horizontal coordinates first,
+    then all central ones.  The radius must lie in [1e-150, about 9.5e153]
+    (``_check_radius``).
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    _check_radius(radius)
     v = rng.uniform(-2.0 * radius, 2.0 * radius, size=(count, alg.dim_v))
     z = rng.uniform(-radius * radius, radius * radius, size=(count, alg.dim_z))
     return v, z

@@ -82,8 +82,14 @@ class TestExitCodes:
         (["group", "sample", "--algebra", "H_C:1", "--count", "3", "--radius", "1e-200"],
          "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
          "near the float underflow"),
+        (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "1e300"],
+         "radius 1e+300 is too large: the width 2 r^2 of its coordinate box overflows"),
+        (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "0.1,1e-200"],
+         "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
+         "near the float underflow"),
     ], ids=["verify-1e160", "verify-nan", "verify-inf", "sample-nan", "sample-inf",
-            "distmat-nan", "distmat-inf", "transport-1e-200", "sample-1e-200"])
+            "distmat-nan", "distmat-inf", "transport-1e-200", "sample-1e-200",
+            "qc-1e300", "qc-1e-200"])
     def test_unusable_radius_is_one_error_line(self, argv, message, capsys):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -265,16 +271,22 @@ class TestMetricCommands:
         assert out.read_bytes() == expected.read_bytes()
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is imported only by the commands that close a metric
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # scipy is a test-only oracle: not even the commands that close a metric load it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import heislab.cli, sys; "
-            "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
+    dist, out = tmp_path / "dist.csv", tmp_path / "out.csv"
+    code = ("import sys; from heislab.cli import run; "
+            f"codes = [run(['group', 'distmat', '--algebra', 'H_C:1', '--count', '200', "
+            f"'--seed', '5', '--output', {str(dist)!r}])] + "
+            f"[run(['metric', c, '--input', {str(dist)!r}, '--output', {str(out)!r}]) "
+            "for c in ('sphericalize', 'invert')]; "
+            "print(codes, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0, 0] False"
+    assert fm.load_space_csv(out).n == 200
 
 
 class TestDistortCommands:

@@ -226,6 +226,15 @@ class TestQcRatio:
                                  [0.01, 0.1], samples=10, seed=29)
 
 
+    @pytest.mark.parametrize("radii, message", [
+        ([1e300], "too large"), ([0.1, 1e-151], "too small"), ([float("nan")], "finite"),
+    ])
+    def test_radii_within_the_sampler_range(self, radii, message):
+        alg = builtin("H_C:1")
+        with pytest.raises(ValueError, match=message):
+            dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 28),
+                                 radii, samples=10, seed=29)
+
 class TestRegularity:
     def test_euclidean_volume_oracle(self):
         # for the abelian group the gauge ball of radius r is the Euclidean

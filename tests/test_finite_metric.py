@@ -342,6 +342,122 @@ class TestChainMetric:
         assert a.tobytes() == b.tobytes()
 
 
+def scipy_closure(q):
+    """The reference closure: scipy's compiled Floyd–Warshall."""
+    from scipy.sparse.csgraph import floyd_warshall
+    return floyd_warshall(q, directed=False)
+
+
+def non_metric(rng, n, kind):
+    """A random symmetric matrix with zero diagonal that violates the triangle inequality."""
+    if kind == "dense":
+        upper = rng.uniform(0.01, 1.0, size=(n, n))
+    elif kind == "path":
+        # a line with every pair stretched: shortest paths run through many points
+        x = np.arange(n, dtype=float)
+        upper = np.abs(x[:, None] - x) * rng.uniform(1.0, 3.0, size=(n, n))
+    elif kind == "ties":
+        # one decimal: many equal entries and equal two-hop sums
+        upper = np.maximum(np.round(rng.uniform(0.0, 1.0, size=(n, n)), 1), 0.1)
+    elif kind == "spread":
+        upper = rng.exponential(1.0, size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+        upper = np.maximum(upper, 1e-9)
+    else:
+        # a Euclidean metric with a few stretched entries: sparse violations
+        pts = rng.uniform(-1.0, 1.0, size=(n, 2))
+        upper = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        for _ in range(max(1, n // 2)):
+            i, j = rng.integers(0, n, size=2)
+            upper[min(i, j), max(i, j)] *= 3.0
+    upper = np.triu(upper, 1)
+    return upper + upper.T
+
+
+KINDS = ["dense", "path", "ties", "spread", "planted"]
+
+
+class TestChainMetricAgainstScipy:
+    """The numpy closure is scipy's Floyd–Warshall, bit for bit."""
+
+    @staticmethod
+    def closed(q):
+        out = fm.chain_metric(q)
+        assert out.tobytes() == scipy_closure(q).tobytes()
+        return out
+
+    @pytest.mark.parametrize("make", [fm.inversion_quasimetric, fm.sphericalization_quasimetric])
+    @pytest.mark.parametrize("name", ["H_C:1", "H_H:2", "H_O", "truncated_HH"])
+    def test_gauge_samples(self, name, make):
+        q = make(group_space(name, 300, seed=11).dist, 0)
+        out = self.closed(q)
+        fm.validate_distance_matrix(out, slack=0.0)
+        # the sphericalization lowers the pair (base, infinity) by rounding;
+        # the inversion changes entries only on the group without J^2
+        changed = int(np.count_nonzero(out != q))
+        if make is fm.sphericalization_quasimetric:
+            assert changed == 2
+        else:
+            assert (changed > 0) == (name == "truncated_HH")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_non_metrics(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for n in (5, 17, 60, 150):
+            q = non_metric(rng, n, kind)
+            out = self.closed(q)
+            assert np.any(out < q)
+            # Floyd–Warshall sums a path in the order its pivots meet it, so a
+            # closed entry can exceed another two-hop sum by an ulp
+            fm.validate_distance_matrix(out, slack=4 * np.spacing(out.max()))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 259])
+    def test_sizes_around_the_block(self, monkeypatch, n, workers):
+        monkeypatch.setattr(fm, "_scan_workers", lambda: workers)
+        rng = np.random.default_rng(n)
+        for kind in KINDS:
+            self.closed(non_metric(rng, n, kind))
+
+    def test_negative_zero_diagonal(self):
+        q = non_metric(np.random.default_rng(8), 40, "planted")
+        np.fill_diagonal(q, -0.0)
+        assert not np.signbit(np.diag(self.closed(q))).any()
+
+    def test_rounding_lowers_a_row_without_violation(self):
+        # In exact arithmetic only the rows that violate in q and the pivots
+        # of their violations matter.  In floats a + (b + c) can round below
+        # (a + b) + c: pivot 0 lowers d(1, 3) to b + c, and pivot 1, neither
+        # useful in q nor run on an active row, lowers d(2, 3) of row 2,
+        # which had no violation.
+        rng = np.random.default_rng(9)
+        a, b, c = next(t for t in rng.uniform(0.1, 1.0, size=(1000, 3)).tolist()
+                       if t[0] + (t[1] + t[2]) < (t[0] + t[1]) + t[2])
+        q = np.array([[0.0, b, a + b, c],
+                      [b, 0.0, a, 10.0],
+                      [a + b, a, 0.0, (a + b) + c],
+                      [c, 10.0, (a + b) + c, 0.0]])
+        assert all(q[2, j] <= q[2, k] + q[k, j] for k in range(4) for j in range(4))
+        out = self.closed(q)
+        assert out[2, 3] == a + (b + c) < q[2, 3]
+
+    def test_metric_comes_back_unchanged_without_a_pivot(self, monkeypatch):
+        pivots = []
+        monkeypatch.setattr(fm, "_relax", lambda d, k, *rest: pivots.append(k))
+        for q in (euclidean_space(300, 3, seed=4).dist,
+                  fm.inversion_quasimetric(group_space("H_C:1", 300, seed=11).dist, 0)):
+            out = self.closed(q)
+            assert out.tobytes() == q.tobytes()
+        assert pivots == []
+
+    def test_few_violations_run_few_pivots(self, monkeypatch):
+        pivots = []
+        relax = fm._relax
+        monkeypatch.setattr(fm, "_relax", lambda d, k, *rest: (pivots.append(k),
+                                                                relax(d, k, *rest)))
+        self.closed(fm.sphericalization_quasimetric(group_space("H_C:1", 300, seed=11).dist, 0))
+        assert 0 < len(pivots) < 150
+
+
 class TestSandwich:
     @pytest.mark.parametrize("make", [
         lambda: group_space("H_C:1", 200, seed=8),
@@ -472,6 +588,13 @@ class TestFiles:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n0.0,1.0\n1.0\n")
         with pytest.raises(ValueError, match="row 3"):
+            fm.load_space_csv(path)
+
+    def test_csv_row_numbers_count_lines_of_quoted_labels(self, tmp_path):
+        # the label row spans lines 1-2, so the short row is on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text('"a\nx",b\n0,1\n1\n', encoding="utf-8")
+        with pytest.raises(ValueError, match="row 4 has 1 fields, expected 2"):
             fm.load_space_csv(path)
 
     def test_csv_non_numeric_error(self, tmp_path):
