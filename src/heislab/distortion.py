@@ -24,6 +24,7 @@ import numpy as np
 
 from heislab.hgroup import (
     Point,
+    _MAX_GAUGE,
     _check_radius,
     dilate_arrays,
     gauge_arrays,
@@ -245,14 +246,24 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
     For each radius r, sample points in the gauge annulus r (1 +- ANNULUS_WIDTH)
     around the center (box directions rescaled by dilation), then report
     sup of image distances over the inner half against inf over the outer
-    half.  A radius with an empty half is flagged as insufficient.
+    half.  A radius with an empty half is flagged as insufficient.  Each
+    radius must lie in the sampler's range (``hgroup._check_radius``), and its
+    annulus must stay below the kernels' gauge limit, about 1.16e77
+    (``hgroup._MAX_GAUGE``).
     """
     radii = [float(r) for r in radii]
     if not radii or any(r <= 0.0 for r in radii):
         raise ValueError("radii must be positive")
-    # each annulus is a unit sample dilated by about r: the sampler's range holds
+    # each annulus is a unit sample dilated by about r: the sampler's range holds.
+    # Its points lie within (1 + ANNULUS_WIDTH) r of the center, so on an H-type
+    # group their gauge is at most that plus the center's (triangle inequality),
+    # and the kernels take it to the fourth power.
+    reach = float(gauge_arrays(alg, center.v, center.z))
     for r in radii:
         _check_radius(r)
+        if not reach + (1.0 + ANNULUS_WIDTH) * r < _MAX_GAUGE:
+            raise ValueError(f"radius {r} is too large: its annulus points can reach gauge "
+                             f"{_MAX_GAUGE:.3g}, where the gauge's fourth power overflows")
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
     image_center = point_map(center.v[None, :], center.z[None, :])

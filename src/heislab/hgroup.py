@@ -102,6 +102,10 @@ def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
 # sampling
 
 _MIN_RADIUS = 1e-150
+# The largest gauge the kernels can evaluate: gauge_arrays and sigma_arrays form
+# gauge^4 = (|v|^2/4)^2 + |z|^2 in floating point, which must stay finite, so a
+# point's gauge must stay below DBL_MAX^(1/4), about 1.16e77.
+_MAX_GAUGE = float(np.finfo(np.float64).max) ** 0.25
 
 
 def _check_radius(radius: float) -> None:

@@ -307,10 +307,11 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
     used = int(np.count_nonzero(keep))
     if used == 0:
         return 0, -1.0, None
-    vp, zp, vq, zq = vp[keep], zp[keep], vq[keep], zq[keep]
+    if used < count:  # usually every pair is kept, and nothing is copied
+        vp, zp, vq, zq, gp, gq, d_pq = (a[keep] for a in (vp, zp, vq, zq, gp, gq, d_pq))
     sp = sigma_arrays(alg, vp, zp)
     sq = sigma_arrays(alg, vq, zq)
-    ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp[keep] * gq[keep] / d_pq[keep]
+    ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
     deviation = np.abs(ratio - 1.0)
     worst = int(np.argmax(deviation))
     # copies, so that a chunk's result does not keep its sample alive
@@ -327,7 +328,9 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     Sampling is split into fixed-size chunks with independently derived
     seeds; chunks may be evaluated by a thread pool, and the reduction
     (max deviation, first-chunk tie break) is performed in chunk order so
-    the report is identical for every thread count.
+    the report is identical for every thread count.  A NaN deviation does
+    not drop out of that max: the first pair whose deviation is NaN is the
+    worst pair, the deviation reads NaN and the verdict is inexact.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -351,7 +354,8 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     worst_pair = None
     for used, dev, pair in results:
         used_total += used
-        if dev > worst_dev:
+        # the first NaN chunk wins and stays, as np.argmax picks a chunk's first NaN row
+        if not np.isnan(worst_dev) and (dev > worst_dev or np.isnan(dev)):
             worst_dev = dev
             worst_pair = pair
     if worst_pair is None:

@@ -3,9 +3,11 @@ which the library evaluates only rowwise (``hlie.bracket_arrays``,
 ``hlie.apply_j_rows``); einsum forms of the three bilinear kernels
 (``hlie.bracket_arrays``, ``hlie.apply_j_rows``, ``algebra.mul_arrays``),
 as the library evaluated them before it used cached structure matrices;
-an algebra-spec writer, which the library does not need; and the
-distance-matrix CSV writer and reader as they were before the writer
-formatted each symmetric pair once and the reader parsed with numpy."""
+the bracket as the library evaluated it before its coordinate-major layout,
+by gathers out of the last axis; an algebra-spec writer, which the library
+does not need; and the distance-matrix CSV writer and reader as they were
+before the writer formatted each symmetric pair once and the reader parsed
+with numpy."""
 
 import csv
 import json
@@ -58,6 +60,36 @@ def bracket_einsum(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
         return np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (alg.dim_z,))
     terms = coeff * (x[..., i] * y[..., j] - x[..., j] * y[..., i])
     return np.einsum("...m,mk->...k", terms, selector)
+
+
+def bracket_slots(alg: HTypeAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strictly-upper structure entries as (slots, dim_z) arrays i, j, coeff.
+
+    Slot p holds, for each center direction k, its p-th entry in (i, j)
+    order; directions with fewer entries are padded with coefficient 0.
+    """
+    k, i, j = np.nonzero(alg.structure)
+    keep = i < j
+    k, i, j = k[keep], i[keep], j[keep]
+    slot = np.arange(k.size) - np.searchsorted(k, k)  # rank within direction k
+    shape = (int(slot.max(initial=-1)) + 1, alg.dim_z)
+    first, second = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    coeff = np.zeros(shape)
+    first[slot, k], second[slot, k], coeff[slot, k] = i, j, alg.structure[k, i, j]
+    return first, second, coeff
+
+
+def bracket_gather(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Reference rowwise bracket: (..., slots, dim_z) gathers out of the last
+    axis, summed slot by slot; leading dimensions broadcast."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    i, j, coeff = bracket_slots(alg)
+    terms = coeff * (x[..., i] * y[..., j] - x[..., j] * y[..., i])  # (..., slots, dim_z)
+    out = np.zeros(terms.shape[:-2] + (alg.dim_z,))
+    for slot in range(terms.shape[-2]):
+        out += terms[..., slot, :]
+    return out
 
 
 def apply_j_rows_einsum(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,25 @@ class TestDistortCommands:
                     "--samples", "100"]) == 1
         assert capsys.readouterr().err == (
             f"error: dilation factor must be positive and finite, got {factor}\n")
+
+    @pytest.mark.parametrize("radius", ["1e78", "1e100"])
+    def test_qc_rejects_radii_beyond_the_gauge_limit(self, radius, capsys):
+        # inside the sampler's range, but the annulus points' gauge^4 would overflow
+        assert run(["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--seed", "1",
+                    "--radii", radius]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: radius {float(radius)} is too large: its annulus points can "
+                       "reach gauge 1.16e+77, where the gauge's fourth power overflows\n")
+
+    def test_qc_below_the_gauge_limit_raises_no_warning(self, tmp_path):
+        out = tmp_path / "qc.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["distort", "qc", "--algebra", "H_C:1", "--samples", "100",
+                        "--seed", "1", "--radii", "1e76", "--output", str(out),
+                        "--no-timestamp"]) == 0
+        assert read_json(out)["statistics"]["per_radius"][0]["radius"] == 1e76
 
     def test_qc_center_is_not_the_first_radius_sample(self, tmp_path):
         # the center must not repeat the draws of the first radius

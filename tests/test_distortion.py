@@ -235,6 +235,21 @@ class TestQcRatio:
             dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 28),
                                  radii, samples=10, seed=29)
 
+    @pytest.mark.parametrize("radius", [1e78, 1e100, 1.2e77])
+    def test_radii_within_the_gauge_limit(self, radius):
+        alg = builtin("H_C:1")
+        with pytest.raises(ValueError, match="gauge's fourth power overflows"):
+            dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28),
+                                 [radius], samples=10, seed=29)
+
+    def test_largest_radii_evaluate_without_overflow(self):
+        alg = builtin("H_C:1")
+        # underflow of the tiny images is numpy's default "ignore", as outside this test
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28),
+                                          [1.1e77, 1e76], samples=200, seed=29)
+        assert all(entry["outer_points"] > 0 for entry in report.statistics["per_radius"])
+
 class TestRegularity:
     def test_euclidean_volume_oracle(self):
         # for the abelian group the gauge ball of radius r is the Euclidean

@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from heislab import algebra as al
 from heislab import hlie
 from heislab.algebra import AlgebraKind
-from oracles import (ROW_COUNTS, apply_j_rows_einsum, bracket, bracket_einsum, j_map,
-                     write_algebra_spec)
+from oracles import (ROW_COUNTS, apply_j_rows_einsum, bracket, bracket_einsum, bracket_gather,
+                     j_map, write_algebra_spec)
 
 HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -122,6 +122,76 @@ class TestBracket:
         for i in range(5):
             rows = hlie.bracket_arrays(alg, np.repeat(x[i:i + 1], 7, axis=0), y)
             assert np.array_equal(table[i], rows)
+
+
+class TestBracketAgainstGather:
+    """The coordinate-major bracket is bit for bit the gather form it replaced."""
+
+    NAMES = HEISENBERG_NAMES + ["H_R:3", "H_C:2", "truncated_HH", "degenerate_sum"]
+
+    @staticmethod
+    def assert_same_bits(alg, x, y):
+        got = hlie.bracket_arrays(alg, x, y)
+        want = bracket_gather(alg, x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 2047, 2048, 16385])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_row_counts(self, name, rows):
+        alg = hlie.algebra_from_name(name)
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, alg.dim_v))
+        y = rng.standard_normal((rows, alg.dim_v))
+        self.assert_same_bits(alg, x, y)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2047, 16385])
+    def test_dense_spec(self, dense_spec, rows):
+        rng = np.random.default_rng(rows + 1)
+        x = rng.standard_normal((rows, dense_spec.dim_v))
+        y = rng.standard_normal((rows, dense_spec.dim_v))
+        self.assert_same_bits(dense_spec, x, y)
+        # every term +-0, with negative coefficients first in some directions
+        self.assert_same_bits(dense_spec, x, x)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_pairwise_tables(self, name):
+        # the (chunk, 1, dim_v) against (1, n, dim_v) operands of pairwise_gauge_dist
+        alg = hlie.algebra_from_name(name)
+        v = np.random.default_rng(5).standard_normal((300, alg.dim_v))
+        for start in (0, 256):
+            self.assert_same_bits(alg, v[start:start + 256, None, :], v[None, :, :])
+            self.assert_same_bits(alg, v[None, :, :], v[start:start + 256, None, :])
+
+    def test_dense_spec_pairwise_table(self, dense_spec):
+        v = np.random.default_rng(6).standard_normal((70, dense_spec.dim_v))
+        self.assert_same_bits(dense_spec, v[:40, None, :], v[None, :, :])
+
+    def test_sum_starts_at_plus_zero(self):
+        # H_C:1 with its bracket negated: each term of [x, x] is -0, and 0 + (-0) = +0
+        alg = hlie.HTypeAlgebra("negated", 2, 1, -hlie.algebra_from_name("H_C:1").structure)
+        x = np.random.default_rng(8).standard_normal((50, 2))
+        self.assert_same_bits(alg, x, x)
+        assert not np.any(np.signbit(hlie.bracket_arrays(alg, x, x)))
+
+    @pytest.mark.parametrize("name", ["H_O", "H_H:2", "H_C:1", "truncated_HH", "H_R:3"])
+    def test_strided_integer_and_single_row_inputs(self, name):
+        alg = hlie.algebra_from_name(name)
+        rng = np.random.default_rng(7)
+        y = rng.standard_normal((500, alg.dim_v))
+        center = rng.standard_normal(alg.dim_v)
+        # stride-0 rows, as estimate_qc_ratio passes its center
+        self.assert_same_bits(alg, np.broadcast_to(center, y.shape), y)
+        self.assert_same_bits(alg, y, np.broadcast_to(center, y.shape))
+        self.assert_same_bits(alg, center, y)
+        self.assert_same_bits(alg, center, y[0])
+        ints = np.arange(12 * alg.dim_v).reshape(12, alg.dim_v) - 40
+        self.assert_same_bits(alg, ints, ints[::-1])
+        # every term +-0: the sum starts at +0, so no -0 comes out
+        self.assert_same_bits(alg, y, y)
+        wide = rng.standard_normal((900, alg.dim_v + 3))
+        self.assert_same_bits(alg, wide[::3, 2:2 + alg.dim_v], y[::-1][:300])
 
 
 class TestApplyJRows:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from heislab import distortion, hgroup, hlie, inversion
+from heislab.cli import run
 from heislab.inversion import ExtendedPoints
+from heislab.util import canonical_json
 
 H_TYPE_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -136,6 +138,76 @@ class TestVerifyInversion:
     def test_samples_precondition(self):
         with pytest.raises(ValueError, match="samples"):
             inversion.verify_inversion(builtin("H_C:1"), samples=0)
+
+
+class TestVerifyReduction:
+    """The chunk-order reduction of verify_inversion and the pairs it keeps."""
+
+    SAMPLES = 2 * inversion._CHUNK + 500  # three chunks
+
+    @staticmethod
+    def nan_in_chunks(monkeypatch, chunks):
+        real = inversion._inversion_chunk
+
+        def patched(alg, count, radius, seed):
+            used, dev, pair = real(alg, count, radius, seed)
+            return used, (np.nan if seed.spawn_key[-1] in chunks else dev), pair
+
+        monkeypatch.setattr(inversion, "_inversion_chunk", patched)
+
+    @pytest.mark.parametrize("chunks", [{1}, {0, 1, 2}, {1, 2}])
+    def test_nan_chunk_wins(self, monkeypatch, chunks):
+        alg = builtin("truncated_HH")
+        finite = inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4)
+        pairs = [inversion._inversion_chunk(alg, size, 1.0, s)[2] for size, s in zip(
+            [inversion._CHUNK, inversion._CHUNK, 500], np.random.SeedSequence(4).spawn(3))]
+        self.nan_in_chunks(monkeypatch, chunks)
+        reports = [inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4, threads=t)
+                   for t in (1, 2)]
+        assert canonical_json(reports[0].to_dict()) == canonical_json(reports[1].to_dict())
+        report = reports[0]
+        assert np.isnan(report.max_relative_deviation) and not report.is_exact_inversion
+        assert report.pairs_used == finite.pairs_used
+        first = pairs[min(chunks)]
+        assert np.array_equal(report.worst_pair.p.v, first.p.v)
+        assert np.array_equal(report.worst_pair.q.z, first.q.z)
+
+    def test_finite_reports_do_not_change(self, monkeypatch):
+        alg = builtin("truncated_HH")
+        before = inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4)
+        self.nan_in_chunks(monkeypatch, set())
+        after = inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4, threads=2)
+        assert canonical_json(before.to_dict()) == canonical_json(after.to_dict())
+
+    def test_expect_exact_fails_on_nan(self, monkeypatch, tmp_path, capsys):
+        self.nan_in_chunks(monkeypatch, {0})
+        out = tmp_path / "verify.json"
+        assert run(["invert", "verify", "--algebra", "H_C:1", "--samples", "1000",
+                    "--expect", "exact", "--output", str(out), "--no-timestamp"]) == 2
+        assert '"max_relative_deviation": NaN' in out.read_text()
+        assert capsys.readouterr().err == "check failed: H_C:1: max |r - 1| = nan exceeds tolerance\n"
+
+    def test_coincident_pair_is_dropped(self, monkeypatch):
+        alg = builtin("truncated_HH")
+        clean = inversion.verify_inversion(alg, samples=5000, seed=6)
+        real = inversion.sample_with_rng
+        draws = []
+
+        def planted(alg, count, radius, rng):
+            v, z = real(alg, count, radius, rng)
+            draws.append((v, z))
+            if len(draws) == 2:  # q of the only chunk: one row repeats p's
+                row = 0 if not np.array_equal(draws[0][0][0], clean.worst_pair.p.v) else 1
+                v[row], z[row] = draws[0][0][row], draws[0][1][row]
+            return v, z
+
+        monkeypatch.setattr(inversion, "sample_with_rng", planted)
+        report = inversion.verify_inversion(alg, samples=5000, seed=6)
+        assert len(draws) == 2
+        assert report.pairs_used == clean.pairs_used - 1 == 4999
+        assert report.max_relative_deviation == clean.max_relative_deviation
+        assert canonical_json({"w": report.to_dict()["worst_pair"]}) == \
+            canonical_json({"w": clean.to_dict()["worst_pair"]})
 
 
 class TestPhiAt:
