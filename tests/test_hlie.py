@@ -152,7 +152,7 @@ class TestBracketAgainstGather:
         x = rng.standard_normal((rows, dense_spec.dim_v))
         y = rng.standard_normal((rows, dense_spec.dim_v))
         self.assert_same_bits(dense_spec, x, y)
-        # every term +-0, with negative coefficients first in some directions
+        # [x, x]: every term is +0 or -0
         self.assert_same_bits(dense_spec, x, x)
 
     @pytest.mark.parametrize("name", NAMES)
