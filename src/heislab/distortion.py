@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from heislab.algebra import _SLICE_ROWS
 from heislab.hgroup import (
     Point,
     _MAX_GAUGE,
@@ -53,8 +54,6 @@ __all__ = [
 BINS_PER_DECADE = 4
 # relative half-width of the sampled annulus r (1 +- width) of a qc ratio
 ANNULUS_WIDTH = 0.05
-# rows per block of a qc ratio's point arrays after the draw
-_QC_BLOCK = 16384
 
 
 @dataclass
@@ -199,18 +198,19 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Poin
 def _annulus_entry(alg: HTypeAlgebra, point_map: Callable, center: Point, image_center,
                    r: float, samples: int, rng: np.random.Generator) -> dict:
     """One radius of :func:`estimate_qc_ratio`: the whole draw, then the
-    dilation radii, then the point arrays in fixed blocks of rows."""
+    dilation radii, then the point arrays in slices of ``algebra._SLICE_ROWS``
+    rows."""
     v, z = sample_with_rng(alg, samples, 1.0, rng)
-    g = np.concatenate([gauge_arrays(alg, v[s:s + _QC_BLOCK], z[s:s + _QC_BLOCK])
-                        for s in range(0, samples, _QC_BLOCK)])
+    g = np.concatenate([gauge_arrays(alg, v[s:s + _SLICE_ROWS], z[s:s + _SLICE_ROWS])
+                        for s in range(0, samples, _SLICE_ROWS)])
     keep = np.flatnonzero(g > 1e-12)
     rho = rng.uniform((1.0 - ANNULUS_WIDTH) * r, (1.0 + ANNULUS_WIDTH) * r, size=keep.size)
     fc_v, fc_z = image_center
     inner_points = outer_points = 0
     sup, inf = np.float64(-np.inf), np.float64(np.inf)
-    for start in range(0, keep.size, _QC_BLOCK):
-        rows = keep[start:start + _QC_BLOCK]
-        bv, bz = dilate_arrays(rho[start:start + _QC_BLOCK] / g[rows], v[rows], z[rows])
+    for start in range(0, keep.size, _SLICE_ROWS):
+        rows = keep[start:start + _SLICE_ROWS]
+        bv, bz = dilate_arrays(rho[start:start + _SLICE_ROWS] / g[rows], v[rows], z[rows])
         bv, bz = group_mul(alg, np.broadcast_to(center.v, bv.shape),
                            np.broadcast_to(center.z, bz.shape), bv, bz)
         d_in = gauge_dist_arrays(alg, bv, bz,

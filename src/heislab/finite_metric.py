@@ -56,9 +56,10 @@ INFINITY_LABEL = "∞"
 
 DEFAULT_SLACK = 1e-9
 # Cap on the points of a space handed to the closure (numpy Floyd–Warshall,
-# O(n^2) memory; one triangle scan when nothing needs closing, O(n^3) pivots
-# when much does); the closed space has one point more (infinity) after
-# sphericalization.
+# O(n^2) memory: at n = 2000 the matrix and its working copy take 32 MB each
+# and the scan's float32 copy 16 MB; one triangle scan when nothing needs
+# closing, O(n^3) pivots when much does); the closed space has one point
+# more (infinity) after sphericalization.
 DEFAULT_MAX_POINTS = 2000
 
 
@@ -92,6 +93,10 @@ def _check_entries(dist: np.ndarray) -> None:
 # 128 rows of a 1000-point matrix (1 MB) stays in cache.  The closure's
 # pivots update the matrix in blocks of the same size.
 _SCAN_BLOCK = 128
+# The float32 pre-filter of the scan (see _scan_rows): the range of the
+# off-diagonal entries its bound holds for, and the margin of its test.
+_COARSE_LOW, _COARSE_HIGH = 2.0 ** -100, 2.0 ** 100
+_COARSE_MARGIN = 1.0 + 2.0 ** -21
 
 
 def _scan_workers() -> int:
@@ -99,33 +104,84 @@ def _scan_workers() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _on_workers(workers: int, task) -> None:
-    """Run ``task(w)`` for w in range(workers): w = 0 here, the others on threads."""
+def _coarse_copy(dist: np.ndarray, slack: float) -> np.ndarray | None:
+    """The float32 copy of ``dist`` with an infinite diagonal that filters the
+    scan's blocks, or None where the filter's bound does not hold: a slack
+    below 0, an input other than float64, or an off-diagonal entry outside
+    [2^-100, 2^100]."""
+    if not slack >= 0.0 or dist.dtype != np.float64 or dist.max(initial=0.0) > _COARSE_HIGH:
+        return None
+    coarse = dist.astype(np.float32)
+    np.fill_diagonal(coarse, np.inf)
+    if coarse.min(initial=np.inf) < _COARSE_LOW:
+        return None
+    return coarse
+
+
+def _scan(dist: np.ndarray, slack: float, marks: list) -> None:
+    """The triangle scan of ``dist`` on len(marks) workers: worker w takes the
+    rows i = w (mod workers), which balances the triangle, and flags them in
+    ``marks[w]`` (``bad``, and ``pivots`` for the closure).  Worker 0 runs
+    here, the others on threads.  The float32 copy is freed on return."""
+    workers = len(marks)
+    n = dist.shape[0]
+    coarse = _coarse_copy(dist, slack)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task, w) for w in range(1, workers)]
-        task(0)
+        futures = [pool.submit(_scan_rows, dist, slack, range(w, n, workers), *marks[w],
+                               coarse=coarse) for w in range(1, workers)]
+        _scan_rows(dist, slack, range(0, n, workers), *marks[0], coarse=coarse)
         for future in futures:
             future.result()
 
 
+def _exact_block(dist: np.ndarray, slack: float, i: int, j0: int, buf: np.ndarray,
+                 best: np.ndarray) -> np.ndarray:
+    """The float64 block of the scan: fill ``buf`` with d(j, k) + d(i, k) for
+    the rows j = j0 .. j0 + len(buf) - 1, as the witness of
+    ``_triangle_error`` computes it, and return which of those rows violate."""
+    m = buf.shape[0]
+    np.add(dist[j0:j0 + m], dist[i], out=buf)
+    np.min(buf, axis=1, out=best)
+    return dist[i, j0:j0 + m] > best + slack
+
+
 def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
-               pivots: np.ndarray | None = None) -> None:
+               pivots: np.ndarray | None = None, coarse: np.ndarray | None = None) -> None:
     """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some j >= i.
 
-    Row a of the buffer holds d(j, k) + d(i, k) for j = j0 + a, as the
-    witness of ``_triangle_error`` computes it.  Validation (no ``pivots``)
-    shares ``bad`` between the workers: each scans its rows in increasing
-    order and stops at its first violating row, or once another worker has
-    flagged a smaller one; each worker writes only its own rows, so a stale
-    read only scans a row more.  The closure gives each worker its own
-    ``bad`` and ``pivots``: every row is scanned to its end, and a violating
-    (i, k, j) flags row j >= i too (its mirror (j, k, i) violates) and
-    pivot k.  A worker stops once rows i.. and every pivot are flagged, as
-    nothing is left to flag.
+    Each block of ``_SCAN_BLOCK`` rows j = j0, j0 + 1, .. first runs the
+    same add and row-min on ``coarse``, the float32 copy with an infinite
+    diagonal; the float64 block (``_exact_block``) runs only where some
+    float32 minimum is at most d(i, j) (1 + 2^-21), compared in float64.
+    The filter skips no violation.  One needs d(i, j) > fl64(d(j, k) +
+    d(i, k)) with k not in {i, j}: at k = i or j the sum is exactly
+    d(i, j), and the infinite diagonal removes both from the float32
+    minimum.  With every off-diagonal entry in [2^-100, 2^100] the float32
+    copy is normal, so each entry converts and the float32 sum rounds with
+    a relative error of at most u = 2^-24, and the float64 sum with at
+    most 2^-53.  The float32 sum is then at most (1 + u)^2 / (1 - 2^-53)
+    < 1 + 2^-22 times the float64 one, so below d(i, j) (1 + 2^-22), while
+    the float64 product d(i, j) (1 + 2^-21) is above that.  A slack of at
+    least 0 only makes a violation rarer.  Outside these conditions
+    ``_coarse_copy`` gives None, and every block runs the float64 block
+    alone.  So the marks are those of the float64 scan, and only the
+    float64 block decides a violation.
+
+    Validation (no ``pivots``) shares ``bad`` between the workers: each
+    scans its rows in increasing order and stops at its first violating
+    row, or once another worker has flagged a smaller one; each worker
+    writes only its own rows, so a stale read only scans a row more.  The
+    closure gives each worker its own ``bad`` and ``pivots``: every row is
+    scanned to its end, and a violating (i, k, j) flags row j >= i too (its
+    mirror (j, k, i) violates) and pivot k.  A worker stops once rows i..
+    and every pivot are flagged, as nothing is left to flag.
     """
     n = dist.shape[0]
     buf = np.empty((min(_SCAN_BLOCK, n), n), dtype=dist.dtype)
     best = np.empty(buf.shape[0], dtype=dist.dtype)
+    if coarse is not None:
+        coarse_buf = np.empty(buf.shape, dtype=np.float32)
+        coarse_best = np.empty(buf.shape[0], dtype=np.float32)
     for i in rows:
         if pivots is None:
             if bad[:i].any():
@@ -134,9 +190,12 @@ def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
             return
         for j0 in range(i, n, _SCAN_BLOCK):
             m = min(_SCAN_BLOCK, n - j0)
-            np.add(dist[j0:j0 + m], dist[i], out=buf[:m])
-            np.min(buf[:m], axis=1, out=best[:m])
-            over = dist[i, j0:j0 + m] > best[:m] + slack
+            if coarse is not None:
+                np.add(coarse[j0:j0 + m], coarse[i], out=coarse_buf[:m])
+                np.min(coarse_buf[:m], axis=1, out=coarse_best[:m])
+                if not (coarse_best[:m] <= dist[i, j0:j0 + m] * _COARSE_MARGIN).any():
+                    continue
+            over = _exact_block(dist, slack, i, j0, buf[:m], best[:m])
             if not over.any():
                 continue
             bad[i] = True
@@ -172,13 +231,11 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
     # A violation at (i, j) with j < i is the mirror of one at (j, i), since
     # the matrix is exactly symmetric and float addition commutes; so the
     # first violating row has all its violating columns at j >= i, and only
-    # those are scanned.  Worker w takes the rows i = w (mod workers), which
-    # balances the triangle; the smallest row any worker flags is the first
+    # those are scanned.  The smallest row any worker flags is the first
     # violating row.
     n = dist.shape[0]
-    workers = _scan_workers() if n > _SCAN_BLOCK else 1
     bad = np.zeros(n, dtype=bool)
-    _on_workers(workers, lambda w: _scan_rows(dist, slack, range(w, n, workers), bad))
+    _scan(dist, slack, [(bad,)] * (_scan_workers() if n > _SCAN_BLOCK else 1))
     if bad.any():
         raise _triangle_error(dist, int(np.argmax(bad)), slack)
 
@@ -283,20 +340,33 @@ def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     Input must be square, finite and symmetric with zero diagonal and
     positive off-diagonal entries.  The result is Floyd–Warshall's in
     ascending pivot order, bit for bit, with every pivot that provably
-    changes nothing skipped.  Its cost, timed on 2 shared cores against
-    scipy's compiled Floyd–Warshall in the same process:
+    changes nothing skipped.  Its cost, timed on 2 shared cores in one
+    process:
 
     - no triangle violation: one slack-0 triangle scan on the available
-      CPUs, and the input comes back unchanged (n = 1000: 0.6-1.0 s
-      against 1.6-2.0 s; n = 2000: 5.8 s against 15.8 s);
+      CPUs, whose float32 pre-filter (see ``_scan_rows``) hands no block
+      of a gauge sample's quasimetrics to the float64 block, and the input
+      comes back unchanged (n = 1000: 0.32-0.38 s against 0.55-0.85 s for
+      the float64 scan alone; n = 2000: 2.6-2.7 s against 4.9-5.0 s;
+      scipy's compiled Floyd–Warshall took 1.6-2.0 s and 15.8 s);
     - a few violations: the scan plus O(active rows * n) per useful pivot
-      (the 2 entries a sphericalized gauge sample changes cost a few ms);
+      (the 2 entries a sphericalized gauge sample changes cost a few ms;
+      the filter hands on one block, the base point's row, whose
+      triangles through infinity are tight);
     - dense violations: every pivot runs on every row, O(n^3) in numpy on
-      one thread (n = 1000 with 63-97 % of the entries lowered: 3.5-3.7 s
-      against 1.7-2.0 s).
+      one thread (n = 1000 with 63-97 % of the entries lowered: 3.0-3.6 s;
+      scipy took 1.7-2.0 s).  The scan stops early there.
 
-    Memory is the input, one n x n working matrix and a 128-row buffer per
-    scan worker.  ``invert_space`` and ``sphericalize_space`` cap its size.
+    Known cost: where most triangles are tight, as in a densely closed
+    matrix, nearly every block passes the filter, and the float32 pass
+    comes on top of the float64 one.  Validating the closure of a dense
+    n = 1000 quasimetric (4,414 of 4,416 blocks handed on) took 1.0-1.15 s
+    against 0.53-0.61 s for the float64 scan alone.
+
+    Memory is the input, one n x n working matrix, 128-row float64 and
+    float32 buffers per scan worker and, while the scan runs, a float32
+    copy of the matrix (4 MB at n = 1000).  ``invert_space`` and
+    ``sphericalize_space`` cap its size.
     """
     q = np.asarray(quasimetric, dtype=np.float64)
     _check_entries(q)
@@ -314,7 +384,7 @@ def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     n = d.shape[0]
     workers = _scan_workers() if n > _SCAN_BLOCK else 1
     marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
-    _on_workers(workers, lambda w: _scan_rows(d, 0.0, range(w, n, workers), *marks[w]))
+    _scan(d, 0.0, marks)
     active = np.logical_or.reduce([bad for bad, _ in marks])
     useful = np.logical_or.reduce([pivots for _, pivots in marks])
     if not active.any():

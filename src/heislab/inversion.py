@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from heislab.algebra import _SLICE_ROWS
 from heislab.hlie import HTypeAlgebra, apply_j_rows, check_h_type
 from heislab.hgroup import (
     Point,
@@ -296,28 +297,53 @@ class InversionReport(Report):
     kind: str = field(default="inversion", init=False)
 
 
+def _worse(dev: float, worst: float) -> bool:
+    """Whether deviation ``dev``, met later in sample order, replaces ``worst``:
+    a strictly larger one does, and the first NaN wins and stays, as
+    np.argmax picks the first NaN row."""
+    return not np.isnan(worst) and (dev > worst or np.isnan(dev))
+
+
 def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
+    """Pairs used, worst deviation and worst pair of one chunk of ``count`` pairs.
+
+    The chunk draws its pairs at once and evaluates them in slices of
+    ``algebra._SLICE_ROWS`` rows, reduced in order by :func:`_worse`: the
+    temporaries stay small and reused, and each slice is a whole number of
+    ``apply_j_rows``' blocks, so when every pair is kept each row is
+    evaluated bit for bit as by the whole chunk.  Near the gauge limit the
+    gauge overflows or underflows; its inf or NaN reaches the deviation,
+    which the report shows, so the chunk raises no numpy warning.
+    """
     rng = np.random.default_rng(seed)
     vp, zp = sample_with_rng(alg, count, radius, rng)
     vq, zq = sample_with_rng(alg, count, radius, rng)
-    gp = gauge_arrays(alg, vp, zp)
-    gq = gauge_arrays(alg, vq, zq)
-    d_pq = gauge_dist_arrays(alg, vp, zp, vq, zq)
-    keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
-    used = int(np.count_nonzero(keep))
-    if used == 0:
-        return 0, -1.0, None
-    if used < count:  # usually every pair is kept, and nothing is copied
-        vp, zp, vq, zq, gp, gq, d_pq = (a[keep] for a in (vp, zp, vq, zq, gp, gq, d_pq))
-    sp = sigma_arrays(alg, vp, zp)
-    sq = sigma_arrays(alg, vq, zq)
-    ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
-    deviation = np.abs(ratio - 1.0)
-    worst = int(np.argmax(deviation))
-    # copies, so that a chunk's result does not keep its sample alive
-    pair = WorstPair(Point(vp[worst].copy(), zp[worst].copy()),
-                     Point(vq[worst].copy(), zq[worst].copy()))
-    return used, float(deviation[worst]), pair
+    used, worst_dev, pair = 0, -1.0, None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, count, _SLICE_ROWS):
+            rows = slice(start, start + _SLICE_ROWS)
+            pv, pz, qv, qz = vp[rows], zp[rows], vq[rows], zq[rows]
+            gp = gauge_arrays(alg, pv, pz)
+            gq = gauge_arrays(alg, qv, qz)
+            d_pq = gauge_dist_arrays(alg, pv, pz, qv, qz)
+            keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
+            kept = int(np.count_nonzero(keep))
+            if kept == 0:
+                continue
+            used += kept
+            if kept < keep.size:  # usually every pair is kept, and nothing is copied
+                pv, pz, qv, qz, gp, gq, d_pq = (a[keep] for a in (pv, pz, qv, qz, gp, gq, d_pq))
+            sp = sigma_arrays(alg, pv, pz)
+            sq = sigma_arrays(alg, qv, qz)
+            ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
+            deviation = np.abs(ratio - 1.0)
+            worst = int(np.argmax(deviation))
+            if _worse(deviation[worst], worst_dev):
+                worst_dev = float(deviation[worst])
+                # copies, so that a chunk's result does not keep its sample alive
+                pair = WorstPair(Point(pv[worst].copy(), pz[worst].copy()),
+                                 Point(qv[worst].copy(), qz[worst].copy()))
+    return used, worst_dev, pair
 
 
 def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
@@ -354,8 +380,7 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     worst_pair = None
     for used, dev, pair in results:
         used_total += used
-        # the first NaN chunk wins and stays, as np.argmax picks a chunk's first NaN row
-        if not np.isnan(worst_dev) and (dev > worst_dev or np.isnan(dev)):
+        if _worse(dev, worst_dev):
             worst_dev = dev
             worst_pair = pair
     if worst_pair is None:

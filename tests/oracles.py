@@ -5,9 +5,11 @@ which the library evaluates only rowwise (``hlie.bracket_arrays``,
 as the library evaluated them before it used cached structure matrices;
 the bracket as the library evaluated it before its coordinate-major layout,
 by gathers out of the last axis; an algebra-spec writer, which the library
-does not need; and the distance-matrix CSV writer and reader as they were
+does not need; the distance-matrix CSV writer and reader as they were
 before the writer formatted each symmetric pair once and the reader parsed
-with numpy."""
+with numpy; the triangle scan as it was before its float32 pre-filter,
+every block in float64; and the inversion-identity chunk as it was before
+it evaluated its pairs in row slices."""
 
 import csv
 import json
@@ -16,8 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from heislab.algebra import _ROW_BLOCK, AlgebraKind, multiplication_tensor
-from heislab.finite_metric import FiniteMetricSpace
+from heislab.finite_metric import _SCAN_BLOCK, FiniteMetricSpace
+from heislab.hgroup import Point, gauge_arrays, gauge_dist_arrays, sample_with_rng
 from heislab.hlie import HTypeAlgebra, bracket_arrays
+from heislab.inversion import WorstPair, sigma_arrays
 from heislab.util import format_float
 
 
@@ -150,3 +154,67 @@ def load_space_csv_rowloop(path) -> FiniteMetricSpace:
         raise ValueError(f"distance file {path}: {len(rows)} data rows do not match "
                          f"{len(labels)} labels")
     return FiniteMetricSpace(labels, np.asarray(rows))
+
+
+def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
+                      pivots: np.ndarray | None = None) -> None:
+    """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some j >= i.
+
+    Row a of the buffer holds d(j, k) + d(i, k) for j = j0 + a, as the
+    witness of ``_triangle_error`` computes it.  Validation (no ``pivots``)
+    shares ``bad`` between the workers: each scans its rows in increasing
+    order and stops at its first violating row, or once another worker has
+    flagged a smaller one; each worker writes only its own rows, so a stale
+    read only scans a row more.  The closure gives each worker its own
+    ``bad`` and ``pivots``: every row is scanned to its end, and a violating
+    (i, k, j) flags row j >= i too (its mirror (j, k, i) violates) and
+    pivot k.  A worker stops once rows i.. and every pivot are flagged, as
+    nothing is left to flag.
+    """
+    n = dist.shape[0]
+    buf = np.empty((min(_SCAN_BLOCK, n), n), dtype=dist.dtype)
+    best = np.empty(buf.shape[0], dtype=dist.dtype)
+    for i in rows:
+        if pivots is None:
+            if bad[:i].any():
+                return
+        elif bad[i:].all() and pivots.all():
+            return
+        for j0 in range(i, n, _SCAN_BLOCK):
+            m = min(_SCAN_BLOCK, n - j0)
+            np.add(dist[j0:j0 + m], dist[i], out=buf[:m])
+            np.min(buf[:m], axis=1, out=best[:m])
+            over = dist[i, j0:j0 + m] > best[:m] + slack
+            if not over.any():
+                continue
+            bad[i] = True
+            if pivots is None:
+                return
+            bad[j0:j0 + m] |= over
+            if not pivots.all():
+                pivots |= (buf[:m] < dist[i, j0:j0 + m, None]).any(axis=0)
+
+
+def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
+    """Reference chunk of ``verify_inversion``: every pair evaluated at once."""
+    rng = np.random.default_rng(seed)
+    vp, zp = sample_with_rng(alg, count, radius, rng)
+    vq, zq = sample_with_rng(alg, count, radius, rng)
+    gp = gauge_arrays(alg, vp, zp)
+    gq = gauge_arrays(alg, vq, zq)
+    d_pq = gauge_dist_arrays(alg, vp, zp, vq, zq)
+    keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
+    used = int(np.count_nonzero(keep))
+    if used == 0:
+        return 0, -1.0, None
+    if used < count:  # usually every pair is kept, and nothing is copied
+        vp, zp, vq, zq, gp, gq, d_pq = (a[keep] for a in (vp, zp, vq, zq, gp, gq, d_pq))
+    sp = sigma_arrays(alg, vp, zp)
+    sq = sigma_arrays(alg, vq, zq)
+    ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
+    deviation = np.abs(ratio - 1.0)
+    worst = int(np.argmax(deviation))
+    # copies, so that a chunk's result does not keep its sample alive
+    pair = WorstPair(Point(vp[worst].copy(), zp[worst].copy()),
+                     Point(vq[worst].copy(), zq[worst].copy()))
+    return used, float(deviation[worst]), pair

@@ -95,6 +95,21 @@ class TestExitCodes:
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("radius, deviation", [("1e-77", "inf"), ("1e77", "nan")])
+    def test_dilation_probes_print_no_warning(self, radius, deviation, capsys):
+        argv = ["invert", "verify", "--algebra", "H_C:2", "--samples", "2000",
+                "--radius", radius, "--seed", "5", "--expect", "exact", "--no-timestamp"]
+        assert run(argv) == 2
+        expected = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "heislab.cli",
+                               *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == f"check failed: H_C:2: max |r - 1| = {deviation} exceeds tolerance\n"
+        assert proc.stdout == expected
+
     def test_expect_htype_on_control_returns_two(self, tmp_path):
         out = tmp_path / "report.json"
         code = run(["lie", "check-htype", "--algebra", "degenerate_sum",

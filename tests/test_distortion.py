@@ -211,7 +211,7 @@ class TestQcRatio:
         center = self.center(alg, 31)
 
         def report(block):
-            monkeypatch.setattr(dt, "_QC_BLOCK", block)
+            monkeypatch.setattr(dt, "_SLICE_ROWS", block)
             return dt.estimate_qc_ratio(alg, point_map, center, [1.0, 0.1, 0.01],
                                         samples=5000, seed=32).to_dict()
         whole = report(5000)

@@ -15,7 +15,7 @@ import pytest
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
 from heislab.util import format_float
-from oracles import load_space_csv_rowloop, save_space_csv_rowwise
+from oracles import load_space_csv_rowloop, save_space_csv_rowwise, scan_rows_float64
 
 
 def euclidean_space(count, dim, seed, labels=None):
@@ -456,6 +456,121 @@ class TestChainMetricAgainstScipy:
                                                                 relax(d, k, *rest)))
         self.closed(fm.sphericalization_quasimetric(group_space("H_C:1", 300, seed=11).dist, 0))
         assert 0 < len(pivots) < 150
+
+
+HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
+SCAN_ROWS = fm._scan_rows
+
+
+def float64_scan(*args, coarse=None):
+    return scan_rows_float64(*args)
+
+
+def two_hop(dist, i, j):
+    """The smallest d(i, k) + d(k, j) over k not in {i, j}, as the scan sums it."""
+    via = dist[j] + dist[i]
+    via[[i, j]] = np.inf
+    return via.min()
+
+
+class TestScanAgainstFloat64Scan:
+    """The float32 pre-filter leaves the marks of every scan, the messages of
+    validation and the closures as the float64 scan gives them, bit for bit."""
+
+    @staticmethod
+    def outcomes(monkeypatch, dist, slack, workers, scan):
+        monkeypatch.setattr(fm, "_scan_workers", lambda: workers)
+        monkeypatch.setattr(fm, "_scan_rows", scan)
+        n = dist.shape[0]
+        marks = []
+        for pivots in (None, np.zeros(n, dtype=bool)):
+            bad = np.zeros(n, dtype=bool)
+            scan(dist, slack, range(n), bad, pivots, coarse=fm._coarse_copy(dist, slack))
+            marks.append((bad.tobytes(), None if pivots is None else pivots.tobytes()))
+        try:
+            fm.validate_distance_matrix(dist, slack)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        return marks, message, fm.chain_metric(dist).tobytes()
+
+    def check(self, monkeypatch, dist):
+        """Compare both scans at slack 0 and 1e-9 on 1 and 2 workers; return
+        the messages at slack 0."""
+        for slack in (0.0, 1e-9):
+            for workers in (1, 2):
+                expected = self.outcomes(monkeypatch, dist, slack, workers, float64_scan)
+                got = self.outcomes(monkeypatch, dist, slack, workers, SCAN_ROWS)
+                assert got == expected
+                if slack == 0.0:
+                    message = got[1]
+        return message
+
+    @pytest.mark.parametrize("name", HEISENBERG_NAMES + ["truncated_HH"])
+    def test_gauge_matrices_and_their_quasimetrics(self, monkeypatch, name):
+        dist = group_space(name, 150, seed=11).dist
+        for make in (fm.inversion_quasimetric, fm.sphericalization_quasimetric):
+            q = make(dist, 0)
+            for matrix in (q, fm.chain_metric(q)):
+                assert fm._coarse_copy(matrix, 0.0) is not None
+                self.check(monkeypatch, matrix)
+        assert self.check(monkeypatch, dist) is None
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_non_metrics(self, monkeypatch, kind):
+        rng = np.random.default_rng(40 + KINDS.index(kind))
+        for n in (17, 150):
+            assert self.check(monkeypatch, non_metric(rng, n, kind)) is not None
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_planted_two_hop_sums(self, monkeypatch, ulps):
+        # d(i, j) set to its smallest two-hop sum (an exact equality, no
+        # violation at slack 0) or 1 ulp above it (a violation by 1 ulp)
+        dist = euclidean_space(150, 2, seed=41).dist.copy()
+        for i, j in ((0, 149), (3, 140), (100, 101), (127, 128)):
+            value = two_hop(dist, i, j)
+            for _ in range(ulps):
+                value = np.nextafter(value, np.inf)
+            dist[i, j] = dist[j, i] = value
+        message = self.check(monkeypatch, dist)
+        assert (message is None) == (ulps == 0)
+        if ulps:
+            assert message.startswith("triangle inequality violated at (i, k, j) = (0, ")
+            assert message.endswith("by 2.220e-16")
+
+    @pytest.mark.parametrize("entry", [2.0 ** -101, 2.0 ** 101, 1e-40, 1e-300, 1e300])
+    def test_entries_outside_the_guard(self, monkeypatch, entry):
+        for scaled in (False, True):
+            dist = euclidean_space(150, 2, seed=42).dist.copy()
+            if scaled:  # the metric scaled to the extreme entry, with a 1-ulp violation
+                dist *= entry / (dist.max() if entry > 1.0 else dist[dist > 0.0].min())
+                dist[3, 140] = dist[140, 3] = np.nextafter(two_hop(dist, 3, 140), np.inf)
+            else:  # one entry moved out of the range
+                dist[7, 140] = dist[140, 7] = entry
+            assert fm._coarse_copy(dist, 0.0) is None
+            assert self.check(monkeypatch, dist) is not None
+
+    def test_guard_range_and_slack(self):
+        dist = euclidean_space(150, 2, seed=43).dist.copy()
+        dist[7, 140] = dist[140, 7] = 2.0 ** -100
+        dist[8, 141] = dist[141, 8] = 2.0 ** 100
+        assert fm._coarse_copy(dist, 0.0) is not None
+        assert fm._coarse_copy(dist, -1e-9) is None
+        assert fm._coarse_copy(dist, np.nan) is None
+        assert fm._coarse_copy(dist.astype(np.float32), 0.0) is None
+
+    def test_float64_block_runs_only_where_a_violation_can_be(self, monkeypatch):
+        calls = []
+        block = fm._exact_block
+        monkeypatch.setattr(fm, "_exact_block",
+                            lambda *args: (calls.append(args[2]), block(*args))[1])
+        dist = group_space("H_C:1", 300, seed=11).dist.copy()
+        fm.validate_distance_matrix(dist)
+        assert calls == []
+        dist[5, 250] = dist[250, 5] = 3.0 * dist[5, 250] + 1.0
+        with pytest.raises(ValueError, match=r"\(i, k, j\) = \(5, "):
+            fm.validate_distance_matrix(dist)
+        assert 5 in calls
 
 
 class TestSandwich:

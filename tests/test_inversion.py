@@ -7,7 +7,9 @@ import pytest
 from heislab import distortion, hgroup, hlie, inversion
 from heislab.cli import run
 from heislab.inversion import ExtendedPoints
+from heislab.algebra import _SLICE_ROWS
 from heislab.util import canonical_json
+from oracles import inversion_chunk_whole
 
 H_TYPE_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -198,6 +200,47 @@ class TestVerifyReduction:
             draws.append((v, z))
             if len(draws) == 2:  # q of the only chunk: one row repeats p's
                 row = 0 if not np.array_equal(draws[0][0][0], clean.worst_pair.p.v) else 1
+                v[row], z[row] = draws[0][0][row], draws[0][1][row]
+            return v, z
+
+        monkeypatch.setattr(inversion, "sample_with_rng", planted)
+        report = inversion.verify_inversion(alg, samples=5000, seed=6)
+        assert len(draws) == 2
+        assert report.pairs_used == clean.pairs_used - 1 == 4999
+        assert report.max_relative_deviation == clean.max_relative_deviation
+        assert canonical_json({"w": report.to_dict()["worst_pair"]}) == \
+            canonical_json({"w": clean.to_dict()["worst_pair"]})
+
+
+class TestChunkAgainstWholeChunk:
+    """The chunk's row slices give the reports of the whole-chunk evaluation."""
+
+    @staticmethod
+    def report(alg, samples, threads):
+        return canonical_json(inversion.verify_inversion(alg, samples=samples, seed=8,
+                                                         threads=threads).to_dict())
+
+    @pytest.mark.parametrize("name", ["H_C:1", "H_O", "truncated_HH"])
+    def test_reports_are_byte_identical(self, monkeypatch, name):
+        alg = builtin(name)
+        sizes = [1, 2047, 2048, 2049, 4095, 4096, 4097, inversion._CHUNK + 1, 20001]
+        sliced = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+        monkeypatch.setattr(inversion, "_inversion_chunk", inversion_chunk_whole)
+        assert sliced == [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+
+    def test_coincident_pair_in_the_second_slice_is_dropped(self, monkeypatch):
+        alg = builtin("truncated_HH")
+        clean = inversion.verify_inversion(alg, samples=5000, seed=6)
+        real = inversion.sample_with_rng
+        draws = []
+
+        def planted(alg, count, radius, rng):
+            v, z = real(alg, count, radius, rng)
+            draws.append((v, z))
+            if len(draws) == 2:  # q of the only chunk: one row repeats p's
+                row = _SLICE_ROWS + 7
+                if np.array_equal(draws[0][0][row], clean.worst_pair.p.v):
+                    row += 1
                 v[row], z[row] = draws[0][0][row], draws[0][1][row]
             return v, z
 
