@@ -177,8 +177,6 @@ def group_sample(selector, count, radius, seed, output) -> None:
     """Sample points uniformly from the coordinate box of a gauge ball (CSV)."""
     if count < 1:
         raise click.UsageError("--count must be >= 1")
-    if radius <= 0.0:
-        raise click.UsageError("--radius must be positive")
     alg = _load_algebra(selector)
     v, z = hgroup.sample_arrays(alg, count, radius, seed)
     _save(lambda out: hgroup.save_points_csv(out, alg, v, z), output)
@@ -196,8 +194,6 @@ def group_distmat(selector, count, radius, seed, fmt, output) -> None:
     """Gauge distance matrix of a seeded point sample."""
     if count < 2:
         raise click.UsageError("--count must be >= 2")
-    if radius <= 0.0:
-        raise click.UsageError("--radius must be positive")
     alg = _load_algebra(selector)
     v, z = hgroup.sample_arrays(alg, count, radius, seed)
     space = finite_metric.from_group_arrays(alg, v, z)

@@ -50,6 +50,41 @@ class Point(NamedTuple):
 # kernels on coordinate arrays
 
 
+def _gauge4(v, z) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise a = |v|^2 / 4 and the gauge's fourth power a^2 + |z|^2."""
+    a = 0.25 * np.sum(v * v, axis=-1)
+    return a, a * a + np.sum(z * z, axis=-1)
+
+
+def _unit_exponent(*points) -> np.ndarray:
+    """Per row, the integer k with 2^k nearest the largest |v_i| or sqrt|z_k| of
+    the points, ``(v, z, ...)`` tuples; 0 on a zero or non-finite row."""
+    size = np.max([np.maximum(np.max(np.abs(p[0]), axis=-1, initial=0.0),
+                              np.sqrt(np.max(np.abs(p[1]), axis=-1, initial=0.0)))
+                   for p in points], axis=0)
+    usable = (size > 0.0) & (size < np.inf)
+    return np.round(np.log2(np.where(usable, size, 1.0))).astype(np.int64)
+
+
+def _dilate_exp(k: np.ndarray, v, z) -> tuple[np.ndarray, np.ndarray]:
+    """Rowwise dilation by 2^k, exact unless a coordinate leaves the normal floats."""
+    return np.ldexp(v, k[..., None]), np.ldexp(z, 2 * k[..., None])
+
+
+def _unit_rows(v, z, n4):
+    """The rows whose gauge^4 ``n4`` is not in [2^-960, 2^960] (zero, under- or
+    overflowed, not finite): their mask, the rows dilated by 2^-k to unit
+    scale, and k.  None when there is no such row.  Within that range no term
+    overflowed and an underflowed one is below 2^-62 gauge^4, so the others
+    keep the plain formula's bits."""
+    redo = ~((n4 >= 2.0 ** -960) & (n4 <= 2.0 ** 960))
+    if not np.any(redo):
+        return None
+    v, z = (np.broadcast_to(a, redo.shape + a.shape[-1:])[redo] for a in (v, z))
+    k = _unit_exponent((v, z))
+    return (redo, *_dilate_exp(-k, v, z), k)
+
+
 def group_mul(alg: HTypeAlgebra, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise product (v1 + v2, z1 + z2 + [v1, v2] / 2); the inverse of (v, z) is (-v, -z)."""
     corr = bracket_arrays(alg, v1, v2)
@@ -68,9 +103,16 @@ def dilate_arrays(t, v, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauge_arrays(alg: HTypeAlgebra, v, z) -> np.ndarray:
-    """Rowwise gauge of (..., dim) coordinate arrays."""
-    a = 0.25 * np.sum(np.asarray(v) ** 2, axis=-1)
-    return (a * a + np.sum(np.asarray(z) ** 2, axis=-1)) ** 0.25
+    """Rowwise gauge of (..., dim) coordinate arrays, at every scale: the rows of
+    :func:`_unit_rows` by homogeneity, gauge(delta_s p) = s gauge(p)."""
+    v, z = np.asarray(v), np.asarray(z)
+    with np.errstate(over="ignore"):
+        n4 = _gauge4(v, z)[1]
+    g = np.asarray(n4 ** 0.25)
+    if (unit := _unit_rows(v, z, n4)) is not None:
+        redo, uv, uz, k = unit
+        g[redo] = np.ldexp(_gauge4(uv, uz)[1] ** 0.25, k)
+    return g[()]
 
 
 def gauge_dist_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> np.ndarray:
@@ -102,10 +144,6 @@ def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
 # sampling
 
 _MIN_RADIUS = 1e-150
-# The largest gauge the kernels can evaluate: gauge_arrays and sigma_arrays form
-# gauge^4 = (|v|^2/4)^2 + |z|^2 in floating point, which must stay finite, so a
-# point's gauge must stay below DBL_MAX^(1/4), about 1.16e77.
-_MAX_GAUGE = float(np.finfo(np.float64).max) ** 0.25
 
 
 def _check_radius(radius: float) -> None:

@@ -38,7 +38,10 @@ from heislab.algebra import _SLICE_ROWS
 from heislab.hlie import HTypeAlgebra, apply_j_rows, check_h_type
 from heislab.hgroup import (
     Point,
-    dilate_arrays,
+    _dilate_exp,
+    _gauge4,
+    _unit_exponent,
+    _unit_rows,
     gauge_arrays,
     gauge_dist_arrays,
     group_mul,
@@ -62,16 +65,25 @@ _CHUNK = 16384
 _TRIALS_PER_CHUNK = 2048
 
 
+def _sigma_rows(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> tuple:
+    a, n4 = _gauge4(v, z)
+    jv = apply_j_rows(alg, z, v)
+    return -(a[:, None] * v - jv) / n4[:, None], -z / n4[:, None], n4
+
+
 def sigma_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise gauge inversion of (n, dim) coordinate arrays."""
-    a = 0.25 * np.sum(v * v, axis=1)
-    n4 = a * a + np.sum(z * z, axis=1)
-    if np.any(n4 == 0.0):
-        raise ValueError("inversion is undefined at the identity")
-    jv = apply_j_rows(alg, z, v)
-    v_new = -(a[:, None] * v - jv) / n4[:, None]
-    z_new = -z / n4[:, None]
+    """Rowwise gauge inversion of (n, dim) coordinate arrays, at every scale: the
+    rows of ``hgroup._unit_rows`` by sigma(delta_s p) = delta_{1/s} sigma(p).
+    A row that is not finite, or whose image is not, comes out non-finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v_new, z_new, n4 = _sigma_rows(alg, v, z)
+        if (unit := _unit_rows(v, z, n4)) is not None:
+            redo, uv, uz, k = unit
+            uv, uz, un4 = _sigma_rows(alg, uv, uz)
+            if np.any(un4 == 0.0):
+                raise ValueError("inversion is undefined at the identity")
+            v_new[redo], z_new[redo] = _dilate_exp(-k, uv, uz)
     return v_new, z_new
 
 
@@ -86,8 +98,8 @@ class ExtendedPoints(NamedTuple):
     inf: np.ndarray
 
 
-def _dilate(p: ExtendedPoints, t: np.ndarray) -> ExtendedPoints:
-    return ExtendedPoints(*dilate_arrays(t, p.v, p.z), p.inf)
+def _dilate(p: ExtendedPoints, k: np.ndarray) -> ExtendedPoints:
+    return ExtendedPoints(*_dilate_exp(k, p.v, p.z), p.inf)
 
 
 def _equal(a: ExtendedPoints, b: ExtendedPoints) -> np.ndarray:
@@ -99,12 +111,11 @@ def phi_at(alg: HTypeAlgebra, x: ExtendedPoints, w: ExtendedPoints) -> ExtendedP
     """Rowwise image of w under the inversion centered at x, ``l_x . sigma . l_x^{-1}``.
 
     It swaps x with infinity and is an involution; where x is infinite it
-    is the identity.  A point whose shift ``x^{-1} w`` has gauge zero in
-    floating point goes to infinity with x itself.
+    is the identity.  A point whose shift ``x^{-1} w`` has a gauge^4 of zero
+    in floating point goes to infinity with x itself.
     """
     sv, sz = group_mul(alg, -x.v, -x.z, w.v, w.z)
-    a = 0.25 * np.sum(sv * sv, axis=1)
-    zero = a * a + np.sum(sz * sz, axis=1) == 0.0
+    zero = _gauge4(sv, sz)[1] == 0.0
     v = np.where(x.inf[:, None], w.v, np.where(w.inf[:, None], x.v, 0.0))
     z = np.where(x.inf[:, None], w.z, np.where(w.inf[:, None], x.z, 0.0))
     inf = np.where(x.inf, w.inf, zero & ~w.inf)
@@ -112,16 +123,6 @@ def phi_at(alg: HTypeAlgebra, x: ExtendedPoints, w: ExtendedPoints) -> ExtendedP
     v[live], z[live] = group_mul(alg, x.v[live], x.z[live],
                                  *sigma_arrays(alg, sv[live], sz[live]))
     return ExtendedPoints(v, z, inf)
-
-
-def _unit_scale(*points: ExtendedPoints) -> np.ndarray:
-    """Per row, the power of two nearest the size of the points: the largest
-    |v_i| or sqrt|z_k|, which unlike the gauge does not underflow.  Dilating
-    by its reciprocal brings the row to unit scale, exactly."""
-    size = np.max([np.maximum(np.max(np.abs(p.v), axis=1, initial=0.0),
-                              np.sqrt(np.max(np.abs(p.z), axis=1, initial=0.0)))
-                   for p in points], axis=0)
-    return np.exp2(np.round(np.log2(np.where(size > 0.0, size, 1.0))))
 
 
 def _concat(*points: ExtendedPoints) -> ExtendedPoints:
@@ -145,8 +146,8 @@ def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoin
     rounding of a central coordinate into a visible gauge error (7.7e-7 on
     H_O over 1000 seeded trials).
 
-    Each row is composed at unit scale: it is dilated by the reciprocal of
-    the :func:`_unit_scale` of x, x', y, y', and the image is dilated back.
+    Each row is composed at unit scale: it is dilated by 2^-k, with k the
+    ``hgroup._unit_exponent`` of x, x', y, y', and the image is dilated back.
     Power-of-two dilations are exact, so the targets stay exact.  Far from
     unit scale phi_x and l_m meet at reciprocal scales, and their sums
     round away the central coordinates of w: on H_C:1 the cross-ratio
@@ -157,8 +158,8 @@ def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoin
     blocks = w.inf.size // max(rows, 1)
     if blocks * rows != w.inf.size:
         raise ValueError(f"w has {w.inf.size} rows, not a whole number of blocks of {rows}")
-    scale = _unit_scale(x, x_prime, y, y_prime)
-    x, x_prime, y, y_prime = (_dilate(p, 1.0 / scale) for p in (x, x_prime, y, y_prime))
+    k = _unit_exponent(x, x_prime, y, y_prime)
+    x, x_prime, y, y_prime = (_dilate(p, -k) for p in (x, x_prime, y, y_prime))
     same = _equal(x, y)
     if np.any(same != _equal(x_prime, y_prime)):
         raise ValueError("degenerate quadruple: x' = y' must hold exactly when x = y")
@@ -168,8 +169,8 @@ def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoin
         raise ValueError("degenerate quadruple: transported middle point is infinite")
     mv, mz = group_mul(alg, ly.v, ly.z, -fy.v, -fy.z)
     x, x_prime, y, y_prime = (_concat(*[p] * blocks) for p in (x, x_prime, y, y_prime))
-    mv, mz, scale = (np.concatenate([a] * blocks) for a in (mv, mz, scale))
-    w = _dilate(w, 1.0 / scale)
+    mv, mz, k = (np.concatenate([a] * blocks) for a in (mv, mz, k))
+    w = _dilate(w, -k)
     fw = phi_at(alg, x, w)
     tv, tz = group_mul(alg, mv, mz, fw.v, fw.z)
     moved = ExtendedPoints(np.where(fw.inf[:, None], 0.0, tv),
@@ -178,7 +179,7 @@ def pair_transporter(alg: HTypeAlgebra, x: ExtendedPoints, x_prime: ExtendedPoin
     anchor = _equal(w, y)
     return _dilate(ExtendedPoints(np.where(anchor[:, None], y_prime.v, image.v),
                                   np.where(anchor[:, None], y_prime.z, image.z),
-                                  np.where(anchor, y_prime.inf, image.inf)), scale)
+                                  np.where(anchor, y_prime.inf, image.inf)), k)
 
 
 def _gauge_errors(alg: HTypeAlgebra, image: ExtendedPoints,
@@ -217,10 +218,7 @@ def _sweep_chunk(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> dict[str, t
             blocks = [ExtendedPoints(*(a[k * count:(k + 1) * count] for a in image))
                       for k in range(6)]
             error = _gauge_errors(alg, _concat(*blocks[:2]), _concat(bxp, byp))
-            # both cross-ratios at the transporter's unit scale, where no gauge under- or overflows
-            shrink = 1.0 / _unit_scale(bx, bxp, by, byp)
-            ratio = (_gauge_cross_ratios(alg, [_dilate(p, shrink) for p in blocks[2:]])
-                     / _gauge_cross_ratios(alg, [_dilate(p, shrink) for p in free]))
+            ratio = _gauge_cross_ratios(alg, blocks[2:]) / _gauge_cross_ratios(alg, free)
             worst[branch] = (np.max(error), np.max(np.abs(ratio - 1.0)))
     return worst
 
@@ -250,12 +248,8 @@ def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
     seeded stream, in fixed chunks of trials that bound the memory.  Missing
     an infinite target counts as an infinite error.  The deviation is
     ``|CR(g p) / CR(p) - 1|`` of the gauge cross-ratio, which a
-    1-quasiconformal map of a J^2 group keeps.  Both ratios are taken with
-    the free points and their images dilated to the unit scale of the
-    trial's quadruple, which keeps every gauge finite and nonzero from
-    radius 1e-150, the smallest the sampler accepts, to 1e150.  The sweep
-    passes when every error and every deviation is at most ``tol``; a NaN
-    deviation fails it.
+    1-quasiconformal map of a J^2 group keeps.  The sweep passes when every
+    error and every deviation is at most ``tol``; a NaN deviation fails it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -311,9 +305,9 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
     ``algebra._SLICE_ROWS`` rows, reduced in order by :func:`_worse`: the
     temporaries stay small and reused, and each slice is a whole number of
     ``apply_j_rows``' blocks, so when every pair is kept each row is
-    evaluated bit for bit as by the whole chunk.  Near the gauge limit the
-    gauge overflows or underflows; its inf or NaN reaches the deviation,
-    which the report shows, so the chunk raises no numpy warning.
+    evaluated bit for bit as by the whole chunk.  Near the top of the
+    sampler's range the bracket overflows; its inf or NaN reaches the
+    deviation, which the report shows, so the chunk raises no numpy warning.
     """
     rng = np.random.default_rng(seed)
     vp, zp = sample_with_rng(alg, count, radius, rng)

@@ -88,26 +88,41 @@ class TestExitCodes:
         (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "0.1,1e-200"],
          "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
          "near the float underflow"),
+        (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--center-gauge", "1e200"],
+         "radius 1e+200 is too large: the width 2 r^2 of its coordinate box overflows"),
+        (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--center-gauge", "1e-200"],
+         "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
+         "near the float underflow"),
+        (["group", "sample", "--algebra", "H_C:1", "--count", "3", "--radius", "-1"],
+         "radius must be positive and finite, got -1.0"),
+        (["group", "distmat", "--algebra", "H_C:1", "--count", "3", "--radius", "0"],
+         "radius must be positive and finite, got 0.0"),
+        (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "0.1,-1"],
+         "radius must be positive and finite, got -1.0"),
     ], ids=["verify-1e160", "verify-nan", "verify-inf", "sample-nan", "sample-inf",
             "distmat-nan", "distmat-inf", "transport-1e-200", "sample-1e-200",
-            "qc-1e300", "qc-1e-200"])
+            "qc-1e300", "qc-1e-200", "qc-center-1e200", "qc-center-1e-200", "sample-negative",
+            "distmat-zero", "qc-negative"])
     def test_unusable_radius_is_one_error_line(self, argv, message, capsys):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("radius, deviation", [("1e-77", "inf"), ("1e77", "nan")])
-    def test_dilation_probes_print_no_warning(self, radius, deviation, capsys):
+    @pytest.mark.parametrize("radius", ["1e-77", "1e77"])
+    def test_dilation_probes_print_no_warning(self, radius, capsys):
         argv = ["invert", "verify", "--algebra", "H_C:2", "--samples", "2000",
                 "--radius", radius, "--seed", "5", "--expect", "exact", "--no-timestamp"]
-        assert run(argv) == 2
+        assert run(argv) == 0
         expected = capsys.readouterr().out
+        report = json.loads(expected)
+        assert report["is_exact_inversion"] is True and report["pairs_used"] == 2000
+        assert report["max_relative_deviation"] <= 1e-12
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "heislab.cli",
                                *argv], env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2
-        assert proc.stderr == f"check failed: H_C:2: max |r - 1| = {deviation} exceeds tolerance\n"
+        assert proc.returncode == 0
+        assert proc.stderr == ""
         assert proc.stdout == expected
 
     def test_expect_htype_on_control_returns_two(self, tmp_path):
@@ -357,15 +372,17 @@ class TestDistortCommands:
         assert capsys.readouterr().err == (
             f"error: dilation factor must be positive and finite, got {factor}\n")
 
-    @pytest.mark.parametrize("radius", ["1e78", "1e100"])
-    def test_qc_rejects_radii_beyond_the_gauge_limit(self, radius, capsys):
-        # inside the sampler's range, but the annulus points' gauge^4 would overflow
-        assert run(["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--seed", "1",
-                    "--radii", radius]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"error: radius {float(radius)} is too large: its annulus points can "
-                       "reach gauge 1.16e+77, where the gauge's fourth power overflows\n")
+    @pytest.mark.parametrize("center, radii", [("1", "1e100"), ("1e100", "1e99,1e98")])
+    def test_qc_far_from_unit_scale_raises_no_warning(self, center, radii, tmp_path):
+        out = tmp_path / "qc.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["distort", "qc", "--algebra", "H_C:1", "--samples", "2000",
+                        "--seed", "1", "--center-gauge", center, "--radii", radii,
+                        "--output", str(out), "--no-timestamp"]) == 0
+        per_radius = read_json(out)["statistics"]["per_radius"]
+        assert [entry["radius"] for entry in per_radius] == [float(r) for r in radii.split(",")]
+        assert all(entry["inner_points"] and entry["outer_points"] for entry in per_radius)
 
     def test_qc_below_the_gauge_limit_raises_no_warning(self, tmp_path):
         out = tmp_path / "qc.json"

@@ -235,12 +235,25 @@ class TestQcRatio:
             dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 28),
                                  radii, samples=10, seed=29)
 
-    @pytest.mark.parametrize("radius", [1e78, 1e100, 1.2e77])
-    def test_radii_within_the_gauge_limit(self, radius):
+    @pytest.mark.parametrize("scale", [1e-100, 1e100])
+    def test_ratios_are_free_of_the_scale(self, scale):
+        # sigma(delta_s p) = delta_{1/s} sigma(p): at center gauge s and radii s r
+        # the ratios are those at center gauge 1 and radii r
         alg = builtin("H_C:1")
-        with pytest.raises(ValueError, match="gauge's fourth power overflows"):
-            dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28),
-                                 [radius], samples=10, seed=29)
+
+        def ratios(s):
+            report = dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28, s),
+                                          [s * 0.1, s * 0.01], samples=2000, seed=29)
+            return [entry["ratio"] for entry in report.statistics["per_radius"]]
+        assert ratios(scale) == pytest.approx(ratios(1.0), rel=1e-9)
+
+    def test_radius_far_above_the_center_gauge(self):
+        alg = builtin("H_C:1")
+        report = dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28),
+                                      [1e100], samples=200, seed=29)
+        entry = report.statistics["per_radius"][0]
+        assert entry["inner_points"] > 0 and entry["outer_points"] > 0
+        assert np.isfinite(entry["ratio"])
 
     def test_largest_radii_evaluate_without_overflow(self):
         alg = builtin("H_C:1")

@@ -124,14 +124,31 @@ class TestGauge:
         assert hgroup.gauge_arrays(alg, np.zeros(2), np.zeros(1)) == 0.0
         assert hgroup.gauge_arrays(alg, np.array([1e-8, 0.0]), np.zeros(1)) > 0.0
 
+    # coordinates of at least 1e-3 keep the dilated ones normal floats down to t = 1e-150
     @settings(max_examples=40, deadline=None)
-    @given(coords=arrays(np.float64, (5,), elements=st.floats(min_value=-5, max_value=5)),
-           t=st.floats(min_value=0.1, max_value=10.0))
-    def test_homogeneity_hypothesis(self, coords, t):
+    @given(coords=arrays(np.float64, (5,), elements=st.one_of(
+               st.just(0.0), st.floats(min_value=1e-3, max_value=5.0),
+               st.floats(min_value=-5.0, max_value=-1e-3))),
+           log_t=st.floats(min_value=-150.0, max_value=150.0))
+    def test_homogeneity_hypothesis(self, coords, log_t):
         alg = builtin("H_H:1")
+        t = 10.0 ** log_t
         v, z = coords[:4], coords[4:5].repeat(3)
         assert hgroup.gauge_arrays(alg, *hgroup.dilate_arrays(t, v, z)) == pytest.approx(
-            t * hgroup.gauge_arrays(alg, v, z), rel=1e-10, abs=1e-12)
+            t * hgroup.gauge_arrays(alg, v, z), rel=1e-10, abs=1e-12 * t)
+
+    def test_rows_far_from_unit_scale(self):
+        alg = builtin("H_C:1")
+        v = np.array([[0.0, 0.0], [2.2e-313, 0.0], [0.0, 0.0], [2e200, 0.0], [3e100, 4e100],
+                      [np.inf, 0.0], [np.nan, 1.0]])
+        z = np.array([[0.0], [0.0], [1e-320], [0.0], [0.0], [0.0], [0.0]])
+        g = hgroup.gauge_arrays(alg, v, z)
+        assert g[0] == 0.0
+        # a subnormal row: its gauge^4, and the squares of a float dilation, underflow
+        assert g[1] == pytest.approx(1.1e-313, rel=1e-9)
+        assert g[2] == pytest.approx(1e-160, rel=1e-9)
+        assert g[3:5] == pytest.approx([1e200, 2.5e100], rel=1e-15)
+        assert g[5] == np.inf and np.isnan(g[6])
 
 
 class TestGaugeDistance:

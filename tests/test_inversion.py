@@ -3,6 +3,8 @@ conjugated inversions, and the two-point transporter."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heislab import distortion, hgroup, hlie, inversion
 from heislab.cli import run
@@ -65,6 +67,18 @@ class TestSigmaClosedForm:
         with pytest.raises(ValueError, match="undefined at the identity"):
             inversion.sigma_arrays(alg, np.array([[1.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)))
 
+    def test_rows_far_from_unit_scale(self):
+        # sigma(v, z) = (-4 v / |v|^2, 0) and (0, -z / |z|^2) on the axes
+        alg = builtin("H_C:1")
+        v = np.array([[1e-160, 0.0], [2e200, 0.0], [0.0, 0.0], [np.inf, 0.0], [np.nan, 1.0]])
+        z = np.array([[0.0], [0.0], [1e-300], [0.0], [0.0]])
+        sv, sz = inversion.sigma_arrays(alg, v, z)
+        assert sv[:3, 0] == pytest.approx([-4e160, -2e-200, 0.0], rel=1e-15)
+        assert sz[:3, 0] == pytest.approx([0.0, 0.0, -1e300], rel=1e-15)
+        assert not np.any(np.all(np.isfinite(np.hstack([sv, sz])[3:]), axis=1))
+        with pytest.raises(ValueError, match="undefined at the identity"):
+            inversion.sigma_arrays(alg, np.array([[2e200, 0.0], [0.0, 0.0]]), np.zeros((2, 1)))
+
     @pytest.mark.parametrize("name", H_TYPE_NAMES + ["truncated_HH"])
     def test_involution(self, name):
         alg = builtin(name)
@@ -110,6 +124,19 @@ class TestVerifyInversion:
         r = (d_image * hgroup.gauge_arrays(alg, pv, pz)[0] * hgroup.gauge_arrays(alg, qv, qz)[0]
              / hgroup.gauge_dist_arrays(alg, pv, pz, qv, qz)[0])
         assert abs(r - 1.0) == pytest.approx(report.max_relative_deviation, rel=1e-12)
+
+    @settings(max_examples=6, deadline=None)
+    @given(log_radius=st.floats(min_value=-150.0, max_value=150.0))
+    @example(log_radius=-150.0)
+    @example(log_radius=150.0)
+    def test_verdict_is_free_of_the_scale(self, log_radius):
+        radius = min(max(10.0 ** log_radius, 1e-150), 1e150)
+        for name in H_TYPE_NAMES:
+            report = inversion.verify_inversion(builtin(name), samples=2000, seed=3, radius=radius)
+            assert report.is_exact_inversion and report.pairs_used == 2000, name
+        control = inversion.verify_inversion(builtin("truncated_HH"), samples=2000, seed=3,
+                                             radius=radius)
+        assert not control.is_exact_inversion and control.max_relative_deviation > 0.1
 
     def test_threads_do_not_change_the_report(self):
         alg = builtin("H_H:1")
@@ -401,7 +428,7 @@ class TestTransportErrors:
     @pytest.mark.parametrize("radius", [1e-150, 1e-30, 1e-3, 100.0, 1e30, 1e150])
     def test_verdict_is_free_of_the_scale(self, radius):
         # composed at unit scale; otherwise 1.7e-2 at radius 1e-3 and 1.8e-5 at 10 on H_C:1.
-        # The cross-ratios are taken at unit scale too; otherwise NaN at 1e-150 and 1e150.
+        # The cross-ratios are taken at the sample's own scale: the kernels evaluate any scale.
         good = inversion.transport_errors(builtin("H_C:1"), 300, radius=radius, seed=2)
         bad = inversion.transport_errors(builtin("truncated_HH"), 300, radius=radius, seed=2)
         assert good.passed and good.max_gauge_error == 0.0
