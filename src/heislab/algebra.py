@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import permutations
 
 import numpy as np
 
@@ -28,11 +27,9 @@ from heislab.util import Report
 __all__ = [
     "AlgebraKind",
     "ArithmeticReport",
-    "EpsilonTensor",
     "OCTONION_TRIPLES",
     "QUATERNION_TRIPLES",
     "epsilon_tensor",
-    "multiplication_table",
     "multiplication_tensor",
     "mul_arrays",
     "conj_arrays",
@@ -89,70 +86,31 @@ _TRIPLES = {
     AlgebraKind.OCTONION: OCTONION_TRIPLES,
 }
 
-_PARITY = {p: s for s, group in ((1, ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
-                                 (-1, ((1, 0, 2), (0, 2, 1), (2, 1, 0))))
-           for p in group}
-
-
-@dataclass(frozen=True)
-class EpsilonTensor:
-    """Completely antisymmetric tensor on imaginary indices ``1..m``."""
-
-    values: np.ndarray  # shape (m, m, m); entry [i-1, j-1, k-1]
-
-    def __getitem__(self, ijk: tuple[int, int, int]) -> int:
-        i, j, k = ijk
-        return int(self.values[i - 1, j - 1, k - 1])
-
-
-def _epsilon_values(m: int, triples: tuple[tuple[int, int, int], ...]) -> np.ndarray:
-    values = np.zeros((m, m, m), dtype=np.int8)
-    for triple in triples:
-        for perm in permutations(range(3)):
-            i, j, k = (triple[p] for p in perm)
-            values[i - 1, j - 1, k - 1] = _PARITY[perm]
-    values.setflags(write=False)
-    return values
-
-
 @lru_cache(maxsize=None)
-def epsilon_tensor(kind: AlgebraKind) -> EpsilonTensor:
-    """Antisymmetric structure tensor of the imaginary basis products."""
-    return EpsilonTensor(_epsilon_values(kind.im_dim, _TRIPLES[kind]))
-
-
-@lru_cache(maxsize=None)
-def multiplication_table(kind: AlgebraKind) -> tuple[np.ndarray, np.ndarray]:
-    """Signed-index basis product table: ``e_i e_j = sign[i,j] * e_{index[i,j]}``."""
-    d = kind.dim
-    sign = np.zeros((d, d), dtype=np.int8)
-    index = np.zeros((d, d), dtype=np.int64)
-    sign[0, :] = 1
-    index[0, :] = np.arange(d)
-    sign[:, 0] = 1
-    index[:, 0] = np.arange(d)
-    for i in range(1, d):
-        sign[i, i] = -1
-        index[i, i] = 0
-    eps = epsilon_tensor(kind)
-    nz = np.argwhere(eps.values != 0)
-    for i0, j0, k0 in nz:
-        sign[i0 + 1, j0 + 1] = eps.values[i0, j0, k0]
-        index[i0 + 1, j0 + 1] = k0 + 1
-    sign.setflags(write=False)
-    index.setflags(write=False)
-    return sign, index
+def epsilon_tensor(kind: AlgebraKind) -> np.ndarray:
+    """Antisymmetric structure tensor of the imaginary basis products, read-only
+    int8 of shape (im_dim,) * 3: entry ``[i-1, j-1, k-1]`` is eps_ijk."""
+    m = kind.im_dim
+    eps = np.zeros((m, m, m), dtype=np.int8)
+    for i, j, k in _TRIPLES[kind]:
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            eps[a - 1, b - 1, c - 1] = 1
+            eps[b - 1, a - 1, c - 1] = -1
+    eps.setflags(write=False)
+    return eps
 
 
 @lru_cache(maxsize=None)
 def multiplication_tensor(kind: AlgebraKind) -> np.ndarray:
-    """Dense structure tensor M with ``(ab)_k = sum_ij a_i b_j M[i,j,k]``."""
+    """Dense structure tensor M with ``(ab)_k = sum_ij a_i b_j M[i,j,k]``: e_0 is
+    the unit, e_i e_i = -e_0 and eps gives the other imaginary products."""
     d = kind.dim
-    sign, index = multiplication_table(kind)
     tensor = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(d):
-            tensor[i, j, index[i, j]] = sign[i, j]
+    tensor[0] = np.eye(d)
+    tensor[:, 0] = np.eye(d)
+    imaginary = np.arange(1, d)
+    tensor[imaginary, imaginary, 0] = -1.0
+    tensor[1:, 1:, 1:] = epsilon_tensor(kind)
     tensor.setflags(write=False)
     return tensor
 
@@ -191,10 +149,9 @@ def conj_arrays(kind: AlgebraKind, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def random_elements(kind: AlgebraKind, count: int, rng: np.random.Generator,
-                    scale: float = 1.0) -> np.ndarray:
+def random_elements(kind: AlgebraKind, count: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian coefficient rows, one element per row."""
-    return scale * rng.standard_normal((count, kind.dim))
+    return rng.standard_normal((count, kind.dim))
 
 
 @dataclass

@@ -233,7 +233,7 @@ def invert() -> None:
 @invert.command("verify")
 @click.option("--algebra", "selector", required=True)
 @click.option("--samples", type=int, default=100000, show_default=True)
-@click.option("--tolerance", type=float, default=1e-9, show_default=True)
+@click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
 @click.option("--radius", type=float, default=1.0, show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Worker threads for the pair sweep (result is thread-count invariant).")
@@ -259,7 +259,7 @@ def invert_verify(selector, samples, tolerance, radius, threads, expect, seed,
 @click.option("--algebra", "selector", required=True)
 @click.option("--trials", type=int, default=1000, show_default=True,
               help="Random quadruples per case branch.")
-@click.option("--tolerance", type=float, default=1e-9, show_default=True)
+@click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
 @click.option("--radius", type=float, default=1.0, show_default=True)
 @_common
 def invert_transport(selector, trials, tolerance, radius, seed, output, no_timestamp) -> None:

@@ -53,6 +53,10 @@ __all__ = [
 BINS_PER_DECADE = 4
 # relative half-width of the sampled annulus r (1 +- width) of a qc ratio
 ANNULUS_WIDTH = 0.05
+# smallest qc radius relative to the center's gauge: on H_C:1 at center gauge 1
+# and 2,000 samples, the inversion's ratio, which tends to 1 as the radius
+# shrinks, read 0.99996 at radius 1e-6, 1.009 at 1e-7, 6.77 at 1e-8, 766 at 1e-10
+RESOLUTION = 2.0 ** -20
 
 
 @dataclass
@@ -187,7 +191,7 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Poin
     samples each radius from a child spawned from that seed, so the center
     shares no draws with the radii.
     """
-    _check_radius(center_gauge)
+    _check_radius(center_gauge, "center gauge")
     v, z = sample_with_rng(alg, 1, 1.0, np.random.default_rng(seed))
     g = gauge_arrays(alg, v, z)[0]
     if g == 0.0:
@@ -247,8 +251,10 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
     around the center (box directions rescaled by dilation), then report
     sup of image distances over the inner half against inf over the outer
     half.  A radius with an empty half is flagged as insufficient.  Each
-    radius must lie in the sampler's range (``hgroup._check_radius``); the
-    kernels evaluate the annulus at any scale.
+    radius must lie in the sampler's range (``hgroup._check_radius``), where
+    the kernels evaluate the annulus at any scale, and be at least
+    ``RESOLUTION`` times the center's gauge: the annulus points are products
+    with the center, and smaller offsets round away against it.
     """
     radii = [float(r) for r in radii]
     if not radii:
@@ -257,6 +263,10 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
         _check_radius(r)
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly decreasing")
+    floor = RESOLUTION * float(gauge_arrays(alg, center.v, center.z))
+    if radii[-1] < floor:
+        raise ValueError(f"radius {radii[-1]} is below the resolution {floor:.6g} of the center: "
+                         "radii must be at least 2^-20 times its gauge")
     image_center = point_map(center.v[None, :], center.z[None, :])
     seeds = np.random.SeedSequence(seed).spawn(len(radii))
     per_radius = [_annulus_entry(alg, point_map, center, image_center, r, samples,

@@ -122,18 +122,21 @@ def gauge_dist_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> np.ndarray:
     return gauge_arrays(alg, dv, dz)
 
 
-def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
-                        chunk: int = 256) -> np.ndarray:
+# Rows per block of pairwise_gauge_dist, which bounds its (rows, n, dim) intermediates.
+_PAIR_CHUNK = 256
+
+
+def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Full distance matrix of a point sample; exactly symmetric, zero diagonal.
 
-    Row blocks are evaluated in fixed chunks to bound memory; the bracket
+    Row blocks are evaluated in chunks of ``_PAIR_CHUNK`` to bound memory; the bracket
     kernel is exactly antisymmetric, so d(p, q) = d(q, p) bitwise and the
     diagonal vanishes without post-correction.
     """
     n = v.shape[0]
     out = np.empty((n, n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _PAIR_CHUNK):
+        stop = min(start + _PAIR_CHUNK, n)
         # entry [q, p] = d(p, q)
         out[start:stop] = gauge_dist_arrays(alg, v[None, :, :], z[None, :, :],
                                             v[start:stop, None, :], z[start:stop, None, :])
@@ -143,20 +146,20 @@ def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray,
 # ---------------------------------------------------------------------------
 # sampling
 
-_MIN_RADIUS = 1e-150
+_MIN_RADIUS, _MAX_RADIUS = 1e-150, 1e150
 
 
-def _check_radius(radius: float) -> None:
-    """Raise unless the radius lies in [1e-150, about 9.5e153]: above, the
-    box width 2 r^2 overflows; below about 1.5e-154, r^2 is subnormal and the
-    central coordinates lose their precision."""
+def _check_radius(radius: float, name: str = "radius") -> None:
+    """Raise unless the value lies in [1e-150, 1e150]: below, r^2 nears the
+    float underflow and the central coordinates lose their precision; above
+    about 4e153, the bracket of two sampled points, of size r^2, overflows."""
     if not 0.0 < radius < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    if not 2.0 * radius * radius < np.inf:
-        raise ValueError(f"radius {radius} is too large: the width 2 r^2 of its "
-                         "coordinate box overflows")
+        raise ValueError(f"{name} must be positive and finite, got {radius}")
+    if radius > _MAX_RADIUS:
+        raise ValueError(f"{name} {radius} is too large: above {_MAX_RADIUS} the central "
+                         "coordinates, of size r^2, near the float overflow")
     if radius < _MIN_RADIUS:
-        raise ValueError(f"radius {radius} is too small: below {_MIN_RADIUS} the central "
+        raise ValueError(f"{name} {radius} is too small: below {_MIN_RADIUS} the central "
                          "coordinates, of size r^2, near the float underflow")
 
 
@@ -166,7 +169,7 @@ def sample_with_rng(alg: HTypeAlgebra, count: int, radius: float,
 
     The box is |v_i| <= 2 r, |z_k| <= r^2 (the tight coordinate box of
     ``gauge <= r``).  Draw order is fixed: all horizontal coordinates first,
-    then all central ones.  The radius must lie in [1e-150, about 9.5e153]
+    then all central ones.  The radius must lie in [1e-150, 1e150]
     (``_check_radius``).
     """
     if count < 1:

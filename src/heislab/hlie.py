@@ -305,50 +305,25 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
                     seed)
 
 
-def _set_bracket(tensor: np.ndarray, k: int, i: int, j: int, value: float) -> None:
-    tensor[k, i, j] = value
-    tensor[k, j, i] = -value
-
-
 def make_heisenberg(kind: AlgebraKind, n: int = 1) -> HTypeAlgebra:
     """The Heisenberg group algebra over one of R, C, H, O with n blocks.
 
     The horizontal layer is K^n laid out blockwise (dim(K) coordinates per
-    block), the center is Im(K).  Over O only n = 1 is defined.
+    block), the center is Im(K), and J_{Z_k} is left multiplication by e_k on
+    each block: ``B[k-1, i, j] = <e_k e_i, e_j>``, the rows 1.. of
+    :func:`algebra.multiplication_tensor`.  Over O only n = 1 is defined.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ValueError(f"block count must be >= 1, got {n}")
     if kind is AlgebraKind.OCTONION and n != 1:
-        raise ValueError("the octonion algebra only exists with n = 1")
+        raise ValueError("the octonion algebra H_O does not admit more than one block")
     d = kind.dim
-    dim_v = n * d
-    dim_z = kind.im_dim
-    tensor = np.zeros((dim_z, dim_v, dim_v))
-    if kind is AlgebraKind.COMPLEX:
-        for i in range(n):
-            _set_bracket(tensor, 0, 2 * i, 2 * i + 1, 1.0)  # [X_i, Y_i] = Z
-    elif kind is AlgebraKind.QUATERNION:
-        for i in range(n):
-            x, y, v, w = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-            _set_bracket(tensor, 0, x, y, 1.0)  # [X_i, Y_i] = Z_1
-            _set_bracket(tensor, 0, v, w, 1.0)  # [V_i, W_i] = Z_1
-            _set_bracket(tensor, 1, x, v, 1.0)  # [X_i, V_i] = Z_2
-            _set_bracket(tensor, 1, w, y, 1.0)  # [W_i, Y_i] = Z_2
-            _set_bracket(tensor, 2, x, w, 1.0)  # [X_i, W_i] = Z_3
-            _set_bracket(tensor, 2, y, v, 1.0)  # [Y_i, V_i] = Z_3
-    elif kind is AlgebraKind.OCTONION:
-        eps = _algebra.epsilon_tensor(kind)
-        for k in range(1, 8):
-            _set_bracket(tensor, k - 1, 0, k, 1.0)  # [X_0, X_k] = Z_k
-        for i in range(1, 8):
-            for j in range(i + 1, 8):
-                for k in range(1, 8):
-                    value = eps[i, j, k]
-                    if value:
-                        _set_bracket(tensor, k - 1, i, j, float(value))
-    letter = _KIND_LETTER[kind]
-    label = "H_O" if kind is AlgebraKind.OCTONION else f"H_{letter}:{n}"
-    return HTypeAlgebra(label, dim_v, dim_z, tensor)
+    left = _algebra.multiplication_tensor(kind)[1:]
+    tensor = np.zeros((kind.im_dim, n * d, n * d))
+    for start in range(0, n * d, d):
+        tensor[:, start:start + d, start:start + d] = left
+    label = "H_O" if kind is AlgebraKind.OCTONION else f"H_{_KIND_LETTER[kind]}:{n}"
+    return HTypeAlgebra(label, n * d, kind.im_dim, tensor)
 
 
 def make_truncated_quaternionic() -> HTypeAlgebra:
@@ -369,7 +344,7 @@ def make_degenerate_direct_sum() -> HTypeAlgebra:
     annihilates the last two horizontal directions.
     """
     tensor = np.zeros((1, 4, 4))
-    _set_bracket(tensor, 0, 0, 1, 1.0)
+    tensor[0, 0, 1], tensor[0, 1, 0] = 1.0, -1.0
     return HTypeAlgebra("degenerate_sum", 4, 1, tensor)
 
 
@@ -391,19 +366,11 @@ def algebra_from_name(name: str) -> HTypeAlgebra:
         return _BUILTIN_FIXED[name]()
     base, _, suffix = name.partition(":")
     if base in ("H_R", "H_C", "H_H", "H_O"):
-        kind = _LETTER_KIND[base[2]]
-        if suffix == "":
-            n = 1
-        else:
-            try:
-                n = int(suffix)
-            except ValueError:
-                raise ValueError(f"invalid block count {suffix!r} in algebra name {name!r}") from None
-        if n < 1:
-            raise ValueError(f"block count must be >= 1 in algebra name {name!r}")
-        if kind is AlgebraKind.OCTONION and n != 1:
-            raise ValueError("H_O does not admit more than one block")
-        return make_heisenberg(kind, n)
+        try:
+            n = int(suffix) if suffix else 1
+        except ValueError:
+            raise ValueError(f"invalid block count {suffix!r} in algebra name {name!r}") from None
+        return make_heisenberg(_LETTER_KIND[base[2]], n)
     raise ValueError(
         f"unknown algebra name {name!r} (expected one of {', '.join(builtin_names())}, "
         "or a path to an algebra-spec JSON file)"

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from heislab.algebra import _SLICE_ROWS
-from heislab.hlie import HTypeAlgebra, apply_j_rows, check_h_type
+from heislab.hlie import DEFAULT_TOL, HTypeAlgebra, apply_j_rows, check_h_type
 from heislab.hgroup import (
     Point,
     _dilate_exp,
@@ -240,7 +240,7 @@ class TransportReport(Report):
 
 
 def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
-                     seed: int = 0, tol: float = 1e-9) -> TransportReport:
+                     seed: int = 0, tol: float = DEFAULT_TOL) -> TransportReport:
     """Per case branch of :func:`pair_transporter`, its worst gauge error at the
     targets and its worst cross-ratio deviation at four free points.
 
@@ -341,7 +341,7 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
 
 
 def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
-                     tol: float = 1e-9, radius: float = 1.0,
+                     tol: float = DEFAULT_TOL, radius: float = 1.0,
                      threads: int = 1) -> InversionReport:
     """Measure the 1-inversion identity over seeded random pairs.
 

@@ -48,20 +48,22 @@ def brute_force_product(kind, a, b):
 
 class TestEpsilonTensor:
     def test_plus_one_on_cyclic_orbit(self):
+        # the tensor is 0-based: eps_ijk is entry [i - 1, j - 1, k - 1]
         eps = al.epsilon_tensor(AlgebraKind.OCTONION)
         for (i, j, k) in al.OCTONION_TRIPLES:
-            assert eps[i, j, k] == 1
-            assert eps[j, k, i] == 1
-            assert eps[k, i, j] == 1
+            assert eps[i - 1, j - 1, k - 1] == 1
+            assert eps[j - 1, k - 1, i - 1] == 1
+            assert eps[k - 1, i - 1, j - 1] == 1
 
     def test_complete_antisymmetry(self):
-        eps = al.epsilon_tensor(AlgebraKind.OCTONION).values
+        eps = al.epsilon_tensor(AlgebraKind.OCTONION)
         assert np.array_equal(eps, -eps.transpose(1, 0, 2))
         assert np.array_equal(eps, -eps.transpose(0, 2, 1))
         assert np.array_equal(eps, -eps.transpose(2, 1, 0))
 
     def test_seven_independent_triples(self):
-        eps = al.epsilon_tensor(AlgebraKind.OCTONION).values
+        eps = al.epsilon_tensor(AlgebraKind.OCTONION)
+        assert eps.dtype == np.int8 and not eps.flags.writeable
         assert np.count_nonzero(eps == 1) == 21  # 7 triples x 3 cyclic orders
         assert np.count_nonzero(eps == -1) == 21
 

@@ -64,7 +64,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["invert", "verify", "--algebra", "H_C:1", "--samples", "10", "--radius", "1e160"],
-         "radius 1e+160 is too large: the width 2 r^2 of its coordinate box overflows"),
+         "radius 1e+160 is too large: above 1e+150 the central coordinates, of size r^2, "
+         "near the float overflow"),
         (["invert", "verify", "--algebra", "H_C:1", "--samples", "10", "--radius", "nan"],
          "radius must be positive and finite, got nan"),
         (["invert", "verify", "--algebra", "H_C:1", "--samples", "10", "--radius", "inf"],
@@ -84,14 +85,16 @@ class TestExitCodes:
          "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
          "near the float underflow"),
         (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "1e300"],
-         "radius 1e+300 is too large: the width 2 r^2 of its coordinate box overflows"),
+         "radius 1e+300 is too large: above 1e+150 the central coordinates, of size r^2, "
+         "near the float overflow"),
         (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "0.1,1e-200"],
          "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
          "near the float underflow"),
         (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--center-gauge", "1e200"],
-         "radius 1e+200 is too large: the width 2 r^2 of its coordinate box overflows"),
+         "center gauge 1e+200 is too large: above 1e+150 the central coordinates, of size r^2, "
+         "near the float overflow"),
         (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--center-gauge", "1e-200"],
-         "radius 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
+         "center gauge 1e-200 is too small: below 1e-150 the central coordinates, of size r^2, "
          "near the float underflow"),
         (["group", "sample", "--algebra", "H_C:1", "--count", "3", "--radius", "-1"],
          "radius must be positive and finite, got -1.0"),
@@ -99,10 +102,20 @@ class TestExitCodes:
          "radius must be positive and finite, got 0.0"),
         (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "0.1,-1"],
          "radius must be positive and finite, got -1.0"),
+        (["invert", "verify", "--algebra", "H_O", "--samples", "20000", "--radius", "4e153"],
+         "radius 4e+153 is too large: above 1e+150 the central coordinates, of size r^2, "
+         "near the float overflow"),
+        (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--radii", "1e-8"],
+         "radius 1e-08 is below the resolution 9.53674e-07 of the center: radii must be at "
+         "least 2^-20 times its gauge"),
+        (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--center-gauge", "1e100"],
+         "radius 0.001 is below the resolution 9.53674e+93 of the center: radii must be at "
+         "least 2^-20 times its gauge"),
     ], ids=["verify-1e160", "verify-nan", "verify-inf", "sample-nan", "sample-inf",
             "distmat-nan", "distmat-inf", "transport-1e-200", "sample-1e-200",
             "qc-1e300", "qc-1e-200", "qc-center-1e200", "qc-center-1e-200", "sample-negative",
-            "distmat-zero", "qc-negative"])
+            "distmat-zero", "qc-negative", "verify-4e153", "qc-below-center-resolution",
+            "qc-center-1e100-default-radii"])
     def test_unusable_radius_is_one_error_line(self, argv, message, capsys):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

@@ -228,6 +228,7 @@ class TestQcRatio:
 
     @pytest.mark.parametrize("radii, message", [
         ([1e300], "too large"), ([0.1, 1e-151], "too small"), ([float("nan")], "finite"),
+        ([0.1, 1e-8], "below the resolution"),
     ])
     def test_radii_within_the_sampler_range(self, radii, message):
         alg = builtin("H_C:1")

@@ -228,11 +228,13 @@ class TestGaugeDistance:
                                             v[j:j + 1], z[j:j + 1])[0]
         assert full[j, i] == expected  # row block q, column p
 
-    def test_pairwise_chunking_is_invisible(self):
+    def test_pairwise_chunking_is_invisible(self, monkeypatch):
         alg = builtin("H_C:1")
         v, z = random_points(alg, 70, seed=22)
-        a = hgroup.pairwise_gauge_dist(alg, v, z, chunk=7)
-        b = hgroup.pairwise_gauge_dist(alg, v, z, chunk=256)
+        monkeypatch.setattr(hgroup, "_PAIR_CHUNK", 7)
+        a = hgroup.pairwise_gauge_dist(alg, v, z)
+        monkeypatch.setattr(hgroup, "_PAIR_CHUNK", 256)
+        b = hgroup.pairwise_gauge_dist(alg, v, z)
         assert np.array_equal(a, b)
 
 

@@ -495,6 +495,25 @@ class TestConstructors:
         assert a.fingerprint != c.fingerprint
 
 
+class TestBuiltinFingerprints:
+    # taken before the builtin tensors were derived from algebra.multiplication_tensor,
+    # so that no later derivation changes a bit of a structure tensor unnoticed
+    @pytest.mark.parametrize("name, fingerprint", [
+        ("H_R:3", "1222d75e4cd288f7"),
+        ("H_C:1", "5c11fd2a05a12695"),
+        ("H_C:2", "aaf13028ff3b71b5"),
+        ("H_C:3", "59231efe073893d7"),
+        ("H_H:1", "72e213ec233485f4"),
+        ("H_H:2", "080d6289eb41c4d6"),
+        ("H_H:3", "8b788815a3ff5ec0"),
+        ("H_O", "a888eb7a2b2211ba"),
+        ("truncated_HH", "201156901fdd5c8f"),
+        ("degenerate_sum", "0db3bbdf1493d7df"),
+    ])
+    def test_fingerprint_is_pinned(self, name, fingerprint):
+        assert hlie.algebra_from_name(name).fingerprint == fingerprint
+
+
 class TestAlgebraConsistency:
     @pytest.mark.parametrize("kind,n", [
         (AlgebraKind.REAL, 3),
