@@ -40,10 +40,10 @@ __all__ = [
 OCTONION_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 5), (2, 6, 7), (3, 4, 6), (4, 5, 7))
 QUATERNION_TRIPLES = ((1, 2, 3),)
 
-# Rows per matrix product in the kernels whose intermediate is wider than
-# their output (here and in hlie.apply_j_rows).  It bounds peak memory: at
-# 8192 rows `algebra check --samples 100000` peaked 9 MB above the einsum
-# these kernels replaced, at 2048 it does not, and it runs no slower.
+# Rows per matrix product in _bilinear_rows, whose intermediate is wider than
+# its output.  It bounds peak memory: at 8192 rows `algebra check --samples
+# 100000` peaked 9 MB above the einsum this kernel replaced, at 2048 it does
+# not, and it runs no slower.
 _ROW_BLOCK = 2048
 # Rows per slice of the estimators that evaluate a large sample slice by slice
 # (the chunks of inversion.verify_inversion, the point arrays of
@@ -115,32 +115,44 @@ def multiplication_tensor(kind: AlgebraKind) -> np.ndarray:
     return tensor
 
 
-@lru_cache(maxsize=None)
-def _basis_products_matrix(kind: AlgebraKind) -> np.ndarray:
-    """The multiplication tensor as a (dim, dim * dim) matrix M, so that
-    ``(b @ M)[i * dim + k] = (e_i b)_k``."""
-    d = kind.dim
-    matrix = multiplication_tensor(kind).transpose(1, 0, 2).reshape(d, d * d)
+def _flat_bilinear(tensor: np.ndarray) -> np.ndarray:
+    """The read-only matrix M of :func:`_bilinear_rows` for the bilinear map
+    ``out_k = sum_ij a_i b_j T[i,j,k]``: ``(b @ M)[i * out_width + k] = sum_j b_j T[i,j,k]``."""
+    a_width, b_width, out_width = tensor.shape
+    matrix = tensor.transpose(1, 0, 2).reshape(b_width, a_width * out_width)
     matrix.setflags(write=False)
     return matrix
 
 
-def mul_arrays(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise product of two (n, dim) coefficient arrays.
+def _bilinear_rows(a: np.ndarray, b: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Rowwise bilinear map of (n, a width) and (n, b width) arrays in which a
+    acts linearly on b's space (left multiplication, the J-map), given by
+    its :func:`_flat_bilinear` matrix.
 
-    The products e_i b of every basis element with each row of b come from
-    one matrix product, weighted by a[s, i] and summed.  Rows run in blocks
-    of a fixed size, which bounds the (rows, dim * dim) intermediate.
+    The images of each row of b under every basis direction of a come from
+    one matrix product, weighted by a[s, i] and summed, in blocks of
+    ``_ROW_BLOCK`` rows that bound the intermediate.  The output width is
+    read off b: when a has width 0 (no center) the matrix has no columns.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    d = kind.dim
     out = np.empty(b.shape)
     for start in range(0, b.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        products = (b[rows] @ _basis_products_matrix(kind)).reshape(-1, d, d)
-        np.einsum("ni,nik->nk", a[rows], products, out=out[rows])
+        block = b[rows]
+        images = (block @ matrix).reshape(block.shape[0], a.shape[1], b.shape[1])
+        np.einsum("si,sik->sk", a[rows], images, out=out[rows])
     return out
+
+
+@lru_cache(maxsize=None)
+def _basis_products_matrix(kind: AlgebraKind) -> np.ndarray:
+    return _flat_bilinear(multiplication_tensor(kind))
+
+
+def mul_arrays(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise product of two (n, dim) coefficient arrays, by :func:`_bilinear_rows`."""
+    return _bilinear_rows(a, b, _basis_products_matrix(kind))
 
 
 def conj_arrays(kind: AlgebraKind, a: np.ndarray) -> np.ndarray:

@@ -51,6 +51,14 @@ def _emit(command: str, report, output: str | None, no_timestamp: bool, **extra)
         click.echo(text, nl=False)
 
 
+def _expect(expect: str | None, positive: str, holds: bool, failed: str,
+            unexpected: str) -> None:
+    """Raise MathCheckFailed with ``failed`` (``--expect`` ``positive``) or
+    ``unexpected`` (the other choice) unless ``expect`` matches ``holds``."""
+    if expect is not None and (expect == positive) != holds:
+        raise MathCheckFailed(failed if expect == positive else unexpected)
+
+
 def _common(f):
     f = click.option("--seed", type=int, default=0, show_default=True,
                      help="Seed of the random stream.")(f)
@@ -102,58 +110,49 @@ def lie() -> None:
     """Structure checks of step-two algebras."""
 
 
-_INERT_SAMPLES = "Recorded in the report for replay only; the certificate is exact."
+# looked up per call, so that a tracer rebinding module-level tables sees the calls
+_LIE_CHECKS = {"check-htype": hlie.check_h_type, "check-j2": hlie.check_j2}
 
 
-@lie.command("check-htype")
-@click.option("--algebra", "selector", required=True,
-              help="Builtin name (H_R:n, H_C:n, H_H:n, H_O, truncated_HH, degenerate_sum) "
-                   "or algebra-spec JSON path.")
-@click.option("--samples", type=int, default=10000, show_default=True, help=_INERT_SAMPLES)
-@click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
-@click.option("--expect", type=click.Choice(["htype", "not-htype"]), default=None,
-              help="Fail (exit 2) unless the verdict matches.")
-@_common
-def lie_check_htype(selector, samples, tolerance, expect, seed, output, no_timestamp) -> None:
+def _register_lie_check(name: str, verdict: str, choices: tuple[str, str], noun: str,
+                        unexpected: str, algebra_help: str, doc: str) -> None:
+    @lie.command(name, help=doc)
+    @click.option("--algebra", "selector", required=True, help=algebra_help)
+    @click.option("--samples", type=int, default=10000, show_default=True,
+                  help="Recorded in the report for replay only; the certificate is exact.")
+    @click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
+    @click.option("--expect", type=click.Choice(choices), default=None,
+                  help="Fail (exit 2) unless the verdict matches.")
+    @_common
+    def command(selector, samples, tolerance, expect, seed, output, no_timestamp) -> None:
+        alg = _load_algebra(selector)
+        report = _LIE_CHECKS[name](alg, samples=samples, tol=tolerance, seed=seed)
+        _emit(f"lie {name}", report, output, no_timestamp)
+        _expect(expect, choices[0], getattr(report, verdict),
+                f"{alg.label} failed the {noun} check (residual {report.max_residual:.3e})",
+                f"{alg.label} unexpectedly {unexpected}")
+
+
+_register_lie_check(
+    "check-htype", "is_h_type", ("htype", "not-htype"), "Heisenberg-type",
+    "passed the Heisenberg-type check",
+    "Builtin name (H_R:n, H_C:n, H_H:n, H_O, truncated_HH, degenerate_sum) "
+    "or algebra-spec JSON path.",
     """Certify or refute |J_Z X| = |Z||X|, exactly.
 
     The certificate is the Clifford relations over the center basis.
     --samples and --seed are recorded in the report for replay only; they
     change no verdict, residual or witness.
-    """
-    alg = _load_algebra(selector)
-    report = hlie.check_h_type(alg, samples=samples, tol=tolerance, seed=seed)
-    _emit("lie check-htype", report, output, no_timestamp)
-    if expect == "htype" and not report.is_h_type:
-        raise MathCheckFailed(f"{alg.label} failed the Heisenberg-type check "
-                              f"(residual {report.max_residual:.3e})")
-    if expect == "not-htype" and report.is_h_type:
-        raise MathCheckFailed(f"{alg.label} unexpectedly passed the Heisenberg-type check")
-
-
-@lie.command("check-j2")
-@click.option("--algebra", "selector", required=True,
-              help="Builtin name or algebra-spec JSON path.")
-@click.option("--samples", type=int, default=10000, show_default=True, help=_INERT_SAMPLES)
-@click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
-@click.option("--expect", type=click.Choice(["j2", "not-j2"]), default=None,
-              help="Fail (exit 2) unless the verdict matches.")
-@_common
-def lie_check_j2(selector, samples, tolerance, expect, seed, output, no_timestamp) -> None:
+    """)
+_register_lie_check(
+    "check-j2", "satisfies_j2", ("j2", "not-j2"), "J^2", "satisfies the J^2-condition",
+    "Builtin name or algebra-spec JSON path.",
     """Certify or refute the J^2-condition, exactly (requires a Heisenberg-type algebra).
 
     The certificate is the coefficients of one cubic per pair of center
     basis vectors.  --samples and --seed are recorded in the report for
     replay only; they change no verdict, residual or witness.
-    """
-    alg = _load_algebra(selector)
-    report = hlie.check_j2(alg, samples=samples, tol=tolerance, seed=seed)
-    _emit("lie check-j2", report, output, no_timestamp)
-    if expect == "j2" and not report.satisfies_j2:
-        raise MathCheckFailed(f"{alg.label} failed the J^2 check "
-                              f"(residual {report.max_residual:.3e})")
-    if expect == "not-j2" and report.satisfies_j2:
-        raise MathCheckFailed(f"{alg.label} unexpectedly satisfies the J^2-condition")
+    """)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +247,9 @@ def invert_verify(selector, samples, tolerance, radius, threads, expect, seed,
     report = inversion.verify_inversion(alg, samples=samples, seed=seed, tol=tolerance,
                                         radius=radius, threads=threads)
     _emit("invert verify", report, output, no_timestamp)
-    if expect == "exact" and not report.is_exact_inversion:
-        raise MathCheckFailed(f"{alg.label}: max |r - 1| = "
-                              f"{report.max_relative_deviation:.3e} exceeds tolerance")
-    if expect == "inexact" and report.is_exact_inversion:
-        raise MathCheckFailed(f"{alg.label}: inversion identity unexpectedly exact")
+    _expect(expect, "exact", report.is_exact_inversion,
+            f"{alg.label}: max |r - 1| = {report.max_relative_deviation:.3e} exceeds tolerance",
+            f"{alg.label}: inversion identity unexpectedly exact")
 
 
 @invert.command("transport")

@@ -277,9 +277,21 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
                             algebra=alg.label, fingerprint=alg.fingerprint)
 
 
-def _euclidean_ball_volume(dim: int, radius: float) -> float:
+def _envelope_volume(alg: HTypeAlgebra, r: float, samples: int) -> float:
+    """Volume of the envelope |v| <= 2r, |z| <= r^2, about r^Q; raise unless every
+    estimate ``envelope * hits / samples`` (1 <= hits <= samples) is a positive
+    finite float."""
     from math import gamma, pi
-    return pi ** (dim / 2.0) * radius ** dim / gamma(dim / 2.0 + 1.0)
+    envelope = 1.0
+    for dim, radius in ((alg.dim_v, 2.0 * r), (alg.dim_z, r * r)):
+        try:
+            envelope *= pi ** (dim / 2.0) * radius ** dim / gamma(dim / 2.0 + 1.0)
+        except OverflowError:  # from the float power; a float product gives inf
+            envelope = np.inf
+    if not (envelope / samples > 0.0 and envelope * samples < np.inf):
+        raise ValueError(f"radius {r} is out of range: the volume of its sampling envelope, "
+                         f"about r^{alg.homogeneous_dimension}, leaves the float range")
+    return envelope
 
 
 def _uniform_ball(rng: np.random.Generator, count: int, dim: int,
@@ -304,19 +316,22 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
     envelope is the product of the Euclidean balls |v| <= 2r and
     |z| <= r^2, the tight ball-shaped hull of the gauge ball; it wastes far
     fewer samples than the coordinate box in high dimension.  The radii
-    must span at least one decade.
+    must span at least one decade, each in ``hgroup._check_radius``'s range.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     radii = sorted(float(r) for r in radii)
-    if len(radii) < 2 or radii[0] <= 0.0:
-        raise ValueError("need at least two positive radii")
+    if len(radii) < 2:
+        raise ValueError("need at least two radii")
+    for r in radii:
+        _check_radius(r)
     if radii[-1] / radii[0] < 10.0:
         raise ValueError("radii must span at least one decade")
+    envelopes = [_envelope_volume(alg, r, samples) for r in radii]
     seeds = np.random.SeedSequence(seed).spawn(len(radii))
     volumes = []
     per_radius = []
-    for r, chunk_seed in zip(radii, seeds):
+    for r, envelope, chunk_seed in zip(radii, envelopes, seeds):
         rng = np.random.default_rng(chunk_seed)
         v = _uniform_ball(rng, samples, alg.dim_v, 2.0 * r)
         z = _uniform_ball(rng, samples, alg.dim_z, r * r)
@@ -324,8 +339,6 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
         if hits == 0:
             raise ValueError(f"no hits at radius {r}: fit would be degenerate; "
                              "raise the sample count")
-        envelope = (_euclidean_ball_volume(alg.dim_v, 2.0 * r) *
-                    _euclidean_ball_volume(alg.dim_z, r * r))
         volume = envelope * hits / samples
         volumes.append(volume)
         per_radius.append({"radius": r, "hits": hits, "volume": volume})

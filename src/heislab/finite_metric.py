@@ -26,14 +26,13 @@ import csv
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from heislab.hgroup import pairwise_gauge_dist
 from heislab.hlie import HTypeAlgebra
-from heislab.util import format_float, format_floats
+from heislab.util import _ordered_map, format_float, format_floats
 
 __all__ = [
     "INFINITY_LABEL",
@@ -118,20 +117,22 @@ def _coarse_copy(dist: np.ndarray, slack: float) -> np.ndarray | None:
     return coarse
 
 
-def _scan(dist: np.ndarray, slack: float, marks: list) -> None:
-    """The triangle scan of ``dist`` on len(marks) workers: worker w takes the
-    rows i = w (mod workers), which balances the triangle, and flags them in
-    ``marks[w]`` (``bad``, and ``pivots`` for the closure).  Worker 0 runs
-    here, the others on threads.  The float32 copy is freed on return."""
-    workers = len(marks)
+def _scan(dist: np.ndarray, slack: float, closure: bool = False) -> list[np.ndarray]:
+    """The triangle scan of ``dist``: the rows it flags and, for the closure,
+    the useful pivots, each as one mask over all workers.  Above one block of
+    rows it runs on ``_scan_workers()`` workers, and worker w takes the rows
+    i = w (mod workers), which balances the triangle.  The float32 copy is
+    freed on return."""
     n = dist.shape[0]
+    workers = _scan_workers() if n > _SCAN_BLOCK else 1
+    if closure:
+        marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
+    else:
+        marks = [(np.zeros(n, dtype=bool),)] * workers
     coarse = _coarse_copy(dist, slack)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan_rows, dist, slack, range(w, n, workers), *marks[w],
-                               coarse=coarse) for w in range(1, workers)]
-        _scan_rows(dist, slack, range(0, n, workers), *marks[0], coarse=coarse)
-        for future in futures:
-            future.result()
+    _ordered_map(lambda w: _scan_rows(dist, slack, range(w, n, workers), *marks[w],
+                                      coarse=coarse), range(workers), workers)
+    return [np.logical_or.reduce(worker_marks) for worker_marks in zip(*marks)]
 
 
 def _exact_block(dist: np.ndarray, slack: float, i: int, j0: int, buf: np.ndarray,
@@ -233,9 +234,7 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
     # first violating row has all its violating columns at j >= i, and only
     # those are scanned.  The smallest row any worker flags is the first
     # violating row.
-    n = dist.shape[0]
-    bad = np.zeros(n, dtype=bool)
-    _scan(dist, slack, [(bad,)] * (_scan_workers() if n > _SCAN_BLOCK else 1))
+    bad, = _scan(dist, slack)
     if bad.any():
         raise _triangle_error(dist, int(np.argmax(bad)), slack)
 
@@ -294,21 +293,20 @@ def inversion_quasimetric(dist: np.ndarray, base: int) -> np.ndarray:
     if np.any(to_base == 0.0):
         offender = keep[int(np.argmax(to_base == 0.0))]
         raise ValueError(f"point {offender} is at distance zero from the base point")
-    sub = dist[np.ix_(keep, keep)]
-    out = np.zeros((n, n))
-    out[:n - 1, :n - 1] = sub / np.outer(to_base, to_base)
-    out[:n - 1, n - 1] = 1.0 / to_base
-    out[n - 1, :n - 1] = 1.0 / to_base
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _with_infinity(dist[np.ix_(keep, keep)], to_base)
 
 
 def sphericalization_quasimetric(dist: np.ndarray, base: int) -> np.ndarray:
     """Quasimetric of the sphericalization of ``dist`` at point ``base``, over
     all points plus infinity (the final row)."""
     _check_base(dist, base)
+    return _with_infinity(dist, 1.0 + dist[base])
+
+
+def _with_infinity(dist: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``dist[x, y] / (weight[x] weight[y])`` with zero diagonal, and a last row
+    and column for the point at infinity at distance ``1 / weight[x]``."""
     n = dist.shape[0]
-    weight = 1.0 + dist[base]
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = dist / np.outer(weight, weight)
     out[:n, n] = 1.0 / weight
@@ -381,14 +379,10 @@ def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     # useful and is skipped if not; a dirty one runs on every row, since
     # a + (b + c) can round below (a + b) + c and lower a row that had no
     # violation.  Once every later row is dirty, no change needs tracking.
-    n = d.shape[0]
-    workers = _scan_workers() if n > _SCAN_BLOCK else 1
-    marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
-    _scan(d, 0.0, marks)
-    active = np.logical_or.reduce([bad for bad, _ in marks])
-    useful = np.logical_or.reduce([pivots for _, pivots in marks])
+    active, useful = _scan(d, 0.0, closure=True)
     if not active.any():
         return d
+    n = d.shape[0]
     every_row = [slice(r, r + _SCAN_BLOCK) for r in range(0, n, _SCAN_BLOCK)]
     index = np.flatnonzero(active)
     active_rows = [index[r:r + _SCAN_BLOCK] for r in range(0, index.size, _SCAN_BLOCK)]

@@ -117,9 +117,7 @@ def gauge_arrays(alg: HTypeAlgebra, v, z) -> np.ndarray:
 
 def gauge_dist_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> np.ndarray:
     """Rowwise gauge distance between two point arrays; leading dimensions broadcast."""
-    dv = v1 - v2
-    dz = z1 - z2 - 0.5 * bracket_arrays(alg, v2, v1)
-    return gauge_arrays(alg, dv, dz)
+    return gauge_arrays(alg, *group_mul(alg, -v2, -z2, v1, z1))
 
 
 # Rows per block of pairwise_gauge_dist, which bounds its (rows, n, dim) intermediates.

@@ -91,9 +91,7 @@ class HTypeAlgebra:
     def _j_columns(self) -> np.ndarray:
         """The structure tensor as a (dim_v, dim_z * dim_v) matrix M, so that
         ``(x @ M)[k * dim_v + j] = (J_{Z_k} x)_j``."""
-        matrix = self.structure.transpose(1, 0, 2).reshape(self.dim_v, self.dim_z * self.dim_v)
-        matrix.setflags(write=False)
-        return matrix
+        return _algebra._flat_bilinear(self.structure)
 
     @cached_property
     def _bracket_entries(self) -> tuple[tuple[int, int, int, float], ...]:
@@ -161,26 +159,9 @@ def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
-def _j_images(alg: HTypeAlgebra, x_rows: np.ndarray) -> np.ndarray:
-    """``J_{Z_k} x_rows[s]`` for every row s and center basis vector Z_k;
-    returns (n, dim_z, dim_v)."""
-    return (x_rows @ alg._j_columns).reshape(x_rows.shape[0], alg.dim_z, alg.dim_v)
-
-
 def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v).
-
-    The images under every J_{Z_k} come from one matrix product, weighted
-    by z_rows[s, k] and summed.  Rows run in blocks of a fixed size, which
-    bounds the (rows, dim_z * dim_v) intermediate.
-    """
-    z_rows = np.asarray(z_rows, dtype=np.float64)
-    x_rows = np.asarray(x_rows, dtype=np.float64)
-    out = np.empty(x_rows.shape)
-    for start in range(0, x_rows.shape[0], _algebra._ROW_BLOCK):
-        rows = slice(start, start + _algebra._ROW_BLOCK)
-        np.einsum("sk,skj->sj", z_rows[rows], _j_images(alg, x_rows[rows]), out=out[rows])
-    return out
+    """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v), by ``algebra._bilinear_rows``."""
+    return _algebra._bilinear_rows(z_rows, x_rows, alg._j_columns)
 
 
 @dataclass
@@ -245,7 +226,7 @@ def _j2_residuals(alg: HTypeAlgebra, x: np.ndarray, z: np.ndarray,
     """Distance of J_z J_z' x from span{J_{Z_k} x}, for unit rows x, z, z'."""
     inner = apply_j_rows(alg, zp, x)
     target = apply_j_rows(alg, z, inner)
-    generators = _j_images(alg, x)
+    generators = (x @ alg._j_columns).reshape(x.shape[0], alg.dim_z, alg.dim_v)
     gram = np.einsum("skv,slv->skl", generators, generators)
     rhs = np.einsum("skv,sv->sk", generators, target)
     coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]

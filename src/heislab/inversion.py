@@ -28,7 +28,6 @@ per row.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ from heislab.hgroup import (
     group_mul,
     sample_with_rng,
 )
-from heislab.util import Report
+from heislab.util import Report, _ordered_map
 
 __all__ = [
     "ExtendedPoints",
@@ -291,18 +290,45 @@ class InversionReport(Report):
     kind: str = field(default="inversion", init=False)
 
 
-def _worse(dev: float, worst: float) -> bool:
-    """Whether deviation ``dev``, met later in sample order, replaces ``worst``:
-    a strictly larger one does, and the first NaN wins and stays, as
-    np.argmax picks the first NaN row."""
-    return not np.isnan(worst) and (dev > worst or np.isnan(dev))
+def _worst(results) -> tuple:
+    """Total pairs used, worst deviation and worst pair of (used, deviation,
+    pair) results met in sample order: a strictly larger deviation replaces
+    the worst, and the first NaN wins and stays, as np.argmax picks the
+    first NaN row.  With no result the deviation reads -1.0."""
+    used_total, worst_dev, worst_pair = 0, -1.0, None
+    for used, dev, pair in results:
+        used_total += used
+        if not np.isnan(worst_dev) and (dev > worst_dev or np.isnan(dev)):
+            worst_dev, worst_pair = dev, pair
+    return used_total, worst_dev, worst_pair
+
+
+def _inversion_slice(alg: HTypeAlgebra, pv, pz, qv, qz) -> tuple:
+    """Pairs used, worst deviation and worst pair of the pairs (p, q) of one slice."""
+    gp = gauge_arrays(alg, pv, pz)
+    gq = gauge_arrays(alg, qv, qz)
+    d_pq = gauge_dist_arrays(alg, pv, pz, qv, qz)
+    keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
+    kept = int(np.count_nonzero(keep))
+    if kept == 0:
+        return 0, -1.0, None
+    if kept < keep.size:  # usually every pair is kept, and nothing is copied
+        pv, pz, qv, qz, gp, gq, d_pq = (a[keep] for a in (pv, pz, qv, qz, gp, gq, d_pq))
+    sp = sigma_arrays(alg, pv, pz)
+    sq = sigma_arrays(alg, qv, qz)
+    ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
+    deviation = np.abs(ratio - 1.0)
+    worst = int(np.argmax(deviation))
+    # copies, so that a chunk's result does not keep its sample alive
+    return kept, float(deviation[worst]), WorstPair(Point(pv[worst].copy(), pz[worst].copy()),
+                                                    Point(qv[worst].copy(), qz[worst].copy()))
 
 
 def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
     """Pairs used, worst deviation and worst pair of one chunk of ``count`` pairs.
 
     The chunk draws its pairs at once and evaluates them in slices of
-    ``algebra._SLICE_ROWS`` rows, reduced in order by :func:`_worse`: the
+    ``algebra._SLICE_ROWS`` rows, reduced in order by :func:`_worst`: the
     temporaries stay small and reused, and each slice is a whole number of
     ``apply_j_rows``' blocks, so when every pair is kept each row is
     evaluated bit for bit as by the whole chunk.  Near the top of the
@@ -312,32 +338,9 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
     rng = np.random.default_rng(seed)
     vp, zp = sample_with_rng(alg, count, radius, rng)
     vq, zq = sample_with_rng(alg, count, radius, rng)
-    used, worst_dev, pair = 0, -1.0, None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, count, _SLICE_ROWS):
-            rows = slice(start, start + _SLICE_ROWS)
-            pv, pz, qv, qz = vp[rows], zp[rows], vq[rows], zq[rows]
-            gp = gauge_arrays(alg, pv, pz)
-            gq = gauge_arrays(alg, qv, qz)
-            d_pq = gauge_dist_arrays(alg, pv, pz, qv, qz)
-            keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
-            kept = int(np.count_nonzero(keep))
-            if kept == 0:
-                continue
-            used += kept
-            if kept < keep.size:  # usually every pair is kept, and nothing is copied
-                pv, pz, qv, qz, gp, gq, d_pq = (a[keep] for a in (pv, pz, qv, qz, gp, gq, d_pq))
-            sp = sigma_arrays(alg, pv, pz)
-            sq = sigma_arrays(alg, qv, qz)
-            ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
-            deviation = np.abs(ratio - 1.0)
-            worst = int(np.argmax(deviation))
-            if _worse(deviation[worst], worst_dev):
-                worst_dev = float(deviation[worst])
-                # copies, so that a chunk's result does not keep its sample alive
-                pair = WorstPair(Point(pv[worst].copy(), pz[worst].copy()),
-                                 Point(qv[worst].copy(), qz[worst].copy()))
-    return used, worst_dev, pair
+        return _worst(_inversion_slice(alg, *(a[s:s + _SLICE_ROWS] for a in (vp, zp, vq, zq)))
+                      for s in range(0, count, _SLICE_ROWS))
 
 
 def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
@@ -346,11 +349,12 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     """Measure the 1-inversion identity over seeded random pairs.
 
     Sampling is split into fixed-size chunks with independently derived
-    seeds; chunks may be evaluated by a thread pool, and the reduction
-    (max deviation, first-chunk tie break) is performed in chunk order so
-    the report is identical for every thread count.  A NaN deviation does
-    not drop out of that max: the first pair whose deviation is NaN is the
-    worst pair, the deviation reads NaN and the verdict is inexact.
+    seeds; the chunks run on ``threads`` workers (``util._ordered_map``),
+    and the reduction (max deviation, first-chunk tie break) is performed
+    in chunk order so the report is identical for every thread count.  A
+    NaN deviation does not drop out of that max: the first pair whose
+    deviation is NaN is the worst pair, the deviation reads NaN and the
+    verdict is inexact.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -361,22 +365,8 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    jobs = list(zip(sizes, seeds))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda job: _inversion_chunk(alg, job[0], radius, job[1]), jobs))
-    else:
-        results = [_inversion_chunk(alg, size, radius, s) for size, s in jobs]
-
-    used_total = 0
-    worst_dev = -1.0
-    worst_pair = None
-    for used, dev, pair in results:
-        used_total += used
-        if _worse(dev, worst_dev):
-            worst_dev = dev
-            worst_pair = pair
+    used_total, worst_dev, worst_pair = _worst(_ordered_map(
+        lambda job: _inversion_chunk(alg, job[0], radius, job[1]), zip(sizes, seeds), threads))
     if worst_pair is None:
         raise ValueError("no usable sample pairs were generated")
     return InversionReport(alg.label, alg.fingerprint, samples, seed, tol, worst_dev,

@@ -1,10 +1,12 @@
-"""Shared helpers: the report base, structure-constant fingerprints and canonical JSON."""
+"""Shared helpers: the report base, structure-constant fingerprints, canonical JSON
+and the one worker map."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,3 +64,15 @@ def format_float(x: float) -> str:
 def format_floats(values) -> list[str]:
     """``format_float`` of each element of a 1-d array, in bulk."""
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+# Private: a traced run wraps public names, and would parent worker spans to the map.
+def _ordered_map(fn, jobs, workers: int) -> list:
+    """``[fn(job) for job in jobs]`` on up to ``workers`` threads, in job order;
+    in the calling thread for one worker or one job.  The exception of the
+    first failing job in job order is raised here."""
+    jobs = list(jobs)
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))

@@ -111,11 +111,32 @@ class TestExitCodes:
         (["distort", "qc", "--algebra", "H_C:1", "--samples", "100", "--center-gauge", "1e100"],
          "radius 0.001 is below the resolution 9.53674e+93 of the center: radii must be at "
          "least 2^-20 times its gauge"),
+        (["distort", "regularity", "--algebra", "H_C:1", "--samples", "2000",
+          "--radii", "1e-170,1e-160"],
+         "radius 1e-170 is too small: below 1e-150 the central coordinates, of size r^2, "
+         "near the float underflow"),
+        (["distort", "regularity", "--algebra", "H_C:1", "--samples", "2000",
+          "--radii", "1e160,1e170"],
+         "radius 1e+160 is too large: above 1e+150 the central coordinates, of size r^2, "
+         "near the float overflow"),
+        (["distort", "regularity", "--algebra", "H_C:1", "--samples", "2000",
+          "--radii", "1e100,1e101"],
+         "radius 1e+100 is out of range: the volume of its sampling envelope, about r^4, "
+         "leaves the float range"),
+        (["distort", "regularity", "--algebra", "H_O", "--samples", "2000",
+          "--radii", "1e14,1e15"],
+         "radius 100000000000000.0 is out of range: the volume of its sampling envelope, "
+         "about r^22, leaves the float range"),
+        (["distort", "regularity", "--algebra", "H_O", "--samples", "2000",
+          "--radii", "1e100,1e101"],
+         "radius 1e+100 is out of range: the volume of its sampling envelope, about r^22, "
+         "leaves the float range"),
     ], ids=["verify-1e160", "verify-nan", "verify-inf", "sample-nan", "sample-inf",
             "distmat-nan", "distmat-inf", "transport-1e-200", "sample-1e-200",
             "qc-1e300", "qc-1e-200", "qc-center-1e200", "qc-center-1e-200", "sample-negative",
             "distmat-zero", "qc-negative", "verify-4e153", "qc-below-center-resolution",
-            "qc-center-1e100-default-radii"])
+            "qc-center-1e100-default-radii", "regularity-1e-170", "regularity-1e160",
+            "regularity-1e100", "regularity-H_O-1e14", "regularity-H_O-1e100"])
     def test_unusable_radius_is_one_error_line(self, argv, message, capsys):
         assert run(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -431,6 +452,12 @@ class TestDistortCommands:
                     "--output", str(out), "--no-timestamp"]) == 0
         payload = read_json(out)
         assert abs(payload["statistics"]["fitted_exponent"] - 4.0) <= 0.1
+
+    def test_regularity_fits_far_from_unit_scale(self, capsys):
+        assert run(["distort", "regularity", "--algebra", "H_O", "--samples", "2000",
+                    "--radii", "1e10,1e11", "--no-timestamp"]) == 0
+        fitted = json.loads(capsys.readouterr().out)["statistics"]["fitted_exponent"]
+        assert abs(fitted - 22.0) <= 0.05
 
     def test_regularity_decade_precondition(self):
         assert run(["distort", "regularity", "--algebra", "H_C:1",

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from heislab import finite_metric as fm
-from heislab import hgroup, hlie
+from heislab import hgroup, hlie, inversion
 from heislab.util import format_float
 from oracles import load_space_csv_rowloop, save_space_csv_rowwise, scan_rows_float64
 
@@ -204,14 +204,18 @@ class TestTriangleScanAgainstRowLoop:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_scan_threads_open_no_span(self, monkeypatch):
-        # the traced benchmark fails on spans of worker threads it cannot parent
+    @staticmethod
+    def perfbench_tracer():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        return tracing.Tracer()
+
+    def test_scan_threads_open_no_span(self, monkeypatch):
+        # the traced benchmark fails on spans of worker threads it cannot parent
         monkeypatch.setattr(fm, "_scan_workers", lambda: 2)
-        tracer = tracing.Tracer()
+        tracer = self.perfbench_tracer()
         tracer.install()
         try:
             fm.FiniteMetricSpace([str(i) for i in range(300)], euclidean_space(300, 2, 6).dist)
@@ -220,6 +224,20 @@ class TestTriangleScanAgainstRowLoop:
         root = threading.get_ident()
         assert {span[6] for span in tracer.spans} == {root}
         assert tracer.worker_parents() == set()
+
+    def test_verify_threads_parent_their_spans_to_verify(self):
+        # the traced benchmark allows worker-thread spans under verify_inversion
+        # only, so the worker map must stay untraced
+        tracer = self.perfbench_tracer()
+        tracer.install()
+        try:
+            inversion.verify_inversion(hlie.algebra_from_name("H_C:1"),
+                                       samples=2 * inversion._CHUNK + 100, seed=3, threads=2)
+        finally:
+            tracer.uninstall()
+        root = threading.get_ident()
+        assert {span[6] for span in tracer.spans} - {root}
+        assert tracer.worker_parents() == {"inversion.verify_inversion"}
 
 
 class TestInversionQuasimetric:
