@@ -16,6 +16,7 @@ extension of those basis rules satisfying the composition law
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,18 +41,14 @@ __all__ = [
 OCTONION_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 5), (2, 6, 7), (3, 4, 6), (4, 5, 7))
 QUATERNION_TRIPLES = ((1, 2, 3),)
 
-# Rows per matrix product in _bilinear_rows, whose intermediate is wider than
-# its output.  It bounds peak memory: at 8192 rows `algebra check --samples
-# 100000` peaked 9 MB above the einsum this kernel replaced, at 2048 it does
-# not, and it runs no slower.
-_ROW_BLOCK = 2048
-# Rows per slice of the estimators that evaluate a large sample slice by slice
-# (the chunks of inversion.verify_inversion, the point arrays of
-# distortion.estimate_qc_ratio): two blocks, so the kernels run on the same
-# blocks as on the whole sample.  One-block slices ran slower on 2 vCPUs:
-# verify_inversion on H_O at 1e6 pairs with 2 threads 1.8 s against 1.2 s,
-# estimate_qc_ratio on H_O at 3e5 samples 1.5-2.1 s against 1.4-1.7 s.
-_SLICE_ROWS = 2 * _ROW_BLOCK
+# Rows per slice of the row kernels (the entry kernel and the gauge) and of
+# the estimators that evaluate a large sample slice by slice (the chunks of
+# inversion.verify_inversion, the point arrays of distortion.estimate_qc_ratio).
+# Each slice pays a fixed number of ufunc calls per structure entry, and
+# halving it did not pay: verify_inversion on H_O at 1e6 pairs took 1.41 s
+# at 2,048 rows against 1.34 s at 4,096 on one thread, 1.45 s against 1.06 s
+# on two (medians of 5, 2-vCPU VM).
+_SLICE_ROWS = 4096
 
 
 class AlgebraKind(Enum):
@@ -115,44 +112,87 @@ def multiplication_tensor(kind: AlgebraKind) -> np.ndarray:
     return tensor
 
 
-def _flat_bilinear(tensor: np.ndarray) -> np.ndarray:
-    """The read-only matrix M of :func:`_bilinear_rows` for the bilinear map
-    ``out_k = sum_ij a_i b_j T[i,j,k]``: ``(b @ M)[i * out_width + k] = sum_j b_j T[i,j,k]``."""
-    a_width, b_width, out_width = tensor.shape
-    matrix = tensor.transpose(1, 0, 2).reshape(b_width, a_width * out_width)
-    matrix.setflags(write=False)
-    return matrix
+def _entries(tensor: np.ndarray) -> tuple[tuple[int, int, int, float], ...]:
+    """The nonzero entries (i, j, k, T[i,j,k]) of the bilinear map
+    ``out_k = sum_ij a_i b_j T[i,j,k]``, in C order, so that each output sums
+    its terms by increasing i, then j."""
+    return tuple((int(i), int(j), int(k), float(tensor[i, j, k]))
+                 for i, j, k in zip(*np.nonzero(tensor)))
 
 
-def _bilinear_rows(a: np.ndarray, b: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Rowwise bilinear map of (n, a width) and (n, b width) arrays in which a
-    acts linearly on b's space (left multiplication, the J-map), given by
-    its :func:`_flat_bilinear` matrix.
+def _entry_kernel(entries, a: np.ndarray, b: np.ndarray, width: int,
+                  skew: bool = False) -> np.ndarray:
+    """The one bilinear kernel, on coordinate-major arrays: a (a width, ...)
+    and b (b width, ...), whose trailing dimensions broadcast; returns
+    (width, ...).
 
-    The images of each row of b under every basis direction of a come from
-    one matrix product, weighted by a[s, i] and summed, in blocks of
-    ``_ROW_BLOCK`` rows that bound the intermediate.  The output width is
-    read off b: when a has width 0 (no center) the matrix has no columns.
+    Each entry (i, j, k, c) adds ``c a_i b_j`` to out_k, or with ``skew``
+    ``c (a_i b_j - a_j b_i)``, as whole-row ufuncs into an accumulator that
+    starts at +0, in the order of the entries.  A coefficient of +-1 is an
+    add or a subtract, which rounds as the product by +-1 does, and saves a
+    ufunc call per entry.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.empty(b.shape)
-    for start in range(0, b.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        block = b[rows]
-        images = (block @ matrix).reshape(block.shape[0], a.shape[1], b.shape[1])
-        np.einsum("si,sik->sk", a[rows], images, out=out[rows])
+    lead = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    out = np.zeros((width,) + lead)
+    term = np.empty(lead)
+    other = np.empty(lead) if skew else None
+    for i, j, k, c in entries:
+        np.multiply(a[i], b[j], out=term)
+        if skew:
+            np.multiply(a[j], b[i], out=other)
+            np.subtract(term, other, out=term)
+        acc = out[k, ...]  # a view also when there are no trailing dimensions
+        if c == 1.0:
+            np.add(acc, term, out=acc)
+        elif c == -1.0:
+            np.subtract(acc, term, out=acc)
+        else:
+            np.multiply(term, c, out=term)
+            np.add(acc, term, out=acc)
     return out
 
 
+def _slices(lead: tuple) -> list:
+    """Indices that cut an array with leading dimensions ``lead`` into slices
+    of about ``_SLICE_ROWS`` rows along the first of them; the whole array
+    when there is none."""
+    if not lead:
+        return [...]
+    step = max(1, _SLICE_ROWS // max(1, math.prod(lead[1:])))
+    return [slice(start, start + step) for start in range(0, lead[0], step)]
+
+
+def _by_slices(kernel, widths, *arrays) -> list[np.ndarray]:
+    """Run a coordinate-major kernel on row-major arrays (..., width_i), whose
+    leading dimensions broadcast.
+
+    Each slice (:func:`_slices`) is copied once to contiguous (width_i, ...)
+    arrays, and ``kernel(*columns)`` returns one array per entry of
+    ``widths``: (width, ...) for an int, (...) for None.  Returns the
+    row-major results.  Every kernel here computes each row on its own, so
+    the slices do not change a bit.
+    """
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+    outs = [np.empty(lead if w is None else lead + (w,)) for w in widths]
+    for rows in _slices(lead):
+        columns = [np.moveaxis(np.broadcast_to(a, lead + a.shape[-1:])[rows], -1, 0).copy()
+                   for a in arrays]
+        for out, w, result in zip(outs, widths, kernel(*columns)):
+            out[rows] = result if w is None else np.moveaxis(result, 0, -1)
+    return outs
+
+
 @lru_cache(maxsize=None)
-def _basis_products_matrix(kind: AlgebraKind) -> np.ndarray:
-    return _flat_bilinear(multiplication_tensor(kind))
+def _product_entries(kind: AlgebraKind) -> tuple:
+    return _entries(multiplication_tensor(kind))
 
 
 def mul_arrays(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rowwise product of two (n, dim) coefficient arrays, by :func:`_bilinear_rows`."""
-    return _bilinear_rows(a, b, _basis_products_matrix(kind))
+    """Rowwise product of two (n, dim) coefficient arrays, by :func:`_entry_kernel`."""
+    entries = _product_entries(kind)
+    return _by_slices(lambda a, b: [_entry_kernel(entries, a, b, kind.dim)], [kind.dim],
+                      a, b)[0]
 
 
 def conj_arrays(kind: AlgebraKind, a: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import click
 
 from heislab import algebra as alg_mod
 from heislab import distortion, finite_metric, hgroup, hlie, inversion
-from heislab.util import canonical_json
+from heislab.util import _write_text, canonical_json
 
 __all__ = ["main", "run", "entrypoint", "MathCheckFailed"]
 
@@ -44,11 +44,7 @@ def _emit(command: str, report, output: str | None, no_timestamp: bool, **extra)
     if not no_timestamp:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = canonical_json(payload)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _save(lambda fh: fh.write(text), output)
 
 
 def _expect(expect: str | None, positive: str, holds: bool, failed: str,
@@ -178,7 +174,7 @@ def group_sample(selector, count, radius, seed, output) -> None:
         raise click.UsageError("--count must be >= 1")
     alg = _load_algebra(selector)
     v, z = hgroup.sample_arrays(alg, count, radius, seed)
-    _save(lambda out: hgroup.save_points_csv(out, alg, v, z), output)
+    _save(lambda fh: hgroup.save_points_csv(fh, alg, v, z), output)
 
 
 @group.command("distmat")
@@ -200,9 +196,10 @@ def group_distmat(selector, count, radius, seed, fmt, output) -> None:
 
 
 def _save(write, output: str | None) -> None:
-    """Write to the output path, or through a buffer to stdout."""
+    """Call ``write(fh)`` on the output path (``util._write_text``), or on a
+    buffer that goes to stdout."""
     if output:
-        write(output)
+        _write_text(output, write)
         return
     buffer = io.StringIO()
     write(buffer)
@@ -211,7 +208,7 @@ def _save(write, output: str | None) -> None:
 
 def _write_space(space, fmt: str, output: str | None) -> None:
     save = finite_metric.save_space_csv if fmt == "csv" else finite_metric.save_space_json
-    _save(lambda out: save(space, out), output)
+    _save(lambda fh: save(space, fh), output)
 
 
 def _read_space(path: str) -> finite_metric.FiniteMetricSpace:
@@ -234,14 +231,15 @@ def invert() -> None:
 @click.option("--samples", type=int, default=100000, show_default=True)
 @click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
 @click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for the pair sweep (result is thread-count invariant).")
+@click.option("--threads", type=int, default=None,
+              help="Worker threads for the pair sweep (default: the CPUs this process "
+                   "may use; the result is thread-count invariant).")
 @click.option("--expect", type=click.Choice(["exact", "inexact"]), default=None)
 @_common
 def invert_verify(selector, samples, tolerance, radius, threads, expect, seed,
                   output, no_timestamp) -> None:
     """Worst-case deviation of the inversion distance identity."""
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise click.UsageError("--threads must be >= 1")
     alg = _load_algebra(selector)
     report = inversion.verify_inversion(alg, samples=samples, seed=seed, tol=tolerance,

@@ -33,7 +33,7 @@ from heislab.hgroup import (
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
-from heislab.util import Report, format_floats
+from heislab.util import Report, _write_text, format_floats
 
 __all__ = [
     "DistortionReport",
@@ -151,14 +151,17 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
                             raw_pairs=(t_in, t_out))
 
 
-def save_ratio_pairs_csv(report: DistortionReport, path) -> None:
+def save_ratio_pairs_csv(report: DistortionReport, path_or_file) -> None:
     """Raw (source, image) cross-ratio pairs of a quasimobius run."""
     if report.raw_pairs is None:
         raise ValueError("report carries no raw cross-ratio pairs")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+
+    def write(fh) -> None:
         # the lines csv.writer would write: float strings need no quoting
         fh.write("t_in,t_out\r\n")
         fh.writelines(f"{a},{b}\r\n" for a, b in zip(*map(format_floats, report.raw_pairs)))
+
+    _write_text(path_or_file, write)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +204,11 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Poin
 
 def _annulus_entry(alg: HTypeAlgebra, point_map: Callable, center: Point, image_center,
                    r: float, samples: int, rng: np.random.Generator) -> dict:
-    """One radius of :func:`estimate_qc_ratio`: the whole draw, then the
-    dilation radii, then the point arrays in slices of ``algebra._SLICE_ROWS``
-    rows."""
+    """One radius of :func:`estimate_qc_ratio`: the whole draw and its gauges,
+    then the dilation radii, then the point arrays in slices of
+    ``algebra._SLICE_ROWS`` rows."""
     v, z = sample_with_rng(alg, samples, 1.0, rng)
-    g = np.concatenate([gauge_arrays(alg, v[s:s + _SLICE_ROWS], z[s:s + _SLICE_ROWS])
-                        for s in range(0, samples, _SLICE_ROWS)])
+    g = gauge_arrays(alg, v, z)
     keep = np.flatnonzero(g > 1e-12)
     rho = rng.uniform((1.0 - ANNULUS_WIDTH) * r, (1.0 + ANNULUS_WIDTH) * r, size=keep.size)
     fc_v, fc_z = image_center

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import warnings
 from pathlib import Path
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from heislab.hgroup import pairwise_gauge_dist
 from heislab.hlie import HTypeAlgebra
-from heislab.util import _ordered_map, format_float, format_floats
+from heislab.util import _cpu_count, _ordered_map, _write_text, format_float, format_floats
 
 __all__ = [
     "INFINITY_LABEL",
@@ -98,11 +97,6 @@ _COARSE_LOW, _COARSE_HIGH = 2.0 ** -100, 2.0 ** 100
 _COARSE_MARGIN = 1.0 + 2.0 ** -21
 
 
-def _scan_workers() -> int:
-    """Threads for the triangle scan: the CPUs this process may run on."""
-    return len(os.sched_getaffinity(0))
-
-
 def _coarse_copy(dist: np.ndarray, slack: float) -> np.ndarray | None:
     """The float32 copy of ``dist`` with an infinite diagonal that filters the
     scan's blocks, or None where the filter's bound does not hold: a slack
@@ -120,11 +114,11 @@ def _coarse_copy(dist: np.ndarray, slack: float) -> np.ndarray | None:
 def _scan(dist: np.ndarray, slack: float, closure: bool = False) -> list[np.ndarray]:
     """The triangle scan of ``dist``: the rows it flags and, for the closure,
     the useful pivots, each as one mask over all workers.  Above one block of
-    rows it runs on ``_scan_workers()`` workers, and worker w takes the rows
+    rows it runs on ``util._cpu_count()`` workers, and worker w takes the rows
     i = w (mod workers), which balances the triangle.  The float32 copy is
     freed on return."""
     n = dist.shape[0]
-    workers = _scan_workers() if n > _SCAN_BLOCK else 1
+    workers = _cpu_count() if n > _SCAN_BLOCK else 1
     if closure:
         marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
     else:
@@ -488,11 +482,7 @@ def save_space_csv(space: FiniteMetricSpace, path_or_file) -> None:
             # float strings need no quoting: this is csv.writer's line, faster
             fh.write(",".join(row) + "\r\n")
 
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+    _write_text(path_or_file, write)
 
 
 def _load_space_csv_rows(path) -> FiniteMetricSpace:
@@ -551,10 +541,7 @@ def save_space_json(space: FiniteMetricSpace, path_or_file) -> None:
         "contains_infinity": space.contains_infinity,
     }
     text = json.dumps(payload, indent=2) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        Path(path_or_file).write_text(text, encoding="utf-8")
+    _write_text(path_or_file, lambda fh: fh.write(text))
 
 
 def load_space_json(path) -> FiniteMetricSpace:

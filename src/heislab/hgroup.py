@@ -23,8 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from heislab.hlie import HTypeAlgebra, bracket_arrays
-from heislab.util import format_floats
+from heislab.algebra import _by_slices
+from heislab.hlie import HTypeAlgebra, _bracket_cols, bracket_arrays
+from heislab.util import _write_text, format_floats
 
 __all__ = [
     "Point",
@@ -50,10 +51,43 @@ class Point(NamedTuple):
 # kernels on coordinate arrays
 
 
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of a coordinate-major (width, ...) array, in the
+    order in which ``np.sum(..., axis=-1)`` sums a contiguous row: from +0
+    one by one below 8 terms; from 8 terms up to 128, eight running sums of
+    every eighth term, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+    (r6 + r7)), then the remaining terms one by one; above 128, the two
+    halves (the first a multiple of 8) summed so and added."""
+    width = terms.shape[0]
+    if width == 0:
+        return np.zeros(terms.shape[1:])
+    if width < 8:
+        total = np.add(terms[0], 0.0, out=np.empty(terms.shape[1:]))  # +0 where t_0 is -0
+        for term in terms[1:]:
+            np.add(total, term, out=total)
+        return total
+    if width > 128:
+        half = width // 2 - (width // 2) % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    running = terms[:8].copy()
+    stop = width - width % 8
+    for start in range(8, stop, 8):
+        np.add(running, terms[start:start + 8], out=running)
+    r = running
+    total = np.asarray(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    for term in terms[stop:]:
+        np.add(total, term, out=total)
+    return total
+
+
 def _gauge4(v, z) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise a = |v|^2 / 4 and the gauge's fourth power a^2 + |z|^2."""
-    a = 0.25 * np.sum(v * v, axis=-1)
-    return a, a * a + np.sum(z * z, axis=-1)
+    """Rowwise a = |v|^2 / 4 and the gauge's fourth power a^2 + |z|^2 of
+    coordinate-major (dim_v, ...) and (dim_z, ...) arrays, with the bits of
+    ``np.sum`` over row-major rows (:func:`_row_sum`).  Overflow gives inf
+    without a warning; the callers evaluate such rows again at unit scale."""
+    with np.errstate(over="ignore"):
+        a = 0.25 * _row_sum(v * v)
+        return a, a * a + _row_sum(z * z)
 
 
 def _unit_exponent(*points) -> np.ndarray:
@@ -85,6 +119,31 @@ def _unit_rows(v, z, n4):
     return (redo, *_dilate_exp(-k, v, z), k)
 
 
+def _gauge_of(v, z, n4) -> np.ndarray:
+    """The gauge of coordinate-major rows from their gauge^4 ``n4``, at every
+    scale: the rows of :func:`_unit_rows` by homogeneity,
+    gauge(delta_s p) = s gauge(p)."""
+    g = np.asarray(n4 ** 0.25)
+    if (unit := _unit_rows(np.moveaxis(v, 0, -1), np.moveaxis(z, 0, -1), n4)) is not None:
+        redo, uv, uz, k = unit
+        g[redo] = np.ldexp(_gauge4(uv.T, uz.T)[1] ** 0.25, k)
+    return g
+
+
+def _distance(alg: HTypeAlgebra, p, q) -> np.ndarray:
+    """Gauge distance d(p, q) of coordinate-major points ``(v, z)``: the gauge of
+    q^-1 p = (p_v - q_v, p_z - q_z + [p_v, q_v] / 2).
+
+    These are the bits of the group law on (-q_v, -q_z) and p, without the
+    negated copies: -q_v + p_v rounds as p_v - q_v, and [-q_v, p_v] equals
+    [p_v, q_v] bit for bit (``hlie.bracket_arrays``)."""
+    z = _bracket_cols(alg, p[0], q[0])
+    np.multiply(z, 0.5, out=z)
+    np.add(p[1] - q[1], z, out=z)
+    v = p[0] - q[0]
+    return _gauge_of(v, z, _gauge4(v, z)[1])
+
+
 def group_mul(alg: HTypeAlgebra, v1, z1, v2, z2) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise product (v1 + v2, z1 + z2 + [v1, v2] / 2); the inverse of (v, z) is (-v, -z)."""
     corr = bracket_arrays(alg, v1, v2)
@@ -103,21 +162,15 @@ def dilate_arrays(t, v, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauge_arrays(alg: HTypeAlgebra, v, z) -> np.ndarray:
-    """Rowwise gauge of (..., dim) coordinate arrays, at every scale: the rows of
-    :func:`_unit_rows` by homogeneity, gauge(delta_s p) = s gauge(p)."""
-    v, z = np.asarray(v), np.asarray(z)
-    with np.errstate(over="ignore"):
-        n4 = _gauge4(v, z)[1]
-    g = np.asarray(n4 ** 0.25)
-    if (unit := _unit_rows(v, z, n4)) is not None:
-        redo, uv, uz, k = unit
-        g[redo] = np.ldexp(_gauge4(uv, uz)[1] ** 0.25, k)
-    return g[()]
+    """Rowwise gauge of (..., dim) coordinate arrays, at every scale (:func:`_gauge_of`),
+    evaluated coordinate-major in slices by ``algebra._by_slices``."""
+    return _by_slices(lambda v, z: [_gauge_of(v, z, _gauge4(v, z)[1])], [None], v, z)[0][()]
 
 
 def gauge_dist_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> np.ndarray:
     """Rowwise gauge distance between two point arrays; leading dimensions broadcast."""
-    return gauge_arrays(alg, *group_mul(alg, -v2, -z2, v1, z1))
+    return _by_slices(lambda v1, z1, v2, z2: [_distance(alg, (v1, z1), (v2, z2))], [None],
+                      v1, z1, v2, z2)[0][()]
 
 
 # Rows per block of pairwise_gauge_dist, which bounds its (rows, n, dim) intermediates.
@@ -199,8 +252,4 @@ def save_points_csv(path_or_file, alg: HTypeAlgebra, v: np.ndarray, z: np.ndarra
         for row in rows:
             fh.write(",".join(format_floats(row)) + "\n")
 
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+    _write_text(path_or_file, write)

@@ -88,17 +88,17 @@ class HTypeAlgebra:
         return stack
 
     @cached_property
-    def _j_columns(self) -> np.ndarray:
-        """The structure tensor as a (dim_v, dim_z * dim_v) matrix M, so that
-        ``(x @ M)[k * dim_v + j] = (J_{Z_k} x)_j``."""
-        return _algebra._flat_bilinear(self.structure)
+    def _j_entries(self) -> tuple[tuple[int, int, int, float], ...]:
+        """Structure entries (k, i, j, B[k,i,j]) for ``algebra._entry_kernel``:
+        ``(J_z x)_j = sum_ki z_k x_i B[k,i,j]``."""
+        return _algebra._entries(self.structure)
 
     @cached_property
     def _bracket_entries(self) -> tuple[tuple[int, int, int, float], ...]:
-        """Strictly-upper structure entries (k, i, j, B[k,i,j]), by direction k
-        and then in (i, j) order."""
+        """Strictly-upper structure entries (i, j, k, B[k,i,j]) for the skew
+        ``algebra._entry_kernel``, by direction k and then in (i, j) order."""
         k, i, j = np.nonzero(self.structure)
-        return tuple((int(c), int(a), int(b), float(self.structure[c, a, b]))
+        return tuple((int(a), int(b), int(c), float(self.structure[c, a, b]))
                      for c, a, b in zip(k, i, j) if a < b)
 
     @cached_property
@@ -115,6 +115,16 @@ class HTypeAlgebra:
         return f"HTypeAlgebra({self.label!r}, dim_v={self.dim_v}, dim_z={self.dim_z})"
 
 
+def _bracket_cols(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The bracket of coordinate-major (dim_v, ...) arrays; returns (dim_z, ...)."""
+    return _algebra._entry_kernel(alg._bracket_entries, x, y, alg.dim_z, skew=True)
+
+
+def _j_cols(alg: HTypeAlgebra, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """J_z x of coordinate-major (dim_z, ...) and (dim_v, ...) arrays; returns (dim_v, ...)."""
+    return _algebra._entry_kernel(alg._j_entries, z, x, alg.dim_v)
+
+
 def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rowwise bracket of two (..., dim_v) arrays; returns (..., dim_z).
 
@@ -124,44 +134,38 @@ def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     Evaluated as ``sum B[k,i,j] (x_i y_j - x_j y_i)`` over the strictly-upper
     structure entries, which keeps the bracket exactly antisymmetric in
     floating point: [x, x] = 0 and [x, y] = -[y, x] bitwise, so gauge
-    distances vanish on, and are symmetric across, coincident points.  The
-    entries of each center direction are summed in one fixed order, so a
-    row's bracket does not depend on how many rows share the call; a BLAS
-    product against a coefficient matrix does not guarantee that (its
-    one-row path reorders sums of three or more terms).
+    distances vanish on, and are symmetric across, coincident points.  For
+    the same reason [-y, x] = [x, y] bitwise, which ``hgroup`` uses for
+    q^-1 p.  The entries of each center direction are summed in one fixed
+    order, so a row's bracket does not depend on how many rows share the
+    call; a BLAS product against a coefficient matrix does not guarantee
+    that (its one-row path reorders sums of three or more terms).
 
-    The layout is coordinate-major: x and y are copied once to contiguous
-    (dim_v, ...) arrays, and each structure entry runs as whole-row ufuncs
-    over the leading dimensions, into two term buffers and a (dim_z, ...)
-    accumulator that starts at +0.  The earlier form gathered the
-    coordinates out of the short last axis into (..., slots, dim_z) tables;
-    on H_O at 16,384 rows it took about 5x as long (2-vCPU VM, numpy 2.4.6),
-    mostly in page faults on those tables.  Each element still gets
-    ``((0 + t_1) + t_2) + ...`` with ``t = B[k,i,j] * (x_i y_j - x_j y_i)``,
-    the same roundings in the same order, so the bits are those of the
-    gather form.  (That form also added a 0 * (x_0 y_0 - x_0 y_0) term for
-    each slot a direction lacks, which is +0 unless x_0 y_0 overflows.)
+    The layout is coordinate-major: ``algebra._by_slices`` copies x and y
+    once per slice of ``algebra._SLICE_ROWS`` rows to contiguous
+    (dim_v, ...) arrays, and ``algebra._entry_kernel`` runs each structure
+    entry as whole-row ufuncs into a (dim_z, ...) accumulator that starts at
+    +0.  Each element gets ``((0 + t_1) + t_2) + ...`` with
+    ``t = B[k,i,j] * (x_i y_j - x_j y_i)``, where a coefficient of +-1 is an
+    add or a subtract with the same rounding, so the bits are those of the
+    earlier form that gathered the coordinates out of the short last axis
+    into (..., slots, dim_z) tables (``tests/oracles.py::bracket_gather``);
+    on H_O at 16,384 rows that form took about 5x as long (2-vCPU VM, numpy
+    2.4.6), mostly in page faults on those tables.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    xt = np.moveaxis(x, -1, 0).copy()
-    yt = np.moveaxis(y, -1, 0).copy()
-    out = np.zeros((alg.dim_z,) + lead)
-    term, other = np.empty(lead), np.empty(lead)
-    for k, i, j, coeff in alg._bracket_entries:
-        np.multiply(xt[i], yt[j], out=term)
-        np.multiply(xt[j], yt[i], out=other)
-        np.subtract(term, other, out=term)
-        np.multiply(term, coeff, out=term)
-        acc = out[k, ...]  # a view also when there are no leading dimensions
-        np.add(acc, term, out=acc)
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return _algebra._by_slices(lambda x, y: [_bracket_cols(alg, x, y)], [alg.dim_z], x, y)[0]
 
 
 def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v), by ``algebra._bilinear_rows``."""
-    return _algebra._bilinear_rows(z_rows, x_rows, alg._j_columns)
+    """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v), by ``algebra._entry_kernel``.
+
+    Each output coordinate j sums ``z_k x_i B[k,i,j]`` by increasing k from
+    +0, the order of the earlier BLAS form (a matrix product of x against
+    the flattened structure tensor, then a row contraction with z), whose
+    bits it keeps on every builtin algebra.
+    """
+    return _algebra._by_slices(lambda z, x: [_j_cols(alg, z, x)], [alg.dim_v],
+                               z_rows, x_rows)[0]
 
 
 @dataclass
@@ -226,7 +230,8 @@ def _j2_residuals(alg: HTypeAlgebra, x: np.ndarray, z: np.ndarray,
     """Distance of J_z J_z' x from span{J_{Z_k} x}, for unit rows x, z, z'."""
     inner = apply_j_rows(alg, zp, x)
     target = apply_j_rows(alg, z, inner)
-    generators = (x @ alg._j_columns).reshape(x.shape[0], alg.dim_z, alg.dim_v)
+    generators = np.stack([apply_j_rows(alg, np.broadcast_to(unit, z.shape), x)
+                           for unit in np.eye(alg.dim_z)], axis=1)
     gram = np.einsum("skv,slv->skl", generators, generators)
     rhs = np.einsum("skv,sv->sk", generators, target)
     coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]

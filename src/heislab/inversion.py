@@ -33,20 +33,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from heislab.algebra import _SLICE_ROWS
-from heislab.hlie import DEFAULT_TOL, HTypeAlgebra, apply_j_rows, check_h_type
+from heislab.algebra import _SLICE_ROWS, _by_slices
+from heislab.hlie import DEFAULT_TOL, HTypeAlgebra, _j_cols, check_h_type
 from heislab.hgroup import (
     Point,
     _dilate_exp,
+    _distance,
     _gauge4,
+    _gauge_of,
     _unit_exponent,
     _unit_rows,
-    gauge_arrays,
     gauge_dist_arrays,
     group_mul,
     sample_with_rng,
 )
-from heislab.util import Report, _ordered_map
+from heislab.util import Report, _cpu_count, _ordered_map
 
 __all__ = [
     "ExtendedPoints",
@@ -64,25 +65,40 @@ _CHUNK = 16384
 _TRIALS_PER_CHUNK = 2048
 
 
-def _sigma_rows(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> tuple:
-    a, n4 = _gauge4(v, z)
-    jv = apply_j_rows(alg, z, v)
-    return -(a[:, None] * v - jv) / n4[:, None], -z / n4[:, None], n4
+def _sigma_formula(alg: HTypeAlgebra, v, z, a, n4) -> tuple[np.ndarray, np.ndarray]:
+    """sigma of coordinate-major (dim_v, ...) and (dim_z, ...) rows, given their
+    ``hgroup._gauge4`` a and n4, by the plain formula
+    ``(-(a v - J_z v) / n4, -z / n4)``, computed in place."""
+    v_new = a * v
+    np.subtract(v_new, _j_cols(alg, z, v), out=v_new)
+    np.negative(v_new, out=v_new)
+    z_new = np.negative(z)
+    return np.divide(v_new, n4, out=v_new), np.divide(z_new, n4, out=z_new)
+
+
+def _sigma(alg: HTypeAlgebra, v, z, a, n4) -> tuple[np.ndarray, np.ndarray]:
+    """sigma of coordinate-major rows at every scale: the rows of
+    ``hgroup._unit_rows`` by sigma(delta_s p) = delta_{1/s} sigma(p).  A row
+    that is not finite, or whose image is not, comes out non-finite."""
+    v_new, z_new = _sigma_formula(alg, v, z, a, n4)
+    if (unit := _unit_rows(np.moveaxis(v, 0, -1), np.moveaxis(z, 0, -1), n4)) is not None:
+        redo, uv, uz, k = unit
+        ua, un4 = _gauge4(uv.T, uz.T)
+        if np.any(un4 == 0.0):
+            raise ValueError("inversion is undefined at the identity")
+        sv, sz = _dilate_exp(-k, *(c.T for c in _sigma_formula(alg, uv.T, uz.T, ua, un4)))
+        v_new[:, redo], z_new[:, redo] = sv.T, sz.T
+    return v_new, z_new
 
 
 def sigma_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Rowwise gauge inversion of (n, dim) coordinate arrays, at every scale: the
-    rows of ``hgroup._unit_rows`` by sigma(delta_s p) = delta_{1/s} sigma(p).
-    A row that is not finite, or whose image is not, comes out non-finite."""
+    """Rowwise gauge inversion of (n, dim) coordinate arrays, at every scale
+    (:func:`_sigma`), evaluated coordinate-major in slices by
+    ``algebra._by_slices``."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v_new, z_new, n4 = _sigma_rows(alg, v, z)
-        if (unit := _unit_rows(v, z, n4)) is not None:
-            redo, uv, uz, k = unit
-            uv, uz, un4 = _sigma_rows(alg, uv, uz)
-            if np.any(un4 == 0.0):
-                raise ValueError("inversion is undefined at the identity")
-            v_new[redo], z_new[redo] = _dilate_exp(-k, uv, uz)
+        v_new, z_new = _by_slices(lambda v, z: _sigma(alg, v, z, *_gauge4(v, z)),
+                                  [alg.dim_v, alg.dim_z], v, z)
     return v_new, z_new
 
 
@@ -114,7 +130,7 @@ def phi_at(alg: HTypeAlgebra, x: ExtendedPoints, w: ExtendedPoints) -> ExtendedP
     in floating point goes to infinity with x itself.
     """
     sv, sz = group_mul(alg, -x.v, -x.z, w.v, w.z)
-    zero = _gauge4(sv, sz)[1] == 0.0
+    zero = _gauge4(sv.T, sz.T)[1] == 0.0
     v = np.where(x.inf[:, None], w.v, np.where(w.inf[:, None], x.v, 0.0))
     z = np.where(x.inf[:, None], w.z, np.where(w.inf[:, None], x.z, 0.0))
     inf = np.where(x.inf, w.inf, zero & ~w.inf)
@@ -304,24 +320,33 @@ def _worst(results) -> tuple:
 
 
 def _inversion_slice(alg: HTypeAlgebra, pv, pz, qv, qz) -> tuple:
-    """Pairs used, worst deviation and worst pair of the pairs (p, q) of one slice."""
-    gp = gauge_arrays(alg, pv, pz)
-    gq = gauge_arrays(alg, qv, qz)
-    d_pq = gauge_dist_arrays(alg, pv, pz, qv, qz)
+    """Pairs used, worst deviation and worst pair of the pairs (p, q) of one slice.
+
+    The slice is copied once to coordinate-major arrays.  The gauge^4 of p
+    and of q serves both their gauges and their sigma images, and the
+    distances are taken as in ``hgroup.gauge_dist_arrays``, so the bits are
+    those of the public kernels.
+    """
+    p = [np.ascontiguousarray(a.T) for a in (pv, pz)]
+    q = [np.ascontiguousarray(a.T) for a in (qv, qz)]
+    ap, n4p = _gauge4(*p)
+    aq, n4q = _gauge4(*q)
+    gp, gq = _gauge_of(*p, n4p), _gauge_of(*q, n4q)
+    d_pq = _distance(alg, p, q)
     keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
     kept = int(np.count_nonzero(keep))
     if kept == 0:
         return 0, -1.0, None
     if kept < keep.size:  # usually every pair is kept, and nothing is copied
-        pv, pz, qv, qz, gp, gq, d_pq = (a[keep] for a in (pv, pz, qv, qz, gp, gq, d_pq))
-    sp = sigma_arrays(alg, pv, pz)
-    sq = sigma_arrays(alg, qv, qz)
-    ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
+        p, q = [a[:, keep] for a in p], [a[:, keep] for a in q]
+        ap, n4p, aq, n4q, gp, gq, d_pq = (a[keep] for a in (ap, n4p, aq, n4q, gp, gq, d_pq))
+    ratio = _distance(alg, _sigma(alg, *p, ap, n4p), _sigma(alg, *q, aq, n4q)) * gp * gq / d_pq
     deviation = np.abs(ratio - 1.0)
     worst = int(np.argmax(deviation))
+    row = worst if kept == keep.size else int(np.flatnonzero(keep)[worst])
     # copies, so that a chunk's result does not keep its sample alive
-    return kept, float(deviation[worst]), WorstPair(Point(pv[worst].copy(), pz[worst].copy()),
-                                                    Point(qv[worst].copy(), qz[worst].copy()))
+    return kept, float(deviation[worst]), WorstPair(Point(pv[row].copy(), pz[row].copy()),
+                                                    Point(qv[row].copy(), qz[row].copy()))
 
 
 def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
@@ -329,11 +354,11 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
 
     The chunk draws its pairs at once and evaluates them in slices of
     ``algebra._SLICE_ROWS`` rows, reduced in order by :func:`_worst`: the
-    temporaries stay small and reused, and each slice is a whole number of
-    ``apply_j_rows``' blocks, so when every pair is kept each row is
-    evaluated bit for bit as by the whole chunk.  Near the top of the
-    sampler's range the bracket overflows; its inf or NaN reaches the
-    deviation, which the report shows, so the chunk raises no numpy warning.
+    temporaries stay small and reused, and every kernel computes each row
+    on its own, so each row is evaluated bit for bit as by the whole chunk,
+    whatever the slice size.  Near the top of the sampler's range the
+    bracket overflows; its inf or NaN reaches the deviation, which the
+    report shows, so the chunk raises no numpy warning.
     """
     rng = np.random.default_rng(seed)
     vp, zp = sample_with_rng(alg, count, radius, rng)
@@ -345,13 +370,14 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
 
 def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
                      tol: float = DEFAULT_TOL, radius: float = 1.0,
-                     threads: int = 1) -> InversionReport:
+                     threads: int | None = None) -> InversionReport:
     """Measure the 1-inversion identity over seeded random pairs.
 
     Sampling is split into fixed-size chunks with independently derived
-    seeds; the chunks run on ``threads`` workers (``util._ordered_map``),
-    and the reduction (max deviation, first-chunk tie break) is performed
-    in chunk order so the report is identical for every thread count.  A
+    seeds; the chunks run on ``threads`` workers (``util._ordered_map``; by
+    default the CPUs this process may use, ``util._cpu_count``), and the
+    reduction (max deviation, first-chunk tie break) is performed in chunk
+    order so the report is identical for every thread count.  A
     NaN deviation does not drop out of that max: the first pair whose
     deviation is NaN is the worst pair, the deviation reads NaN and the
     verdict is inexact.
@@ -366,7 +392,8 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
         sizes.append(samples % _CHUNK)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     used_total, worst_dev, worst_pair = _worst(_ordered_map(
-        lambda job: _inversion_chunk(alg, job[0], radius, job[1]), zip(sizes, seeds), threads))
+        lambda job: _inversion_chunk(alg, job[0], radius, job[1]), zip(sizes, seeds),
+        _cpu_count() if threads is None else threads))
     if worst_pair is None:
         raise ValueError("no usable sample pairs were generated")
     return InversionReport(alg.label, alg.fingerprint, samples, seed, tol, worst_dev,

@@ -1,11 +1,12 @@
-"""Shared helpers: the report base, structure-constant fingerprints, canonical JSON
-and the one worker map."""
+"""Shared helpers: the report base, structure-constant fingerprints, canonical JSON,
+the one text-file writer, the one worker map and its default worker count."""
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -64,6 +65,22 @@ def format_float(x: float) -> str:
 def format_floats(values) -> list[str]:
     """``format_float`` of each element of a 1-d array, in bulk."""
     return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _write_text(path_or_file, write) -> None:
+    """Call ``write(fh)`` on an open text file, or on a path opened for writing
+    as UTF-8 with no newline translation, so the bytes are those written."""
+    if hasattr(path_or_file, "write"):
+        write(path_or_file)
+    else:
+        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: the default worker count of every
+    :func:`_ordered_map` caller."""
+    return len(os.sched_getaffinity(0))
 
 
 # Private: a traced run wraps public names, and would parent worker spans to the map.

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from heislab.algebra import _ROW_BLOCK, AlgebraKind, multiplication_tensor
+from heislab.algebra import _SLICE_ROWS, AlgebraKind, multiplication_tensor
 from heislab.finite_metric import _SCAN_BLOCK, FiniteMetricSpace
 from heislab.hgroup import Point, gauge_arrays, gauge_dist_arrays, sample_with_rng
 from heislab.hlie import HTypeAlgebra, bracket_arrays
@@ -25,9 +25,10 @@ from heislab.inversion import WorstPair, sigma_arrays
 from heislab.util import format_float
 
 
-# Row counts that cover the kernels' row blocks: one row, one block and one
-# block +- 1, three blocks + 5.
-ROW_COUNTS = [1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5]
+# Row counts that cover the kernels' row slices: one row, one slice and one
+# slice +- 1, and the edges of the 2,048-row blocks of the earlier BLAS form
+# (2,047-2,049 and 6,149, three blocks + 5, also one slice and a part).
+ROW_COUNTS = [1, 2047, 2048, 2049, _SLICE_ROWS - 1, _SLICE_ROWS, _SLICE_ROWS + 1, 6149]
 
 
 def _require_horizontal(alg: HTypeAlgebra, x: np.ndarray, name: str) -> np.ndarray:

@@ -564,12 +564,14 @@ class TestReproducibility:
         assert a.read_bytes() == b.read_bytes()
 
     def test_reports_are_thread_count_invariant(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        # no --threads runs on every CPU the process may use
+        a, b, c = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "c.json"
         base = ["invert", "verify", "--algebra", "H_H:1", "--samples", "50000",
                 "--seed", "12", "--no-timestamp"]
         assert run(base + ["--threads", "1", "--output", str(a)]) == 0
         assert run(base + ["--threads", "4", "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert run(base + ["--output", str(c)]) == 0
+        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
     def test_distmat_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

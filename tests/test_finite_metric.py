@@ -146,7 +146,7 @@ class TestTriangleScanAgainstRowLoop:
 
     @staticmethod
     def scan_message(monkeypatch, dist, slack, workers):
-        monkeypatch.setattr(fm, "_scan_workers", lambda: workers)
+        monkeypatch.setattr(fm, "_cpu_count", lambda: workers)
         try:
             fm.validate_distance_matrix(dist, slack)
         except ValueError as exc:
@@ -214,7 +214,7 @@ class TestTriangleScanAgainstRowLoop:
 
     def test_scan_threads_open_no_span(self, monkeypatch):
         # the traced benchmark fails on spans of worker threads it cannot parent
-        monkeypatch.setattr(fm, "_scan_workers", lambda: 2)
+        monkeypatch.setattr(fm, "_cpu_count", lambda: 2)
         tracer = self.perfbench_tracer()
         tracer.install()
         try:
@@ -431,7 +431,7 @@ class TestChainMetricAgainstScipy:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 259])
     def test_sizes_around_the_block(self, monkeypatch, n, workers):
-        monkeypatch.setattr(fm, "_scan_workers", lambda: workers)
+        monkeypatch.setattr(fm, "_cpu_count", lambda: workers)
         rng = np.random.default_rng(n)
         for kind in KINDS:
             self.closed(non_metric(rng, n, kind))
@@ -497,7 +497,7 @@ class TestScanAgainstFloat64Scan:
 
     @staticmethod
     def outcomes(monkeypatch, dist, slack, workers, scan):
-        monkeypatch.setattr(fm, "_scan_workers", lambda: workers)
+        monkeypatch.setattr(fm, "_cpu_count", lambda: workers)
         monkeypatch.setattr(fm, "_scan_rows", scan)
         n = dist.shape[0]
         marks = []

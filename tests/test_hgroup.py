@@ -151,6 +151,27 @@ class TestGauge:
         assert g[5] == np.inf and np.isnan(g[6])
 
 
+class TestRowSum:
+    """The coordinate-major row sums of the gauge keep np.sum's bits."""
+
+    @pytest.mark.parametrize("width", list(range(1, 17)) + [127, 128, 129, 300])
+    def test_sum_of_squares_is_np_sum_bitwise(self, width):
+        rng = np.random.default_rng(width)
+        # magnitudes spread over many binades, so that the order of the sum shows
+        x = rng.standard_normal((5000, width)) * np.exp(4.0 * rng.standard_normal((5000, width)))
+        expected = np.sum(x * x, axis=-1)
+        columns = np.ascontiguousarray(x.T)
+        assert hgroup._row_sum(columns * columns).tobytes() == expected.tobytes()
+
+    def test_gauge4_is_the_row_major_formula_bitwise(self):
+        alg = builtin("H_O")
+        v, z = random_points(alg, 3000, seed=12)
+        a = 0.25 * np.sum(v * v, axis=-1)
+        a_cols, n4 = hgroup._gauge4(v.T, z.T)
+        assert a_cols.tobytes() == a.tobytes()
+        assert n4.tobytes() == (a * a + np.sum(z * z, axis=-1)).tobytes()
+
+
 class TestGaugeDistance:
     def test_zero_on_diagonal_exactly(self):
         alg = builtin("H_O")

@@ -252,8 +252,14 @@ class TestChunkAgainstWholeChunk:
         alg = builtin(name)
         sizes = [1, 2047, 2048, 2049, 4095, 4096, 4097, inversion._CHUNK + 1, 20001]
         sliced = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+        # and slices of one row and of an odd number of rows
+        small = [1, 7, 8, 50]
+        for rows in (1, 7):
+            monkeypatch.setattr(inversion, "_SLICE_ROWS", rows)
+            sliced += [self.report(alg, n, t) for n in small for t in (1, 2)]
         monkeypatch.setattr(inversion, "_inversion_chunk", inversion_chunk_whole)
-        assert sliced == [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+        whole = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+        assert sliced == whole + 2 * [self.report(alg, n, t) for n in small for t in (1, 2)]
 
     def test_coincident_pair_in_the_second_slice_is_dropped(self, monkeypatch):
         alg = builtin("truncated_HH")
