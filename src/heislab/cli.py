@@ -12,6 +12,7 @@ argv and input files.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import os
 import sys
@@ -432,7 +433,29 @@ def run(argv=None) -> int:
     return 0
 
 
+def _keep_heap() -> None:
+    """Pin glibc's heap thresholds for this process; a no-op without ``mallopt``.
+
+    By default glibc raises its mmap threshold to the largest mmapped block
+    freed so far and gives the heap top back to the kernel once it exceeds
+    twice that, so the temporaries of every ``invert verify`` chunk are
+    mapped, or faulted in, again.  A fixed 2 MiB mmap threshold keeps a
+    chunk's temporaries (at most 1.5 MiB up to 12 coordinates) on the heap
+    and still maps the 4 MB arrays of the metric commands; a 64 MiB trim
+    threshold keeps the chunk live sets of two worker threads.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no process handle
+        return
+    mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def entrypoint() -> None:
+    """The console script: :func:`run` on ``sys.argv``, with the heap kept
+    (:func:`_keep_heap`); library callers and :func:`run` leave malloc as it is."""
+    _keep_heap()
     sys.exit(run())
 
 

@@ -72,11 +72,20 @@ class DistortionReport(Report):
     raw_pairs: Optional[tuple] = field(default=None, repr=False)
 
 
-def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray) -> np.ndarray:
-    """Cross-ratios of quadruple rows; degenerate rows come out as inf/nan."""
-    x, y, z, w = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
+def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray, *, swapped: bool = False
+                     ) -> np.ndarray:
+    """Cross-ratios of quadruple rows; degenerate rows come out as inf/nan.
+
+    With ``swapped``, the cross-ratios of the rows with the middle pair
+    swapped follow them, ``d(x, z) d(y, w) / (d(x, y) d(z, w))``, from the
+    same four gathers and with the bits of those rows' own cross-ratios.
+    """
+    x, y, z, w = quads.T
+    d_xy, d_zw, d_xz, d_yw = (np.take(dist, np.ravel_multi_index(pair, dist.shape))
+                              for pair in ((x, y), (z, w), (x, z), (y, w)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return dist[x, y] * dist[z, w] / (dist[x, z] * dist[y, w])
+        near, far = d_xy * d_zw, d_xz * d_yw
+        return np.concatenate([near / far, far / near]) if swapped else near / far
 
 
 def sample_quadruples(n_points: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,11 +124,9 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     if d_in.shape != d_out.shape or d_in.ndim != 2:
         raise ValueError(f"matrices of shapes {d_in.shape} and {d_out.shape} do not match")
     n = d_in.shape[0]
-    rng = np.random.default_rng(seed)
-    quads = sample_quadruples(n, samples, rng)
-    quads = np.vstack([quads, quads[:, [0, 2, 1, 3]]])
-    t_in = cross_ratio_rows(d_in, quads)
-    t_out = cross_ratio_rows(d_out, quads)
+    quads = sample_quadruples(n, samples, np.random.default_rng(seed))
+    t_in = cross_ratio_rows(d_in, quads, swapped=True)
+    t_out = cross_ratio_rows(d_out, quads, swapped=True)
     good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
     degenerate = int(np.count_nonzero(~good))
     t_in = t_in[good]

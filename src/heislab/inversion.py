@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from heislab.algebra import _SLICE_ROWS, _by_slices
+from heislab.algebra import _by_slices
 from heislab.hlie import DEFAULT_TOL, HTypeAlgebra, _j_cols, check_h_type
 from heislab.hgroup import (
     Point,
@@ -62,6 +62,12 @@ __all__ = [
 ]
 
 _CHUNK = 16384
+# Rows per slice of a verify chunk: the whole chunk.  A slice makes a few
+# hundred short ufunc calls, and each may hand the GIL to another worker, so
+# fewer, longer slices keep the workers parallel.  A slice temporary of an
+# algebra of 12 coordinates (H_H:3) is 16,384 x 12 x 8 B = 1.5 MiB, under the
+# mmap threshold that ``cli.entrypoint`` pins.  Tests patch it smaller.
+_SLICE_ROWS = _CHUNK
 _TRIALS_PER_CHUNK = 2048
 
 
@@ -353,12 +359,11 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
     """Pairs used, worst deviation and worst pair of one chunk of ``count`` pairs.
 
     The chunk draws its pairs at once and evaluates them in slices of
-    ``algebra._SLICE_ROWS`` rows, reduced in order by :func:`_worst`: the
-    temporaries stay small and reused, and every kernel computes each row
-    on its own, so each row is evaluated bit for bit as by the whole chunk,
-    whatever the slice size.  Near the top of the sampler's range the
-    bracket overflows; its inf or NaN reaches the deviation, which the
-    report shows, so the chunk raises no numpy warning.
+    ``_SLICE_ROWS`` rows, reduced in order by :func:`_worst`; every kernel
+    computes each row on its own, so each row is evaluated bit for bit as
+    by the whole chunk, whatever the slice size.  Near the top of the
+    sampler's range the bracket overflows; its inf or NaN reaches the
+    deviation, which the report shows, so the chunk raises no numpy warning.
     """
     rng = np.random.default_rng(seed)
     vp, zp = sample_with_rng(alg, count, radius, rng)

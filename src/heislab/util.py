@@ -79,8 +79,11 @@ def _write_text(path_or_file, write) -> None:
 
 def _cpu_count() -> int:
     """The CPUs this process may run on: the default worker count of every
-    :func:`_ordered_map` caller."""
-    return len(os.sched_getaffinity(0))
+    :func:`_ordered_map` caller.  Where the affinity mask cannot be read
+    (macOS, Windows), the CPUs of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # Private: a traced run wraps public names, and would parent worker spans to the map.

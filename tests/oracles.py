@@ -8,8 +8,10 @@ by gathers out of the last axis; an algebra-spec writer, which the library
 does not need; the distance-matrix CSV writer and reader as they were
 before the writer formatted each symmetric pair once and the reader parsed
 with numpy; the triangle scan as it was before its float32 pre-filter,
-every block in float64; and the inversion-identity chunk as it was before
-it evaluated its pairs in row slices."""
+every block in float64; the inversion-identity chunk as it was before it
+evaluated its pairs in row slices; and the quasimobius cross-ratios as they
+were before each distance was gathered once for both orders of the middle
+pair."""
 
 import csv
 import json
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from heislab.algebra import _SLICE_ROWS, AlgebraKind, multiplication_tensor
+from heislab.distortion import sample_quadruples
 from heislab.finite_metric import _SCAN_BLOCK, FiniteMetricSpace
 from heislab.hgroup import Point, gauge_arrays, gauge_dist_arrays, sample_with_rng
 from heislab.hlie import HTypeAlgebra, bracket_arrays
@@ -219,3 +222,14 @@ def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float, seed) ->
     pair = WorstPair(Point(vp[worst].copy(), zp[worst].copy()),
                      Point(vq[worst].copy(), zq[worst].copy()))
     return used, float(deviation[worst]), pair
+
+
+def quasimobius_ratios_vstack(d_in: np.ndarray, d_out: np.ndarray, samples: int,
+                              seed: int) -> tuple:
+    """Reference cross-ratios of ``estimate_quasimobius``, degenerate rows
+    included: the sampled quadruples stacked over their middle-swapped copies,
+    and four gathers per matrix and row."""
+    quads = sample_quadruples(d_in.shape[0], samples, np.random.default_rng(seed))
+    x, y, z, w = np.vstack([quads, quads[:, [0, 2, 1, 3]]]).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tuple(d[x, y] * d[z, w] / (d[x, z] * d[y, w]) for d in (d_in, d_out))

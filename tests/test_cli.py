@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heislab import cli
 from heislab import finite_metric as fm
-from heislab import hgroup, hlie
+from heislab import hgroup, hlie, inversion
 from heislab.cli import run
 from oracles import write_algebra_spec
 
@@ -352,6 +353,58 @@ def test_cli_import_does_not_load_scipy(tmp_path):
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[0, 0, 0] False"
     assert fm.load_space_csv(out).n == 200
+
+
+class TestConsoleEntry:
+    """``cli.entrypoint``, the console script, in a fresh interpreter: the
+    outputs and exit codes of ``run``, on a heap that glibc keeps."""
+
+    @staticmethod
+    def entry(argv) -> tuple:
+        """Exit code, stdout and stderr of one entry process."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c",
+                               "from heislab.cli import entrypoint; entrypoint()", *argv],
+                              env=env, capture_output=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize("threads", [[], ["--threads", "1"]])
+    def test_verify_bytes_are_those_of_run(self, threads, capsys):
+        argv = ["invert", "verify", "--algebra", "H_O", "--samples",
+                str(2 * inversion._CHUNK + 5), "--seed", "3", "--no-timestamp", *threads]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        assert self.entry(argv) == (0, expected, b"")
+
+    def test_exit_codes_are_those_of_run(self, capsys):
+        inexact = ["invert", "verify", "--algebra", "H_C:1", "--samples", "2000",
+                   "--expect", "inexact", "--no-timestamp"]
+        unknown = ["invert", "verify", "--algebra", "H_X:2"]
+        for argv, code in ((inexact, 2), (unknown, 1)):
+            assert run(argv) == code
+            out, err = capsys.readouterr()
+            assert self.entry(argv) == (code, out.encode(), err.encode())
+
+    def test_verify_chunks_do_not_fault_in_again(self):
+        # H_O at 1e6 pairs: 14-20k minor faults on 2 vCPUs, about 5k of them
+        # the start-up; 80-160k when glibc trims the heap after every chunk
+        resource = pytest.importorskip("resource")
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        assert self.entry(["invert", "verify", "--algebra", "H_O", "--samples", "1000000",
+                           "--seed", "3", "--no-timestamp"])[0] == 0
+        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before <= 25000
+
+    @pytest.mark.parametrize("libc", [object(), OSError("no handle")])
+    def test_heap_helper_is_a_no_op_without_mallopt(self, monkeypatch, libc):
+        def cdll(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_heap() is None
 
 
 class TestDistortCommands:

@@ -10,6 +10,7 @@ import pytest
 from heislab import distortion as dt
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
+from oracles import quasimobius_ratios_vstack
 
 
 def builtin(name):
@@ -48,6 +49,14 @@ class TestCrossRatio:
         dist = np.ones((4, 4)) - np.eye(4)
         dist[0, 2] = dist[2, 0] = 0.0
         assert cross_ratio(dist, (0, 1, 2, 3)) == np.inf
+
+    def test_swapped_rows_follow_with_their_own_bits(self):
+        _, _, _, dist = gauge_matrix("H_O", 30, seed=26)
+        quads = dt.sample_quadruples(30, 1000, np.random.default_rng(27))
+        both = dt.cross_ratio_rows(dist, quads, swapped=True)
+        alone = np.concatenate([dt.cross_ratio_rows(dist, quads),
+                                dt.cross_ratio_rows(dist, quads[:, [0, 2, 1, 3]])])
+        assert both.tobytes() == alone.tobytes()
 
 
 class TestCrossRatioInvariance:
@@ -137,6 +146,22 @@ class TestQuasimobius:
         broken[0, 1] = broken[1, 0] = 0.0  # not a metric, but formula-level input
         report = dt.estimate_quasimobius(broken, dist, samples=2000, seed=17)
         assert report.statistics["degenerate_skipped"] > 0
+
+    @pytest.mark.parametrize("samples", [1, 7, 5000])
+    def test_ratios_are_those_of_the_stacked_quadruples(self, samples):
+        # bit for bit, degenerate rows (zero, inf and NaN distances) included
+        _, _, _, dist = gauge_matrix("H_H:1", 30, seed=24)
+        warped = np.sqrt(dist)
+        broken = dist.copy()
+        broken[0, 1] = broken[1, 0] = 0.0
+        broken[2, 3], broken[4, 5] = np.inf, np.nan
+        for d_in, d_out in ((dist, warped), (broken, dist), (dist, broken), (warped, dist.T)):
+            report = dt.estimate_quasimobius(d_in, d_out, samples=samples, seed=25)
+            t_in, t_out = quasimobius_ratios_vstack(d_in, d_out, samples, seed=25)
+            good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
+            assert report.statistics["degenerate_skipped"] == np.count_nonzero(~good)
+            assert report.raw_pairs[0].tobytes() == t_in[good].tobytes()
+            assert report.raw_pairs[1].tobytes() == t_out[good].tobytes()
 
     def test_envelope_shape(self):
         _, _, _, dist = gauge_matrix("H_H:1", 40, seed=18)

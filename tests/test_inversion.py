@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from heislab import distortion, hgroup, hlie, inversion
 from heislab.cli import run
 from heislab.inversion import ExtendedPoints
-from heislab.algebra import _SLICE_ROWS
 from heislab.util import canonical_json
 from oracles import inversion_chunk_whole
 
@@ -250,20 +249,24 @@ class TestChunkAgainstWholeChunk:
     @pytest.mark.parametrize("name", ["H_C:1", "H_O", "truncated_HH"])
     def test_reports_are_byte_identical(self, monkeypatch, name):
         alg = builtin(name)
-        sizes = [1, 2047, 2048, 2049, 4095, 4096, 4097, inversion._CHUNK + 1, 20001]
+        chunk = inversion._CHUNK
+        sizes = [1, 2047, 2048, 2049, 4095, 4096, 4097, chunk - 1, chunk, chunk + 1,
+                 20001, 2 * chunk]
         sliced = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
-        # and slices of one row and of an odd number of rows
-        small = [1, 7, 8, 50]
-        for rows in (1, 7):
+        # and slices of one row, of an odd number of rows and of 4,096 rows
+        patched = [(1, [1, 7, 8, 50]), (7, [1, 7, 8, 50]), (4096, [4097, 20001])]
+        for rows, counts in patched:
             monkeypatch.setattr(inversion, "_SLICE_ROWS", rows)
-            sliced += [self.report(alg, n, t) for n in small for t in (1, 2)]
+            sliced += [self.report(alg, n, t) for n in counts for t in (1, 2)]
         monkeypatch.setattr(inversion, "_inversion_chunk", inversion_chunk_whole)
-        whole = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
-        assert sliced == whole + 2 * [self.report(alg, n, t) for n in small for t in (1, 2)]
+        whole = [self.report(alg, n, t) for n in sizes + [n for _, c in patched for n in c]
+                 for t in (1, 2)]
+        assert sliced == whole
 
     def test_coincident_pair_in_the_second_slice_is_dropped(self, monkeypatch):
         alg = builtin("truncated_HH")
         clean = inversion.verify_inversion(alg, samples=5000, seed=6)
+        monkeypatch.setattr(inversion, "_SLICE_ROWS", 4096)
         real = inversion.sample_with_rng
         draws = []
 
@@ -271,7 +274,7 @@ class TestChunkAgainstWholeChunk:
             v, z = real(alg, count, radius, rng)
             draws.append((v, z))
             if len(draws) == 2:  # q of the only chunk: one row repeats p's
-                row = _SLICE_ROWS + 7
+                row = inversion._SLICE_ROWS + 7
                 if np.array_equal(draws[0][0][row], clean.worst_pair.p.v):
                     row += 1
                 v[row], z[row] = draws[0][0][row], draws[0][1][row]
