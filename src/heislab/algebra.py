@@ -41,13 +41,13 @@ __all__ = [
 OCTONION_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 5), (2, 6, 7), (3, 4, 6), (4, 5, 7))
 QUATERNION_TRIPLES = ((1, 2, 3),)
 
-# Rows per slice of the row kernels (the entry kernel and the gauge) and of
-# the estimators that evaluate a large sample slice by slice (the chunks of
-# inversion.verify_inversion, the point arrays of distortion.estimate_qc_ratio).
-# Each slice pays a fixed number of ufunc calls per structure entry, and
-# halving it did not pay: verify_inversion on H_O at 1e6 pairs took 1.41 s
-# at 2,048 rows against 1.34 s at 4,096 on one thread, 1.45 s against 1.06 s
-# on two (medians of 5, 2-vCPU VM).
+# Rows per slice of :func:`_slices`: of the row kernels behind
+# :func:`_by_slices` (the entry kernel, the gauge, the distance and sigma) and
+# of the annulus points of distortion.estimate_qc_ratio, which chain several
+# kernels per slice.  Each slice pays a fixed number of ufunc calls per
+# structure entry, and halving it did not pay: verify_inversion on H_O at 1e6
+# pairs, then evaluated in slices, took 1.41 s at 2,048 rows against 1.34 s
+# at 4,096 on one thread, 1.45 s against 1.06 s on two (medians of 5, 2-vCPU VM).
 _SLICE_ROWS = 4096
 
 

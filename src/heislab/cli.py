@@ -415,7 +415,9 @@ def distort_regularity(selector, radii, samples, seed, output, no_timestamp) -> 
 
 
 def run(argv=None) -> int:
-    """Run the CLI; returns the exit code instead of raising SystemExit."""
+    """Run the CLI on a kept heap (:func:`_keep_heap`); returns the exit code
+    instead of raising SystemExit.  Library callers leave malloc as it is."""
+    _keep_heap()
     try:
         main.main(args=argv, prog_name="heislab", standalone_mode=False)
     except MathCheckFailed as exc:
@@ -453,9 +455,7 @@ def _keep_heap() -> None:
 
 
 def entrypoint() -> None:
-    """The console script: :func:`run` on ``sys.argv``, with the heap kept
-    (:func:`_keep_heap`); library callers and :func:`run` leave malloc as it is."""
-    _keep_heap()
+    """The console script: :func:`run` on ``sys.argv``."""
     sys.exit(run())
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from heislab.algebra import _SLICE_ROWS
+from heislab.algebra import _slices
 from heislab.hgroup import (
     Point,
     _check_radius,
@@ -212,8 +212,8 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Poin
 def _annulus_entry(alg: HTypeAlgebra, point_map: Callable, center: Point, image_center,
                    r: float, samples: int, rng: np.random.Generator) -> dict:
     """One radius of :func:`estimate_qc_ratio`: the whole draw and its gauges,
-    then the dilation radii, then the point arrays in slices of
-    ``algebra._SLICE_ROWS`` rows."""
+    then the dilation radii, then the point arrays in the slices of
+    ``algebra._slices``."""
     v, z = sample_with_rng(alg, samples, 1.0, rng)
     g = gauge_arrays(alg, v, z)
     keep = np.flatnonzero(g > 1e-12)
@@ -221,9 +221,9 @@ def _annulus_entry(alg: HTypeAlgebra, point_map: Callable, center: Point, image_
     fc_v, fc_z = image_center
     inner_points = outer_points = 0
     sup, inf = np.float64(-np.inf), np.float64(np.inf)
-    for start in range(0, keep.size, _SLICE_ROWS):
-        rows = keep[start:start + _SLICE_ROWS]
-        bv, bz = dilate_arrays(rho[start:start + _SLICE_ROWS] / g[rows], v[rows], z[rows])
+    for part in _slices(keep.shape):
+        rows = keep[part]
+        bv, bz = dilate_arrays(rho[part] / g[rows], v[rows], z[rows])
         bv, bz = group_mul(alg, np.broadcast_to(center.v, bv.shape),
                            np.broadcast_to(center.z, bz.shape), bv, bz)
         d_in = gauge_dist_arrays(alg, bv, bz,
@@ -265,6 +265,8 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
     ``RESOLUTION`` times the center's gauge: the annulus points are products
     with the center, and smaller offsets round away against it.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     radii = [float(r) for r in radii]
     if not radii:
         raise ValueError("need at least one radius")

@@ -173,25 +173,15 @@ def gauge_dist_arrays(alg: HTypeAlgebra, v1, z1, v2, z2) -> np.ndarray:
                       v1, z1, v2, z2)[0][()]
 
 
-# Rows per block of pairwise_gauge_dist, which bounds its (rows, n, dim) intermediates.
-_PAIR_CHUNK = 256
-
-
 def pairwise_gauge_dist(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Full distance matrix of a point sample; exactly symmetric, zero diagonal.
 
-    Row blocks are evaluated in chunks of ``_PAIR_CHUNK`` to bound memory; the bracket
+    Entry [q, p] is d(p, q), one broadcast :func:`gauge_dist_arrays` call,
+    whose slices (``algebra._by_slices``) bound the temporaries; the bracket
     kernel is exactly antisymmetric, so d(p, q) = d(q, p) bitwise and the
     diagonal vanishes without post-correction.
     """
-    n = v.shape[0]
-    out = np.empty((n, n))
-    for start in range(0, n, _PAIR_CHUNK):
-        stop = min(start + _PAIR_CHUNK, n)
-        # entry [q, p] = d(p, q)
-        out[start:stop] = gauge_dist_arrays(alg, v[None, :, :], z[None, :, :],
-                                            v[start:stop, None, :], z[start:stop, None, :])
-    return out
+    return gauge_dist_arrays(alg, v[None, :, :], z[None, :, :], v[:, None, :], z[:, None, :])
 
 
 # ---------------------------------------------------------------------------

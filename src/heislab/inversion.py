@@ -61,13 +61,12 @@ __all__ = [
     "verify_inversion",
 ]
 
+# Pairs per verify chunk, evaluated in one pass.  A chunk makes a few hundred
+# short ufunc calls, and each may hand the GIL to another worker, so few, long
+# chunks keep the workers parallel.  A chunk temporary of an algebra of 12
+# coordinates (H_H:3) is 16,384 x 12 x 8 B = 1.5 MiB, under the mmap
+# threshold that ``cli.run`` pins.
 _CHUNK = 16384
-# Rows per slice of a verify chunk: the whole chunk.  A slice makes a few
-# hundred short ufunc calls, and each may hand the GIL to another worker, so
-# fewer, longer slices keep the workers parallel.  A slice temporary of an
-# algebra of 12 coordinates (H_H:3) is 16,384 x 12 x 8 B = 1.5 MiB, under the
-# mmap threshold that ``cli.entrypoint`` pins.  Tests patch it smaller.
-_SLICE_ROWS = _CHUNK
 _TRIALS_PER_CHUNK = 2048
 
 
@@ -313,10 +312,11 @@ class InversionReport(Report):
 
 
 def _worst(results) -> tuple:
-    """Total pairs used, worst deviation and worst pair of (used, deviation,
-    pair) results met in sample order: a strictly larger deviation replaces
-    the worst, and the first NaN wins and stays, as np.argmax picks the
-    first NaN row.  With no result the deviation reads -1.0."""
+    """Total pairs used, worst deviation and worst pair of the (used,
+    deviation, pair) results of :func:`_inversion_chunk`, met in sample
+    order: a strictly larger deviation replaces the worst, and the first NaN
+    wins and stays, as np.argmax picks the first NaN row.  With no result
+    the deviation reads -1.0."""
     used_total, worst_dev, worst_pair = 0, -1.0, None
     for used, dev, pair in results:
         used_total += used
@@ -325,52 +325,42 @@ def _worst(results) -> tuple:
     return used_total, worst_dev, worst_pair
 
 
-def _inversion_slice(alg: HTypeAlgebra, pv, pz, qv, qz) -> tuple:
-    """Pairs used, worst deviation and worst pair of the pairs (p, q) of one slice.
-
-    The slice is copied once to coordinate-major arrays.  The gauge^4 of p
-    and of q serves both their gauges and their sigma images, and the
-    distances are taken as in ``hgroup.gauge_dist_arrays``, so the bits are
-    those of the public kernels.
-    """
-    p = [np.ascontiguousarray(a.T) for a in (pv, pz)]
-    q = [np.ascontiguousarray(a.T) for a in (qv, qz)]
-    ap, n4p = _gauge4(*p)
-    aq, n4q = _gauge4(*q)
-    gp, gq = _gauge_of(*p, n4p), _gauge_of(*q, n4q)
-    d_pq = _distance(alg, p, q)
-    keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
-    kept = int(np.count_nonzero(keep))
-    if kept == 0:
-        return 0, -1.0, None
-    if kept < keep.size:  # usually every pair is kept, and nothing is copied
-        p, q = [a[:, keep] for a in p], [a[:, keep] for a in q]
-        ap, n4p, aq, n4q, gp, gq, d_pq = (a[keep] for a in (ap, n4p, aq, n4q, gp, gq, d_pq))
-    ratio = _distance(alg, _sigma(alg, *p, ap, n4p), _sigma(alg, *q, aq, n4q)) * gp * gq / d_pq
-    deviation = np.abs(ratio - 1.0)
-    worst = int(np.argmax(deviation))
-    row = worst if kept == keep.size else int(np.flatnonzero(keep)[worst])
-    # copies, so that a chunk's result does not keep its sample alive
-    return kept, float(deviation[worst]), WorstPair(Point(pv[row].copy(), pz[row].copy()),
-                                                    Point(qv[row].copy(), qz[row].copy()))
-
-
 def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
     """Pairs used, worst deviation and worst pair of one chunk of ``count`` pairs.
 
-    The chunk draws its pairs at once and evaluates them in slices of
-    ``_SLICE_ROWS`` rows, reduced in order by :func:`_worst`; every kernel
-    computes each row on its own, so each row is evaluated bit for bit as
-    by the whole chunk, whatever the slice size.  Near the top of the
-    sampler's range the bracket overflows; its inf or NaN reaches the
-    deviation, which the report shows, so the chunk raises no numpy warning.
+    The chunk draws its pairs at once and copies them once to
+    coordinate-major arrays.  The gauge^4 of p and of q serves both their
+    gauges and their sigma images, and the distances are taken as in
+    ``hgroup.gauge_dist_arrays``, so the bits are those of the public
+    kernels.  Near the top of the sampler's range the bracket overflows; its
+    inf or NaN reaches the deviation, which the report shows, so the chunk
+    raises no numpy warning.
     """
     rng = np.random.default_rng(seed)
-    vp, zp = sample_with_rng(alg, count, radius, rng)
-    vq, zq = sample_with_rng(alg, count, radius, rng)
+    pv, pz = sample_with_rng(alg, count, radius, rng)
+    qv, qz = sample_with_rng(alg, count, radius, rng)
+    p = [np.ascontiguousarray(a.T) for a in (pv, pz)]
+    q = [np.ascontiguousarray(a.T) for a in (qv, qz)]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _worst(_inversion_slice(alg, *(a[s:s + _SLICE_ROWS] for a in (vp, zp, vq, zq)))
-                      for s in range(0, count, _SLICE_ROWS))
+        ap, n4p = _gauge4(*p)
+        aq, n4q = _gauge4(*q)
+        gp, gq = _gauge_of(*p, n4p), _gauge_of(*q, n4q)
+        d_pq = _distance(alg, p, q)
+        keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
+        kept = int(np.count_nonzero(keep))
+        if kept == 0:
+            return 0, -1.0, None
+        if kept < count:  # usually every pair is kept, and nothing is copied
+            p, q = [a[:, keep] for a in p], [a[:, keep] for a in q]
+            ap, n4p, aq, n4q, gp, gq, d_pq = (a[keep] for a in (ap, n4p, aq, n4q, gp, gq, d_pq))
+        ratio = (_distance(alg, _sigma(alg, *p, ap, n4p), _sigma(alg, *q, aq, n4q))
+                 * gp * gq / d_pq)
+        deviation = np.abs(ratio - 1.0)
+    worst = int(np.argmax(deviation))
+    row = worst if kept == count else int(np.flatnonzero(keep)[worst])
+    # copies, so that a chunk's result does not keep its sample alive
+    return kept, float(deviation[worst]), WorstPair(Point(pv[row].copy(), pz[row].copy()),
+                                                    Point(qv[row].copy(), qz[row].copy()))
 
 
 def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,

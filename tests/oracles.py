@@ -9,7 +9,8 @@ does not need; the distance-matrix CSV writer and reader as they were
 before the writer formatted each symmetric pair once and the reader parsed
 with numpy; the triangle scan as it was before its float32 pre-filter,
 every block in float64; the inversion-identity chunk as it was before it
-evaluated its pairs in row slices; and the quasimobius cross-ratios as they
+fused the kernels, through the public ``gauge_arrays``, ``gauge_dist_arrays``
+and ``sigma_arrays``; and the quasimobius cross-ratios as they
 were before each distance was gathered once for both orders of the middle
 pair."""
 
@@ -200,7 +201,7 @@ def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarr
 
 
 def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
-    """Reference chunk of ``verify_inversion``: every pair evaluated at once."""
+    """Reference chunk of ``verify_inversion``, by the public kernels."""
     rng = np.random.default_rng(seed)
     vp, zp = sample_with_rng(alg, count, radius, rng)
     vq, zq = sample_with_rng(alg, count, radius, rng)

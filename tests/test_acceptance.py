@@ -253,3 +253,28 @@ def test_criterion_12_cli_reproducibility(tmp_path):
     ok = same_runs and same_threads and same_files
     report(12, ok, "CLI reports and matrices are byte-identical across repeated runs "
                    "and across --threads 1 vs 4")
+
+
+def test_criterion_13_inversion_is_one_quasiconformal_exactly_on_j2():
+    # the metric quasiconformality ratio of sigma at three random centers of
+    # gauge 1 tends to 1 on J^2 and stays large on truncated_HH, which is
+    # H-type without J^2
+    started = time.perf_counter()
+    radii = [0.1, 0.01, 0.001]
+
+    def ratios(name, seed):
+        alg = builtin(name)
+        rep = dt.estimate_qc_ratio(alg, dt.inversion_map(alg), dt.random_center(alg, 1.0, seed),
+                                   radii, samples=20000, seed=seed)
+        return [entry["ratio"] for entry in rep.statistics["per_radius"]]
+
+    seeds = (1, 2, 3)
+    j2 = [ratios(name, seed)[-1] for name in HEISENBERG_NAMES for seed in seeds]
+    control = [r for seed in seeds for r in ratios("truncated_HH", seed)]
+    elapsed = time.perf_counter() - started
+    ok = (all(abs(r - 1.0) <= 0.01 for r in j2) and all(r >= 2.0 for r in control)
+          and elapsed < 3.0)
+    report(13, ok, f"qc ratio of the inversion at radius 1e-3 within 0.01 of 1 on the six "
+                   f"division-algebra groups ({min(j2):.4f}-{max(j2):.4f}) at seeds 1-3; "
+                   f"truncated_HH reads {min(control):.2f}-{max(control):.2f} >= 2 at "
+                   f"radii 0.1, 0.01, 0.001; runtime {elapsed:.2f}s < 3s")

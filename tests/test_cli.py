@@ -356,17 +356,19 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 
 
 class TestConsoleEntry:
-    """``cli.entrypoint``, the console script, in a fresh interpreter: the
-    outputs and exit codes of ``run``, on a heap that glibc keeps."""
+    """``cli.entrypoint``, the console script, and ``cli.run`` in a fresh
+    interpreter: the outputs and exit codes of ``run``, on a heap that glibc
+    keeps."""
+
+    ENTRYPOINT = "from heislab.cli import entrypoint; entrypoint()"
 
     @staticmethod
-    def entry(argv) -> tuple:
+    def entry(argv, code=ENTRYPOINT) -> tuple:
         """Exit code, stdout and stderr of one entry process."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c",
-                               "from heislab.cli import entrypoint; entrypoint()", *argv],
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
                               env=env, capture_output=True, timeout=120)
         return proc.returncode, proc.stdout, proc.stderr
 
@@ -387,14 +389,24 @@ class TestConsoleEntry:
             out, err = capsys.readouterr()
             assert self.entry(argv) == (code, out.encode(), err.encode())
 
-    def test_verify_chunks_do_not_fault_in_again(self):
-        # H_O at 1e6 pairs: 14-20k minor faults on 2 vCPUs, about 5k of them
-        # the start-up; 80-160k when glibc trims the heap after every chunk
+    def verify_faults(self, code) -> int:
+        """Minor faults of an entry process that verifies H_O at 1e6 pairs."""
         resource = pytest.importorskip("resource")
         before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
         assert self.entry(["invert", "verify", "--algebra", "H_O", "--samples", "1000000",
-                           "--seed", "3", "--no-timestamp"])[0] == 0
-        assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before <= 25000
+                           "--seed", "3", "--no-timestamp"], code)[0] == 0
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    def test_verify_chunks_do_not_fault_in_again(self):
+        # 14-20k minor faults on 2 vCPUs, about 5k of them the start-up;
+        # 80-160k when glibc trims the heap after every chunk
+        assert self.verify_faults(self.ENTRYPOINT) <= 25000
+
+    def test_run_keeps_the_heap_in_process(self):
+        # cli.run itself keeps the heap: about 20k minor faults, as the
+        # console script; 231-334k when only the console script kept it
+        assert self.verify_faults("import sys; from heislab.cli import run; "
+                                  "sys.exit(run())") <= 25000
 
     @pytest.mark.parametrize("libc", [object(), OSError("no handle")])
     def test_heap_helper_is_a_no_op_without_mallopt(self, monkeypatch, libc):
@@ -443,6 +455,10 @@ class TestDistortCommands:
         payload = read_json(out)
         ratios = [entry["ratio"] for entry in payload["statistics"]["per_radius"]]
         assert ratios[0] > ratios[1] >= 1.0 - 5e-3
+
+    def test_qc_rejects_zero_samples(self, capsys):
+        assert run(["distort", "qc", "--algebra", "H_C:1", "--samples", "0"]) == 1
+        assert capsys.readouterr().err == "error: samples must be >= 1\n"
 
     def test_qc_rejects_unknown_map(self):
         assert run(["distort", "qc", "--algebra", "H_C:1", "--map", "twist"]) == 1

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from heislab import algebra as al
 from heislab import distortion as dt
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
@@ -227,6 +228,12 @@ class TestQcRatio:
         assert entry["insufficient_sampling"] is True
         assert entry["ratio"] is None
 
+    def test_samples_must_be_positive(self):
+        alg = builtin("H_C:1")
+        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+            dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 26),
+                                 [0.1], samples=0, seed=27)
+
     @pytest.mark.parametrize("name, map_name", [("H_C:1", "inversion"), ("H_H:2", "dilation"),
                                                 ("H_O", "inversion")])
     def test_row_blocks_do_not_change_the_report(self, monkeypatch, name, map_name):
@@ -236,7 +243,7 @@ class TestQcRatio:
         center = self.center(alg, 31)
 
         def report(block):
-            monkeypatch.setattr(dt, "_SLICE_ROWS", block)
+            monkeypatch.setattr(al, "_SLICE_ROWS", block)
             return dt.estimate_qc_ratio(alg, point_map, center, [1.0, 0.1, 0.01],
                                         samples=5000, seed=32).to_dict()
         whole = report(5000)

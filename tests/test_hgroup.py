@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from heislab import algebra as al
 from heislab import hgroup, hlie
 from heislab.util import format_float, format_floats
 
@@ -252,9 +253,9 @@ class TestGaugeDistance:
     def test_pairwise_chunking_is_invisible(self, monkeypatch):
         alg = builtin("H_C:1")
         v, z = random_points(alg, 70, seed=22)
-        monkeypatch.setattr(hgroup, "_PAIR_CHUNK", 7)
+        monkeypatch.setattr(al, "_SLICE_ROWS", 7)
         a = hgroup.pairwise_gauge_dist(alg, v, z)
-        monkeypatch.setattr(hgroup, "_PAIR_CHUNK", 256)
+        monkeypatch.setattr(al, "_SLICE_ROWS", 4096)
         b = hgroup.pairwise_gauge_dist(alg, v, z)
         assert np.array_equal(a, b)
 

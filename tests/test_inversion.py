@@ -215,7 +215,10 @@ class TestVerifyReduction:
         assert '"max_relative_deviation": NaN' in out.read_text()
         assert capsys.readouterr().err == "check failed: H_C:1: max |r - 1| = nan exceeds tolerance\n"
 
-    def test_coincident_pair_is_dropped(self, monkeypatch):
+    @pytest.mark.parametrize("planted_row", [0, 4103])
+    def test_coincident_pair_is_dropped(self, monkeypatch, planted_row):
+        # at row 0, and at a later row, so that the worst row maps back
+        # through the kept rows
         alg = builtin("truncated_HH")
         clean = inversion.verify_inversion(alg, samples=5000, seed=6)
         real = inversion.sample_with_rng
@@ -225,7 +228,9 @@ class TestVerifyReduction:
             v, z = real(alg, count, radius, rng)
             draws.append((v, z))
             if len(draws) == 2:  # q of the only chunk: one row repeats p's
-                row = 0 if not np.array_equal(draws[0][0][0], clean.worst_pair.p.v) else 1
+                row = planted_row
+                if np.array_equal(draws[0][0][row], clean.worst_pair.p.v):
+                    row += 1
                 v[row], z[row] = draws[0][0][row], draws[0][1][row]
             return v, z
 
@@ -239,7 +244,7 @@ class TestVerifyReduction:
 
 
 class TestChunkAgainstWholeChunk:
-    """The chunk's row slices give the reports of the whole-chunk evaluation."""
+    """The fused chunk gives the reports of the chunk evaluated by the public kernels."""
 
     @staticmethod
     def report(alg, samples, threads):
@@ -252,41 +257,10 @@ class TestChunkAgainstWholeChunk:
         chunk = inversion._CHUNK
         sizes = [1, 2047, 2048, 2049, 4095, 4096, 4097, chunk - 1, chunk, chunk + 1,
                  20001, 2 * chunk]
-        sliced = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
-        # and slices of one row, of an odd number of rows and of 4,096 rows
-        patched = [(1, [1, 7, 8, 50]), (7, [1, 7, 8, 50]), (4096, [4097, 20001])]
-        for rows, counts in patched:
-            monkeypatch.setattr(inversion, "_SLICE_ROWS", rows)
-            sliced += [self.report(alg, n, t) for n in counts for t in (1, 2)]
+        fused = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
         monkeypatch.setattr(inversion, "_inversion_chunk", inversion_chunk_whole)
-        whole = [self.report(alg, n, t) for n in sizes + [n for _, c in patched for n in c]
-                 for t in (1, 2)]
-        assert sliced == whole
-
-    def test_coincident_pair_in_the_second_slice_is_dropped(self, monkeypatch):
-        alg = builtin("truncated_HH")
-        clean = inversion.verify_inversion(alg, samples=5000, seed=6)
-        monkeypatch.setattr(inversion, "_SLICE_ROWS", 4096)
-        real = inversion.sample_with_rng
-        draws = []
-
-        def planted(alg, count, radius, rng):
-            v, z = real(alg, count, radius, rng)
-            draws.append((v, z))
-            if len(draws) == 2:  # q of the only chunk: one row repeats p's
-                row = inversion._SLICE_ROWS + 7
-                if np.array_equal(draws[0][0][row], clean.worst_pair.p.v):
-                    row += 1
-                v[row], z[row] = draws[0][0][row], draws[0][1][row]
-            return v, z
-
-        monkeypatch.setattr(inversion, "sample_with_rng", planted)
-        report = inversion.verify_inversion(alg, samples=5000, seed=6)
-        assert len(draws) == 2
-        assert report.pairs_used == clean.pairs_used - 1 == 4999
-        assert report.max_relative_deviation == clean.max_relative_deviation
-        assert canonical_json({"w": report.to_dict()["worst_pair"]}) == \
-            canonical_json({"w": clean.to_dict()["worst_pair"]})
+        whole = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+        assert fused == whole
 
 
 class TestPhiAt:
