@@ -41,13 +41,12 @@ __all__ = [
 OCTONION_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 5), (2, 6, 7), (3, 4, 6), (4, 5, 7))
 QUATERNION_TRIPLES = ((1, 2, 3),)
 
-# Rows per slice of :func:`_slices`: of the row kernels behind
-# :func:`_by_slices` (the entry kernel, the gauge, the distance and sigma) and
-# of the annulus points of distortion.estimate_qc_ratio, which chain several
-# kernels per slice.  Each slice pays a fixed number of ufunc calls per
-# structure entry, and halving it did not pay: verify_inversion on H_O at 1e6
-# pairs, then evaluated in slices, took 1.41 s at 2,048 rows against 1.34 s
-# at 4,096 on one thread, 1.45 s against 1.06 s on two (medians of 5, 2-vCPU VM).
+# Rows per slice of the row kernels behind :func:`_by_slices` (the entry
+# kernel, the gauge, the distance and sigma).  Each slice pays a fixed number
+# of ufunc calls per structure entry, and halving it did not pay:
+# verify_inversion on H_O at 1e6 pairs, then evaluated in slices, took 1.41 s
+# at 2,048 rows against 1.34 s at 4,096 on one thread, 1.45 s against 1.06 s
+# on two (medians of 5, 2-vCPU VM).
 _SLICE_ROWS = 4096
 
 
@@ -152,30 +151,25 @@ def _entry_kernel(entries, a: np.ndarray, b: np.ndarray, width: int,
     return out
 
 
-def _slices(lead: tuple) -> list:
-    """Indices that cut an array with leading dimensions ``lead`` into slices
-    of about ``_SLICE_ROWS`` rows along the first of them; the whole array
-    when there is none."""
-    if not lead:
-        return [...]
-    step = max(1, _SLICE_ROWS // max(1, math.prod(lead[1:])))
-    return [slice(start, start + step) for start in range(0, lead[0], step)]
-
-
 def _by_slices(kernel, widths, *arrays) -> list[np.ndarray]:
     """Run a coordinate-major kernel on row-major arrays (..., width_i), whose
     leading dimensions broadcast.
 
-    Each slice (:func:`_slices`) is copied once to contiguous (width_i, ...)
-    arrays, and ``kernel(*columns)`` returns one array per entry of
-    ``widths``: (width, ...) for an int, (...) for None.  Returns the
-    row-major results.  Every kernel here computes each row on its own, so
-    the slices do not change a bit.
+    Each slice of about ``_SLICE_ROWS`` rows along the first leading
+    dimension (the whole array when there is none) is copied once to
+    contiguous (width_i, ...) arrays, and ``kernel(*columns)`` returns one
+    array per entry of ``widths``: (width, ...) for an int, (...) for None.
+    Returns the row-major results.  Every kernel here computes each row on
+    its own, so the slices do not change a bit.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     lead = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
     outs = [np.empty(lead if w is None else lead + (w,)) for w in widths]
-    for rows in _slices(lead):
+    parts = [...]
+    if lead:
+        step = max(1, _SLICE_ROWS // max(1, math.prod(lead[1:])))
+        parts = [slice(start, start + step) for start in range(0, lead[0], step)]
+    for rows in parts:
         columns = [np.moveaxis(np.broadcast_to(a, lead + a.shape[-1:])[rows], -1, 0).copy()
                    for a in arrays]
         for out, w, result in zip(outs, widths, kernel(*columns)):

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from heislab.algebra import _slices
 from heislab.hgroup import (
     Point,
     _check_radius,
@@ -33,7 +32,7 @@ from heislab.hgroup import (
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
-from heislab.util import Report, _write_text, format_floats
+from heislab.util import Report, _sampled, _write_text, format_floats
 
 __all__ = [
     "DistortionReport",
@@ -123,8 +122,8 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_in.shape != d_out.shape or d_in.ndim != 2:
         raise ValueError(f"matrices of shapes {d_in.shape} and {d_out.shape} do not match")
-    n = d_in.shape[0]
-    quads = sample_quadruples(n, samples, np.random.default_rng(seed))
+    quads = np.concatenate(_sampled(
+        lambda count, rng: sample_quadruples(d_in.shape[0], count, rng), samples, seed))
     t_in = cross_ratio_rows(d_in, quads, swapped=True)
     t_out = cross_ratio_rows(d_out, quads, swapped=True)
     good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
@@ -198,8 +197,8 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Poin
     """A seeded uniform draw from the unit coordinate box, dilated to ``center_gauge``.
 
     It draws from the root stream of ``seed``, and :func:`estimate_qc_ratio`
-    samples each radius from a child spawned from that seed, so the center
-    shares no draws with the radii.
+    samples each radius from the chunks of a child spawned from that seed, so
+    the center shares no draws with the radii.
     """
     _check_radius(center_gauge, "center gauge")
     v, z = sample_with_rng(alg, 1, 1.0, np.random.default_rng(seed))
@@ -209,47 +208,29 @@ def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Poin
     return Point(*(row[0] for row in dilate_arrays(center_gauge / g, v, z)))
 
 
-def _annulus_entry(alg: HTypeAlgebra, point_map: Callable, center: Point, image_center,
-                   r: float, samples: int, rng: np.random.Generator) -> dict:
-    """One radius of :func:`estimate_qc_ratio`: the whole draw and its gauges,
-    then the dilation radii, then the point arrays in the slices of
-    ``algebra._slices``."""
-    v, z = sample_with_rng(alg, samples, 1.0, rng)
+def _annulus_chunk(alg: HTypeAlgebra, point_map: Callable, center: Point, image_center,
+                   r: float, count: int, rng: np.random.Generator) -> tuple:
+    """Inner and outer point counts, and the sup over the inner and the inf
+    over the outer image distances, of one chunk of ``count`` annulus draws
+    of :func:`estimate_qc_ratio` at radius r; -inf and inf for an empty half."""
+    v, z = sample_with_rng(alg, count, 1.0, rng)
     g = gauge_arrays(alg, v, z)
-    keep = np.flatnonzero(g > 1e-12)
-    rho = rng.uniform((1.0 - ANNULUS_WIDTH) * r, (1.0 + ANNULUS_WIDTH) * r, size=keep.size)
+    keep = g > 1e-12
+    rho = rng.uniform((1.0 - ANNULUS_WIDTH) * r, (1.0 + ANNULUS_WIDTH) * r,
+                      size=int(np.count_nonzero(keep)))
+    bv, bz = dilate_arrays(rho / g[keep], v[keep], z[keep])
+    cv, cz = np.broadcast_to(center.v, bv.shape), np.broadcast_to(center.z, bz.shape)
+    bv, bz = group_mul(alg, cv, cz, bv, bz)
+    d_in = gauge_dist_arrays(alg, bv, bz, cv, cz)
+    fv, fz = point_map(bv, bz)
     fc_v, fc_z = image_center
-    inner_points = outer_points = 0
-    sup, inf = np.float64(-np.inf), np.float64(np.inf)
-    for part in _slices(keep.shape):
-        rows = keep[part]
-        bv, bz = dilate_arrays(rho[part] / g[rows], v[rows], z[rows])
-        bv, bz = group_mul(alg, np.broadcast_to(center.v, bv.shape),
-                           np.broadcast_to(center.z, bz.shape), bv, bz)
-        d_in = gauge_dist_arrays(alg, bv, bz,
-                                 np.broadcast_to(center.v, bv.shape),
-                                 np.broadcast_to(center.z, bz.shape))
-        fv, fz = point_map(bv, bz)
-        d_out = gauge_dist_arrays(alg, fv, fz,
-                                  np.broadcast_to(fc_v[0], fv.shape),
-                                  np.broadcast_to(fc_z[0], fz.shape))
-        inner = d_in <= r
-        count = int(np.count_nonzero(inner))
-        inner_points += count
-        outer_points += inner.size - count
-        # np.maximum/np.minimum, unlike max/min, keep a NaN
-        if count:
-            sup = np.maximum(sup, np.max(d_out[inner]))
-        if count < inner.size:
-            inf = np.minimum(inf, np.min(d_out[~inner]))
-    entry = {"radius": r, "inner_points": inner_points, "outer_points": outer_points}
-    if inner_points == 0 or outer_points == 0:
-        entry["ratio"] = None
-        entry["insufficient_sampling"] = True
-    else:
-        entry["ratio"] = float(sup) / float(inf)
-        entry["insufficient_sampling"] = False
-    return entry
+    d_out = gauge_dist_arrays(alg, fv, fz, np.broadcast_to(fc_v[0], fv.shape),
+                              np.broadcast_to(fc_z[0], fz.shape))
+    inner = d_in <= r
+    inner_points = int(np.count_nonzero(inner))
+    # np.max/np.min, unlike max/min, keep a NaN
+    return (inner_points, inner.size - inner_points, np.max(d_out[inner], initial=-np.inf),
+            np.min(d_out[~inner], initial=np.inf))
 
 
 def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
@@ -279,10 +260,18 @@ def estimate_qc_ratio(alg: HTypeAlgebra, point_map: Callable, center: Point,
         raise ValueError(f"radius {radii[-1]} is below the resolution {floor:.6g} of the center: "
                          "radii must be at least 2^-20 times its gauge")
     image_center = point_map(center.v[None, :], center.z[None, :])
-    seeds = np.random.SeedSequence(seed).spawn(len(radii))
-    per_radius = [_annulus_entry(alg, point_map, center, image_center, r, samples,
-                                 np.random.default_rng(chunk_seed))
-                  for r, chunk_seed in zip(radii, seeds)]
+    per_radius = []
+    for r, radius_seed in zip(radii, np.random.SeedSequence(seed).spawn(len(radii))):
+        inner, outer, sup, inf = zip(*_sampled(lambda count, rng: _annulus_chunk(
+            alg, point_map, center, image_center, r, count, rng), samples, radius_seed))
+        entry = {"radius": r, "inner_points": sum(inner), "outer_points": sum(outer)}
+        if entry["inner_points"] == 0 or entry["outer_points"] == 0:
+            entry["ratio"] = None
+            entry["insufficient_sampling"] = True
+        else:
+            entry["ratio"] = float(np.max(sup)) / float(np.min(inf))
+            entry["insufficient_sampling"] = False
+        per_radius.append(entry)
     statistics = {"per_radius": per_radius, "center": center, "annulus_width": ANNULUS_WIDTH}
     return DistortionReport("quasiconformal", samples, seed, statistics,
                             algebra=alg.label, fingerprint=alg.fingerprint)
@@ -316,6 +305,14 @@ def _uniform_ball(rng: np.random.Generator, count: int, dim: int,
     return direction * (scale / norms)[:, None]
 
 
+def _ball_hits(alg: HTypeAlgebra, r: float, count: int, rng: np.random.Generator) -> int:
+    """How many of ``count`` uniform draws from the envelope of radius r of
+    :func:`estimate_regularity` fall in the gauge ball of radius r."""
+    v = _uniform_ball(rng, count, alg.dim_v, 2.0 * r)
+    z = _uniform_ball(rng, count, alg.dim_z, r * r)
+    return int(np.count_nonzero(gauge_arrays(alg, v, z) <= r))
+
+
 def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
                         seed: int = 0) -> DistortionReport:
     """Least-squares volume-growth exponent of gauge balls.
@@ -342,11 +339,9 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
     seeds = np.random.SeedSequence(seed).spawn(len(radii))
     volumes = []
     per_radius = []
-    for r, envelope, chunk_seed in zip(radii, envelopes, seeds):
-        rng = np.random.default_rng(chunk_seed)
-        v = _uniform_ball(rng, samples, alg.dim_v, 2.0 * r)
-        z = _uniform_ball(rng, samples, alg.dim_z, r * r)
-        hits = int(np.count_nonzero(gauge_arrays(alg, v, z) <= r))
+    for r, envelope, radius_seed in zip(radii, envelopes, seeds):
+        hits = sum(_sampled(lambda count, rng: _ball_hits(alg, r, count, rng),
+                            samples, radius_seed))
         if hits == 0:
             raise ValueError(f"no hits at radius {r}: fit would be degenerate; "
                              "raise the sample count")

@@ -369,18 +369,28 @@ def load_algebra_spec(path) -> HTypeAlgebra:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed algebra spec {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"algebra spec {path} is not a JSON object")
     for key in ("label", "dim_v", "dim_z", "entries"):
         if key not in data:
             raise ValueError(f"algebra spec {path} is missing the field {key!r}")
-    dim_v, dim_z = int(data["dim_v"]), int(data["dim_z"])
+    try:
+        dim_v, dim_z = int(data["dim_v"]), int(data["dim_z"])
+        entries = list(data["entries"])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"algebra spec {path}: dim_v and dim_z must be integers "
+                         "and entries a list") from None
     if dim_v < 1 or dim_z < 0:
         raise ValueError(f"algebra spec {path}: invalid dimensions dim_v={dim_v}, dim_z={dim_z}")
     tensor = np.zeros((dim_z, dim_v, dim_v))
     seen = set()
-    for entry in data["entries"]:
-        if len(entry) != 4:
-            raise ValueError(f"algebra spec {path}: entry {entry!r} is not [i, j, k, value]")
-        i, j, k, value = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])
+    for entry in entries:
+        try:
+            i, j, k, value = entry
+            i, j, k, value = int(i), int(j), int(k), float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"algebra spec {path}: entry {entry!r} is not [i, j, k, value]"
+                             ) from None
         if not (1 <= i < j <= dim_v):
             raise ValueError(f"algebra spec {path}: entry {entry!r} needs 1 <= i < j <= dim_v")
         if not 1 <= k <= dim_z:

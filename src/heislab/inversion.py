@@ -47,7 +47,7 @@ from heislab.hgroup import (
     group_mul,
     sample_with_rng,
 )
-from heislab.util import Report, _cpu_count, _ordered_map
+from heislab.util import Report, _cpu_count, _sampled
 
 __all__ = [
     "ExtendedPoints",
@@ -60,15 +60,6 @@ __all__ = [
     "transport_errors",
     "verify_inversion",
 ]
-
-# Pairs per verify chunk, evaluated in one pass.  A chunk makes a few hundred
-# short ufunc calls, and each may hand the GIL to another worker, so few, long
-# chunks keep the workers parallel.  A chunk temporary of an algebra of 12
-# coordinates (H_H:3) is 16,384 x 12 x 8 B = 1.5 MiB, under the mmap
-# threshold that ``cli.run`` pins.
-_CHUNK = 16384
-_TRIALS_PER_CHUNK = 2048
-
 
 def _sigma_formula(alg: HTypeAlgebra, v, z, a, n4) -> tuple[np.ndarray, np.ndarray]:
     """sigma of coordinate-major (dim_v, ...) and (dim_z, ...) rows, given their
@@ -264,20 +255,17 @@ def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
     """Per case branch of :func:`pair_transporter`, its worst gauge error at the
     targets and its worst cross-ratio deviation at four free points.
 
-    Each trial draws x, x', y, y' and four free points p1..p4 in turn from one
-    seeded stream, in fixed chunks of trials that bound the memory.  Missing
-    an infinite target counts as an infinite error.  The deviation is
-    ``|CR(g p) / CR(p) - 1|`` of the gauge cross-ratio, which a
+    Each trial draws x, x', y, y' and four free points p1..p4 as eight
+    consecutive rows of one chunk of ``util._sampled``; the chunks bound the
+    memory.  Missing an infinite target counts as an infinite error.  The
+    deviation is ``|CR(g p) / CR(p) - 1|`` of the gauge cross-ratio, which a
     1-quasiconformal map of a J^2 group keeps.  The sweep passes when every
     error and every deviation is at most ``tol``; a NaN deviation fails it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    chunks = []
-    for start in range(0, trials, _TRIALS_PER_CHUNK):
-        count = min(_TRIALS_PER_CHUNK, trials - start)
-        chunks.append(_sweep_chunk(alg, *sample_with_rng(alg, 8 * count, radius, rng)))
+    chunks = _sampled(lambda count, rng: _sweep_chunk(
+        alg, *sample_with_rng(alg, count, radius, rng)), 8 * trials, seed)
     # np.max, unlike max(), keeps a NaN
     errors = {b: float(np.max([c[b][0] for c in chunks])) for b in chunks[0]}
     deviations = {b: float(np.max([c[b][1] for c in chunks])) for b in chunks[0]}
@@ -311,21 +299,8 @@ class InversionReport(Report):
     kind: str = field(default="inversion", init=False)
 
 
-def _worst(results) -> tuple:
-    """Total pairs used, worst deviation and worst pair of the (used,
-    deviation, pair) results of :func:`_inversion_chunk`, met in sample
-    order: a strictly larger deviation replaces the worst, and the first NaN
-    wins and stays, as np.argmax picks the first NaN row.  With no result
-    the deviation reads -1.0."""
-    used_total, worst_dev, worst_pair = 0, -1.0, None
-    for used, dev, pair in results:
-        used_total += used
-        if not np.isnan(worst_dev) and (dev > worst_dev or np.isnan(dev)):
-            worst_dev, worst_pair = dev, pair
-    return used_total, worst_dev, worst_pair
-
-
-def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
+def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float,
+                     rng: np.random.Generator) -> tuple:
     """Pairs used, worst deviation and worst pair of one chunk of ``count`` pairs.
 
     The chunk draws its pairs at once and copies them once to
@@ -336,7 +311,6 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float, seed) -> tupl
     inf or NaN reaches the deviation, which the report shows, so the chunk
     raises no numpy warning.
     """
-    rng = np.random.default_rng(seed)
     pv, pz = sample_with_rng(alg, count, radius, rng)
     qv, qz = sample_with_rng(alg, count, radius, rng)
     p = [np.ascontiguousarray(a.T) for a in (pv, pz)]
@@ -368,28 +342,24 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
                      threads: int | None = None) -> InversionReport:
     """Measure the 1-inversion identity over seeded random pairs.
 
-    Sampling is split into fixed-size chunks with independently derived
-    seeds; the chunks run on ``threads`` workers (``util._ordered_map``; by
-    default the CPUs this process may use, ``util._cpu_count``), and the
-    reduction (max deviation, first-chunk tie break) is performed in chunk
-    order so the report is identical for every thread count.  A
-    NaN deviation does not drop out of that max: the first pair whose
-    deviation is NaN is the worst pair, the deviation reads NaN and the
-    verdict is inexact.
+    Sampling is split into the seeded chunks of ``util._sampled``, which
+    run on ``threads`` workers (by default the CPUs this process may use,
+    ``util._cpu_count``).  The worst pair is that of the first chunk with
+    the largest deviation, found by ``np.argmax`` in chunk order, so the
+    report is identical for every thread count.  A NaN deviation does not
+    drop out of that max: the first pair whose deviation is NaN is the worst
+    pair, the deviation reads NaN and the verdict is inexact.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not check_h_type(alg, samples=256, seed=seed).is_h_type:
         raise ValueError(f"{alg.label} is not of Heisenberg type; "
                          "the gauge inversion identity is only assessed on H-type algebras")
-    sizes = [_CHUNK] * (samples // _CHUNK)
-    if samples % _CHUNK:
-        sizes.append(samples % _CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
-    used_total, worst_dev, worst_pair = _worst(_ordered_map(
-        lambda job: _inversion_chunk(alg, job[0], radius, job[1]), zip(sizes, seeds),
+    used, deviations, pairs = zip(*_sampled(
+        lambda count, rng: _inversion_chunk(alg, count, radius, rng), samples, seed,
         _cpu_count() if threads is None else threads))
-    if worst_pair is None:
+    worst = int(np.argmax(deviations))
+    if pairs[worst] is None:
         raise ValueError("no usable sample pairs were generated")
-    return InversionReport(alg.label, alg.fingerprint, samples, seed, tol, worst_dev,
-                           worst_dev <= tol, worst_pair, used_total)
+    return InversionReport(alg.label, alg.fingerprint, samples, seed, tol, deviations[worst],
+                           deviations[worst] <= tol, pairs[worst], sum(used))

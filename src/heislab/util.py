@@ -1,5 +1,6 @@
 """Shared helpers: the report base, structure-constant fingerprints, canonical JSON,
-the one text-file writer, the one worker map and its default worker count."""
+the one text-file writer, the one worker map and its default worker count, and
+the one seeded chunk map of the sampled estimators."""
 
 from __future__ import annotations
 
@@ -96,3 +97,23 @@ def _ordered_map(fn, jobs, workers: int) -> list:
         return [fn(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
+
+
+# Samples per chunk of :func:`_sampled`, each evaluated in one pass.  A chunk
+# makes a few hundred short ufunc calls, and each may hand the GIL to another
+# worker, so few, long chunks keep the workers parallel.  A chunk temporary of
+# an algebra of 12 coordinates (H_H:3) is 16,384 x 12 x 8 B = 1.5 MiB, under
+# the mmap threshold that ``cli.run`` pins.
+_CHUNK = 16384
+
+
+def _sampled(fn, samples: int, seed, workers: int = 1) -> list:
+    """``fn(count, rng)`` on chunks of ``_CHUNK`` samples, the last one
+    shorter, each with a generator of its own child spawned from ``seed``
+    (an int or a ``SeedSequence``), on up to ``workers`` threads
+    (:func:`_ordered_map`); the results in chunk order."""
+    sizes = [min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return _ordered_map(lambda job: fn(job[0], np.random.default_rng(job[1])),
+                        zip(sizes, seed.spawn(len(sizes))), workers)

@@ -26,7 +26,7 @@ from heislab.finite_metric import _SCAN_BLOCK, FiniteMetricSpace
 from heislab.hgroup import Point, gauge_arrays, gauge_dist_arrays, sample_with_rng
 from heislab.hlie import HTypeAlgebra, bracket_arrays
 from heislab.inversion import WorstPair, sigma_arrays
-from heislab.util import format_float
+from heislab.util import _CHUNK, format_float
 
 
 # Row counts that cover the kernels' row slices: one row, one slice and one
@@ -200,9 +200,9 @@ def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarr
                 pivots |= (buf[:m] < dist[i, j0:j0 + m, None]).any(axis=0)
 
 
-def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float, seed) -> tuple:
+def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float,
+                          rng: np.random.Generator) -> tuple:
     """Reference chunk of ``verify_inversion``, by the public kernels."""
-    rng = np.random.default_rng(seed)
     vp, zp = sample_with_rng(alg, count, radius, rng)
     vq, zq = sample_with_rng(alg, count, radius, rng)
     gp = gauge_arrays(alg, vp, zp)
@@ -229,8 +229,12 @@ def quasimobius_ratios_vstack(d_in: np.ndarray, d_out: np.ndarray, samples: int,
                               seed: int) -> tuple:
     """Reference cross-ratios of ``estimate_quasimobius``, degenerate rows
     included: the sampled quadruples stacked over their middle-swapped copies,
-    and four gathers per matrix and row."""
-    quads = sample_quadruples(d_in.shape[0], samples, np.random.default_rng(seed))
+    and four gathers per matrix and row.  The quadruples are drawn in chunks
+    of ``util._CHUNK``, each from its own child of the seed, and stacked."""
+    chunks = -(-samples // _CHUNK)
+    quads = np.vstack([sample_quadruples(d_in.shape[0], min(_CHUNK, samples - k * _CHUNK),
+                                         np.random.default_rng(child))
+                       for k, child in enumerate(np.random.SeedSequence(seed).spawn(chunks))])
     x, y, z, w = np.vstack([quads, quads[:, [0, 2, 1, 3]]]).T
     with np.errstate(divide="ignore", invalid="ignore"):
         return tuple(d[x, y] * d[z, w] / (d[x, z] * d[y, w]) for d in (d_in, d_out))

@@ -13,7 +13,7 @@ import pytest
 
 from heislab import cli
 from heislab import finite_metric as fm
-from heislab import hgroup, hlie, inversion
+from heislab import hgroup, hlie, util
 from heislab.cli import run
 from oracles import write_algebra_spec
 
@@ -375,7 +375,7 @@ class TestConsoleEntry:
     @pytest.mark.parametrize("threads", [[], ["--threads", "1"]])
     def test_verify_bytes_are_those_of_run(self, threads, capsys):
         argv = ["invert", "verify", "--algebra", "H_O", "--samples",
-                str(2 * inversion._CHUNK + 5), "--seed", "3", "--no-timestamp", *threads]
+                str(2 * util._CHUNK + 5), "--seed", "3", "--no-timestamp", *threads]
         assert run(argv) == 0
         expected = capsys.readouterr().out.encode()
         assert self.entry(argv) == (0, expected, b"")
@@ -503,7 +503,8 @@ class TestDistortCommands:
                     "--seed", "7", "--output", str(out), "--no-timestamp"]) == 0
         center = np.array(read_json(out)["statistics"]["center"]["v"])
         alg = hlie.algebra_from_name("H_C:1")
-        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0])
+        # the first chunk of the first radius
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(1)[0].spawn(1)[0])
         first = hgroup.sample_with_rng(alg, 100, 1.0, rng)[0][0]
         cross = center[0] * first[1] - center[1] * first[0]
         assert abs(cross) > 1e-3 * np.linalg.norm(center) * np.linalg.norm(first)
@@ -523,7 +524,7 @@ class TestDistortCommands:
         assert abs(payload["statistics"]["fitted_exponent"] - 4.0) <= 0.1
 
     def test_regularity_fits_far_from_unit_scale(self, capsys):
-        assert run(["distort", "regularity", "--algebra", "H_O", "--samples", "2000",
+        assert run(["distort", "regularity", "--algebra", "H_O", "--samples", "50000",
                     "--radii", "1e10,1e11", "--no-timestamp"]) == 0
         fitted = json.loads(capsys.readouterr().out)["statistics"]["fitted_exponent"]
         assert abs(fitted - 22.0) <= 0.05
@@ -683,3 +684,21 @@ class TestAlgebraSpecFiles:
         path = tmp_path / "broken.json"
         path.write_text("{oops")
         assert run(["lie", "check-htype", "--algebra", str(path)]) == 1
+
+    @pytest.mark.parametrize("text", [
+        '{"label": "x", "dim_v": null, "dim_z": 1, "entries": []}',
+        '{"label": "x", "dim_v": Infinity, "dim_z": 1, "entries": []}',
+        '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": 5}',
+        '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": [5]}',
+        '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": [[1, 2, 1]]}',
+        '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": [[1, 2, 1, null]]}',
+        '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": [[1, 2, 1, 1e999999]]}',
+        '[1, 2]',
+    ])
+    def test_ill_typed_spec_file_is_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run(["lie", "check-htype", "--algebra", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: algebra spec {path}") and err.count("\n") == 1

@@ -3,6 +3,7 @@ constants, quasiconformality ratios, and volume-growth exponents."""
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,3 +365,28 @@ class TestReport:
         assert report.raw_pairs is not None and report.algebra is None
         assert set(report.to_dict()) == {"kind", "samples", "seed", "statistics"}
 
+
+
+class TestMemory:
+    """The sampled estimators hold one chunk of draws at a time, not the whole sample."""
+
+    @staticmethod
+    def peak_mib(call) -> float:
+        # numpy reports its array buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_regularity(self):
+        alg = builtin("H_O")
+        assert self.peak_mib(lambda: dt.estimate_regularity(
+            alg, [0.1, 1.0], samples=200000, seed=1)) <= 8.0
+
+    def test_qc_ratio(self):
+        alg = builtin("H_O")
+        center = dt.random_center(alg, 1.0, seed=1)
+        assert self.peak_mib(lambda: dt.estimate_qc_ratio(
+            alg, dt.inversion_map(alg), center, [0.1, 0.01], samples=200000, seed=1)) <= 16.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from heislab import finite_metric as fm
-from heislab import hgroup, hlie, inversion
+from heislab import hgroup, hlie, inversion, util
 from heislab.util import format_float
 from oracles import load_space_csv_rowloop, save_space_csv_rowwise, scan_rows_float64
 
@@ -232,7 +232,7 @@ class TestTriangleScanAgainstRowLoop:
         tracer.install()
         try:
             inversion.verify_inversion(hlie.algebra_from_name("H_C:1"),
-                                       samples=2 * inversion._CHUNK + 100, seed=3, threads=2)
+                                       samples=2 * util._CHUNK + 100, seed=3, threads=2)
         finally:
             tracer.uninstall()
         root = threading.get_ident()

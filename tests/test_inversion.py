@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heislab import distortion, hgroup, hlie, inversion
+from heislab import distortion, hgroup, hlie, inversion, util
 from heislab.cli import run
 from heislab.inversion import ExtendedPoints
 from heislab.util import canonical_json
@@ -171,15 +171,16 @@ class TestVerifyInversion:
 class TestVerifyReduction:
     """The chunk-order reduction of verify_inversion and the pairs it keeps."""
 
-    SAMPLES = 2 * inversion._CHUNK + 500  # three chunks
+    SAMPLES = 2 * util._CHUNK + 500  # three chunks
 
     @staticmethod
     def nan_in_chunks(monkeypatch, chunks):
         real = inversion._inversion_chunk
 
-        def patched(alg, count, radius, seed):
-            used, dev, pair = real(alg, count, radius, seed)
-            return used, (np.nan if seed.spawn_key[-1] in chunks else dev), pair
+        def patched(alg, count, radius, rng):
+            chunk = rng.bit_generator.seed_seq.spawn_key[-1]
+            used, dev, pair = real(alg, count, radius, rng)
+            return used, (np.nan if chunk in chunks else dev), pair
 
         monkeypatch.setattr(inversion, "_inversion_chunk", patched)
 
@@ -187,8 +188,9 @@ class TestVerifyReduction:
     def test_nan_chunk_wins(self, monkeypatch, chunks):
         alg = builtin("truncated_HH")
         finite = inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4)
-        pairs = [inversion._inversion_chunk(alg, size, 1.0, s)[2] for size, s in zip(
-            [inversion._CHUNK, inversion._CHUNK, 500], np.random.SeedSequence(4).spawn(3))]
+        pairs = [inversion._inversion_chunk(alg, size, 1.0, np.random.default_rng(s))[2]
+                 for size, s in zip([util._CHUNK, util._CHUNK, 500],
+                                    np.random.SeedSequence(4).spawn(3))]
         self.nan_in_chunks(monkeypatch, chunks)
         reports = [inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4, threads=t)
                    for t in (1, 2)]
@@ -254,7 +256,7 @@ class TestChunkAgainstWholeChunk:
     @pytest.mark.parametrize("name", ["H_C:1", "H_O", "truncated_HH"])
     def test_reports_are_byte_identical(self, monkeypatch, name):
         alg = builtin(name)
-        chunk = inversion._CHUNK
+        chunk = util._CHUNK
         sizes = [1, 2047, 2048, 2049, 4095, 4096, 4097, chunk - 1, chunk, chunk + 1,
                  20001, 2 * chunk]
         fused = [self.report(alg, n, t) for n in sizes for t in (1, 2)]

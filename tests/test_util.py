@@ -1,8 +1,11 @@
 """The one worker map, ``util._ordered_map``, which runs the triangle scan and
-the chunks of ``verify_inversion``, and its default worker count."""
+the chunks of ``verify_inversion``, its default worker count, and the one
+seeded chunk map, ``util._sampled``, of the sampled estimators."""
 
+import ast
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +61,62 @@ class TestCpuCount:
     def test_default_workers_run_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         alg = hlie.algebra_from_name("H_C:1")
-        report = inversion.verify_inversion(alg, samples=2 * inversion._CHUNK, seed=1)
-        assert report.pairs_used == 2 * inversion._CHUNK
+        report = inversion.verify_inversion(alg, samples=2 * util._CHUNK, seed=1)
+        assert report.pairs_used == 2 * util._CHUNK
         dist = np.abs(np.subtract.outer(np.arange(200.0), np.arange(200.0)))
         assert finite_metric.validate_distance_matrix(dist) is None
+
+
+C = util._CHUNK
+
+
+class TestSampled:
+    @staticmethod
+    def chunk(count, rng):
+        return count, rng.random(3).tobytes()
+
+    @pytest.mark.parametrize("samples, sizes", [
+        (1, [1]), (C - 1, [C - 1]), (C, [C]), (C + 1, [C, 1]), (3 * C, [C, C, C])])
+    def test_chunk_sizes_and_streams(self, samples, sizes):
+        children = np.random.SeedSequence(11).spawn(len(sizes))
+        expected = [(size, np.random.default_rng(child).random(3).tobytes())
+                    for size, child in zip(sizes, children)]
+        for workers in (1, 2, 3):
+            assert util._sampled(self.chunk, samples, 11, workers) == expected
+            assert util._sampled(self.chunk, samples, np.random.SeedSequence(11),
+                                 workers) == expected
+
+
+# the functions that may make a generator or a seed: the chunk map, the
+# per-radius seeds of two estimators, and three one-shot draws
+SEEDING_SITES = {"util._sampled", "distortion.estimate_qc_ratio",
+                 "distortion.estimate_regularity", "hgroup.sample_arrays",
+                 "distortion.random_center", "algebra.check_arithmetic"}
+
+
+def seeding_sites(tree, module: str) -> set:
+    """``module.function`` of each call of ``default_rng``, ``SeedSequence`` or
+    ``.spawn`` in a parsed module."""
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("default_rng", "SeedSequence", "spawn"):
+                    sites.add(".".join((module,) + scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sites
+
+
+def test_no_other_code_seeds_a_sampling_loop():
+    sites = set()
+    for path in sorted(Path(util.__file__).parent.glob("*.py")):
+        sites |= seeding_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sites == SEEDING_SITES
