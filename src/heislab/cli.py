@@ -8,21 +8,25 @@ Every report embeds the seed and sample count, and a report on an algebra
 the fingerprint of its structure constants, so runs can be replayed
 exactly; with ``--no-timestamp`` the emitted bytes are a pure function of
 argv and input files.
+
+Only ``hlie`` (with ``algebra`` and ``util``) is imported here; each command
+body imports the other library modules it calls and looks their functions up
+on the module at call time, so a command pays only for the modules it runs.
 """
 
 from __future__ import annotations
 
 import ctypes
+import gc
 import io
 import os
 import sys
-from datetime import datetime, timezone
 
 import click
 
 from heislab import algebra as alg_mod
-from heislab import distortion, finite_metric, hgroup, hlie, inversion
-from heislab.util import _write_text, canonical_json
+from heislab import hlie
+from heislab.util import _MAX_POINTS, _write_text, canonical_json
 
 __all__ = ["main", "run", "entrypoint", "MathCheckFailed"]
 
@@ -43,6 +47,7 @@ def _emit(command: str, report, output: str | None, no_timestamp: bool, **extra)
     """Write a library report as the command's JSON, with the keys the CLI owns."""
     payload = {"command": command, **report.to_dict(), **extra}
     if not no_timestamp:
+        from datetime import datetime, timezone
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = canonical_json(payload)
     _save(lambda fh: fh.write(text), output)
@@ -107,12 +112,8 @@ def lie() -> None:
     """Structure checks of step-two algebras."""
 
 
-# looked up per call, so that a tracer rebinding module-level tables sees the calls
-_LIE_CHECKS = {"check-htype": hlie.check_h_type, "check-j2": hlie.check_j2}
-
-
-def _register_lie_check(name: str, verdict: str, choices: tuple[str, str], noun: str,
-                        unexpected: str, algebra_help: str, doc: str) -> None:
+def _register_lie_check(name: str, check: str, verdict: str, choices: tuple[str, str],
+                        noun: str, unexpected: str, algebra_help: str, doc: str) -> None:
     @lie.command(name, help=doc)
     @click.option("--algebra", "selector", required=True, help=algebra_help)
     @click.option("--samples", type=int, default=10000, show_default=True,
@@ -123,7 +124,7 @@ def _register_lie_check(name: str, verdict: str, choices: tuple[str, str], noun:
     @_common
     def command(selector, samples, tolerance, expect, seed, output, no_timestamp) -> None:
         alg = _load_algebra(selector)
-        report = _LIE_CHECKS[name](alg, samples=samples, tol=tolerance, seed=seed)
+        report = getattr(hlie, check)(alg, samples=samples, tol=tolerance, seed=seed)
         _emit(f"lie {name}", report, output, no_timestamp)
         _expect(expect, choices[0], getattr(report, verdict),
                 f"{alg.label} failed the {noun} check (residual {report.max_residual:.3e})",
@@ -131,7 +132,7 @@ def _register_lie_check(name: str, verdict: str, choices: tuple[str, str], noun:
 
 
 _register_lie_check(
-    "check-htype", "is_h_type", ("htype", "not-htype"), "Heisenberg-type",
+    "check-htype", "check_h_type", "is_h_type", ("htype", "not-htype"), "Heisenberg-type",
     "passed the Heisenberg-type check",
     "Builtin name (H_R:n, H_C:n, H_H:n, H_O, truncated_HH, degenerate_sum) "
     "or algebra-spec JSON path.",
@@ -142,7 +143,7 @@ _register_lie_check(
     change no verdict, residual or witness.
     """)
 _register_lie_check(
-    "check-j2", "satisfies_j2", ("j2", "not-j2"), "J^2", "satisfies the J^2-condition",
+    "check-j2", "check_j2", "satisfies_j2", ("j2", "not-j2"), "J^2", "satisfies the J^2-condition",
     "Builtin name or algebra-spec JSON path.",
     """Certify or refute the J^2-condition, exactly (requires a Heisenberg-type algebra).
 
@@ -173,6 +174,7 @@ def group_sample(selector, count, radius, seed, output) -> None:
     """Sample points uniformly from the coordinate box of a gauge ball (CSV)."""
     if count < 1:
         raise click.UsageError("--count must be >= 1")
+    from heislab import hgroup
     alg = _load_algebra(selector)
     v, z = hgroup.sample_arrays(alg, count, radius, seed)
     _save(lambda fh: hgroup.save_points_csv(fh, alg, v, z), output)
@@ -190,6 +192,7 @@ def group_distmat(selector, count, radius, seed, fmt, output) -> None:
     """Gauge distance matrix of a seeded point sample."""
     if count < 2:
         raise click.UsageError("--count must be >= 2")
+    from heislab import finite_metric, hgroup
     alg = _load_algebra(selector)
     v, z = hgroup.sample_arrays(alg, count, radius, seed)
     space = finite_metric.from_group_arrays(alg, v, z)
@@ -208,11 +211,13 @@ def _save(write, output: str | None) -> None:
 
 
 def _write_space(space, fmt: str, output: str | None) -> None:
+    from heislab import finite_metric
     save = finite_metric.save_space_csv if fmt == "csv" else finite_metric.save_space_json
     _save(lambda fh: save(space, fh), output)
 
 
-def _read_space(path: str) -> finite_metric.FiniteMetricSpace:
+def _read_space(path: str):
+    from heislab import finite_metric
     if str(path).endswith(".json"):
         return finite_metric.load_space_json(path)
     return finite_metric.load_space_csv(path)
@@ -242,6 +247,7 @@ def invert_verify(selector, samples, tolerance, radius, threads, expect, seed,
     """Worst-case deviation of the inversion distance identity."""
     if threads is not None and threads < 1:
         raise click.UsageError("--threads must be >= 1")
+    from heislab import inversion
     alg = _load_algebra(selector)
     report = inversion.verify_inversion(alg, samples=samples, seed=seed, tol=tolerance,
                                         radius=radius, threads=threads)
@@ -262,6 +268,7 @@ def invert_transport(selector, trials, tolerance, radius, seed, output, no_times
     """Exercise all transporter case branches on random quadruples and free points."""
     if trials < 1:
         raise click.UsageError("--trials must be >= 1")
+    from heislab import inversion
     alg = _load_algebra(selector)
     report = inversion.transport_errors(alg, trials, radius=radius, seed=seed, tol=tolerance)
     _emit("invert transport", report, output, no_timestamp)
@@ -282,7 +289,7 @@ def metric() -> None:
     """Inversion and sphericalization of finite metric spaces."""
 
 
-def _base_index(space: finite_metric.FiniteMetricSpace, base: str | None) -> int:
+def _base_index(space, base: str | None) -> int:
     """The index of the point labeled ``base``, else of the point numbered ``base``."""
     if base is None:
         return 0
@@ -294,11 +301,6 @@ def _base_index(space: finite_metric.FiniteMetricSpace, base: str | None) -> int
         raise
 
 
-# looked up per call, so that a tracer rebinding module-level tables sees the calls
-_SPACE_MAPS = {"invert": finite_metric.invert_space,
-               "sphericalize": finite_metric.sphericalize_space}
-
-
 def _register_metric_map(name: str, noun: str) -> None:
     @metric.command(name, help=f"Based {noun} of a distance-matrix file.")
     @click.option("--input", "input_path", required=True,
@@ -307,16 +309,17 @@ def _register_metric_map(name: str, noun: str) -> None:
                   help="Base point: a label, else a point index (default: the first point).")
     @click.option("--quasimetric", is_flag=True, default=False,
                   help="Emit the raw quasimetric instead of its chain metric.")
-    @click.option("--max-points", type=int, default=finite_metric.DEFAULT_MAX_POINTS,
+    @click.option("--max-points", type=int, default=_MAX_POINTS,
                   show_default=True,
                   help="Largest input point count for the dense shortest-path closure.")
     @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                   show_default=True)
     @click.option("--output", type=click.Path(dir_okay=False), default=None)
     def command(input_path, base, quasimetric, max_points, fmt, output) -> None:
+        from heislab import finite_metric
         space = _read_space(input_path)
-        space = _SPACE_MAPS[name](space, _base_index(space, base), max_points=max_points,
-                                  chain=not quasimetric)
+        space = getattr(finite_metric, f"{name}_space")(
+            space, _base_index(space, base), max_points=max_points, chain=not quasimetric)
         _write_space(space, fmt, output)
 
 
@@ -353,6 +356,7 @@ def _radius_list(radii: str) -> list[float]:
 @_common
 def distort_qm(domain_path, image_path, samples, raw_pairs, seed, output, no_timestamp) -> None:
     """Strong-quasimobius constant of the identity map between two metrics."""
+    from heislab import distortion, finite_metric
     d_in, d_out = finite_metric.shared_submatrices(_read_space(domain_path),
                                                    _read_space(image_path))
     if len(d_in) < 4:
@@ -376,6 +380,7 @@ def distort_qm(domain_path, image_path, samples, raw_pairs, seed, output, no_tim
 def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
                output, no_timestamp) -> None:
     """Metric quasiconformality ratios of a self-map at shrinking radii."""
+    from heislab import distortion
     alg = _load_algebra(selector)
     radius_list = _radius_list(radii)
     if map_name == "identity":
@@ -405,6 +410,7 @@ def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
 @_common
 def distort_regularity(selector, radii, samples, seed, output, no_timestamp) -> None:
     """Fit the volume-growth exponent of gauge balls."""
+    from heislab import distortion
     alg = _load_algebra(selector)
     report = distortion.estimate_regularity(alg, _radius_list(radii), samples=samples, seed=seed)
     _emit("distort regularity", report, output, no_timestamp)
@@ -455,7 +461,15 @@ def _keep_heap() -> None:
 
 
 def entrypoint() -> None:
-    """The console script: :func:`run` on ``sys.argv``."""
+    """The console script: :func:`run` on ``sys.argv``, after ``gc.freeze()``.
+
+    The freeze moves the objects of the imports (about 200k) out of every
+    later collection, the full ones at interpreter exit included.  It is
+    made here and not in :func:`run`: an in-process caller runs many
+    commands, and a freeze per run would keep each earlier run's cyclic
+    garbage for good.
+    """
+    gc.freeze()
     sys.exit(run())
 
 

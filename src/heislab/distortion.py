@@ -73,7 +73,8 @@ class DistortionReport(Report):
 
 def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray, *, swapped: bool = False
                      ) -> np.ndarray:
-    """Cross-ratios of quadruple rows; degenerate rows come out as inf/nan.
+    """Cross-ratios of quadruple rows; a degenerate row, or one out of the
+    float range, comes out as 0, inf or NaN, with no warning.
 
     With ``swapped``, the cross-ratios of the rows with the middle pair
     swapped follow them, ``d(x, z) d(y, w) / (d(x, y) d(z, w))``, from the
@@ -82,7 +83,7 @@ def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray, *, swapped: bool = Fal
     x, y, z, w = quads.T
     d_xy, d_zw, d_xz, d_yw = (np.take(dist, np.ravel_multi_index(pair, dist.shape))
                               for pair in ((x, y), (z, w), (x, z), (y, w)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # zero, overflowed and NaN rows are the caller's
         near, far = d_xy * d_zw, d_xz * d_yw
         return np.concatenate([near / far, far / near]) if swapped else near / far
 
@@ -112,9 +113,13 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
 
     Samples quadruples; each is also evaluated with the middle pair swapped,
     which inverts both cross-ratios and guarantees the reported maximum of
-    t_out / t_in is at least one.  Degenerate quadruples (zero denominator
-    in either matrix) are skipped and counted.  The envelope bins log10 of
-    the source cross-ratio and records the worst image cross-ratio per bin.
+    t_out / t_in is at least one.  A row whose cross-ratio in either matrix
+    is not positive and finite is skipped; ``degenerate_skipped`` counts
+    every skipped row, and ``nonfinite_skipped`` those of them with no zero
+    among their four distances in either matrix, whose cross-ratio the
+    float range (overflow, underflow) or a NaN or infinite entry made zero,
+    infinite or NaN.  The envelope bins log10 of the source cross-ratio and
+    records the worst image cross-ratio per bin.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -128,6 +133,13 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     t_out = cross_ratio_rows(d_out, quads, swapped=True)
     good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
     degenerate = int(np.count_nonzero(~good))
+    # a row and its middle-swapped copy share their quadruple and its distances
+    skipped = quads[np.flatnonzero(~good) % len(quads)]
+    zero = np.zeros(len(skipped), dtype=bool)
+    for dist in (d_in, d_out):
+        for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)):
+            zero |= dist[skipped[:, a], skipped[:, b]] == 0.0
+    nonfinite = int(np.count_nonzero(~zero))
     t_in = t_in[good]
     t_out = t_out[good]
     if t_in.size == 0:
@@ -151,6 +163,7 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
         "min_ratio": float(np.min(ratio)),
         "quadruples_used": int(t_in.size),
         "degenerate_skipped": degenerate,
+        "nonfinite_skipped": nonfinite,
         "envelope": envelope,
     }
     return DistortionReport("quasimobius", samples, seed, statistics,

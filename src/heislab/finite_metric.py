@@ -31,7 +31,9 @@ import numpy as np
 
 from heislab.hgroup import pairwise_gauge_dist
 from heislab.hlie import HTypeAlgebra
-from heislab.util import _cpu_count, _ordered_map, _write_text, format_float, format_floats
+from heislab.util import (
+    _MAX_POINTS, _cpu_count, _ordered_map, _write_text, format_float, format_floats,
+)
 
 __all__ = [
     "INFINITY_LABEL",
@@ -57,8 +59,9 @@ DEFAULT_SLACK = 1e-9
 # O(n^2) memory: at n = 2000 the matrix and its working copy take 32 MB each
 # and the scan's float32 copy 16 MB; one triangle scan when nothing needs
 # closing, O(n^3) pivots when much does); the closed space has one point
-# more (infinity) after sphericalization.
-DEFAULT_MAX_POINTS = 2000
+# more (infinity) after sphericalization.  The value is util's, which the CLI
+# reads for its help text.
+DEFAULT_MAX_POINTS = _MAX_POINTS
 
 
 def _check_entries(dist: np.ndarray) -> None:

@@ -363,11 +363,30 @@ def algebra_from_name(name: str) -> HTypeAlgebra:
     )
 
 
+# entries of the largest structure tensor a spec file may ask for (128 MiB)
+_MAX_SPEC_ENTRIES = 1 << 24
+
+
+def _integral(value) -> int:
+    """A JSON number with an integral value as an int, else TypeError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{value!r} is not an integer")
+
+
 def load_algebra_spec(path) -> HTypeAlgebra:
-    """Load an algebra-spec JSON file, antisymmetrizing and validating entries."""
+    """Load an algebra-spec JSON file, antisymmetrizing and validating entries.
+
+    The dimensions and the entry indices must be integral numbers (2.0 is
+    taken, 2.9 is not), and the tensor at most 2**24 entries
+    (``dim_z * dim_v**2``, 128 MiB); any other file raises ValueError
+    naming the path, before the tensor is allocated.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer past the digit limit
         raise ValueError(f"malformed algebra spec {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"algebra spec {path} is not a JSON object")
@@ -375,19 +394,22 @@ def load_algebra_spec(path) -> HTypeAlgebra:
         if key not in data:
             raise ValueError(f"algebra spec {path} is missing the field {key!r}")
     try:
-        dim_v, dim_z = int(data["dim_v"]), int(data["dim_z"])
+        dim_v, dim_z = _integral(data["dim_v"]), _integral(data["dim_z"])
         entries = list(data["entries"])
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"algebra spec {path}: dim_v and dim_z must be integers "
                          "and entries a list") from None
     if dim_v < 1 or dim_z < 0:
         raise ValueError(f"algebra spec {path}: invalid dimensions dim_v={dim_v}, dim_z={dim_z}")
+    if dim_z * dim_v * dim_v > _MAX_SPEC_ENTRIES:
+        raise ValueError(f"algebra spec {path}: dim_z * dim_v**2 exceeds the cap of "
+                         f"{_MAX_SPEC_ENTRIES} structure-tensor entries")
     tensor = np.zeros((dim_z, dim_v, dim_v))
     seen = set()
     for entry in entries:
         try:
             i, j, k, value = entry
-            i, j, k, value = int(i), int(j), int(k), float(value)
+            i, j, k, value = _integral(i), _integral(j), _integral(k), float(value)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"algebra spec {path}: entry {entry!r} is not [i, j, k, value]"
                              ) from None

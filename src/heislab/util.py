@@ -1,14 +1,16 @@
 """Shared helpers: the report base, structure-constant fingerprints, canonical JSON,
 the one text-file writer, the one worker map and its default worker count, and
-the one seeded chunk map of the sampled estimators."""
+the one seeded chunk map of the sampled estimators.
+
+``hashlib`` and ``concurrent.futures`` are imported by the one function that
+uses each, so that a command that hashes nothing or starts no thread does not
+import them."""
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,6 +46,7 @@ def _jsonable(value):
 
 def fingerprint_of_arrays(*arrays: np.ndarray) -> str:
     """Short content hash of arrays (shape-aware), for replayable reports."""
+    import hashlib
     digest = hashlib.sha256()
     for array in arrays:
         array = np.ascontiguousarray(array)
@@ -95,8 +98,14 @@ def _ordered_map(fn, jobs, workers: int) -> list:
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
+
+
+# finite_metric.DEFAULT_MAX_POINTS, kept here so that the CLI shows it in its
+# help without importing finite_metric.
+_MAX_POINTS = 2000
 
 
 # Samples per chunk of :func:`_sampled`, each evaluated in one pass.  A chunk

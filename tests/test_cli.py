@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import heislab
 from heislab import cli
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie, util
@@ -337,22 +338,65 @@ class TestMetricCommands:
         assert out.read_bytes() == expected.read_bytes()
 
 
-def test_cli_import_does_not_load_scipy(tmp_path):
-    # scipy is a test-only oracle: not even the commands that close a metric load it
+def python_env() -> dict:
+    """The environment of a fresh interpreter that imports heislab from ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    dist, out = tmp_path / "dist.csv", tmp_path / "out.csv"
-    code = ("import sys; from heislab.cli import run; "
-            f"codes = [run(['group', 'distmat', '--algebra', 'H_C:1', '--count', '200', "
-            f"'--seed', '5', '--output', {str(dist)!r}])] + "
-            f"[run(['metric', c, '--input', {str(dist)!r}, '--output', {str(out)!r}]) "
-            "for c in ('sphericalize', 'invert')]; "
-            "print(codes, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return env
+
+
+def fresh_python(code: str) -> list:
+    """The stdout lines of ``code`` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "[0, 0, 0] False"
+    return proc.stdout.splitlines()
+
+
+# modules that a command loads only when it calls them
+LAZY_MODULES = ("heislab.inversion", "heislab.hgroup", "heislab.finite_metric",
+                "heislab.distortion", "concurrent.futures")
+
+
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # scipy is a test-only oracle: not even the commands that close a metric load it;
+    # the package, the CLI and a lie check load none of the modules they do not run
+    dist, out = tmp_path / "dist.csv", tmp_path / "out.csv"
+    code = f"""if True:
+        import sys
+        def loaded():
+            return [m for m in {LAZY_MODULES!r} if m in sys.modules]
+        import heislab
+        print(loaded())
+        from heislab.cli import run
+        print(loaded())
+        print(run(['lie', 'check-j2', '--algebra', 'H_O', '--output', {os.devnull!r}]), loaded())
+        codes = [run(['group', 'distmat', '--algebra', 'H_C:1', '--count', '200',
+                      '--seed', '5', '--output', {str(dist)!r}])]
+        codes += [run(['metric', c, '--input', {str(dist)!r}, '--output', {str(out)!r}])
+                  for c in ('sphericalize', 'invert')]
+        print(codes, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))
+    """
+    assert fresh_python(code) == ["[]", "[]", "0 []", "[0, 0, 0] False"]
     assert fm.load_space_csv(out).n == 200
+
+
+def test_package_loads_its_modules_on_first_use():
+    code = """if True:
+        import heislab
+        print(heislab.inversion.__name__, heislab.finite_metric.DEFAULT_MAX_POINTS)
+        from heislab import distortion
+        print(distortion.__name__)
+        try:
+            heislab.nonexistent
+        except AttributeError as exc:
+            print(exc)
+    """
+    assert fresh_python(code) == ["heislab.inversion 2000", "heislab.distortion",
+                                  "module 'heislab' has no attribute 'nonexistent'"]
+    star = ("from heislab import *\nprint(sorted(m.__name__ for m in (algebra, distortion, "
+            "finite_metric, hgroup, hlie, inversion, util)))")
+    assert fresh_python(star) == [str(sorted(f"heislab.{m}" for m in heislab.__all__))]
 
 
 class TestConsoleEntry:
@@ -365,11 +409,8 @@ class TestConsoleEntry:
     @staticmethod
     def entry(argv, code=ENTRYPOINT) -> tuple:
         """Exit code, stdout and stderr of one entry process."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code, *argv],
-                              env=env, capture_output=True, timeout=120)
+                              env=python_env(), capture_output=True, timeout=120)
         return proc.returncode, proc.stdout, proc.stderr
 
     @pytest.mark.parametrize("threads", [[], ["--threads", "1"]])
@@ -407,6 +448,17 @@ class TestConsoleEntry:
         # console script; 231-334k when only the console script kept it
         assert self.verify_faults("import sys; from heislab.cli import run; "
                                   "sys.exit(run())") <= 25000
+
+    def test_only_the_console_entry_freezes_the_heap(self):
+        # the console script freezes its import heap; cli.run, which in-process
+        # callers run many times, leaves the collector as it is
+        argv = ["lie", "check-j2", "--algebra", "H_H:1", "--output", os.devnull]
+        entry = ("import gc\nfrom heislab.cli import entrypoint\ntry:\n    entrypoint()\n"
+                 "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)")
+        in_process = ("import gc, sys\nfrom heislab.cli import run\n"
+                      "print(run(sys.argv[1:]), gc.get_freeze_count())")
+        assert self.entry(argv, entry) == (0, b"0 True\n", b"")
+        assert self.entry(argv, in_process) == (0, b"0 0\n", b"")
 
     @pytest.mark.parametrize("libc", [object(), OSError("no handle")])
     def test_heap_helper_is_a_no_op_without_mallopt(self, monkeypatch, libc):
@@ -594,7 +646,7 @@ class TestReportSchema:
                         "--samples", "100"],
                        COMMON | {"kind", "statistics", "points_used"},
                        {"strong_constant", "min_ratio", "quadruples_used",
-                        "degenerate_skipped", "envelope"}),
+                        "degenerate_skipped", "nonfinite_skipped", "envelope"}),
         "distort qc": (["distort", "qc", "--algebra", "H_C:1", "--samples", "100"],
                        COMMON | ALGEBRA | {"statistics", "map"},
                        {"per_radius", "center", "annulus_width"}),
@@ -694,6 +746,11 @@ class TestAlgebraSpecFiles:
         '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": [[1, 2, 1, null]]}',
         '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": [[1, 2, 1, 1e999999]]}',
         '[1, 2]',
+        '{"label": "x", "dim_v": 2.9, "dim_z": 1, "entries": []}',
+        '{"label": "x", "dim_v": true, "dim_z": 1, "entries": []}',
+        '{"label": "x", "dim_v": 2, "dim_z": 1, "entries": [[1, 2.5, 1, 1.0]]}',
+        # 8e18 bytes: rejected by the size cap before np.zeros is reached
+        '{"label": "x", "dim_v": 1000000, "dim_z": 1000000, "entries": []}',
     ])
     def test_ill_typed_spec_file_is_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "bad.json"

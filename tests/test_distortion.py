@@ -148,6 +148,22 @@ class TestQuasimobius:
         broken[0, 1] = broken[1, 0] = 0.0  # not a metric, but formula-level input
         report = dt.estimate_quasimobius(broken, dist, samples=2000, seed=17)
         assert report.statistics["degenerate_skipped"] > 0
+        assert report.statistics["nonfinite_skipped"] == 0
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_float_range_skips_are_counted_apart(self, scale):
+        # points 0 and 1 lie `scale` from every other point: a quadruple that
+        # pairs each of them with another point overflows (underflows) a product
+        far = np.arange(6) < 2
+        dist = np.where(far[:, None] | far, scale, 1.0)
+        np.fill_diagonal(dist, 0.0)
+        stats = dt.estimate_quasimobius(dist, dist, samples=2000, seed=17).statistics
+        assert stats["nonfinite_skipped"] == stats["degenerate_skipped"] > 0
+        assert stats["quadruples_used"] + stats["degenerate_skipped"] == 2 * 2000
+        broken = dist.copy()
+        broken[2, 3] = broken[3, 2] = 0.0
+        stats = dt.estimate_quasimobius(broken, dist, samples=2000, seed=17).statistics
+        assert 0 < stats["nonfinite_skipped"] < stats["degenerate_skipped"]
 
     @pytest.mark.parametrize("samples", [1, 7, 5000])
     def test_ratios_are_those_of_the_stacked_quadruples(self, samples):

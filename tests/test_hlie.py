@@ -582,6 +582,24 @@ class TestSpecFiles:
         with pytest.raises(ValueError, match=message):
             hlie.load_algebra_spec(path)
 
+    def test_loader_takes_integral_floats(self, tmp_path):
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps({
+            "label": "toy", "dim_v": 2.0, "dim_z": 1, "entries": [[1.0, 2, 1.0, 1.0]]
+        }))
+        alg = hlie.load_algebra_spec(path)
+        assert (alg.dim_v, alg.dim_z) == (2, 1) and alg.structure[0, 0, 1] == 1.0
+
+    def test_loader_caps_the_tensor_before_allocating(self, tmp_path, monkeypatch):
+        def zeros(*args, **kwargs):
+            raise AssertionError("the tensor was allocated")
+
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"label": "big", "dim_v": 4097, "dim_z": 1, "entries": []}))
+        monkeypatch.setattr(hlie.np, "zeros", zeros)
+        with pytest.raises(ValueError, match="exceeds the cap of 16777216"):
+            hlie.load_algebra_spec(path)
+
     def test_loader_missing_field(self, tmp_path):
         path = tmp_path / "missing.json"
         path.write_text(json.dumps({"label": "x", "dim_v": 2, "dim_z": 1}))
@@ -592,6 +610,14 @@ class TestSpecFiles:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
+            hlie.load_algebra_spec(path)
+
+    @pytest.mark.parametrize("text", [b'{"dim_v": 1' + b"0" * 5000 + b"}", b"\xff{}"],
+                             ids=["5001-digit-integer", "not-utf8"])
+    def test_loader_unreadable_text_is_malformed(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match=f"malformed algebra spec {path}"):
             hlie.load_algebra_spec(path)
 
     def test_loaded_spec_passes_checks(self, tmp_path):
