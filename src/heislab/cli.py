@@ -361,7 +361,8 @@ def distort_qm(domain_path, image_path, samples, raw_pairs, seed, output, no_tim
                                                    _read_space(image_path))
     if len(d_in) < 4:
         raise ValueError("the two spaces share fewer than four labels")
-    report = distortion.estimate_quasimobius(d_in, d_out, samples=samples, seed=seed)
+    report = distortion.estimate_quasimobius(d_in, d_out, samples=samples, seed=seed,
+                                             raw_pairs=bool(raw_pairs))
     if raw_pairs:
         distortion.save_ratio_pairs_csv(report, raw_pairs)
     _emit("distort qm", report, output, no_timestamp, points_used=len(d_in))

@@ -32,7 +32,7 @@ from heislab.hgroup import (
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
-from heislab.util import Report, _sampled, _write_text, format_floats
+from heislab.util import _CHUNK, Report, _sampled, _write_text, format_floats
 
 __all__ = [
     "DistortionReport",
@@ -107,8 +107,49 @@ def sample_quadruples(n_points: int, count: int, rng: np.random.Generator) -> np
     return out
 
 
+def _bin_maxima(edges: np.ndarray, t_out: np.ndarray, ratio: np.ndarray) -> tuple:
+    """The sorted distinct envelope bins of ``edges``, and a (2, bins) array of
+    the max of ``t_out`` and of ``ratio`` in each.  A max does not depend on
+    the order of its rows, so the bins of a chunk and those merged from the
+    chunks' results hold the bits of the whole sample's."""
+    bins, where = np.unique(edges, return_inverse=True)
+    maxima = np.full((2, len(bins)), -np.inf)
+    np.maximum.at(maxima[0], where, t_out)
+    np.maximum.at(maxima[1], where, ratio)
+    return bins, maxima
+
+
+def _quasimobius_chunk(d_in: np.ndarray, d_out: np.ndarray, count: int,
+                       rng: np.random.Generator, raw_pairs: bool) -> tuple:
+    """One chunk of ``count`` quadruples of :func:`estimate_quasimobius`,
+    reduced: its skipped and non-finite counts, its used rows, the max and min
+    of its ratios, its envelope bins with their maxima, and with ``raw_pairs``
+    its used (t_in, t_out) of the sampled rows and of the middle-swapped rows."""
+    quads = sample_quadruples(d_in.shape[0], count, rng)
+    t_in = cross_ratio_rows(d_in, quads, swapped=True)
+    t_out = cross_ratio_rows(d_out, quads, swapped=True)
+    good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
+    # a row and its middle-swapped copy share their quadruple and its distances
+    skipped = quads[np.flatnonzero(~good) % count]
+    zero = np.zeros(len(skipped), dtype=bool)
+    for dist in (d_in, d_out):
+        for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)):
+            zero |= dist[skipped[:, a], skipped[:, b]] == 0.0
+    pairs = None
+    if raw_pairs:
+        pairs = [(t_in[rows][good[rows]], t_out[rows][good[rows]])
+                 for rows in (slice(None, count), slice(count, None))]
+    t_in = t_in[good]
+    t_out = t_out[good]
+    ratio = t_out / t_in
+    edges = np.floor(np.log10(t_in) * BINS_PER_DECADE).astype(np.int64)
+    return (len(skipped), int(np.count_nonzero(~zero)), t_in.size,
+            np.max(ratio, initial=-np.inf), np.min(ratio, initial=np.inf),
+            _bin_maxima(edges, t_out, ratio), pairs)
+
+
 def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100000,
-                         seed: int = 0) -> DistortionReport:
+                         seed: int = 0, *, raw_pairs: bool = False) -> DistortionReport:
     """Best strong-quasimobius constant of the identity map between two metrics.
 
     Samples quadruples; each is also evaluated with the middle pair swapped,
@@ -120,6 +161,13 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     float range (overflow, underflow) or a NaN or infinite entry made zero,
     infinite or NaN.  The envelope bins log10 of the source cross-ratio and
     records the worst image cross-ratio per bin.
+
+    The quadruples are drawn in the chunks of ``util._sampled``, and each
+    chunk is reduced to its counts, extremes and envelope bins before the
+    next is drawn, so the estimate holds one chunk at a time.  Only with
+    ``raw_pairs`` does ``report.raw_pairs`` keep the used (t_in, t_out)
+    pairs, 16 B per used row: those of the sampled rows, then those of the
+    middle-swapped rows, each in chunk order.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -127,58 +175,49 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_in.shape != d_out.shape or d_in.ndim != 2:
         raise ValueError(f"matrices of shapes {d_in.shape} and {d_out.shape} do not match")
-    quads = np.concatenate(_sampled(
-        lambda count, rng: sample_quadruples(d_in.shape[0], count, rng), samples, seed))
-    t_in = cross_ratio_rows(d_in, quads, swapped=True)
-    t_out = cross_ratio_rows(d_out, quads, swapped=True)
-    good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
-    degenerate = int(np.count_nonzero(~good))
-    # a row and its middle-swapped copy share their quadruple and its distances
-    skipped = quads[np.flatnonzero(~good) % len(quads)]
-    zero = np.zeros(len(skipped), dtype=bool)
-    for dist in (d_in, d_out):
-        for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)):
-            zero |= dist[skipped[:, a], skipped[:, b]] == 0.0
-    nonfinite = int(np.count_nonzero(~zero))
-    t_in = t_in[good]
-    t_out = t_out[good]
-    if t_in.size == 0:
+    skipped, nonfinite, used, top, bottom, envelopes, pairs = zip(*_sampled(
+        lambda count, rng: _quasimobius_chunk(d_in, d_out, count, rng, raw_pairs),
+        samples, seed))
+    if sum(used) == 0:
         raise ValueError("all sampled quadruples were degenerate")
-    ratio = t_out / t_in
-
-    logs = np.log10(t_in)
-    edges = np.floor(logs * BINS_PER_DECADE).astype(np.int64)
-    envelope = []
-    for edge in np.unique(edges):
-        mask = edges == edge
-        envelope.append({
-            "t_low": float(10.0 ** (edge / BINS_PER_DECADE)),
-            "t_high": float(10.0 ** ((edge + 1) / BINS_PER_DECADE)),
-            "max_t_out": float(np.max(t_out[mask])),
-            "max_ratio": float(np.max(ratio[mask])),
-        })
+    edges, maxima = _bin_maxima(np.concatenate([bins for bins, _ in envelopes]),
+                                *np.concatenate([chunk for _, chunk in envelopes], axis=1))
+    envelope = [{
+        "t_low": float(10.0 ** (edge / BINS_PER_DECADE)),
+        "t_high": float(10.0 ** ((edge + 1) / BINS_PER_DECADE)),
+        "max_t_out": float(max_t_out),
+        "max_ratio": float(max_ratio),
+    } for edge, max_t_out, max_ratio in zip(edges, *maxima)]
 
     statistics = {
-        "strong_constant": float(np.max(ratio)),
-        "min_ratio": float(np.min(ratio)),
-        "quadruples_used": int(t_in.size),
-        "degenerate_skipped": degenerate,
-        "nonfinite_skipped": nonfinite,
+        "strong_constant": float(max(top)),
+        "min_ratio": float(min(bottom)),
+        "quadruples_used": sum(used),
+        "degenerate_skipped": sum(skipped),
+        "nonfinite_skipped": sum(nonfinite),
         "envelope": envelope,
     }
-    return DistortionReport("quasimobius", samples, seed, statistics,
-                            raw_pairs=(t_in, t_out))
+    kept = None
+    if raw_pairs:  # the sampled rows of every chunk, then their middle-swapped copies
+        sampled, swapped = zip(*pairs)
+        kept = tuple(map(np.concatenate, zip(*sampled, *swapped)))
+    return DistortionReport("quasimobius", samples, seed, statistics, raw_pairs=kept)
 
 
 def save_ratio_pairs_csv(report: DistortionReport, path_or_file) -> None:
-    """Raw (source, image) cross-ratio pairs of a quasimobius run."""
+    """Raw (source, image) cross-ratio pairs of a quasimobius run estimated
+    with ``raw_pairs``, written in slices of ``util._CHUNK`` rows."""
     if report.raw_pairs is None:
         raise ValueError("report carries no raw cross-ratio pairs")
 
     def write(fh) -> None:
         # the lines csv.writer would write: float strings need no quoting
         fh.write("t_in,t_out\r\n")
-        fh.writelines(f"{a},{b}\r\n" for a, b in zip(*map(format_floats, report.raw_pairs)))
+        t_in, t_out = report.raw_pairs
+        for start in range(0, len(t_in), _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            fh.writelines(f"{a},{b}\r\n"
+                          for a, b in zip(format_floats(t_in[rows]), format_floats(t_out[rows])))
 
     _write_text(path_or_file, write)
 

@@ -12,7 +12,8 @@ every block in float64; the inversion-identity chunk as it was before it
 fused the kernels, through the public ``gauge_arrays``, ``gauge_dist_arrays``
 and ``sigma_arrays``; and the quasimobius cross-ratios as they
 were before each distance was gathered once for both orders of the middle
-pair."""
+pair, with the statistics of ``estimate_quasimobius`` reduced from them as
+whole arrays, as they were before each chunk was reduced on its own."""
 
 import csv
 import json
@@ -225,16 +226,53 @@ def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float,
     return used, float(deviation[worst]), pair
 
 
-def quasimobius_ratios_vstack(d_in: np.ndarray, d_out: np.ndarray, samples: int,
-                              seed: int) -> tuple:
-    """Reference cross-ratios of ``estimate_quasimobius``, degenerate rows
-    included: the sampled quadruples stacked over their middle-swapped copies,
-    and four gathers per matrix and row.  The quadruples are drawn in chunks
-    of ``util._CHUNK``, each from its own child of the seed, and stacked."""
+def _quasimobius_rows(d_in: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """The quadruples of ``estimate_quasimobius``, drawn in chunks of
+    ``util._CHUNK``, each from its own child of the seed, and stacked over
+    their middle-swapped copies."""
     chunks = -(-samples // _CHUNK)
     quads = np.vstack([sample_quadruples(d_in.shape[0], min(_CHUNK, samples - k * _CHUNK),
                                          np.random.default_rng(child))
                        for k, child in enumerate(np.random.SeedSequence(seed).spawn(chunks))])
-    x, y, z, w = np.vstack([quads, quads[:, [0, 2, 1, 3]]]).T
+    return np.vstack([quads, quads[:, [0, 2, 1, 3]]])
+
+
+def quasimobius_ratios_vstack(d_in: np.ndarray, d_out: np.ndarray, samples: int,
+                              seed: int) -> tuple:
+    """Reference cross-ratios of ``estimate_quasimobius``, degenerate rows
+    included: the sampled quadruples stacked over their middle-swapped copies,
+    and four gathers per matrix and row."""
+    x, y, z, w = _quasimobius_rows(d_in, samples, seed).T
     with np.errstate(divide="ignore", invalid="ignore"):
         return tuple(d[x, y] * d[z, w] / (d[x, z] * d[y, w]) for d in (d_in, d_out))
+
+
+def quasimobius_statistics_vstack(d_in: np.ndarray, d_out: np.ndarray, samples: int,
+                                  seed: int, bins_per_decade: int) -> tuple:
+    """Reference statistics and raw pairs of ``estimate_quasimobius``, each a
+    reduction of the whole arrays of :func:`quasimobius_ratios_vstack`: the
+    extremes, the counts, and the envelope by a mask per bin."""
+    t_in, t_out = quasimobius_ratios_vstack(d_in, d_out, samples, seed)
+    good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
+    x, y, z, w = _quasimobius_rows(d_in, samples, seed)[~good].T
+    zero = np.zeros(len(x), dtype=bool)
+    for d in (d_in, d_out):
+        zero |= (d[x, y] == 0.0) | (d[z, w] == 0.0) | (d[x, z] == 0.0) | (d[y, w] == 0.0)
+    t_in, t_out = t_in[good], t_out[good]
+    ratio = t_out / t_in
+    edges = np.floor(np.log10(t_in) * bins_per_decade).astype(np.int64)
+    envelope = [{
+        "t_low": float(10.0 ** (edge / bins_per_decade)),
+        "t_high": float(10.0 ** ((edge + 1) / bins_per_decade)),
+        "max_t_out": float(np.max(t_out[edges == edge])),
+        "max_ratio": float(np.max(ratio[edges == edge])),
+    } for edge in np.unique(edges)]
+    statistics = {
+        "strong_constant": float(np.max(ratio)),
+        "min_ratio": float(np.min(ratio)),
+        "quadruples_used": int(t_in.size),
+        "degenerate_skipped": int(np.count_nonzero(~good)),
+        "nonfinite_skipped": int(np.count_nonzero(~zero)),
+        "envelope": envelope,
+    }
+    return statistics, (t_in, t_out)

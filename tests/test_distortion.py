@@ -12,7 +12,8 @@ from heislab import algebra as al
 from heislab import distortion as dt
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
-from oracles import quasimobius_ratios_vstack
+from heislab.util import _CHUNK
+from oracles import quasimobius_statistics_vstack
 
 
 def builtin(name):
@@ -165,21 +166,24 @@ class TestQuasimobius:
         stats = dt.estimate_quasimobius(broken, dist, samples=2000, seed=17).statistics
         assert 0 < stats["nonfinite_skipped"] < stats["degenerate_skipped"]
 
-    @pytest.mark.parametrize("samples", [1, 7, 5000])
+    @pytest.mark.parametrize("samples", [1, 7, 5000, _CHUNK + 1, 3 * _CHUNK + 5])
     def test_ratios_are_those_of_the_stacked_quadruples(self, samples):
-        # bit for bit, degenerate rows (zero, inf and NaN distances) included
+        # bit for bit, degenerate rows (zero, inf and NaN distances) included:
+        # the chunks' merged statistics are the reductions of the whole arrays
         _, _, _, dist = gauge_matrix("H_H:1", 30, seed=24)
         warped = np.sqrt(dist)
         broken = dist.copy()
         broken[0, 1] = broken[1, 0] = 0.0
         broken[2, 3], broken[4, 5] = np.inf, np.nan
         for d_in, d_out in ((dist, warped), (broken, dist), (dist, broken), (warped, dist.T)):
-            report = dt.estimate_quasimobius(d_in, d_out, samples=samples, seed=25)
-            t_in, t_out = quasimobius_ratios_vstack(d_in, d_out, samples, seed=25)
-            good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
-            assert report.statistics["degenerate_skipped"] == np.count_nonzero(~good)
-            assert report.raw_pairs[0].tobytes() == t_in[good].tobytes()
-            assert report.raw_pairs[1].tobytes() == t_out[good].tobytes()
+            report = dt.estimate_quasimobius(d_in, d_out, samples=samples, seed=25,
+                                             raw_pairs=True)
+            statistics, (t_in, t_out) = quasimobius_statistics_vstack(
+                d_in, d_out, samples, 25, dt.BINS_PER_DECADE)
+            # repr tells every float apart by its bits
+            assert repr(report.statistics) == repr(statistics)
+            assert report.raw_pairs[0].tobytes() == t_in.tobytes()
+            assert report.raw_pairs[1].tobytes() == t_out.tobytes()
 
     def test_envelope_shape(self):
         _, _, _, dist = gauge_matrix("H_H:1", 40, seed=18)
@@ -190,7 +194,10 @@ class TestQuasimobius:
 
     def test_raw_pairs_csv(self, tmp_path):
         _, _, _, dist = gauge_matrix("H_C:1", 20, seed=20)
-        report = dt.estimate_quasimobius(dist, dist, samples=100, seed=21)
+        with pytest.raises(ValueError, match="no raw cross-ratio pairs"):
+            dt.save_ratio_pairs_csv(dt.estimate_quasimobius(dist, dist, samples=100, seed=21),
+                                    tmp_path / "none.csv")
+        report = dt.estimate_quasimobius(dist, dist, samples=100, seed=21, raw_pairs=True)
         path = tmp_path / "pairs.csv"
         dt.save_ratio_pairs_csv(report, path)
         rows = path.read_text().strip().splitlines()
@@ -198,16 +205,19 @@ class TestQuasimobius:
         assert len(rows) == report.statistics["quadruples_used"] + 1
 
     def test_raw_pairs_csv_bytes(self, tmp_path):
-        # the bytes of csv.writer with one row per pair
+        # the bytes of csv.writer with one row per pair, in one slice and in several
         _, _, _, dist = gauge_matrix("H_H:1", 30, seed=22)
-        report = dt.estimate_quasimobius(dist, np.sqrt(dist), samples=500, seed=23)
-        dt.save_ratio_pairs_csv(report, tmp_path / "pairs.csv")
-        with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_in", "t_out"])
-            for a, b in zip(*report.raw_pairs):
-                writer.writerow([repr(float(a)), repr(float(b))])
-        assert (tmp_path / "pairs.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        for samples in (500, 3 * _CHUNK + 5):
+            report = dt.estimate_quasimobius(dist, np.sqrt(dist), samples=samples, seed=23,
+                                             raw_pairs=True)
+            dt.save_ratio_pairs_csv(report, tmp_path / "pairs.csv")
+            with open(tmp_path / "expected.csv", "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t_in", "t_out"])
+                for a, b in zip(*report.raw_pairs):
+                    writer.writerow([repr(float(a)), repr(float(b))])
+            assert ((tmp_path / "pairs.csv").read_bytes()
+                    == (tmp_path / "expected.csv").read_bytes())
 
 
 class TestQcRatio:
@@ -378,7 +388,10 @@ class TestReport:
     def test_unset_fields_and_raw_pairs_stay_out(self):
         _, _, _, d = gauge_matrix("H_C:1", 10, 41)
         report = dt.estimate_quasimobius(d, d, samples=100, seed=41)
-        assert report.raw_pairs is not None and report.algebra is None
+        assert report.raw_pairs is None and report.algebra is None
+        assert set(report.to_dict()) == {"kind", "samples", "seed", "statistics"}
+        report = dt.estimate_quasimobius(d, d, samples=100, seed=41, raw_pairs=True)
+        assert report.raw_pairs is not None
         assert set(report.to_dict()) == {"kind", "samples", "seed", "statistics"}
 
 
@@ -406,3 +419,10 @@ class TestMemory:
         center = dt.random_center(alg, 1.0, seed=1)
         assert self.peak_mib(lambda: dt.estimate_qc_ratio(
             alg, dt.inversion_map(alg), center, [0.1, 0.01], samples=200000, seed=1)) <= 16.0
+
+    def test_quasimobius(self):
+        # the stacked sample would be 500,000 x 4 indices and 1e6 x 2 ratios (32 MB)
+        _, _, _, dist = gauge_matrix("H_C:1", 300, seed=1)
+        warped = np.sqrt(dist)
+        assert self.peak_mib(lambda: dt.estimate_quasimobius(
+            dist, warped, samples=500000, seed=1)) <= 8.0
