@@ -303,18 +303,18 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float,
                      rng: np.random.Generator) -> tuple:
     """Pairs used, worst deviation and worst pair of one chunk of ``count`` pairs.
 
-    The chunk draws its pairs at once and copies them once to
-    coordinate-major arrays.  The gauge^4 of p and of q serves both their
-    gauges and their sigma images, and the distances are taken as in
-    ``hgroup.gauge_dist_arrays``, so the bits are those of the public
-    kernels.  Near the top of the sampler's range the bracket overflows; its
-    inf or NaN reaches the deviation, which the report shows, so the chunk
-    raises no numpy warning.
+    The chunk draws p, then q, each at once by ``sample_with_rng``, and copies
+    each draw to coordinate-major arrays before the next, keeping no
+    row-major array; the worst pair is read from those copies.  The gauge^4
+    of p and of q serves both their gauges and their sigma images, and the
+    distances are taken as in ``hgroup.gauge_dist_arrays``, so the bits are
+    those of the public kernels.  Near the top of the sampler's range the
+    bracket overflows; its inf or NaN reaches the deviation, which the
+    report shows, so the chunk raises no numpy warning.
     """
-    pv, pz = sample_with_rng(alg, count, radius, rng)
-    qv, qz = sample_with_rng(alg, count, radius, rng)
-    p = [np.ascontiguousarray(a.T) for a in (pv, pz)]
-    q = [np.ascontiguousarray(a.T) for a in (qv, qz)]
+    drawn = [[np.ascontiguousarray(a.T) for a in sample_with_rng(alg, count, radius, rng)]
+             for _ in range(2)]
+    p, q = drawn
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ap, n4p = _gauge4(*p)
         aq, n4q = _gauge4(*q)
@@ -333,8 +333,8 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float,
     worst = int(np.argmax(deviation))
     row = worst if kept == count else int(np.flatnonzero(keep)[worst])
     # copies, so that a chunk's result does not keep its sample alive
-    return kept, float(deviation[worst]), WorstPair(Point(pv[row].copy(), pz[row].copy()),
-                                                    Point(qv[row].copy(), qz[row].copy()))
+    return kept, float(deviation[worst]), WorstPair(
+        *(Point(*(a[:, row].copy() for a in point)) for point in drawn))
 
 
 def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,

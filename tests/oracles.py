@@ -10,18 +10,22 @@ before the writer formatted each symmetric pair once and the reader parsed
 with numpy; the triangle scan as it was before its float32 pre-filter,
 every block in float64; the inversion-identity chunk as it was before it
 fused the kernels, through the public ``gauge_arrays``, ``gauge_dist_arrays``
-and ``sigma_arrays``; and the quasimobius cross-ratios as they
+and ``sigma_arrays``; the quasimobius cross-ratios as they
 were before each distance was gathered once for both orders of the middle
 pair, with the statistics of ``estimate_quasimobius`` reduced from them as
-whole arrays, as they were before each chunk was reduced on its own."""
+whole arrays, as they were before each chunk was reduced on its own;
+``check_arithmetic`` on whole arrays of every operand, as it was before it
+drew the last operand in slices; and the tracemalloc peak of a call."""
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from heislab.algebra import _SLICE_ROWS, AlgebraKind, multiplication_tensor
+from heislab.algebra import (_SLICE_ROWS, AlgebraKind, ArithmeticReport, mul_arrays,
+                             multiplication_tensor, random_elements)
 from heislab.distortion import sample_quadruples
 from heislab.finite_metric import _SCAN_BLOCK, FiniteMetricSpace
 from heislab.hgroup import Point, gauge_arrays, gauge_dist_arrays, sample_with_rng
@@ -201,6 +205,17 @@ def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarr
                 pivots |= (buf[:m] < dist[i, j0:j0 + m, None]).any(axis=0)
 
 
+def peak_mib(call) -> float:
+    """The tracemalloc peak of ``call()`` in MiB: numpy reports its array
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float,
                           rng: np.random.Generator) -> tuple:
     """Reference chunk of ``verify_inversion``, by the public kernels."""
@@ -276,3 +291,32 @@ def quasimobius_statistics_vstack(d_in: np.ndarray, d_out: np.ndarray, samples: 
         "envelope": envelope,
     }
     return statistics, (t_in, t_out)
+
+
+def check_arithmetic_whole(kinds, samples: int, seed: int = 0,
+                           tol: float = 1e-12) -> ArithmeticReport:
+    """Reference ``check_arithmetic``: each operand, product and residual of a
+    kind as one array of all the samples."""
+    rng = np.random.default_rng(seed)
+    results = []
+    for kind in kinds:
+        a = random_elements(kind, samples, rng)
+        b = random_elements(kind, samples, rng)
+        ab = mul_arrays(kind, a, b)
+        scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        composition = float(np.max(np.abs(np.linalg.norm(ab, axis=1) - scale) / scale))
+        if kind is AlgebraKind.OCTONION:
+            name = "alternativity_residual"
+            left = mul_arrays(kind, a, mul_arrays(kind, a, b))
+            right = mul_arrays(kind, mul_arrays(kind, a, a), b)
+            scale = np.linalg.norm(a, axis=1) ** 2 * np.linalg.norm(b, axis=1)
+        else:
+            name = "associativity_residual"
+            c = random_elements(kind, samples, rng)
+            left = mul_arrays(kind, ab, c)
+            right = mul_arrays(kind, a, mul_arrays(kind, b, c))
+            scale = scale * np.linalg.norm(c, axis=1)
+        residual = float(np.max(np.abs(left - right) / scale[:, None]))
+        results.append({"kind": kind.value, "composition_residual": composition,
+                        name: residual, "passed": composition <= tol and residual <= 1e-12})
+    return ArithmeticReport(samples, seed, tol, results)

@@ -9,7 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from heislab import algebra as al
 from heislab.algebra import AlgebraKind
-from oracles import ROW_COUNTS, mul_arrays_einsum
+from heislab.util import _CHUNK
+from oracles import ROW_COUNTS, check_arithmetic_whole, mul_arrays_einsum, peak_mib
 
 ALL_KINDS = list(AlgebraKind)
 
@@ -246,6 +247,48 @@ class TestCheckArithmetic:
         (entry,) = report.results
         assert entry["composition_residual"] > 0.0
         assert entry["passed"] is False and report.passed is False
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_must_be_positive(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            al.check_arithmetic(ALL_KINDS, samples)
+
+    @pytest.mark.parametrize("kinds", [ALL_KINDS, [AlgebraKind.OCTONION]],
+                             ids=["all", "octonion"])
+    @pytest.mark.parametrize("samples", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_slices_match_whole_arrays(self, kinds, samples):
+        assert repr(al.check_arithmetic(kinds, samples, seed=5).to_dict()) == \
+            repr(check_arithmetic_whole(kinds, samples, seed=5).to_dict())
+
+    @pytest.mark.parametrize("kind, draw", [(AlgebraKind.QUATERNION, 4),
+                                            (AlgebraKind.OCTONION, 3)],
+                             ids=["quaternion", "octonion"])
+    def test_nan_in_a_later_slice_fails(self, monkeypatch, kind, draw):
+        # draw 4 of a quaternion kind is c's second slice (a, b, c, c), and
+        # draw 3 of the octonions b's second slice (a, b, b)
+        real = al.random_elements
+        draws = []
+
+        def planted(kind, count, rng):
+            x = real(kind, count, rng)
+            draws.append(count)
+            if len(draws) == draw:
+                x[3, 1] = np.nan
+            return x
+
+        monkeypatch.setattr(al, "random_elements", planted)
+        report = al.check_arithmetic([kind], 2 * _CHUNK + 7, seed=2)
+        (entry,) = report.results
+        name = "alternativity_residual" if kind is AlgebraKind.OCTONION else "associativity_residual"
+        assert draws[draw - 1] == _CHUNK
+        assert np.isnan(entry[name])
+        assert entry["passed"] is False and report.passed is False
+
+
+class TestMemory:
+    def test_check_arithmetic_holds_one_slice(self):
+        # the whole arrays of 100,000 samples took 47 MiB
+        assert peak_mib(lambda: al.check_arithmetic(ALL_KINDS, 100000, seed=1)) <= 16.0
 
 
 class TestImaginaryBracket:

@@ -3,7 +3,6 @@ constants, quasiconformality ratios, and volume-growth exponents."""
 
 import csv
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from heislab import distortion as dt
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie
 from heislab.util import _CHUNK
-from oracles import quasimobius_statistics_vstack
+from oracles import peak_mib, quasimobius_statistics_vstack
 
 
 def builtin(name):
@@ -399,30 +398,20 @@ class TestReport:
 class TestMemory:
     """The sampled estimators hold one chunk of draws at a time, not the whole sample."""
 
-    @staticmethod
-    def peak_mib(call) -> float:
-        # numpy reports its array buffers to tracemalloc
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
-
     def test_regularity(self):
         alg = builtin("H_O")
-        assert self.peak_mib(lambda: dt.estimate_regularity(
+        assert peak_mib(lambda: dt.estimate_regularity(
             alg, [0.1, 1.0], samples=200000, seed=1)) <= 8.0
 
     def test_qc_ratio(self):
         alg = builtin("H_O")
         center = dt.random_center(alg, 1.0, seed=1)
-        assert self.peak_mib(lambda: dt.estimate_qc_ratio(
+        assert peak_mib(lambda: dt.estimate_qc_ratio(
             alg, dt.inversion_map(alg), center, [0.1, 0.01], samples=200000, seed=1)) <= 16.0
 
     def test_quasimobius(self):
         # the stacked sample would be 500,000 x 4 indices and 1e6 x 2 ratios (32 MB)
         _, _, _, dist = gauge_matrix("H_C:1", 300, seed=1)
         warped = np.sqrt(dist)
-        assert self.peak_mib(lambda: dt.estimate_quasimobius(
+        assert peak_mib(lambda: dt.estimate_quasimobius(
             dist, warped, samples=500000, seed=1)) <= 8.0

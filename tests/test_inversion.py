@@ -10,7 +10,7 @@ from heislab import distortion, hgroup, hlie, inversion, util
 from heislab.cli import run
 from heislab.inversion import ExtendedPoints
 from heislab.util import canonical_json
-from oracles import inversion_chunk_whole
+from oracles import inversion_chunk_whole, peak_mib
 
 H_TYPE_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -243,6 +243,12 @@ class TestVerifyReduction:
         assert report.max_relative_deviation == clean.max_relative_deviation
         assert canonical_json({"w": report.to_dict()["worst_pair"]}) == \
             canonical_json({"w": clean.to_dict()["worst_pair"]})
+
+    def test_chunk_holds_no_row_major_draws(self):
+        # with a row-major copy of each chunk's draws the peak was 16.5 MiB
+        alg = builtin("H_O")
+        assert peak_mib(lambda: inversion.verify_inversion(
+            alg, samples=100000, seed=1, threads=1)) <= 14.0
 
 
 class TestChunkAgainstWholeChunk:
