@@ -185,10 +185,8 @@ def group_sample(selector, count, radius, seed, output) -> None:
 @click.option("--count", type=int, required=True)
 @click.option("--radius", type=float, default=1.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def group_distmat(selector, count, radius, seed, fmt, output) -> None:
+def group_distmat(selector, count, radius, seed, output) -> None:
     """Gauge distance matrix of a seeded point sample."""
     if count < 2:
         raise click.UsageError("--count must be >= 2")
@@ -196,7 +194,7 @@ def group_distmat(selector, count, radius, seed, fmt, output) -> None:
     alg = _load_algebra(selector)
     v, z = hgroup.sample_arrays(alg, count, radius, seed)
     space = finite_metric.from_group_arrays(alg, v, z)
-    _write_space(space, fmt, output)
+    _save(lambda fh: finite_metric.save_space_csv(space, fh), output)
 
 
 def _save(write, output: str | None) -> None:
@@ -208,19 +206,6 @@ def _save(write, output: str | None) -> None:
     buffer = io.StringIO()
     write(buffer)
     click.echo(buffer.getvalue(), nl=False)
-
-
-def _write_space(space, fmt: str, output: str | None) -> None:
-    from heislab import finite_metric
-    save = finite_metric.save_space_csv if fmt == "csv" else finite_metric.save_space_json
-    _save(lambda fh: save(space, fh), output)
-
-
-def _read_space(path: str):
-    from heislab import finite_metric
-    if str(path).endswith(".json"):
-        return finite_metric.load_space_json(path)
-    return finite_metric.load_space_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +289,8 @@ def _base_index(space, base: str | None) -> int:
 def _register_metric_map(name: str, noun: str) -> None:
     @metric.command(name, help=f"Based {noun} of a distance-matrix file.")
     @click.option("--input", "input_path", required=True,
-                  type=click.Path(exists=True, dir_okay=False))
+                  type=click.Path(exists=True, dir_okay=False),
+                  help="Distance-matrix CSV.")
     @click.option("--base", default=None,
                   help="Base point: a label, else a point index (default: the first point).")
     @click.option("--quasimetric", is_flag=True, default=False,
@@ -312,15 +298,13 @@ def _register_metric_map(name: str, noun: str) -> None:
     @click.option("--max-points", type=int, default=_MAX_POINTS,
                   show_default=True,
                   help="Largest input point count for the dense shortest-path closure.")
-    @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                  show_default=True)
     @click.option("--output", type=click.Path(dir_okay=False), default=None)
-    def command(input_path, base, quasimetric, max_points, fmt, output) -> None:
+    def command(input_path, base, quasimetric, max_points, output) -> None:
         from heislab import finite_metric
-        space = _read_space(input_path)
+        space = finite_metric.load_space_csv(input_path)
         space = getattr(finite_metric, f"{name}_space")(
             space, _base_index(space, base), max_points=max_points, chain=not quasimetric)
-        _write_space(space, fmt, output)
+        _save(lambda fh: finite_metric.save_space_csv(space, fh), output)
 
 
 _register_metric_map("invert", "inversion")
@@ -346,10 +330,10 @@ def _radius_list(radii: str) -> list[float]:
 @distort.command("qm")
 @click.option("--domain", "domain_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
-              help="Distance matrix of the source metric.")
+              help="Distance-matrix CSV of the source metric.")
 @click.option("--image", "image_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
-              help="Distance matrix of the target metric (aligned by labels).")
+              help="Distance-matrix CSV of the target metric (aligned by labels).")
 @click.option("--samples", type=int, default=100000, show_default=True)
 @click.option("--raw-pairs", type=click.Path(dir_okay=False), default=None,
               help="Optional CSV of raw (t_in, t_out) cross-ratio pairs.")
@@ -357,8 +341,8 @@ def _radius_list(radii: str) -> list[float]:
 def distort_qm(domain_path, image_path, samples, raw_pairs, seed, output, no_timestamp) -> None:
     """Strong-quasimobius constant of the identity map between two metrics."""
     from heislab import distortion, finite_metric
-    d_in, d_out = finite_metric.shared_submatrices(_read_space(domain_path),
-                                                   _read_space(image_path))
+    d_in, d_out = finite_metric.shared_submatrices(finite_metric.load_space_csv(domain_path),
+                                                   finite_metric.load_space_csv(image_path))
     if len(d_in) < 4:
         raise ValueError("the two spaces share fewer than four labels")
     report = distortion.estimate_quasimobius(d_in, d_out, samples=samples, seed=seed,

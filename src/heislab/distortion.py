@@ -32,7 +32,7 @@ from heislab.hgroup import (
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
-from heislab.util import _CHUNK, Report, _sampled, _write_text, format_floats
+from heislab.util import Report, _sampled, _write_text, format_floats
 
 __all__ = [
     "DistortionReport",
@@ -68,7 +68,7 @@ class DistortionReport(Report):
     statistics: dict
     algebra: Optional[str] = None
     fingerprint: Optional[str] = None
-    raw_pairs: Optional[tuple] = field(default=None, repr=False)
+    raw_pairs: Optional[list] = field(default=None, repr=False)
 
 
 def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray, *, swapped: bool = False
@@ -166,8 +166,9 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     chunk is reduced to its counts, extremes and envelope bins before the
     next is drawn, so the estimate holds one chunk at a time.  Only with
     ``raw_pairs`` does ``report.raw_pairs`` keep the used (t_in, t_out)
-    pairs, 16 B per used row: those of the sampled rows, then those of the
-    middle-swapped rows, each in chunk order.
+    pairs, 16 B per used row, as a list of per-chunk ``(t_in, t_out)``
+    blocks in file order: the sampled rows' block of every chunk, then the
+    middle-swapped rows' block of every chunk.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -200,24 +201,23 @@ def estimate_quasimobius(d_in: np.ndarray, d_out: np.ndarray, samples: int = 100
     kept = None
     if raw_pairs:  # the sampled rows of every chunk, then their middle-swapped copies
         sampled, swapped = zip(*pairs)
-        kept = tuple(map(np.concatenate, zip(*sampled, *swapped)))
+        kept = [*sampled, *swapped]
     return DistortionReport("quasimobius", samples, seed, statistics, raw_pairs=kept)
 
 
 def save_ratio_pairs_csv(report: DistortionReport, path_or_file) -> None:
     """Raw (source, image) cross-ratio pairs of a quasimobius run estimated
-    with ``raw_pairs``, written in slices of ``util._CHUNK`` rows."""
+    with ``raw_pairs``, one line per pair, written one ``report.raw_pairs``
+    block (at most ``util._CHUNK`` rows) at a time."""
     if report.raw_pairs is None:
         raise ValueError("report carries no raw cross-ratio pairs")
 
     def write(fh) -> None:
         # the lines csv.writer would write: float strings need no quoting
         fh.write("t_in,t_out\r\n")
-        t_in, t_out = report.raw_pairs
-        for start in range(0, len(t_in), _CHUNK):
-            rows = slice(start, start + _CHUNK)
+        for t_in, t_out in report.raw_pairs:
             fh.writelines(f"{a},{b}\r\n"
-                          for a, b in zip(format_floats(t_in[rows]), format_floats(t_out[rows])))
+                          for a, b in zip(format_floats(t_in), format_floats(t_out)))
 
     _write_text(path_or_file, write)
 

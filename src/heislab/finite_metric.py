@@ -23,9 +23,7 @@ entrywise, which the test suite checks exhaustively.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -48,8 +46,6 @@ __all__ = [
     "shared_submatrices",
     "save_space_csv",
     "load_space_csv",
-    "save_space_json",
-    "load_space_json",
 ]
 
 INFINITY_LABEL = "∞"
@@ -535,28 +531,3 @@ def load_space_csv(path) -> FiniteMetricSpace:
     if dist is None or dist.shape != (len(labels), len(labels)):
         return _load_space_csv_rows(path)
     return FiniteMetricSpace(labels, dist)
-
-
-def save_space_json(space: FiniteMetricSpace, path_or_file) -> None:
-    payload = {
-        "labels": space.labels,
-        "dist": space.dist.tolist(),
-        "contains_infinity": space.contains_infinity,
-    }
-    text = json.dumps(payload, indent=2) + "\n"
-    _write_text(path_or_file, lambda fh: fh.write(text))
-
-
-def load_space_json(path) -> FiniteMetricSpace:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed distance file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"distance file {path} does not hold a JSON object")
-    for key in ("labels", "dist"):
-        if key not in data:
-            raise ValueError(f"distance file {path} is missing the field {key!r}")
-    if not isinstance(data["labels"], list):
-        raise ValueError(f"distance file {path}: the field 'labels' is not a list")
-    return FiniteMetricSpace(data["labels"], np.asarray(data["dist"], dtype=np.float64))

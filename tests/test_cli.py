@@ -211,13 +211,6 @@ class TestGroupCommands:
         space = fm.load_space_csv(out)
         assert space.n == 30
 
-    def test_distmat_json(self, tmp_path):
-        out = tmp_path / "dist.json"
-        code = run(["group", "distmat", "--algebra", "H_C:1", "--count", "10",
-                    "--seed", "4", "--format", "json", "--output", str(out)])
-        assert code == 0
-        assert fm.load_space_json(out).n == 10
-
     def test_distmat_count_precondition(self):
         assert run(["group", "distmat", "--algebra", "H_C:1", "--count", "1"]) == 1
 
@@ -250,22 +243,47 @@ class TestMetricCommands:
         assert out.read_bytes() == expected.read_bytes()
 
     def test_sphericalize(self, matrix_file, tmp_path):
-        out = tmp_path / "sph.json"
+        out = tmp_path / "sph.csv"
         assert run(["metric", "sphericalize", "--input", str(matrix_file),
-                    "--format", "json", "--output", str(out)]) == 0
-        space = fm.load_space_json(out)
+                    "--output", str(out)]) == 0
+        space = fm.load_space_csv(out)
         assert space.n == 41
         assert np.max(space.dist) <= 1.0 + 1e-12
-        # the point-at-infinity flag is derived from the labels and still written
-        inv = tmp_path / "inv.json"
-        dist = tmp_path / "dist.json"
+        # the point-at-infinity flag is read back off the labels
+        inv = tmp_path / "inv.csv"
+        dist = tmp_path / "dist.csv"
         assert run(["metric", "invert", "--input", str(matrix_file),
-                    "--format", "json", "--output", str(inv)]) == 0
+                    "--output", str(inv)]) == 0
         assert run(["group", "distmat", "--algebra", "H_C:1", "--count", "5",
-                    "--format", "json", "--output", str(dist)]) == 0
-        for path, flag in ((out, "true"), (inv, "true"), (dist, "false")):
-            assert path.read_text(encoding="utf-8").endswith(
-                f'"contains_infinity": {flag}\n}}\n')
+                    "--output", str(dist)]) == 0
+        for path, flag in ((out, True), (inv, True), (dist, False)):
+            assert fm.load_space_csv(path).contains_infinity is flag
+
+    def test_written_file_reads_back_whatever_its_name(self, tmp_path):
+        # the file name does not pick a format: a ".json" name holds the CSV
+        # that every command writes and reads
+        path = tmp_path / "d.json"
+        out = tmp_path / "inv.csv"
+        assert run(["group", "distmat", "--algebra", "H_C:1", "--count", "12",
+                    "--seed", "6", "--output", str(path)]) == 0
+        assert run(["metric", "invert", "--input", str(path), "--output", str(out)]) == 0
+        assert run(["distort", "qm", "--domain", str(path), "--image", str(path),
+                    "--samples", "200", "--no-timestamp"]) == 0
+        expected = fm.invert_space(fm.load_space_csv(path), 0)
+        inverted = fm.load_space_csv(out)
+        assert inverted.labels == expected.labels
+        assert inverted.dist.tobytes() == expected.dist.tobytes()
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_json_distance_file_is_one_error_line(self, tmp_path, capsys, indent):
+        # the layout of the JSON distance files of earlier versions
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "dist": [[0.0, 1.0], [1.0, 0.0]],
+                                    "contains_infinity": False}, indent=indent))
+        assert run(["metric", "invert", "--input", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: distance file {path}") and err.count("\n") == 1
 
     def test_unknown_base_label(self, matrix_file):
         assert run(["metric", "invert", "--input", str(matrix_file),

@@ -3,8 +3,6 @@ chain metrics with sandwich bounds, and distance-matrix files."""
 
 import importlib.util
 import io
-import json
-import re
 import sys
 import threading
 from pathlib import Path
@@ -686,30 +684,6 @@ class TestFiles:
         assert loaded.dist.tobytes() == space.dist.tobytes()
         assert not loaded.contains_infinity
 
-    def test_json_round_trip(self, tmp_path):
-        space = group_space("H_H:1", 25, seed=17)
-        inverted = fm.invert_space(space, 3)
-        # the flag is derived from the labels and still written
-        fm.save_space_json(space, tmp_path / "space.json")
-        assert (tmp_path / "space.json").read_text(encoding="utf-8").endswith(
-            '"contains_infinity": false\n}\n')
-        path = tmp_path / "dist.json"
-        fm.save_space_json(inverted, path)
-        assert path.read_text(encoding="utf-8").endswith('"contains_infinity": true\n}\n')
-        loaded = fm.load_space_json(path)
-        assert loaded.contains_infinity
-        assert loaded.labels[-1] == fm.INFINITY_LABEL
-        assert loaded.dist.tobytes() == inverted.dist.tobytes()
-
-    def test_json_bytes_match_per_entry_conversion(self, tmp_path):
-        space = fm.FiniteMetricSpace(["a", "b", "c"], [[0.0, 0.1, 1 / 3], [0.1, -0.0, 1e-310],
-                                                       [1 / 3, 1e-310, 0.0]], validate=False)
-        expected = json.dumps({"labels": space.labels,
-                               "dist": [[float(x) for x in row] for row in space.dist],
-                               "contains_infinity": False}, indent=2) + "\n"
-        fm.save_space_json(space, tmp_path / "space.json")
-        assert (tmp_path / "space.json").read_text(encoding="utf-8") == expected
-
     def test_infinity_label_detected_in_csv(self, tmp_path):
         space = group_space("H_C:1", 30, seed=18)
         spherical = fm.sphericalize_space(space, 0)
@@ -741,23 +715,6 @@ class TestFiles:
         path.write_text("a,b\n0.0,1.0\n2.0,0.0\n")
         with pytest.raises(ValueError, match="asymmetric"):
             fm.load_space_csv(path)
-
-    def test_json_missing_field(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"labels": ["a"]}')
-        with pytest.raises(ValueError, match="missing the field"):
-            fm.load_space_json(path)
-
-    @pytest.mark.parametrize("text,message", [
-        ("5", "does not hold a JSON object"),
-        ("[1, 2]", "does not hold a JSON object"),
-        ('{"labels": 5, "dist": [[0]]}', "'labels' is not a list"),
-    ])
-    def test_json_wrong_types(self, tmp_path, text, message):
-        path = tmp_path / "bad.json"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(f"distance file {path}") + ".*" + message):
-            fm.load_space_json(path)
 
     def test_empty_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
