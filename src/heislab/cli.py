@@ -9,26 +9,28 @@ the fingerprint of its structure constants, so runs can be replayed
 exactly; with ``--no-timestamp`` the emitted bytes are a pure function of
 argv and input files.
 
-Only ``hlie`` (with ``algebra`` and ``util``) is imported here; each command
-body imports the other library modules it calls and looks their functions up
-on the module at call time, so a command pays only for the modules it runs.
+The arguments are parsed by one ``argparse`` tree; each command is a
+function of the parsed namespace, found as its ``run`` default.  Only
+``hlie`` (with ``algebra`` and ``util``) is imported here; each command
+function imports the other library modules it calls and looks their
+functions up on the module at call time, so a command pays only for the
+modules it runs.
 """
 
 from __future__ import annotations
 
+import argparse
 import ctypes
 import gc
 import io
 import os
 import sys
 
-import click
-
 from heislab import algebra as alg_mod
 from heislab import hlie
 from heislab.util import _MAX_POINTS, _write_text, canonical_json
 
-__all__ = ["main", "run", "entrypoint", "MathCheckFailed"]
+__all__ = ["run", "entrypoint", "MathCheckFailed"]
 
 
 class MathCheckFailed(Exception):
@@ -36,165 +38,29 @@ class MathCheckFailed(Exception):
 
 
 def _load_algebra(selector: str) -> hlie.HTypeAlgebra:
-    if selector.endswith(".json") or os.path.sep in selector or os.path.exists(selector):
+    """A spec file for a path (a ``.json`` name or one with a separator), else a
+    builtin, else a spec file of that name: no file in the working directory
+    shadows a builtin name."""
+    if selector.endswith(".json") or os.path.sep in selector:
         if not os.path.exists(selector):
             raise ValueError(f"algebra spec file not found: {selector}")
         return hlie.load_algebra_spec(selector)
-    return hlie.algebra_from_name(selector)
+    try:
+        return hlie.algebra_from_name(selector)
+    except ValueError:
+        if not os.path.exists(selector):
+            raise
+    return hlie.load_algebra_spec(selector)
 
 
-def _emit(command: str, report, output: str | None, no_timestamp: bool, **extra) -> None:
+def _emit(args, report, **extra) -> None:
     """Write a library report as the command's JSON, with the keys the CLI owns."""
-    payload = {"command": command, **report.to_dict(), **extra}
-    if not no_timestamp:
+    payload = {"command": f"{args.group} {args.command}", **report.to_dict(), **extra}
+    if not args.no_timestamp:
         from datetime import datetime, timezone
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = canonical_json(payload)
-    _save(lambda fh: fh.write(text), output)
-
-
-def _expect(expect: str | None, positive: str, holds: bool, failed: str,
-            unexpected: str) -> None:
-    """Raise MathCheckFailed with ``failed`` (``--expect`` ``positive``) or
-    ``unexpected`` (the other choice) unless ``expect`` matches ``holds``."""
-    if expect is not None and (expect == positive) != holds:
-        raise MathCheckFailed(failed if expect == positive else unexpected)
-
-
-def _common(f):
-    f = click.option("--seed", type=int, default=0, show_default=True,
-                     help="Seed of the random stream.")(f)
-    f = click.option("--output", type=click.Path(dir_okay=False), default=None,
-                     help="Report path (default: stdout).")(f)
-    f = click.option("--no-timestamp", is_flag=True, default=False,
-                     help="Omit the timestamp so the report bytes are reproducible.")(f)
-    return f
-
-
-@click.group()
-def main() -> None:
-    """Numerical laboratory for H-type groups and their gauge inversions."""
-
-
-# ---------------------------------------------------------------------------
-# algebra
-
-
-@main.group()
-def algebra() -> None:
-    """Division-algebra arithmetic checks."""
-
-
-@algebra.command("check")
-@click.option("--kind", type=click.Choice(["real", "complex", "quaternion", "octonion", "all"]),
-              default="all", show_default=True)
-@click.option("--samples", type=int, default=100000, show_default=True)
-@click.option("--tolerance", type=float, default=1e-12, show_default=True,
-              help="Relative tolerance of the composition-law check.")
-@_common
-def algebra_check(kind, samples, tolerance, seed, output, no_timestamp) -> None:
-    """Composition law, associativity and alternativity over random samples."""
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1")
-    kinds = list(alg_mod.AlgebraKind) if kind == "all" else [alg_mod.AlgebraKind(kind)]
-    report = alg_mod.check_arithmetic(kinds, samples, seed=seed, tol=tolerance)
-    _emit("algebra check", report, output, no_timestamp)
-    if not report.passed:
-        raise MathCheckFailed("an algebra arithmetic check exceeded its tolerance")
-
-
-# ---------------------------------------------------------------------------
-# lie
-
-
-@main.group()
-def lie() -> None:
-    """Structure checks of step-two algebras."""
-
-
-def _register_lie_check(name: str, check: str, verdict: str, choices: tuple[str, str],
-                        noun: str, unexpected: str, algebra_help: str, doc: str) -> None:
-    @lie.command(name, help=doc)
-    @click.option("--algebra", "selector", required=True, help=algebra_help)
-    @click.option("--samples", type=int, default=10000, show_default=True,
-                  help="Recorded in the report for replay only; the certificate is exact.")
-    @click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
-    @click.option("--expect", type=click.Choice(choices), default=None,
-                  help="Fail (exit 2) unless the verdict matches.")
-    @_common
-    def command(selector, samples, tolerance, expect, seed, output, no_timestamp) -> None:
-        alg = _load_algebra(selector)
-        report = getattr(hlie, check)(alg, samples=samples, tol=tolerance, seed=seed)
-        _emit(f"lie {name}", report, output, no_timestamp)
-        _expect(expect, choices[0], getattr(report, verdict),
-                f"{alg.label} failed the {noun} check (residual {report.max_residual:.3e})",
-                f"{alg.label} unexpectedly {unexpected}")
-
-
-_register_lie_check(
-    "check-htype", "check_h_type", "is_h_type", ("htype", "not-htype"), "Heisenberg-type",
-    "passed the Heisenberg-type check",
-    "Builtin name (H_R:n, H_C:n, H_H:n, H_O, truncated_HH, degenerate_sum) "
-    "or algebra-spec JSON path.",
-    """Certify or refute |J_Z X| = |Z||X|, exactly.
-
-    The certificate is the Clifford relations over the center basis.
-    --samples and --seed are recorded in the report for replay only; they
-    change no verdict, residual or witness.
-    """)
-_register_lie_check(
-    "check-j2", "check_j2", "satisfies_j2", ("j2", "not-j2"), "J^2", "satisfies the J^2-condition",
-    "Builtin name or algebra-spec JSON path.",
-    """Certify or refute the J^2-condition, exactly (requires a Heisenberg-type algebra).
-
-    The certificate is the coefficients of one cubic per pair of center
-    basis vectors.  --samples and --seed are recorded in the report for
-    replay only; they change no verdict, residual or witness.
-    """)
-
-
-# ---------------------------------------------------------------------------
-# group
-
-
-@main.group()
-def group() -> None:
-    """Point sampling and distance matrices in exponential coordinates."""
-
-
-@group.command("sample")
-@click.option("--algebra", "selector", required=True)
-@click.option("--count", type=int, required=True, help="Number of points (>= 1).")
-@click.option("--radius", type=float, default=1.0, show_default=True,
-              help="Gauge radius of the sampled coordinate box.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None,
-              help="CSV path (default: stdout).")
-def group_sample(selector, count, radius, seed, output) -> None:
-    """Sample points uniformly from the coordinate box of a gauge ball (CSV)."""
-    if count < 1:
-        raise click.UsageError("--count must be >= 1")
-    from heislab import hgroup
-    alg = _load_algebra(selector)
-    v, z = hgroup.sample_arrays(alg, count, radius, seed)
-    _save(lambda fh: hgroup.save_points_csv(fh, alg, v, z), output)
-
-
-@group.command("distmat")
-@click.option("--algebra", "selector", required=True)
-@click.option("--count", type=int, required=True)
-@click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--output", type=click.Path(dir_okay=False), default=None)
-def group_distmat(selector, count, radius, seed, output) -> None:
-    """Gauge distance matrix of a seeded point sample."""
-    if count < 2:
-        raise click.UsageError("--count must be >= 2")
-    from heislab import finite_metric, hgroup
-    alg = _load_algebra(selector)
-    v, z = hgroup.sample_arrays(alg, count, radius, seed)
-    space = finite_metric.from_group_arrays(alg, v, z)
-    _save(lambda fh: finite_metric.save_space_csv(space, fh), output)
+    _save(lambda fh: fh.write(text), args.output)
 
 
 def _save(write, output: str | None) -> None:
@@ -205,73 +71,99 @@ def _save(write, output: str | None) -> None:
         return
     buffer = io.StringIO()
     write(buffer)
-    click.echo(buffer.getvalue(), nl=False)
+    sys.stdout.write(buffer.getvalue())
+
+
+def _expect(expect: str | None, positive: str, holds: bool, failed: str,
+            unexpected: str) -> None:
+    """Raise MathCheckFailed with ``failed`` (``--expect`` ``positive``) or
+    ``unexpected`` (the other choice) unless ``expect`` matches ``holds``."""
+    if expect is not None and (expect == positive) != holds:
+        raise MathCheckFailed(failed if expect == positive else unexpected)
 
 
 # ---------------------------------------------------------------------------
-# invert
+# commands
 
 
-@main.group()
-def invert() -> None:
-    """The gauge inversion and its two-point transport maps."""
+def _algebra_check(args) -> None:
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
+    kinds = list(alg_mod.AlgebraKind) if args.kind == "all" else [alg_mod.AlgebraKind(args.kind)]
+    report = alg_mod.check_arithmetic(kinds, args.samples, seed=args.seed, tol=args.tolerance)
+    _emit(args, report)
+    if not report.passed:
+        raise MathCheckFailed("an algebra arithmetic check exceeded its tolerance")
 
 
-@invert.command("verify")
-@click.option("--algebra", "selector", required=True)
-@click.option("--samples", type=int, default=100000, show_default=True)
-@click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
-@click.option("--radius", type=float, default=1.0, show_default=True)
-@click.option("--threads", type=int, default=None,
-              help="Worker threads for the pair sweep (default: the CPUs this process "
-                   "may use; the result is thread-count invariant).")
-@click.option("--expect", type=click.Choice(["exact", "inexact"]), default=None)
-@_common
-def invert_verify(selector, samples, tolerance, radius, threads, expect, seed,
-                  output, no_timestamp) -> None:
-    """Worst-case deviation of the inversion distance identity."""
-    if threads is not None and threads < 1:
-        raise click.UsageError("--threads must be >= 1")
+# each lie command: its hlie check, the report's verdict field, the --expect
+# choices (the verdict's first), the check's name in a failure, and what a
+# verdict that --expect denies is said to have done
+_LIE_CHECKS = {
+    "check-htype": ("check_h_type", "is_h_type", ("htype", "not-htype"), "Heisenberg-type",
+                    "passed the Heisenberg-type check"),
+    "check-j2": ("check_j2", "satisfies_j2", ("j2", "not-j2"), "J^2",
+                 "satisfies the J^2-condition"),
+}
+
+
+def _lie_check(args) -> None:
+    check, verdict, choices, noun, unexpected = _LIE_CHECKS[args.command]
+    alg = _load_algebra(args.algebra)
+    report = getattr(hlie, check)(alg, samples=args.samples, tol=args.tolerance, seed=args.seed)
+    _emit(args, report)
+    _expect(args.expect, choices[0], getattr(report, verdict),
+            f"{alg.label} failed the {noun} check (residual {report.max_residual:.3e})",
+            f"{alg.label} unexpectedly {unexpected}")
+
+
+def _group_sample(args) -> None:
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
+    from heislab import hgroup
+    alg = _load_algebra(args.algebra)
+    v, z = hgroup.sample_arrays(alg, args.count, args.radius, args.seed)
+    _save(lambda fh: hgroup.save_points_csv(fh, alg, v, z), args.output)
+
+
+def _group_distmat(args) -> None:
+    if args.count < 2:
+        raise ValueError("--count must be >= 2")
+    from heislab import finite_metric, hgroup
+    alg = _load_algebra(args.algebra)
+    v, z = hgroup.sample_arrays(alg, args.count, args.radius, args.seed)
+    space = finite_metric.from_group_arrays(alg, v, z)
+    _save(lambda fh: finite_metric.save_space_csv(space, fh), args.output)
+
+
+def _invert_verify(args) -> None:
+    if args.threads is not None and args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     from heislab import inversion
-    alg = _load_algebra(selector)
-    report = inversion.verify_inversion(alg, samples=samples, seed=seed, tol=tolerance,
-                                        radius=radius, threads=threads)
-    _emit("invert verify", report, output, no_timestamp)
-    _expect(expect, "exact", report.is_exact_inversion,
+    alg = _load_algebra(args.algebra)
+    report = inversion.verify_inversion(alg, samples=args.samples, seed=args.seed,
+                                        tol=args.tolerance, radius=args.radius,
+                                        threads=args.threads)
+    _emit(args, report)
+    _expect(args.expect, "exact", report.is_exact_inversion,
             f"{alg.label}: max |r - 1| = {report.max_relative_deviation:.3e} exceeds tolerance",
             f"{alg.label}: inversion identity unexpectedly exact")
 
 
-@invert.command("transport")
-@click.option("--algebra", "selector", required=True)
-@click.option("--trials", type=int, default=1000, show_default=True,
-              help="Random quadruples per case branch.")
-@click.option("--tolerance", type=float, default=hlie.DEFAULT_TOL, show_default=True)
-@click.option("--radius", type=float, default=1.0, show_default=True)
-@_common
-def invert_transport(selector, trials, tolerance, radius, seed, output, no_timestamp) -> None:
-    """Exercise all transporter case branches on random quadruples and free points."""
-    if trials < 1:
-        raise click.UsageError("--trials must be >= 1")
+def _invert_transport(args) -> None:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     from heislab import inversion
-    alg = _load_algebra(selector)
-    report = inversion.transport_errors(alg, trials, radius=radius, seed=seed, tol=tolerance)
-    _emit("invert transport", report, output, no_timestamp)
+    alg = _load_algebra(args.algebra)
+    report = inversion.transport_errors(alg, args.trials, radius=args.radius, seed=args.seed,
+                                        tol=args.tolerance)
+    _emit(args, report)
     if not report.passed:
         failed = " and ".join(f"{name} {value:.3e}" for name, value in (
             ("gauge error", report.max_gauge_error),
             ("cross-ratio deviation", report.max_cross_ratio_deviation))
-            if not value <= tolerance)
-        raise MathCheckFailed(f"transporter {failed} above tolerance {tolerance}")
-
-
-# ---------------------------------------------------------------------------
-# metric
-
-
-@main.group()
-def metric() -> None:
-    """Inversion and sphericalization of finite metric spaces."""
+            if not value <= args.tolerance)
+        raise MathCheckFailed(f"transporter {failed} above tolerance {args.tolerance}")
 
 
 def _base_index(space, base: str | None) -> int:
@@ -286,88 +178,41 @@ def _base_index(space, base: str | None) -> int:
         raise
 
 
-def _register_metric_map(name: str, noun: str) -> None:
-    @metric.command(name, help=f"Based {noun} of a distance-matrix file.")
-    @click.option("--input", "input_path", required=True,
-                  type=click.Path(exists=True, dir_okay=False),
-                  help="Distance-matrix CSV.")
-    @click.option("--base", default=None,
-                  help="Base point: a label, else a point index (default: the first point).")
-    @click.option("--quasimetric", is_flag=True, default=False,
-                  help="Emit the raw quasimetric instead of its chain metric.")
-    @click.option("--max-points", type=int, default=_MAX_POINTS,
-                  show_default=True,
-                  help="Largest input point count for the dense shortest-path closure.")
-    @click.option("--output", type=click.Path(dir_okay=False), default=None)
-    def command(input_path, base, quasimetric, max_points, output) -> None:
-        from heislab import finite_metric
-        space = finite_metric.load_space_csv(input_path)
-        space = getattr(finite_metric, f"{name}_space")(
-            space, _base_index(space, base), max_points=max_points, chain=not quasimetric)
-        _save(lambda fh: finite_metric.save_space_csv(space, fh), output)
-
-
-_register_metric_map("invert", "inversion")
-_register_metric_map("sphericalize", "sphericalization")
-
-
-# ---------------------------------------------------------------------------
-# distort
-
-
-@main.group()
-def distort() -> None:
-    """Distortion statistics: quasimobius, quasiconformality, regularity."""
+def _metric_map(args) -> None:
+    """``metric invert`` or ``metric sphericalize``: the finite_metric map of that name."""
+    from heislab import finite_metric
+    space = finite_metric.load_space_csv(args.input)
+    space = getattr(finite_metric, f"{args.command}_space")(
+        space, _base_index(space, args.base), max_points=args.max_points,
+        chain=not args.quasimetric)
+    _save(lambda fh: finite_metric.save_space_csv(space, fh), args.output)
 
 
 def _radius_list(radii: str) -> list[float]:
     try:
         return [float(t) for t in radii.split(",") if t.strip()]
     except ValueError:
-        raise click.UsageError(f"--radii must be comma-separated floats, got {radii!r}") from None
+        raise ValueError(f"--radii must be comma-separated floats, got {radii!r}") from None
 
 
-@distort.command("qm")
-@click.option("--domain", "domain_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Distance-matrix CSV of the source metric.")
-@click.option("--image", "image_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Distance-matrix CSV of the target metric (aligned by labels).")
-@click.option("--samples", type=int, default=100000, show_default=True)
-@click.option("--raw-pairs", type=click.Path(dir_okay=False), default=None,
-              help="Optional CSV of raw (t_in, t_out) cross-ratio pairs.")
-@_common
-def distort_qm(domain_path, image_path, samples, raw_pairs, seed, output, no_timestamp) -> None:
-    """Strong-quasimobius constant of the identity map between two metrics."""
+def _distort_qm(args) -> None:
     from heislab import distortion, finite_metric
-    d_in, d_out = finite_metric.shared_submatrices(finite_metric.load_space_csv(domain_path),
-                                                   finite_metric.load_space_csv(image_path))
+    d_in, d_out = finite_metric.shared_submatrices(finite_metric.load_space_csv(args.domain),
+                                                   finite_metric.load_space_csv(args.image))
     if len(d_in) < 4:
         raise ValueError("the two spaces share fewer than four labels")
-    report = distortion.estimate_quasimobius(d_in, d_out, samples=samples, seed=seed,
-                                             raw_pairs=bool(raw_pairs))
-    if raw_pairs:
-        distortion.save_ratio_pairs_csv(report, raw_pairs)
-    _emit("distort qm", report, output, no_timestamp, points_used=len(d_in))
+    report = distortion.estimate_quasimobius(d_in, d_out, samples=args.samples, seed=args.seed,
+                                             raw_pairs=bool(args.raw_pairs))
+    if args.raw_pairs:
+        distortion.save_ratio_pairs_csv(report, args.raw_pairs)
+    _emit(args, report, points_used=len(d_in))
 
 
-@distort.command("qc")
-@click.option("--algebra", "selector", required=True)
-@click.option("--map", "map_name", default="inversion", show_default=True,
-              help="identity, inversion, or dilate:T.")
-@click.option("--center-gauge", type=float, default=1.0, show_default=True,
-              help="The seeded random center is dilated to this gauge.")
-@click.option("--radii", default="0.1,0.01,0.001", show_default=True,
-              help="Comma-separated decreasing radii.")
-@click.option("--samples", type=int, default=20000, show_default=True)
-@_common
-def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
-               output, no_timestamp) -> None:
-    """Metric quasiconformality ratios of a self-map at shrinking radii."""
+def _distort_qc(args) -> None:
     from heislab import distortion
-    alg = _load_algebra(selector)
-    radius_list = _radius_list(radii)
+    alg = _load_algebra(args.algebra)
+    radius_list = _radius_list(args.radii)
+    map_name = args.map
     if map_name == "identity":
         point_map = distortion.identity_map(alg)
     elif map_name == "inversion":
@@ -376,29 +221,171 @@ def distort_qc(selector, map_name, center_gauge, radii, samples, seed,
         try:
             factor = float(map_name.split(":", 1)[1])
         except ValueError:
-            raise click.UsageError(f"--map dilate:T needs a number T, got {map_name!r}") from None
+            raise ValueError(f"--map dilate:T needs a number T, got {map_name!r}") from None
         point_map = distortion.dilation_map(alg, factor)
     else:
-        raise click.UsageError(f"unknown map {map_name!r} (identity, inversion, dilate:T)")
-    center = distortion.random_center(alg, center_gauge, seed=seed)
+        raise ValueError(f"unknown map {map_name!r} (identity, inversion, dilate:T)")
+    center = distortion.random_center(alg, args.center_gauge, seed=args.seed)
     report = distortion.estimate_qc_ratio(alg, point_map, center, radius_list,
-                                          samples=samples, seed=seed)
-    _emit("distort qc", report, output, no_timestamp, map=map_name)
+                                          samples=args.samples, seed=args.seed)
+    _emit(args, report, map=map_name)
 
 
-@distort.command("regularity")
-@click.option("--algebra", "selector", required=True)
-@click.option("--radii", default="0.1,0.2154,0.4642,1.0,2.154,4.642,10.0", show_default=True,
-              help="Comma-separated radii spanning at least a decade.")
-@click.option("--samples", type=int, default=200000, show_default=True,
-              help="Monte-Carlo points per radius.")
-@_common
-def distort_regularity(selector, radii, samples, seed, output, no_timestamp) -> None:
-    """Fit the volume-growth exponent of gauge balls."""
+def _distort_regularity(args) -> None:
     from heislab import distortion
-    alg = _load_algebra(selector)
-    report = distortion.estimate_regularity(alg, _radius_list(radii), samples=samples, seed=seed)
-    _emit("distort regularity", report, output, no_timestamp)
+    alg = _load_algebra(args.algebra)
+    report = distortion.estimate_regularity(alg, _radius_list(args.radii),
+                                            samples=args.samples, seed=args.seed)
+    _emit(args, report)
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser of the root and of every subcommand.  It takes no abbreviated
+    long option, and it raises a usage error as ValueError, which :func:`run`
+    reports in one ``error:`` line with exit code 1: argparse itself would
+    print the usage and exit with 2, the code of a failed ``--expect``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+_DEFAULT = "(default: %(default)s)"
+
+
+def _report_options(parser) -> None:
+    """The options of every command that writes a JSON report."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed of the random stream (default: %(default)s)")
+    parser.add_argument("--output", help="report path (default: stdout)")
+    parser.add_argument("--no-timestamp", action="store_true",
+                        help="omit the timestamp, so the report bytes are reproducible")
+
+
+def _parser() -> _Parser:
+    root = _Parser(prog="heislab", description="Numerical laboratory for H-type groups and "
+                                               "their gauge inversions.")
+    groups = root.add_subparsers(dest="group", required=True)
+    ALGEBRA = ("builtin name (H_R:n, H_C:n, H_H:n, H_O, truncated_HH, degenerate_sum) or "
+               "algebra-spec JSON path")
+
+    def group(name: str, doc: str):
+        parser = groups.add_parser(name, help=doc, description=doc)
+        return parser.add_subparsers(dest="command", required=True)
+
+    def command(commands, name: str, function, doc: str, algebra: str | None = ALGEBRA):
+        parser = commands.add_parser(name, help=doc, description=doc)
+        parser.set_defaults(run=function)
+        if algebra:
+            parser.add_argument("--algebra", required=True, help=algebra)
+        return parser
+
+    cmds = group("algebra", "Division-algebra arithmetic checks.")
+    p = command(cmds, "check", _algebra_check, "Composition law, associativity and "
+                "alternativity over random samples.", algebra=None)
+    p.add_argument("--kind", choices=["real", "complex", "quaternion", "octonion", "all"],
+                   default="all", help=_DEFAULT)
+    p.add_argument("--samples", type=int, default=100000, help=_DEFAULT)
+    p.add_argument("--tolerance", type=float, default=1e-12, help=_DEFAULT)
+    _report_options(p)
+
+    cmds = group("lie", "Structure checks of step-two algebras.")
+    for name, doc in (
+            ("check-htype", "Certify or refute |J_Z X| = |Z||X|, exactly, by the Clifford "
+                            "relations over the center basis."),
+            ("check-j2", "Certify or refute the J^2-condition, exactly, by the coefficients "
+                         "of one cubic per pair of center basis vectors (requires a "
+                         "Heisenberg-type algebra).")):
+        p = command(cmds, name, _lie_check, doc)
+        p.add_argument("--samples", type=int, default=10000,
+                       help="recorded in the report for replay only, as is --seed: the "
+                            "certificate is exact (default: %(default)s)")
+        p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_DEFAULT)
+        p.add_argument("--expect", choices=_LIE_CHECKS[name][2],
+                       help="fail (exit 2) unless the verdict matches")
+        _report_options(p)
+
+    cmds = group("group", "Point sampling and distance matrices in exponential coordinates.")
+    for name, run_command, doc in (
+            ("sample", _group_sample, "Sample points uniformly from the coordinate box of a "
+                                      "gauge ball (CSV)."),
+            ("distmat", _group_distmat, "Gauge distance matrix of a seeded point sample (CSV).")):
+        p = command(cmds, name, run_command, doc)
+        p.add_argument("--count", type=int, required=True, help="number of points")
+        p.add_argument("--radius", type=float, default=1.0, help=_DEFAULT)
+        p.add_argument("--seed", type=int, default=0, help=_DEFAULT)
+        p.add_argument("--output", help="CSV path (default: stdout)")
+
+    cmds = group("invert", "The gauge inversion and its two-point transport maps.")
+    p = command(cmds, "verify", _invert_verify,
+                "Worst-case deviation of the inversion distance identity.")
+    p.add_argument("--samples", type=int, default=100000, help=_DEFAULT)
+    p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_DEFAULT)
+    p.add_argument("--radius", type=float, default=1.0, help=_DEFAULT)
+    p.add_argument("--threads", type=int,
+                   help="worker threads of the pair sweep (default: the CPUs this process "
+                        "may use; the result does not depend on the count)")
+    p.add_argument("--expect", choices=["exact", "inexact"],
+                   help="fail (exit 2) unless the verdict matches")
+    _report_options(p)
+    p = command(cmds, "transport", _invert_transport, "Exercise every transporter case "
+                "branch on random quadruples and free points.")
+    p.add_argument("--trials", type=int, default=1000,
+                   help="random quadruples per case branch (default: %(default)s)")
+    p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_DEFAULT)
+    p.add_argument("--radius", type=float, default=1.0, help=_DEFAULT)
+    _report_options(p)
+
+    cmds = group("metric", "Inversion and sphericalization of finite metric spaces.")
+    for name, noun in (("invert", "inversion"), ("sphericalize", "sphericalization")):
+        p = command(cmds, name, _metric_map, f"Based {noun} of a distance-matrix CSV.",
+                    algebra=None)
+        p.add_argument("--input", required=True, help="distance-matrix CSV")
+        p.add_argument("--base", help="base point: a label, else a point index (default: the "
+                                      "first point); a value that begins with '-' is given "
+                                      "as --base=VALUE")
+        p.add_argument("--quasimetric", action="store_true",
+                       help="emit the raw quasimetric instead of its chain metric")
+        p.add_argument("--max-points", type=int, default=_MAX_POINTS,
+                       help="largest input point count of the dense shortest-path closure "
+                            "(default: %(default)s)")
+        p.add_argument("--output", help="CSV path (default: stdout)")
+
+    cmds = group("distort", "Distortion statistics: quasimobius, quasiconformality, "
+                            "regularity.")
+    p = command(cmds, "qm", _distort_qm, "Strong-quasimobius constant of the identity map "
+                "between two metrics.", algebra=None)
+    p.add_argument("--domain", required=True, help="distance-matrix CSV of the source metric")
+    p.add_argument("--image", required=True,
+                   help="distance-matrix CSV of the target metric (aligned by labels)")
+    p.add_argument("--samples", type=int, default=100000, help=_DEFAULT)
+    p.add_argument("--raw-pairs", help="CSV path of the raw (t_in, t_out) cross-ratio pairs")
+    _report_options(p)
+    p = command(cmds, "qc", _distort_qc,
+                "Metric quasiconformality ratios of a self-map at shrinking radii.")
+    p.add_argument("--map", default="inversion",
+                   help="identity, inversion, or dilate:T (default: %(default)s)")
+    p.add_argument("--center-gauge", type=float, default=1.0,
+                   help="gauge of the seeded random center (default: %(default)s)")
+    p.add_argument("--radii", default="0.1,0.01,0.001",
+                   help="comma-separated decreasing radii (default: %(default)s)")
+    p.add_argument("--samples", type=int, default=20000, help=_DEFAULT)
+    _report_options(p)
+    p = command(cmds, "regularity", _distort_regularity,
+                "Fit the volume-growth exponent of gauge balls.")
+    p.add_argument("--radii", default="0.1,0.2154,0.4642,1.0,2.154,4.642,10.0",
+                   help="comma-separated radii spanning at least a decade (default: "
+                        "%(default)s)")
+    p.add_argument("--samples", type=int, default=200000,
+                   help="Monte-Carlo points per radius (default: %(default)s)")
+    _report_options(p)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +397,15 @@ def run(argv=None) -> int:
     instead of raising SystemExit.  Library callers leave malloc as it is."""
     _keep_heap()
     try:
-        main.main(args=argv, prog_name="heislab", standalone_mode=False)
+        args = _parser().parse_args(argv)
+        args.run(args)
+    except SystemExit:  # the only exit argparse is left: --help, once printed
+        return 0
     except MathCheckFailed as exc:
-        click.echo(f"check failed: {exc}", err=True)
+        print(f"check failed: {exc}", file=sys.stderr)
         return 2
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
     except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

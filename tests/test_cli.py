@@ -169,6 +169,70 @@ class TestExitCodes:
         assert read_json(out)["is_h_type"] is False
 
 
+# every group of the CLI and its commands
+COMMANDS = {"algebra": ["check"], "lie": ["check-htype", "check-j2"],
+            "group": ["sample", "distmat"], "invert": ["verify", "transport"],
+            "metric": ["invert", "sphericalize"], "distort": ["qm", "qc", "regularity"]}
+
+
+class TestUsage:
+    """A usage error is one ``error:`` line and exit code 1, never the usage
+    block and exit code 2 of a bare ``argparse`` parser; ``--help`` exits 0."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["frobnicate"],
+        ["lie"],
+        ["lie", "check-nothing"],
+        ["lie", "check-j2", "--algebra", "H_C:1", "--bogus"],
+        ["lie", "check-j2", "--algebra", "H_C:1", "--samp", "10"],
+        ["lie", "check-j2", "--samples", "10"],
+        ["lie", "check-j2", "--algebra"],
+        ["group", "sample", "--algebra", "H_C:1", "--count", "x"],
+        ["group", "sample", "--algebra", "H_C:1", "--count", "3", "--radius", "y"],
+        ["lie", "check-j2", "--algebra", "H_C:1", "--expect", "maybe"],
+        ["group", "sample", "--algebra", "H_C:1", "--count", "3", "surplus"],
+    ], ids=["no-command", "unknown-group", "no-group-command", "unknown-command",
+            "unknown-option", "abbreviated-option", "missing-required", "missing-value",
+            "non-integer-count", "non-float-radius", "bad-expect-choice", "extra-argument"])
+    def test_usage_error_is_one_error_line(self, argv, capsys):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [[]] + [[group] for group in COMMANDS]
+                             + [[group, name] for group in COMMANDS for name in COMMANDS[group]],
+                             ids=" ".join)
+    def test_help_exits_zero(self, argv, capsys):
+        assert run([*argv, "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(" ".join(["usage: heislab", *argv]))
+        assert err == ""
+
+    def test_unreadable_paths_are_one_error_line(self, tmp_path, capsys):
+        for argv in (["metric", "invert", "--input", str(tmp_path / "nope.csv")],
+                     ["group", "sample", "--algebra", "H_C:1", "--count", "3",
+                      "--output", str(tmp_path)]):
+            assert run(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_base_label_that_begins_with_a_dash(self, tmp_path, capsys):
+        path, out, expected = tmp_path / "d.csv", tmp_path / "inv.csv", tmp_path / "expected.csv"
+        space = fm.FiniteMetricSpace(["a", "-b", "c"], [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5],
+                                                       [2.0, 1.5, 0.0]])
+        fm.save_space_csv(space, path)
+        fm.save_space_csv(fm.invert_space(space, 1), expected)
+        assert run(["metric", "invert", "--input", str(path), "--base=-b",
+                    "--output", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        # separated, "-b" reads as an option
+        assert run(["metric", "invert", "--input", str(path), "--base", "-b"]) == 1
+        assert capsys.readouterr().err == "error: argument --base: expected one argument\n"
+
+
 class TestAlgebraCheck:
     def test_all_kinds_pass(self, tmp_path):
         out = tmp_path / "alg.json"
@@ -388,14 +452,15 @@ def test_cli_import_does_not_load_scipy(tmp_path):
         print(loaded())
         from heislab.cli import run
         print(loaded())
-        print(run(['lie', 'check-j2', '--algebra', 'H_O', '--output', {os.devnull!r}]), loaded())
+        print(run(['lie', 'check-j2', '--algebra', 'H_O', '--output', {os.devnull!r}]), loaded(),
+              'click' in sys.modules)
         codes = [run(['group', 'distmat', '--algebra', 'H_C:1', '--count', '200',
                       '--seed', '5', '--output', {str(dist)!r}])]
         codes += [run(['metric', c, '--input', {str(dist)!r}, '--output', {str(out)!r}])
                   for c in ('sphericalize', 'invert')]
         print(codes, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))
     """
-    assert fresh_python(code) == ["[]", "[]", "0 []", "[0, 0, 0] False"]
+    assert fresh_python(code) == ["[]", "[]", "0 [] False", "[0, 0, 0] False"]
     assert fm.load_space_csv(out).n == 200
 
 
@@ -749,6 +814,26 @@ class TestAlgebraSpecFiles:
         payload = read_json(out)
         assert payload["algebra"] == "truncated_HH"
         assert payload["satisfies_j2"] is False
+
+    def test_builtin_name_is_not_a_file_of_that_name(self, tmp_path, monkeypatch):
+        # a file named like a builtin, in the working directory, does not shadow it
+        monkeypatch.chdir(tmp_path)
+        assert run(["group", "sample", "--algebra", "H_C:1", "--count", "3",
+                    "--output", "H_O"]) == 0
+        out = tmp_path / "report.json"
+        assert run(["lie", "check-htype", "--algebra", "H_O", "--output", str(out),
+                    "--no-timestamp"]) == 0
+        payload = read_json(out)
+        assert payload["is_h_type"] is True
+        assert payload["fingerprint"] == hlie.algebra_from_name("H_O").fingerprint
+
+    def test_spec_file_by_a_name_that_is_no_builtin(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_algebra_spec(hlie.make_truncated_quaternionic(), tmp_path / "custom")
+        out = tmp_path / "report.json"
+        assert run(["lie", "check-htype", "--algebra", "custom", "--output", str(out),
+                    "--no-timestamp"]) == 0
+        assert read_json(out)["algebra"] == "truncated_HH"
 
     def test_malformed_spec_file(self, tmp_path):
         path = tmp_path / "broken.json"
