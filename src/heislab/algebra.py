@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
-from heislab.util import _CHUNK, Report
+from heislab.util import Report, _sampled
 
 __all__ = [
     "AlgebraKind",
@@ -214,18 +214,22 @@ class ArithmeticReport(Report):
         return all(entry["passed"] for entry in self.results)
 
 
-def _residuals(kind: AlgebraKind, a: np.ndarray, b: np.ndarray,
-               c: np.ndarray | None = None) -> tuple:
-    """Worst composition residual of the rows a, b, and worst associativity
-    residual of a, b, c, or alternativity residual of a, b when c is None."""
+def _residuals(kind: AlgebraKind, count: int, rng: np.random.Generator) -> tuple:
+    """One chunk of :func:`check_arithmetic`: draw ``count`` rows a and b, and
+    on an associative kind c, in that order; return the worst composition
+    residual of a, b, and the worst associativity residual of a, b, c, or
+    on the octonions the worst alternativity residual of a, b."""
+    a = random_elements(kind, count, rng)
+    b = random_elements(kind, count, rng)
     ab = mul_arrays(kind, a, b)
     scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
     composition = np.max(np.abs(np.linalg.norm(ab, axis=1) - scale) / scale)
-    if c is None:
+    if kind is AlgebraKind.OCTONION:
         left = mul_arrays(kind, a, ab)
         right = mul_arrays(kind, mul_arrays(kind, a, a), b)
         scale = np.linalg.norm(a, axis=1) ** 2 * np.linalg.norm(b, axis=1)
     else:
+        c = random_elements(kind, count, rng)
         left = mul_arrays(kind, ab, c)
         right = mul_arrays(kind, a, mul_arrays(kind, b, c))
         scale = scale * np.linalg.norm(c, axis=1)
@@ -236,27 +240,21 @@ def check_arithmetic(kinds, samples: int, seed: int = 0, tol: float = 1e-12) -> 
     """Worst relative residuals of the composition law |ab| = |a||b| and of
     associativity (alternativity a(ab) = (aa)b on the octonions), per kind.
 
-    One seeded stream serves the kinds in order: each draws a and b, and an
-    associative kind then c.  Every operand but the last is drawn whole, and
-    the last in slices of ``util._CHUNK`` rows, which continue the stream as
-    one draw would; the residuals are taken per slice, so only one slice of
-    products is held.  The slice maxima merge by ``np.max``, which keeps a
-    NaN.  A kind passes when its composition residual is within ``tol`` and
-    its other residual within 1e-12.
+    Each kind draws through ``util._sampled``: every chunk of
+    ``util._CHUNK`` samples draws its operands from its own child of
+    ``seed`` and is reduced to its residuals (:func:`_residuals`), so only
+    one chunk of products is held, and a kind's residuals depend only on
+    the kind, ``samples`` and ``seed``.  The chunk maxima merge by
+    ``np.max``, which keeps a NaN.  A kind passes when its composition
+    residual is within ``tol`` and its other residual within 1e-12.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     results = []
     for kind in kinds:
-        octonion = kind is AlgebraKind.OCTONION
-        whole = [random_elements(kind, samples, rng) for _ in range(1 if octonion else 2)]
-        worst = []
-        for start in range(0, samples, _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            last = random_elements(kind, min(_CHUNK, samples - start), rng)
-            worst.append(_residuals(kind, *(x[rows] for x in whole), last))
+        worst = _sampled(partial(_residuals, kind), samples, seed)
         composition, residual = (float(np.max(m)) for m in zip(*worst))
+        octonion = kind is AlgebraKind.OCTONION
         name = "alternativity_residual" if octonion else "associativity_residual"
         results.append({"kind": kind.value, "composition_residual": composition,
                         name: residual, "passed": composition <= tol and residual <= 1e-12})

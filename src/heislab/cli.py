@@ -87,8 +87,6 @@ def _expect(expect: str | None, positive: str, holds: bool, failed: str,
 
 
 def _algebra_check(args) -> None:
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
     kinds = list(alg_mod.AlgebraKind) if args.kind == "all" else [alg_mod.AlgebraKind(args.kind)]
     report = alg_mod.check_arithmetic(kinds, args.samples, seed=args.seed, tol=args.tolerance)
     _emit(args, report)
@@ -118,8 +116,6 @@ def _lie_check(args) -> None:
 
 
 def _group_sample(args) -> None:
-    if args.count < 1:
-        raise ValueError("--count must be >= 1")
     from heislab import hgroup
     alg = _load_algebra(args.algebra)
     v, z = hgroup.sample_arrays(alg, args.count, args.radius, args.seed)
@@ -137,8 +133,6 @@ def _group_distmat(args) -> None:
 
 
 def _invert_verify(args) -> None:
-    if args.threads is not None and args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     from heislab import inversion
     alg = _load_algebra(args.algebra)
     report = inversion.verify_inversion(alg, samples=args.samples, seed=args.seed,
@@ -151,8 +145,6 @@ def _invert_verify(args) -> None:
 
 
 def _invert_transport(args) -> None:
-    if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
     from heislab import inversion
     alg = _load_algebra(args.algebra)
     report = inversion.transport_errors(alg, args.trials, radius=args.radius, seed=args.seed,
@@ -272,8 +264,7 @@ def _parser() -> _Parser:
     root = _Parser(prog="heislab", description="Numerical laboratory for H-type groups and "
                                                "their gauge inversions.")
     groups = root.add_subparsers(dest="group", required=True)
-    ALGEBRA = ("builtin name (H_R:n, H_C:n, H_H:n, H_O, truncated_HH, degenerate_sum) or "
-               "algebra-spec JSON path")
+    ALGEBRA = f"builtin name ({', '.join(hlie.builtin_names())}) or algebra-spec JSON path"
 
     def group(name: str, doc: str):
         parser = groups.add_parser(name, help=doc, description=doc)

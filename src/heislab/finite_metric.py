@@ -110,22 +110,19 @@ def _coarse_copy(dist: np.ndarray, slack: float) -> np.ndarray | None:
     return coarse
 
 
-def _scan(dist: np.ndarray, slack: float, closure: bool = False) -> list[np.ndarray]:
-    """The triangle scan of ``dist``: the rows it flags and, for the closure,
-    the useful pivots, each as one mask over all workers.  Above one block of
-    rows it runs on ``util._cpu_count()`` workers, and worker w takes the rows
-    i = w (mod workers), which balances the triangle.  The float32 copy is
-    freed on return."""
+def _scan(dist: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
+    """The triangle scan of ``dist``: the rows it flags and the useful pivots,
+    each as one mask over all workers.  Above one block of rows it runs on
+    ``util._cpu_count()`` workers, each with marks of its own, and worker w
+    takes the rows i = w (mod workers), which balances the triangle.  The
+    float32 copy is freed on return."""
     n = dist.shape[0]
     workers = _cpu_count() if n > _SCAN_BLOCK else 1
-    if closure:
-        marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
-    else:
-        marks = [(np.zeros(n, dtype=bool),)] * workers
+    marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
     coarse = _coarse_copy(dist, slack)
     _ordered_map(lambda w: _scan_rows(dist, slack, range(w, n, workers), *marks[w],
                                       coarse=coarse), range(workers), workers)
-    return [np.logical_or.reduce(worker_marks) for worker_marks in zip(*marks)]
+    return tuple(np.logical_or.reduce(worker_marks) for worker_marks in zip(*marks))
 
 
 def _exact_block(dist: np.ndarray, slack: float, i: int, j0: int, buf: np.ndarray,
@@ -140,8 +137,9 @@ def _exact_block(dist: np.ndarray, slack: float, i: int, j0: int, buf: np.ndarra
 
 
 def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
-               pivots: np.ndarray | None = None, coarse: np.ndarray | None = None) -> None:
-    """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some j >= i.
+               pivots: np.ndarray, coarse: np.ndarray | None = None) -> None:
+    """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some
+    j >= i, and in ``pivots`` the k of every violating (i, k, j).
 
     Each block of ``_SCAN_BLOCK`` rows j = j0, j0 + 1, .. first runs the
     same add and row-min on ``coarse``, the float32 copy with an infinite
@@ -161,14 +159,10 @@ def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
     alone.  So the marks are those of the float64 scan, and only the
     float64 block decides a violation.
 
-    Validation (no ``pivots``) shares ``bad`` between the workers: each
-    scans its rows in increasing order and stops at its first violating
-    row, or once another worker has flagged a smaller one; each worker
-    writes only its own rows, so a stale read only scans a row more.  The
-    closure gives each worker its own ``bad`` and ``pivots``: every row is
-    scanned to its end, and a violating (i, k, j) flags row j >= i too (its
-    mirror (j, k, i) violates) and pivot k.  A worker stops once rows i..
-    and every pivot are flagged, as nothing is left to flag.
+    Every row is scanned to its end, and a violating (i, k, j) flags row
+    j >= i too (its mirror (j, k, i) violates) and pivot k.  A worker
+    stops once rows i.. and every pivot are flagged, as nothing is left to
+    flag.
     """
     n = dist.shape[0]
     buf = np.empty((min(_SCAN_BLOCK, n), n), dtype=dist.dtype)
@@ -177,10 +171,7 @@ def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
         coarse_buf = np.empty(buf.shape, dtype=np.float32)
         coarse_best = np.empty(buf.shape[0], dtype=np.float32)
     for i in rows:
-        if pivots is None:
-            if bad[:i].any():
-                return
-        elif bad[i:].all() and pivots.all():
+        if bad[i:].all() and pivots.all():
             return
         for j0 in range(i, n, _SCAN_BLOCK):
             m = min(_SCAN_BLOCK, n - j0)
@@ -193,8 +184,6 @@ def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
             if not over.any():
                 continue
             bad[i] = True
-            if pivots is None:
-                return
             bad[j0:j0 + m] |= over
             if not pivots.all():
                 pivots |= (buf[:m] < dist[i, j0:j0 + m, None]).any(axis=0)
@@ -217,17 +206,23 @@ def _triangle_error(dist: np.ndarray, i: int, slack: float) -> ValueError:
 def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> None:
     """Raise with the offending entry or triple if ``dist`` is not a metric.
 
-    The triangle scan runs on the available CPUs; the verdict and the
-    reported triple do not depend on how many.
+    The triangle scan is the closure's (``_scan``), on the available CPUs;
+    the verdict and the reported triple do not depend on how many.  It
+    scans every row to its end, so rejecting a matrix costs about what
+    accepting one does: a gauge matrix with one violating pair took
+    0.26-0.30 s to reject at n = 1000 and 1.9 s at n = 2000 on 2 shared
+    cores, where a scan that stopped at the first violating row took
+    0.02 s and 0.09 s with the pair in row 0.
     """
     dist = np.asarray(dist)
     _check_entries(dist)
     # A violation at (i, j) with j < i is the mirror of one at (j, i), since
     # the matrix is exactly symmetric and float addition commutes; so the
     # first violating row has all its violating columns at j >= i, and only
-    # those are scanned.  The smallest row any worker flags is the first
+    # those are scanned.  A row j is flagged through a row i only for i < j,
+    # and row i is then flagged too, so the first flagged row is the first
     # violating row.
-    bad, = _scan(dist, slack)
+    bad, _ = _scan(dist, slack)
     if bad.any():
         raise _triangle_error(dist, int(np.argmax(bad)), slack)
 
@@ -372,7 +367,7 @@ def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     # useful and is skipped if not; a dirty one runs on every row, since
     # a + (b + c) can round below (a + b) + c and lower a row that had no
     # violation.  Once every later row is dirty, no change needs tracking.
-    active, useful = _scan(d, 0.0, closure=True)
+    active, useful = _scan(d, 0.0)
     if not active.any():
         return d
     n = d.shape[0]

@@ -351,12 +351,12 @@ def algebra_from_name(name: str) -> HTypeAlgebra:
     if name in _BUILTIN_FIXED:
         return _BUILTIN_FIXED[name]()
     base, _, suffix = name.partition(":")
-    if base in ("H_R", "H_C", "H_H", "H_O"):
+    if base[:2] == "H_" and base[2:] in _LETTER_KIND:
         try:
             n = int(suffix) if suffix else 1
         except ValueError:
             raise ValueError(f"invalid block count {suffix!r} in algebra name {name!r}") from None
-        return make_heisenberg(_LETTER_KIND[base[2]], n)
+        return make_heisenberg(_LETTER_KIND[base[2:]], n)
     raise ValueError(
         f"unknown algebra name {name!r} (expected one of {', '.join(builtin_names())}, "
         "or a path to an algebra-spec JSON file)"

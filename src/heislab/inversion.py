@@ -352,6 +352,8 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     if not check_h_type(alg, samples=256, seed=seed).is_h_type:
         raise ValueError(f"{alg.label} is not of Heisenberg type; "
                          "the gauge inversion identity is only assessed on H-type algebras")

@@ -7,15 +7,18 @@ the bracket as the library evaluated it before its coordinate-major layout,
 by gathers out of the last axis; an algebra-spec writer, which the library
 does not need; the distance-matrix CSV writer and reader as they were
 before the writer formatted each symmetric pair once and the reader parsed
-with numpy; the triangle scan as it was before its float32 pre-filter,
-every block in float64; the inversion-identity chunk as it was before it
+with numpy; the triangle scan that validation and the closure share, as
+it was before its float32 pre-filter, every block in float64; the
+inversion-identity chunk as it was before it
 fused the kernels, through the public ``gauge_arrays``, ``gauge_dist_arrays``
 and ``sigma_arrays``; the quasimobius cross-ratios as they
 were before each distance was gathered once for both orders of the middle
 pair, with the statistics of ``estimate_quasimobius`` reduced from them as
 whole arrays, as they were before each chunk was reduced on its own;
-``check_arithmetic`` on whole arrays of every operand, as it was before it
-drew the last operand in slices; and the tracemalloc peak of a call."""
+``check_arithmetic`` with the chunk draws of ``util._sampled`` concatenated
+and every product and residual of a kind taken as one whole array, as it
+was before each chunk was reduced on its own; and the tracemalloc peak of
+a call."""
 
 import csv
 import json
@@ -167,28 +170,21 @@ def load_space_csv_rowloop(path) -> FiniteMetricSpace:
 
 
 def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
-                      pivots: np.ndarray | None = None) -> None:
-    """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some j >= i.
+                      pivots: np.ndarray) -> None:
+    """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some
+    j >= i, and in ``pivots`` the k of every violating (i, k, j).
 
     Row a of the buffer holds d(j, k) + d(i, k) for j = j0 + a, as the
-    witness of ``_triangle_error`` computes it.  Validation (no ``pivots``)
-    shares ``bad`` between the workers: each scans its rows in increasing
-    order and stops at its first violating row, or once another worker has
-    flagged a smaller one; each worker writes only its own rows, so a stale
-    read only scans a row more.  The closure gives each worker its own
-    ``bad`` and ``pivots``: every row is scanned to its end, and a violating
-    (i, k, j) flags row j >= i too (its mirror (j, k, i) violates) and
-    pivot k.  A worker stops once rows i.. and every pivot are flagged, as
-    nothing is left to flag.
+    witness of ``_triangle_error`` computes it.  Every row is scanned to its
+    end, and a violating (i, k, j) flags row j >= i too (its mirror
+    (j, k, i) violates) and pivot k.  A worker stops once rows i.. and
+    every pivot are flagged, as nothing is left to flag.
     """
     n = dist.shape[0]
     buf = np.empty((min(_SCAN_BLOCK, n), n), dtype=dist.dtype)
     best = np.empty(buf.shape[0], dtype=dist.dtype)
     for i in rows:
-        if pivots is None:
-            if bad[:i].any():
-                return
-        elif bad[i:].all() and pivots.all():
+        if bad[i:].all() and pivots.all():
             return
         for j0 in range(i, n, _SCAN_BLOCK):
             m = min(_SCAN_BLOCK, n - j0)
@@ -198,8 +194,6 @@ def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarr
             if not over.any():
                 continue
             bad[i] = True
-            if pivots is None:
-                return
             bad[j0:j0 + m] |= over
             if not pivots.all():
                 pivots |= (buf[:m] < dist[i, j0:j0 + m, None]).any(axis=0)
@@ -295,24 +289,32 @@ def quasimobius_statistics_vstack(d_in: np.ndarray, d_out: np.ndarray, samples: 
 
 def check_arithmetic_whole(kinds, samples: int, seed: int = 0,
                            tol: float = 1e-12) -> ArithmeticReport:
-    """Reference ``check_arithmetic``: each operand, product and residual of a
-    kind as one array of all the samples."""
-    rng = np.random.default_rng(seed)
+    """Reference ``check_arithmetic``: the operands of each chunk of
+    ``util._CHUNK`` samples drawn from its own child of the seed, as
+    ``util._sampled`` hands the children out, concatenated; then each
+    product and residual of a kind as one array of all the samples."""
+    chunks = -(-samples // _CHUNK)
     results = []
     for kind in kinds:
-        a = random_elements(kind, samples, rng)
-        b = random_elements(kind, samples, rng)
+        octonion = kind is AlgebraKind.OCTONION
+        draws = []
+        for k, child in enumerate(np.random.SeedSequence(seed).spawn(chunks)):
+            rng = np.random.default_rng(child)
+            count = min(_CHUNK, samples - k * _CHUNK)
+            draws.append([random_elements(kind, count, rng) for _ in range(2 if octonion else 3)])
+        operands = [np.vstack(operand) for operand in zip(*draws)]
+        a, b = operands[:2]
         ab = mul_arrays(kind, a, b)
         scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
         composition = float(np.max(np.abs(np.linalg.norm(ab, axis=1) - scale) / scale))
-        if kind is AlgebraKind.OCTONION:
+        if octonion:
             name = "alternativity_residual"
             left = mul_arrays(kind, a, mul_arrays(kind, a, b))
             right = mul_arrays(kind, mul_arrays(kind, a, a), b)
             scale = np.linalg.norm(a, axis=1) ** 2 * np.linalg.norm(b, axis=1)
         else:
             name = "associativity_residual"
-            c = random_elements(kind, samples, rng)
+            c = operands[2]
             left = mul_arrays(kind, ab, c)
             right = mul_arrays(kind, a, mul_arrays(kind, b, c))
             scale = scale * np.linalg.norm(c, axis=1)

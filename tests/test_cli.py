@@ -201,6 +201,18 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["algebra", "check", "--samples", "0"], "samples must be >= 1"),
+        (["group", "sample", "--algebra", "H_C:1", "--count", "0"], "count must be >= 1"),
+        (["invert", "transport", "--algebra", "H_C:1", "--trials", "0"], "trials must be >= 1"),
+        (["invert", "verify", "--algebra", "H_C:1", "--threads", "0"], "threads must be >= 1"),
+    ], ids=["check-samples", "sample-count", "transport-trials", "verify-threads"])
+    def test_zero_count_is_the_library_error(self, argv, message, capsys):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [[]] + [[group] for group in COMMANDS]
                              + [[group, name] for group in COMMANDS for name in COMMANDS[group]],
                              ids=" ".join)

@@ -498,11 +498,9 @@ class TestScanAgainstFloat64Scan:
         monkeypatch.setattr(fm, "_cpu_count", lambda: workers)
         monkeypatch.setattr(fm, "_scan_rows", scan)
         n = dist.shape[0]
-        marks = []
-        for pivots in (None, np.zeros(n, dtype=bool)):
-            bad = np.zeros(n, dtype=bool)
-            scan(dist, slack, range(n), bad, pivots, coarse=fm._coarse_copy(dist, slack))
-            marks.append((bad.tobytes(), None if pivots is None else pivots.tobytes()))
+        bad, pivots = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        scan(dist, slack, range(n), bad, pivots, coarse=fm._coarse_copy(dist, slack))
+        marks = bad.tobytes(), pivots.tobytes()
         try:
             fm.validate_distance_matrix(dist, slack)
             message = None

@@ -143,6 +143,11 @@ class TestVerifyInversion:
         b = inversion.verify_inversion(alg, samples=50000, seed=5, threads=4)
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_must_be_positive(self, threads):
+        with pytest.raises(ValueError, match="^threads must be >= 1$"):
+            inversion.verify_inversion(builtin("H_C:1"), samples=100, threads=threads)
+
     def test_same_seed_reproduces(self):
         alg = builtin("H_C:1")
         a = inversion.verify_inversion(alg, samples=30000, seed=9)

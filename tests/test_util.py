@@ -88,10 +88,10 @@ class TestSampled:
 
 
 # the functions that may make a generator or a seed: the chunk map, the
-# per-radius seeds of two estimators, and three one-shot draws
+# per-radius seeds of two estimators, and two one-shot draws
 SEEDING_SITES = {"util._sampled", "distortion.estimate_qc_ratio",
                  "distortion.estimate_regularity", "hgroup.sample_arrays",
-                 "distortion.random_center", "algebra.check_arithmetic"}
+                 "distortion.random_center"}
 
 
 def seeding_sites(tree, module: str) -> set:
