@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from heislab.util import Report, _sampled
+from heislab.util import Report, _check_tol, _sampled
 
 __all__ = [
     "AlgebraKind",
@@ -246,10 +246,12 @@ def check_arithmetic(kinds, samples: int, seed: int = 0, tol: float = 1e-12) -> 
     one chunk of products is held, and a kind's residuals depend only on
     the kind, ``samples`` and ``seed``.  The chunk maxima merge by
     ``np.max``, which keeps a NaN.  A kind passes when its composition
-    residual is within ``tol`` and its other residual within 1e-12.
+    residual is within ``tol`` (0 <= tol < inf) and its other residual
+    within 1e-12.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_tol(tol)
     results = []
     for kind in kinds:
         worst = _sampled(partial(_residuals, kind), samples, seed)

@@ -249,6 +249,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _DEFAULT = "(default: %(default)s)"
+_TOLERANCE = "largest residual that passes, 0 <= TOLERANCE < inf (default: %(default)s)"
 
 
 def _report_options(parser) -> None:
@@ -283,7 +284,7 @@ def _parser() -> _Parser:
     p.add_argument("--kind", choices=["real", "complex", "quaternion", "octonion", "all"],
                    default="all", help=_DEFAULT)
     p.add_argument("--samples", type=int, default=100000, help=_DEFAULT)
-    p.add_argument("--tolerance", type=float, default=1e-12, help=_DEFAULT)
+    p.add_argument("--tolerance", type=float, default=1e-12, help=_TOLERANCE)
     _report_options(p)
 
     cmds = group("lie", "Structure checks of step-two algebras.")
@@ -297,7 +298,7 @@ def _parser() -> _Parser:
         p.add_argument("--samples", type=int, default=10000,
                        help="recorded in the report for replay only, as is --seed: the "
                             "certificate is exact (default: %(default)s)")
-        p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_DEFAULT)
+        p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_TOLERANCE)
         p.add_argument("--expect", choices=_LIE_CHECKS[name][2],
                        help="fail (exit 2) unless the verdict matches")
         _report_options(p)
@@ -317,7 +318,7 @@ def _parser() -> _Parser:
     p = command(cmds, "verify", _invert_verify,
                 "Worst-case deviation of the inversion distance identity.")
     p.add_argument("--samples", type=int, default=100000, help=_DEFAULT)
-    p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_DEFAULT)
+    p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_TOLERANCE)
     p.add_argument("--radius", type=float, default=1.0, help=_DEFAULT)
     p.add_argument("--threads", type=int,
                    help="worker threads of the pair sweep (default: the CPUs this process "
@@ -329,7 +330,7 @@ def _parser() -> _Parser:
                 "branch on random quadruples and free points.")
     p.add_argument("--trials", type=int, default=1000,
                    help="random quadruples per case branch (default: %(default)s)")
-    p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_DEFAULT)
+    p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_TOLERANCE)
     p.add_argument("--radius", type=float, default=1.0, help=_DEFAULT)
     _report_options(p)
 

@@ -52,39 +52,23 @@ class Point(NamedTuple):
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis of a coordinate-major (width, ...) array, in the
-    order in which ``np.sum(..., axis=-1)`` sums a contiguous row: from +0
-    one by one below 8 terms; from 8 terms up to 128, eight running sums of
-    every eighth term, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
-    (r6 + r7)), then the remaining terms one by one; above 128, the two
-    halves (the first a multiple of 8) summed so and added."""
-    width = terms.shape[0]
-    if width == 0:
-        return np.zeros(terms.shape[1:])
-    if width < 8:
-        total = np.add(terms[0], 0.0, out=np.empty(terms.shape[1:]))  # +0 where t_0 is -0
-        for term in terms[1:]:
-            np.add(total, term, out=total)
-        return total
-    if width > 128:
-        half = width // 2 - (width // 2) % 8
-        return _row_sum(terms[:half]) + _row_sum(terms[half:])
-    running = terms[:8].copy()
-    stop = width - width % 8
-    for start in range(8, stop, 8):
-        np.add(running, terms[start:start + 8], out=running)
-    r = running
-    total = np.asarray(((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
-    for term in terms[stop:]:
+    """Sum over the first axis of a coordinate-major (width, ...) array, term by
+    term in index order from +0: ``((0 + t_0) + t_1) + ...``, zeros at width 0.
+
+    An explicit loop, because ``np.sum`` sums pairwise along a contiguous
+    axis, so its bits would depend on the memory layout, and the redo path
+    of :func:`_gauge_of` passes transposed views."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
         np.add(total, term, out=total)
     return total
 
 
 def _gauge4(v, z) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise a = |v|^2 / 4 and the gauge's fourth power a^2 + |z|^2 of
-    coordinate-major (dim_v, ...) and (dim_z, ...) arrays, with the bits of
-    ``np.sum`` over row-major rows (:func:`_row_sum`).  Overflow gives inf
-    without a warning; the callers evaluate such rows again at unit scale."""
+    coordinate-major (dim_v, ...) and (dim_z, ...) arrays, each sum of
+    squares in index order (:func:`_row_sum`).  Overflow gives inf without a
+    warning; the callers evaluate such rows again at unit scale."""
     with np.errstate(over="ignore"):
         a = 0.25 * _row_sum(v * v)
         return a, a * a + _row_sum(z * z)

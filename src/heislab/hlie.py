@@ -28,7 +28,7 @@ import numpy as np
 
 from heislab import algebra as _algebra
 from heislab.algebra import AlgebraKind
-from heislab.util import Report, fingerprint_of_arrays
+from heislab.util import Report, _check_tol, fingerprint_of_arrays
 
 __all__ = [
     "HTypeAlgebra",
@@ -212,12 +212,14 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     ``|J_Z X|^2 = sum_ab Z_a Z_b <X, S_ab X>`` with the symmetric matrices
     ``S_ab = (J_a^T J_b + J_b^T J_a) / 2``, so the condition holds for all X
     and Z exactly when ``S_ab = delta_ab I``.  The residual is the largest
-    entry of ``S_ab - delta_ab I``.  With an empty center the condition holds
-    vacuously.  ``samples`` and ``seed`` are recorded in the report for
-    replay only; they change no verdict or residual.
+    entry of ``S_ab - delta_ab I``, which passes within ``tol``
+    (0 <= tol < inf).  With an empty center the condition holds vacuously.
+    ``samples`` and ``seed`` are recorded in the report for replay only;
+    they change no verdict or residual.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_tol(tol)
     gram = np.einsum("aij,bik->abjk", alg.j_stack, alg.j_stack)  # J_a^T J_b
     clifford = 0.5 * (gram + gram.transpose(1, 0, 2, 3))
     clifford -= np.einsum("ab,jk->abjk", np.eye(alg.dim_z), np.eye(alg.dim_v))
@@ -260,7 +262,8 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
     coefficient over all pairs.  The witness x is the normalized polarization
     point ``e_j +- e_k +- e_l`` of that coefficient whose ``J_{e_a} J_{e_b} x``
     lies farthest from span{J_W x}; polarization puts one of them off the
-    span.  Requires a Heisenberg-type algebra; a center of dimension 0 or 1
+    span.  Requires a Heisenberg-type algebra, and 0 <= tol < inf (both
+    checked by :func:`check_h_type`); a center of dimension 0 or 1
     satisfies the condition vacuously.  ``samples`` and ``seed`` are recorded
     in the report for replay only; they change no verdict, residual or witness.
     """
@@ -291,24 +294,39 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
                     seed)
 
 
+# entries of the largest structure tensor a spec file or a builtin name may ask for (128 MiB)
+_MAX_SPEC_ENTRIES = 1 << 24
+
+
+def _check_entries(source: str, dim_v: int, dim_z: int) -> None:
+    """Raise ValueError naming ``source`` when a (dim_z, dim_v, dim_v) structure
+    tensor would exceed ``_MAX_SPEC_ENTRIES``; called before it is allocated."""
+    if dim_z * dim_v * dim_v > _MAX_SPEC_ENTRIES:
+        raise ValueError(f"{source}: dim_z * dim_v**2 exceeds the cap of "
+                         f"{_MAX_SPEC_ENTRIES} structure-tensor entries")
+
+
 def make_heisenberg(kind: AlgebraKind, n: int = 1) -> HTypeAlgebra:
     """The Heisenberg group algebra over one of R, C, H, O with n blocks.
 
     The horizontal layer is K^n laid out blockwise (dim(K) coordinates per
     block), the center is Im(K), and J_{Z_k} is left multiplication by e_k on
     each block: ``B[k-1, i, j] = <e_k e_i, e_j>``, the rows 1.. of
-    :func:`algebra.multiplication_tensor`.  Over O only n = 1 is defined.
+    :func:`algebra.multiplication_tensor`.  Over O only n = 1 is defined,
+    and the tensor has at most 2**24 entries (``load_algebra_spec``'s cap),
+    checked before it is allocated.
     """
     if n < 1:
         raise ValueError(f"block count must be >= 1, got {n}")
     if kind is AlgebraKind.OCTONION and n != 1:
         raise ValueError("the octonion algebra H_O does not admit more than one block")
     d = kind.dim
+    label = "H_O" if kind is AlgebraKind.OCTONION else f"H_{_KIND_LETTER[kind]}:{n}"
+    _check_entries(label, n * d, kind.im_dim)
     left = _algebra.multiplication_tensor(kind)[1:]
     tensor = np.zeros((kind.im_dim, n * d, n * d))
     for start in range(0, n * d, d):
         tensor[:, start:start + d, start:start + d] = left
-    label = "H_O" if kind is AlgebraKind.OCTONION else f"H_{_KIND_LETTER[kind]}:{n}"
     return HTypeAlgebra(label, n * d, kind.im_dim, tensor)
 
 
@@ -363,10 +381,6 @@ def algebra_from_name(name: str) -> HTypeAlgebra:
     )
 
 
-# entries of the largest structure tensor a spec file may ask for (128 MiB)
-_MAX_SPEC_ENTRIES = 1 << 24
-
-
 def _integral(value) -> int:
     """A JSON number with an integral value as an int, else TypeError."""
     if isinstance(value, float) and value.is_integer():
@@ -401,9 +415,7 @@ def load_algebra_spec(path) -> HTypeAlgebra:
                          "and entries a list") from None
     if dim_v < 1 or dim_z < 0:
         raise ValueError(f"algebra spec {path}: invalid dimensions dim_v={dim_v}, dim_z={dim_z}")
-    if dim_z * dim_v * dim_v > _MAX_SPEC_ENTRIES:
-        raise ValueError(f"algebra spec {path}: dim_z * dim_v**2 exceeds the cap of "
-                         f"{_MAX_SPEC_ENTRIES} structure-tensor entries")
+    _check_entries(f"algebra spec {path}", dim_v, dim_z)
     tensor = np.zeros((dim_z, dim_v, dim_v))
     seen = set()
     for entry in entries:

@@ -47,7 +47,7 @@ from heislab.hgroup import (
     group_mul,
     sample_with_rng,
 )
-from heislab.util import Report, _cpu_count, _sampled
+from heislab.util import Report, _check_tol, _cpu_count, _sampled
 
 __all__ = [
     "ExtendedPoints",
@@ -260,10 +260,12 @@ def transport_errors(alg: HTypeAlgebra, trials: int, radius: float = 1.0,
     memory.  Missing an infinite target counts as an infinite error.  The
     deviation is ``|CR(g p) / CR(p) - 1|`` of the gauge cross-ratio, which a
     1-quasiconformal map of a J^2 group keeps.  The sweep passes when every
-    error and every deviation is at most ``tol``; a NaN deviation fails it.
+    error and every deviation is at most ``tol`` (0 <= tol < inf); a NaN
+    deviation fails it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_tol(tol)
     chunks = _sampled(lambda count, rng: _sweep_chunk(
         alg, *sample_with_rng(alg, count, radius, rng)), 8 * trials, seed)
     # np.max, unlike max(), keeps a NaN
@@ -348,12 +350,14 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     the largest deviation, found by ``np.argmax`` in chunk order, so the
     report is identical for every thread count.  A NaN deviation does not
     drop out of that max: the first pair whose deviation is NaN is the worst
-    pair, the deviation reads NaN and the verdict is inexact.
+    pair, the deviation reads NaN and the verdict is inexact.  The verdict is
+    exact when the deviation is within ``tol`` (0 <= tol < inf).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
+    _check_tol(tol)
     if not check_h_type(alg, samples=256, seed=seed).is_h_type:
         raise ValueError(f"{alg.label} is not of Heisenberg type; "
                          "the gauge inversion identity is only assessed on H-type algebras")

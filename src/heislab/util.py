@@ -1,6 +1,7 @@
 """Shared helpers: the report base, structure-constant fingerprints, canonical JSON,
-the one text-file writer, the one worker map and its default worker count, and
-the one seeded chunk map of the sampled estimators.
+the one text-file writer, the one worker map and its default worker count,
+the one seeded chunk map of the sampled estimators, and the one check of a
+verdict's tolerance.
 
 ``hashlib`` and ``concurrent.futures`` are imported by the one function that
 uses each, so that a command that hashes nothing or starts no thread does not
@@ -101,6 +102,13 @@ def _ordered_map(fn, jobs, workers: int) -> list:
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 <= tol < inf: a negative or NaN tolerance fails
+    every residual, and an infinite one passes every finite residual."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
 
 
 # finite_metric.DEFAULT_MAX_POINTS, kept here so that the CLI shows it in its

@@ -213,6 +213,21 @@ class TestUsage:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    # a negative or NaN tolerance would fail every check, an infinite one pass it
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["algebra", "check", "--samples", "10"],
+        ["lie", "check-htype", "--algebra", "H_C:1"],
+        ["lie", "check-j2", "--algebra", "H_C:1"],
+        ["invert", "verify", "--algebra", "H_C:1", "--samples", "10"],
+        ["invert", "transport", "--algebra", "H_C:1", "--trials", "1"],
+    ], ids=["algebra-check", "check-htype", "check-j2", "verify", "transport"])
+    def test_unusable_tolerance_is_the_library_error(self, argv, tolerance, capsys):
+        assert run([*argv, "--tolerance", tolerance]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: tol must be non-negative and finite, got {float(tolerance)}\n"
+
     @pytest.mark.parametrize("argv", [[]] + [[group] for group in COMMANDS]
                              + [[group, name] for group in COMMANDS for name in COMMANDS[group]],
                              ids=" ".join)
@@ -874,3 +889,12 @@ class TestAlgebraSpecFiles:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: algebra spec {path}") and err.count("\n") == 1
+
+    # the spec-file cap, checked before np.zeros; each is about 134 MB per tensor copy
+    @pytest.mark.parametrize("name", ["H_C:2049", "H_H:592"])
+    def test_builtin_name_above_the_size_cap_is_one_error_line(self, capsys, name):
+        assert run(["group", "sample", "--algebra", name, "--count", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {name}: dim_z * dim_v**2 exceeds the cap of "
+                       f"{hlie._MAX_SPEC_ENTRIES} structure-tensor entries\n")

@@ -1,5 +1,9 @@
 """Group law, dilations, gauge metric, sampling, and point files."""
 
+import functools
+import math
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,25 +156,38 @@ class TestGauge:
         assert g[5] == np.inf and np.isnan(g[6])
 
 
-class TestRowSum:
-    """The coordinate-major row sums of the gauge keep np.sum's bits."""
+def index_order_sum(rows) -> np.ndarray:
+    """Per row of a (count, width) array, ``((0 + t_0) + t_1) + ...`` in Python floats."""
+    return np.array([functools.reduce(operator.add, row, 0.0) for row in rows.tolist()])
 
-    @pytest.mark.parametrize("width", list(range(1, 17)) + [127, 128, 129, 300])
+
+class TestRowSum:
+    """The coordinate-major row sums of the gauge add in index order, whatever
+    the memory layout of the terms: the bits of ``np.sum`` over the strided
+    coordinate axis of a coordinate-major array, not those of ``np.sum``
+    over a row-major row, which sums pairwise from 8 terms."""
+
+    @pytest.mark.parametrize("width", list(range(0, 17)) + [127, 128, 129, 300])
     def test_sum_of_squares_is_np_sum_bitwise(self, width):
         rng = np.random.default_rng(width)
         # magnitudes spread over many binades, so that the order of the sum shows
         x = rng.standard_normal((5000, width)) * np.exp(4.0 * rng.standard_normal((5000, width)))
-        expected = np.sum(x * x, axis=-1)
-        columns = np.ascontiguousarray(x.T)
-        assert hgroup._row_sum(columns * columns).tobytes() == expected.tobytes()
+        squares = x * x
+        expected = index_order_sum(squares)
+        columns = np.ascontiguousarray(squares.T)
+        assert np.sum(columns, axis=0).tobytes() == expected.tobytes()
+        assert hgroup._row_sum(columns).tobytes() == expected.tobytes()
+        assert hgroup._row_sum(squares.T).tobytes() == expected.tobytes()
+        exact = np.array([math.fsum(row) for row in squares.tolist()])
+        assert np.all(np.abs(expected - exact) <= width * 2.0 ** -53 * exact)
 
     def test_gauge4_is_the_row_major_formula_bitwise(self):
         alg = builtin("H_O")
         v, z = random_points(alg, 3000, seed=12)
-        a = 0.25 * np.sum(v * v, axis=-1)
+        a = 0.25 * index_order_sum(v * v)
         a_cols, n4 = hgroup._gauge4(v.T, z.T)
         assert a_cols.tobytes() == a.tobytes()
-        assert n4.tobytes() == (a * a + np.sum(z * z, axis=-1)).tobytes()
+        assert n4.tobytes() == (a * a + index_order_sum(z * z)).tobytes()
 
 
 class TestGaugeDistance:
