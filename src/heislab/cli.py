@@ -28,7 +28,7 @@ import sys
 
 from heislab import algebra as alg_mod
 from heislab import hlie
-from heislab.util import _MAX_POINTS, _write_text, canonical_json
+from heislab.util import _write_text, canonical_json
 
 __all__ = ["run", "entrypoint", "MathCheckFailed"]
 
@@ -174,9 +174,7 @@ def _metric_map(args) -> None:
     """``metric invert`` or ``metric sphericalize``: the finite_metric map of that name."""
     from heislab import finite_metric
     space = finite_metric.load_space_csv(args.input)
-    space = getattr(finite_metric, f"{args.command}_space")(
-        space, _base_index(space, args.base), max_points=args.max_points,
-        chain=not args.quasimetric)
+    space = getattr(finite_metric, f"{args.command}_space")(space, _base_index(space, args.base))
     _save(lambda fh: finite_metric.save_space_csv(space, fh), args.output)
 
 
@@ -342,11 +340,6 @@ def _parser() -> _Parser:
         p.add_argument("--base", help="base point: a label, else a point index (default: the "
                                       "first point); a value that begins with '-' is given "
                                       "as --base=VALUE")
-        p.add_argument("--quasimetric", action="store_true",
-                       help="emit the raw quasimetric instead of its chain metric")
-        p.add_argument("--max-points", type=int, default=_MAX_POINTS,
-                       help="largest input point count of the dense shortest-path closure "
-                            "(default: %(default)s)")
         p.add_argument("--output", help="CSV path (default: stdout)")
 
     cmds = group("distort", "Distortion statistics: quasimobius, quasiconformality, "

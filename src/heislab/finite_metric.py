@@ -29,9 +29,7 @@ import numpy as np
 
 from heislab.hgroup import pairwise_gauge_dist
 from heislab.hlie import HTypeAlgebra
-from heislab.util import (
-    _MAX_POINTS, _cpu_count, _ordered_map, _write_text, format_float, format_floats,
-)
+from heislab.util import _cpu_count, _ordered_map, _write_text, format_float, format_floats
 
 __all__ = [
     "INFINITY_LABEL",
@@ -55,9 +53,8 @@ DEFAULT_SLACK = 1e-9
 # O(n^2) memory: at n = 2000 the matrix and its working copy take 32 MB each
 # and the scan's float32 copy 16 MB; one triangle scan when nothing needs
 # closing, O(n^3) pivots when much does); the closed space has one point
-# more (infinity) after sphericalization.  The value is util's, which the CLI
-# reads for its help text.
-DEFAULT_MAX_POINTS = _MAX_POINTS
+# more (infinity) after sphericalization.
+MAX_POINTS = 2000
 
 
 def _check_entries(dist: np.ndarray) -> None:
@@ -388,42 +385,36 @@ def chain_metric(quasimetric: np.ndarray) -> np.ndarray:
     return d
 
 
-def _chain_space(space: FiniteMetricSpace, labels: list[str], quasimetric: np.ndarray,
-                 max_points: int, chain: bool) -> FiniteMetricSpace:
+def _chain_space(space: FiniteMetricSpace, labels: list[str],
+                 quasimetric: np.ndarray) -> FiniteMetricSpace:
     # inverting at the point at infinity replaces it; anything else would add a second one
     if labels.count(INFINITY_LABEL) > 1:
         raise ValueError("space already contains a point at infinity")
-    if not chain:
-        return FiniteMetricSpace(labels, quasimetric, validate=False)
-    if space.n > max_points:
-        raise ValueError(f"{space.n} points exceed the closure cap of {max_points}")
+    if space.n > MAX_POINTS:
+        raise ValueError(f"{space.n} points exceed the closure cap of {MAX_POINTS}")
     return FiniteMetricSpace(labels, chain_metric(quasimetric), validate=False)
 
 
-def invert_space(space: FiniteMetricSpace, base: int, max_points: int = DEFAULT_MAX_POINTS,
-                 chain: bool = True) -> FiniteMetricSpace:
+def invert_space(space: FiniteMetricSpace, base: int) -> FiniteMetricSpace:
     """Chain metric of the inversion at point index ``base``, as a labeled metric space.
 
-    ``max_points`` caps the points of the input space.  With ``chain=False``
-    the space carries the raw quasimetric, unvalidated and uncapped.
+    The input space may have at most ``MAX_POINTS`` points.  The raw
+    quasimetric is :func:`inversion_quasimetric`.
     """
     quasimetric = inversion_quasimetric(space.dist, base)
     labels = [t for i, t in enumerate(space.labels) if i != base] + [INFINITY_LABEL]
-    return _chain_space(space, labels, quasimetric, max_points, chain)
+    return _chain_space(space, labels, quasimetric)
 
 
-def sphericalize_space(space: FiniteMetricSpace, base: int,
-                       max_points: int = DEFAULT_MAX_POINTS,
-                       chain: bool = True) -> FiniteMetricSpace:
+def sphericalize_space(space: FiniteMetricSpace, base: int) -> FiniteMetricSpace:
     """Chain metric of the sphericalization at point index ``base``, as a
     labeled metric space.
 
-    ``max_points`` caps the points of the input space; the result has one
-    point more.  With ``chain=False`` the space carries the raw quasimetric,
-    unvalidated and uncapped.
+    The input space may have at most ``MAX_POINTS`` points; the result has
+    one point more.  The raw quasimetric is :func:`sphericalization_quasimetric`.
     """
     quasimetric = sphericalization_quasimetric(space.dist, base)
-    return _chain_space(space, space.labels + [INFINITY_LABEL], quasimetric, max_points, chain)
+    return _chain_space(space, space.labels + [INFINITY_LABEL], quasimetric)
 
 
 def from_group_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray) -> FiniteMetricSpace:

@@ -222,7 +222,7 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     _check_tol(tol)
     gram = np.einsum("aij,bik->abjk", alg.j_stack, alg.j_stack)  # J_a^T J_b
     clifford = 0.5 * (gram + gram.transpose(1, 0, 2, 3))
-    clifford -= np.einsum("ab,jk->abjk", np.eye(alg.dim_z), np.eye(alg.dim_v))
+    np.einsum("aajj->aj", clifford)[...] -= 1.0  # the diagonal of each S_aa, in place
     worst = float(np.max(np.abs(clifford), initial=0.0))
     return HTypeReport(alg.label, alg.fingerprint, worst <= tol, worst, samples, tol, seed)
 
@@ -264,11 +264,18 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
     lies farthest from span{J_W x}; polarization puts one of them off the
     span.  Requires a Heisenberg-type algebra, and 0 <= tol < inf (both
     checked by :func:`check_h_type`); a center of dimension 0 or 1
-    satisfies the condition vacuously.  ``samples`` and ``seed`` are recorded
-    in the report for replay only; they change no verdict, residual or witness.
+    satisfies the condition vacuously.  Each cubic has dim_v**4
+    coefficients, at most 2**24 (``_MAX_SPEC_ENTRIES``): a larger algebra
+    with a center of dimension 2 or more raises ValueError before one is
+    built (``H_H:16`` certifies, ``H_H:17`` is refused).  ``samples`` and
+    ``seed`` are recorded in the report for replay only; they change no
+    verdict, residual or witness.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if alg.dim_z >= 2 and alg.dim_v ** 4 > _MAX_SPEC_ENTRIES:
+        raise ValueError(f"{alg.label}: dim_v**4 exceeds the cap of "
+                         f"{_MAX_SPEC_ENTRIES} J^2 cubic coefficients")
     precheck = check_h_type(alg, samples=min(samples, 512), tol=tol, seed=seed)
     if not precheck.is_h_type:
         raise ValueError(
@@ -294,15 +301,18 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
                     seed)
 
 
-# entries of the largest structure tensor a spec file or a builtin name may ask for (128 MiB)
+# entries of the largest structure tensor a spec file or a builtin name may ask for (128 MiB),
+# and of the largest J^2 cubic check_j2 builds
 _MAX_SPEC_ENTRIES = 1 << 24
 
 
 def _check_entries(source: str, dim_v: int, dim_z: int) -> None:
     """Raise ValueError naming ``source`` when a (dim_z, dim_v, dim_v) structure
-    tensor would exceed ``_MAX_SPEC_ENTRIES``; called before it is allocated."""
-    if dim_z * dim_v * dim_v > _MAX_SPEC_ENTRIES:
-        raise ValueError(f"{source}: dim_z * dim_v**2 exceeds the cap of "
+    tensor would exceed ``_MAX_SPEC_ENTRIES``; called before it is allocated.
+    An empty center counts as one direction, since the checks build
+    dim_v x dim_v matrices whatever the center."""
+    if max(dim_z, 1) * dim_v * dim_v > _MAX_SPEC_ENTRIES:
+        raise ValueError(f"{source}: max(dim_z, 1) * dim_v**2 exceeds the cap of "
                          f"{_MAX_SPEC_ENTRIES} structure-tensor entries")
 
 
@@ -313,8 +323,9 @@ def make_heisenberg(kind: AlgebraKind, n: int = 1) -> HTypeAlgebra:
     block), the center is Im(K), and J_{Z_k} is left multiplication by e_k on
     each block: ``B[k-1, i, j] = <e_k e_i, e_j>``, the rows 1.. of
     :func:`algebra.multiplication_tensor`.  Over O only n = 1 is defined,
-    and the tensor has at most 2**24 entries (``load_algebra_spec``'s cap),
-    checked before it is allocated.
+    and ``max(dim_z, 1) * dim_v**2`` is at most 2**24 (``load_algebra_spec``'s
+    cap; ``H_R:4096`` loads, ``H_R:4097`` is refused), checked before the
+    tensor is allocated.
     """
     if n < 1:
         raise ValueError(f"block count must be >= 1, got {n}")
@@ -394,8 +405,8 @@ def load_algebra_spec(path) -> HTypeAlgebra:
     """Load an algebra-spec JSON file, antisymmetrizing and validating entries.
 
     The dimensions and the entry indices must be integral numbers (2.0 is
-    taken, 2.9 is not), and the tensor at most 2**24 entries
-    (``dim_z * dim_v**2``, 128 MiB); any other file raises ValueError
+    taken, 2.9 is not), and ``max(dim_z, 1) * dim_v**2`` at most 2**24
+    (128 MiB of tensor); any other file raises ValueError
     naming the path, before the tensor is allocated.
     """
     try:

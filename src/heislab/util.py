@@ -111,11 +111,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
 
 
-# finite_metric.DEFAULT_MAX_POINTS, kept here so that the CLI shows it in its
-# help without importing finite_metric.
-_MAX_POINTS = 2000
-
-
 # Samples per chunk of :func:`_sampled`, each evaluated in one pass.  A chunk
 # makes a few hundred short ufunc calls, and each may hand the GIL to another
 # worker, so few, long chunks keep the workers parallel.  A chunk temporary of

@@ -3,6 +3,7 @@ and byte-level reproducibility."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -323,15 +324,40 @@ class TestMetricCommands:
         assert space.n == 40  # 39 finite points plus infinity
         fm.validate_distance_matrix(space.dist)
 
-    def test_invert_quasimetric_flag(self, matrix_file, tmp_path):
-        out = tmp_path / "quasi.csv"
-        assert run(["metric", "invert", "--input", str(matrix_file), "--base", "0",
-                    "--quasimetric", "--output", str(out)]) == 0
-        raw = fm.invert_space(fm.load_space_csv(matrix_file), 0, chain=False)
-        expected = tmp_path / "expected.csv"
-        fm.save_space_csv(raw, expected)
-        assert raw.labels[-1] == fm.INFINITY_LABEL
-        assert out.read_bytes() == expected.read_bytes()
+    @pytest.mark.parametrize("flags", [["--quasimetric"], ["--max-points", "10"]],
+                             ids=["quasimetric", "max-points"])
+    @pytest.mark.parametrize("command", ["invert", "sphericalize"])
+    def test_removed_closure_option_is_one_usage_error(self, matrix_file, capsys, command,
+                                                       flags):
+        assert run(["metric", command, "--input", str(matrix_file), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: unrecognized arguments: {' '.join(flags)}\n"
+
+    @pytest.mark.parametrize("command", ["invert", "sphericalize"])
+    def test_closure_commands_take_input_base_and_output(self, command, capsys):
+        assert run(["metric", command, "--help"]) == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--help", "--input", "--base", "--output"}
+
+    def test_inverted_file_loads_into_every_reader(self, tmp_path, capsys):
+        # a raw inversion quasimetric of this sample violates the triangle inequality
+        dist, inv = tmp_path / "dist.csv", tmp_path / "inv.csv"
+        assert run(["group", "distmat", "--algebra", "truncated_HH", "--count", "300",
+                    "--seed", "3", "--output", str(dist)]) == 0
+        space = fm.load_space_csv(dist)
+        with pytest.raises(ValueError, match="triangle inequality violated"):
+            fm.validate_distance_matrix(fm.inversion_quasimetric(space.dist, 0))
+        assert run(["metric", "invert", "--input", str(dist), "--output", str(inv)]) == 0
+        assert run(["distort", "qm", "--domain", str(dist), "--image", str(inv),
+                    "--samples", "2000", "--output", str(tmp_path / "qm.json")]) == 0
+        assert run(["metric", "invert", "--input", str(inv), "--base", fm.INFINITY_LABEL,
+                    "--output", str(tmp_path / "back.csv")]) == 0
+        assert fm.load_space_csv(tmp_path / "back.csv").n == 300
+        # sphericalize reads the file, and refuses only the point at infinity it holds
+        capsys.readouterr()
+        assert run(["metric", "sphericalize", "--input", str(inv)]) == 1
+        assert capsys.readouterr() == ("", "error: space already contains a point at infinity\n")
 
     def test_sphericalize(self, matrix_file, tmp_path):
         out = tmp_path / "sph.csv"
@@ -413,23 +439,24 @@ class TestMetricCommands:
         assert run(["metric", "sphericalize", "--input", str(sph)]) == 1
 
     @pytest.mark.parametrize("command", ["sphericalize", "invert"])
-    @pytest.mark.parametrize("flags", [[], ["--quasimetric"]])
+    @pytest.mark.parametrize("flags", [["--base", "3"], []])  # a finite base, then the default
     def test_second_infinity_is_refused(self, matrix_file, tmp_path, capsys, command, flags):
         sph = tmp_path / "sph.csv"
         assert run(["metric", "sphericalize", "--input", str(matrix_file),
                     "--output", str(sph)]) == 0
         capsys.readouterr()
-        assert run(["metric", command, "--input", str(sph), "--base", "3", *flags]) == 1
+        assert run(["metric", command, "--input", str(sph), *flags]) == 1
         assert capsys.readouterr().err == "error: space already contains a point at infinity\n"
 
-    def test_closure_cap_counts_input_points(self, tmp_path, capsys):
+    def test_closure_cap_counts_input_points(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fm, "MAX_POINTS", 10)
         out = tmp_path / "sph.csv"
         for count, code in ((10, 0), (11, 1)):
             path = tmp_path / f"dist{count}.csv"
             assert run(["group", "distmat", "--algebra", "H_C:1", "--count", str(count),
                         "--seed", "5", "--output", str(path)]) == 0
             assert run(["metric", "sphericalize", "--input", str(path),
-                        "--max-points", "10", "--output", str(out)]) == code
+                        "--output", str(out)]) == code
         assert "11 points exceed the closure cap of 10" in capsys.readouterr().err
         assert fm.load_space_csv(out).n == 11  # written by the 10-point run
 
@@ -494,7 +521,7 @@ def test_cli_import_does_not_load_scipy(tmp_path):
 def test_package_loads_its_modules_on_first_use():
     code = """if True:
         import heislab
-        print(heislab.inversion.__name__, heislab.finite_metric.DEFAULT_MAX_POINTS)
+        print(heislab.inversion.__name__, heislab.finite_metric.MAX_POINTS)
         from heislab import distortion
         print(distortion.__name__)
         try:
@@ -890,11 +917,24 @@ class TestAlgebraSpecFiles:
         assert out == ""
         assert err.startswith(f"error: algebra spec {path}") and err.count("\n") == 1
 
-    # the spec-file cap, checked before np.zeros; each is about 134 MB per tensor copy
-    @pytest.mark.parametrize("name", ["H_C:2049", "H_H:592"])
+    # the spec-file cap, checked before np.zeros; each is about 134 MB per tensor copy,
+    # or per dim_v x dim_v matrix of an empty center
+    @pytest.mark.parametrize("name", ["H_C:2049", "H_H:592", "H_R:4097"])
     def test_builtin_name_above_the_size_cap_is_one_error_line(self, capsys, name):
         assert run(["group", "sample", "--algebra", name, "--count", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == (f"error: {name}: dim_z * dim_v**2 exceeds the cap of "
+        assert err == (f"error: {name}: max(dim_z, 1) * dim_v**2 exceeds the cap of "
                        f"{hlie._MAX_SPEC_ENTRIES} structure-tensor entries\n")
+
+    def test_builtin_name_at_the_size_cap_loads(self):
+        assert run(["group", "sample", "--algebra", "H_R:4096", "--count", "1",
+                    "--output", os.devnull]) == 0
+
+    # each J^2 cubic of H_H:17 has 68**4 > 2**24 coefficients, refused before it is built
+    def test_j2_cubic_above_the_size_cap_is_one_error_line(self, capsys):
+        assert run(["lie", "check-j2", "--algebra", "H_H:17"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: H_H:17: dim_v**4 exceeds the cap of "
+                       f"{hlie._MAX_SPEC_ENTRIES} J^2 cubic coefficients\n")

@@ -244,7 +244,7 @@ class TestInversionQuasimetric:
         space = fm.FiniteMetricSpace(["p", "a", "b"],
                                      [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         t = fm.inversion_quasimetric(space.dist, 0)
-        assert fm.invert_space(space, 0, chain=False).labels == ["a", "b", fm.INFINITY_LABEL]
+        assert fm.invert_space(space, 0).labels == ["a", "b", fm.INFINITY_LABEL]
         assert t[0, 1] == pytest.approx(0.5)   # t_p(a, b) = 1 / (1 * 2)
         assert t[0, 2] == pytest.approx(1.0)   # t_p(a, inf) = 1 / d(a, p)
         assert t[1, 2] == pytest.approx(0.5)   # t_p(b, inf)
@@ -341,15 +341,17 @@ class TestChainMetric:
             fm.chain_metric(q)
         assert str(info.value) == str(expected.value)
 
-    def test_point_cap(self):
+    def test_point_cap(self, monkeypatch):
         # the cap counts the points of the input space, checked before closing
         space = euclidean_space(5, 2, seed=2)
-        assert fm.sphericalize_space(space, 0, max_points=5).n == 6
-        assert fm.invert_space(space, 0, max_points=5).n == 5
-        with pytest.raises(ValueError, match="exceed the closure cap"):
-            fm.sphericalize_space(space, 0, max_points=4)
-        with pytest.raises(ValueError, match="exceed the closure cap"):
-            fm.invert_space(space, 0, max_points=4)
+        monkeypatch.setattr(fm, "MAX_POINTS", 5)
+        assert fm.sphericalize_space(space, 0).n == 6
+        assert fm.invert_space(space, 0).n == 5
+        monkeypatch.setattr(fm, "MAX_POINTS", 4)
+        with pytest.raises(ValueError, match="5 points exceed the closure cap of 4"):
+            fm.sphericalize_space(space, 0)
+        with pytest.raises(ValueError, match="5 points exceed the closure cap of 4"):
+            fm.invert_space(space, 0)
 
     def test_determinism(self):
         space = euclidean_space(50, 2, seed=7)
@@ -742,7 +744,9 @@ class TestCsvWriterAgainstRowwise:
         space = group_space(name, count, seed=40)
         self.assert_same_bytes(space, tmp_path)
         self.assert_same_bytes(fm.sphericalize_space(space, 1), tmp_path)
-        self.assert_same_bytes(fm.invert_space(space, 0, chain=False), tmp_path)
+        raw = fm.inversion_quasimetric(space.dist, 0)
+        labels = space.labels[1:] + [fm.INFINITY_LABEL]
+        self.assert_same_bytes(fm.FiniteMetricSpace(labels, raw, validate=False), tmp_path)
 
     def test_empty_and_one_point_spaces(self, tmp_path):
         space = fm.FiniteMetricSpace([], np.zeros((0, 0)))
@@ -873,14 +877,16 @@ class TestWrappers:
             space.label_index("missing")
 
     def test_raw_quasimetric_spaces(self):
+        # the space maps close the library's quasimetrics; the raw ones stay library values
         space = group_space("H_C:1", 12, seed=21)
         punctured = space.labels[:3] + space.labels[4:]
         for space_map, quasimetric, labels in (
                 (fm.invert_space, fm.inversion_quasimetric, punctured),
                 (fm.sphericalize_space, fm.sphericalization_quasimetric, space.labels)):
-            raw = space_map(space, 3, max_points=2, chain=False)  # the cap only bounds closures
-            assert raw.labels == labels + [fm.INFINITY_LABEL] and raw.contains_infinity
-            assert np.array_equal(raw.dist, quasimetric(space.dist, 3))
+            closed = space_map(space, 3)
+            assert closed.labels == labels + [fm.INFINITY_LABEL] and closed.contains_infinity
+            raw = fm.FiniteMetricSpace(closed.labels, quasimetric(space.dist, 3), validate=False)
+            assert np.array_equal(closed.dist, fm.chain_metric(raw.dist))
 
     def test_shared_submatrices(self):
         a = euclidean_space(6, 2, seed=22, labels=list("abcdef"))

@@ -12,7 +12,7 @@ from heislab import algebra as al
 from heislab import hlie
 from heislab.algebra import AlgebraKind
 from oracles import (ROW_COUNTS, apply_j_rows_einsum, bracket, bracket_einsum, bracket_gather,
-                     j_map, write_algebra_spec)
+                     j_map, peak_mib, write_algebra_spec)
 
 HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -309,6 +309,11 @@ class TestCheckHType:
     def test_empty_center_is_vacuous(self):
         report = hlie.check_h_type(hlie.algebra_from_name("H_R:5"), samples=10, seed=1)
         assert report.is_h_type and report.max_residual == 0.0
+
+    def test_empty_center_builds_no_horizontal_matrix(self):
+        # the Clifford residual has dim_z**2 blocks of dim_v x dim_v: none at dim_z = 0
+        alg = hlie.algebra_from_name("H_R:2000")
+        assert peak_mib(lambda: hlie.check_h_type(alg)) < 1.0
 
     def test_degenerate_direct_sum_fails(self):
         # J_Z annihilates X_3, so the Clifford relation J_Z^T J_Z = I misses by exactly 1
