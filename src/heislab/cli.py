@@ -396,7 +396,8 @@ def run(argv=None) -> int:
 
 
 def _keep_heap() -> None:
-    """Pin glibc's heap thresholds for this process; a no-op without ``mallopt``.
+    """Pin glibc's heap thresholds and arenas for this process; a no-op
+    without ``mallopt``.
 
     By default glibc raises its mmap threshold to the largest mmapped block
     freed so far and gives the heap top back to the kernel once it exceeds
@@ -404,7 +405,10 @@ def _keep_heap() -> None:
     mapped, or faulted in, again.  A fixed 2 MiB mmap threshold keeps a
     chunk's temporaries (at most 1.5 MiB up to 12 coordinates) on the heap
     and still maps the 4 MB arrays of the metric commands; a 64 MiB trim
-    threshold keeps the chunk live sets of two worker threads.
+    threshold keeps the chunk live sets of two worker threads.  One arena
+    serves every thread: with an arena per worker thread, each keeps the
+    high-water mark of its own chunks, and a chunk's freed arrays cannot
+    serve the other worker.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -412,6 +416,7 @@ def _keep_heap() -> None:
         return
     mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def entrypoint() -> None:

@@ -51,27 +51,31 @@ class Point(NamedTuple):
 # kernels on coordinate arrays
 
 
-def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis of a coordinate-major (width, ...) array, term by
-    term in index order from +0: ``((0 + t_0) + t_1) + ...``, zeros at width 0.
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares over the first axis of a coordinate-major (width, ...)
+    array, square by square in index order from +0:
+    ``((0 + x_0^2) + x_1^2) + ...``, zeros at width 0.
 
     An explicit loop, because ``np.sum`` sums pairwise along a contiguous
     axis, so its bits would depend on the memory layout, and the redo path
-    of :func:`_gauge_of` passes transposed views."""
-    total = np.zeros(terms.shape[1:])
-    for term in terms:
-        np.add(total, term, out=total)
+    of :func:`_gauge_of` passes transposed views.  Each square goes through
+    one row buffer, so no (width, ...) array of squares is made."""
+    total = np.zeros(x.shape[1:])
+    square = np.empty(x.shape[1:])
+    for row in x:
+        np.multiply(row, row, out=square)
+        np.add(total, square, out=total)
     return total
 
 
 def _gauge4(v, z) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise a = |v|^2 / 4 and the gauge's fourth power a^2 + |z|^2 of
     coordinate-major (dim_v, ...) and (dim_z, ...) arrays, each sum of
-    squares in index order (:func:`_row_sum`).  Overflow gives inf without a
-    warning; the callers evaluate such rows again at unit scale."""
+    squares in index order (:func:`_sum_squares`).  Overflow gives inf
+    without a warning; the callers evaluate such rows again at unit scale."""
     with np.errstate(over="ignore"):
-        a = 0.25 * _row_sum(v * v)
-        return a, a * a + _row_sum(z * z)
+        a = 0.25 * _sum_squares(v)
+        return a, a * a + _sum_squares(z)
 
 
 def _unit_exponent(*points) -> np.ndarray:

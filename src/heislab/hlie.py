@@ -214,16 +214,25 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     and Z exactly when ``S_ab = delta_ab I``.  The residual is the largest
     entry of ``S_ab - delta_ab I``, which passes within ``tol``
     (0 <= tol < inf).  With an empty center the condition holds vacuously.
+    The S_ab are taken one center direction a at a time, from
+    ``G_a = (J_a^T J_b)_b``: J_b^T J_a is the transpose of J_a^T J_b bit for
+    bit, so ``S_ab = (G_ab + G_ab^T) / 2``, and no more than dim_z dim_v^2
+    floats, the size of the structure tensor, are held at once.
     ``samples`` and ``seed`` are recorded in the report for replay only;
     they change no verdict or residual.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_tol(tol)
-    gram = np.einsum("aij,bik->abjk", alg.j_stack, alg.j_stack)  # J_a^T J_b
-    clifford = 0.5 * (gram + gram.transpose(1, 0, 2, 3))
-    np.einsum("aajj->aj", clifford)[...] -= 1.0  # the diagonal of each S_aa, in place
-    worst = float(np.max(np.abs(clifford), initial=0.0))
+    j = alg.j_stack
+    maxima = []
+    for a in range(alg.dim_z):
+        gram = np.einsum("ij,bik->bjk", j[a], j)  # J_a^T J_b
+        clifford = 0.5 * (gram + gram.transpose(0, 2, 1))
+        np.einsum("jj->j", clifford[a])[...] -= 1.0  # the diagonal of S_aa, in place
+        maxima.append(np.max(np.abs(clifford)))
+    # np.max, unlike max(), keeps a NaN
+    worst = float(np.max(maxima, initial=0.0))
     return HTypeReport(alg.label, alg.fingerprint, worst <= tol, worst, samples, tol, seed)
 
 

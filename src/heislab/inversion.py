@@ -28,6 +28,7 @@ per row.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,7 +48,7 @@ from heislab.hgroup import (
     group_mul,
     sample_with_rng,
 )
-from heislab.util import Report, _check_tol, _cpu_count, _sampled
+from heislab.util import _CHUNK, Report, _check_tol, _cpu_count, _sampled
 
 __all__ = [
     "ExtendedPoints",
@@ -64,34 +65,39 @@ __all__ = [
 def _sigma_formula(alg: HTypeAlgebra, v, z, a, n4) -> tuple[np.ndarray, np.ndarray]:
     """sigma of coordinate-major (dim_v, ...) and (dim_z, ...) rows, given their
     ``hgroup._gauge4`` a and n4, by the plain formula
-    ``(-(a v - J_z v) / n4, -z / n4)``, computed in place."""
-    v_new = a * v
-    np.subtract(v_new, _j_cols(alg, z, v), out=v_new)
-    np.negative(v_new, out=v_new)
-    z_new = np.negative(z)
-    return np.divide(v_new, n4, out=v_new), np.divide(z_new, n4, out=z_new)
+    ``(-(a v - J_z v) / n4, -z / n4)``, written over v and z, which it returns.
+    J_z v is taken before v is overwritten."""
+    jv = _j_cols(alg, z, v)
+    np.multiply(v, a, out=v)
+    np.subtract(v, jv, out=v)
+    np.negative(v, out=v)
+    np.negative(z, out=z)
+    return np.divide(v, n4, out=v), np.divide(z, n4, out=z)
 
 
 def _sigma(alg: HTypeAlgebra, v, z, a, n4) -> tuple[np.ndarray, np.ndarray]:
-    """sigma of coordinate-major rows at every scale: the rows of
-    ``hgroup._unit_rows`` by sigma(delta_s p) = delta_{1/s} sigma(p).  A row
-    that is not finite, or whose image is not, comes out non-finite."""
-    v_new, z_new = _sigma_formula(alg, v, z, a, n4)
-    if (unit := _unit_rows(np.moveaxis(v, 0, -1), np.moveaxis(z, 0, -1), n4)) is not None:
+    """sigma of coordinate-major rows at every scale, written over v and z,
+    which it returns: the rows of ``hgroup._unit_rows``, copied out before
+    the formula runs, by sigma(delta_s p) = delta_{1/s} sigma(p).  A row that
+    is not finite, or whose image is not, comes out non-finite."""
+    unit = _unit_rows(np.moveaxis(v, 0, -1), np.moveaxis(z, 0, -1), n4)
+    _sigma_formula(alg, v, z, a, n4)
+    if unit is not None:
         redo, uv, uz, k = unit
         ua, un4 = _gauge4(uv.T, uz.T)
         if np.any(un4 == 0.0):
             raise ValueError("inversion is undefined at the identity")
         sv, sz = _dilate_exp(-k, *(c.T for c in _sigma_formula(alg, uv.T, uz.T, ua, un4)))
-        v_new[:, redo], z_new[:, redo] = sv.T, sz.T
-    return v_new, z_new
+        v[:, redo], z[:, redo] = sv.T, sz.T
+    return v, z
 
 
 def sigma_arrays(alg: HTypeAlgebra, v: np.ndarray, z: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise gauge inversion of (n, dim) coordinate arrays, at every scale
     (:func:`_sigma`), evaluated coordinate-major in slices by
-    ``algebra._by_slices``."""
+    ``algebra._by_slices``, whose fresh copies :func:`_sigma` writes over, so
+    the caller's arrays are left as they are."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v_new, z_new = _by_slices(lambda v, z: _sigma(alg, v, z, *_gauge4(v, z)),
                                   [alg.dim_v, alg.dim_z], v, z)
@@ -303,20 +309,25 @@ class InversionReport(Report):
 
 def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float,
                      rng: np.random.Generator) -> tuple:
-    """Pairs used, worst deviation and worst pair of one chunk of ``count`` pairs.
+    """Pairs used, worst deviation, worst row and starting generator of one
+    chunk of ``count`` pairs.
 
-    The chunk draws p, then q, each at once by ``sample_with_rng``, and copies
-    each draw to coordinate-major arrays before the next, keeping no
-    row-major array; the worst pair is read from those copies.  The gauge^4
-    of p and of q serves both their gauges and their sigma images, and the
-    distances are taken as in ``hgroup.gauge_dist_arrays``, so the bits are
-    those of the public kernels.  Near the top of the sampler's range the
-    bracket overflows; its inf or NaN reaches the deviation, which the
-    report shows, so the chunk raises no numpy warning.
+    The chunk keeps a copy of ``rng`` as it was before its draws, from which
+    :func:`verify_inversion` draws the winning chunk again to read its worst
+    row; the row is None when no pair is used.  The chunk draws p, then q,
+    each at once by ``sample_with_rng``, and copies each draw to
+    coordinate-major arrays before the next, keeping no row-major array.
+    The gauge^4 of p and of q serves both their gauges and their sigma
+    images, and the distances are taken as in ``hgroup.gauge_dist_arrays``,
+    so the bits are those of the public kernels.  Once the gauges and
+    d(p, q) are taken, sigma p is written over p and sigma q over q, so a
+    point set lives only until its image exists.  Near the top of the
+    sampler's range the bracket overflows; its inf or NaN reaches the
+    deviation, which the report shows, so the chunk raises no numpy warning.
     """
-    drawn = [[np.ascontiguousarray(a.T) for a in sample_with_rng(alg, count, radius, rng)]
-             for _ in range(2)]
-    p, q = drawn
+    start = copy.deepcopy(rng)
+    p, q = ([np.ascontiguousarray(a.T) for a in sample_with_rng(alg, count, radius, rng)]
+            for _ in range(2))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ap, n4p = _gauge4(*p)
         aq, n4q = _gauge4(*q)
@@ -325,7 +336,7 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float,
         keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
         kept = int(np.count_nonzero(keep))
         if kept == 0:
-            return 0, -1.0, None
+            return 0, -1.0, None, start
         if kept < count:  # usually every pair is kept, and nothing is copied
             p, q = [a[:, keep] for a in p], [a[:, keep] for a in q]
             ap, n4p, aq, n4q, gp, gq, d_pq = (a[keep] for a in (ap, n4p, aq, n4q, gp, gq, d_pq))
@@ -334,9 +345,7 @@ def _inversion_chunk(alg: HTypeAlgebra, count: int, radius: float,
         deviation = np.abs(ratio - 1.0)
     worst = int(np.argmax(deviation))
     row = worst if kept == count else int(np.flatnonzero(keep)[worst])
-    # copies, so that a chunk's result does not keep its sample alive
-    return kept, float(deviation[worst]), WorstPair(
-        *(Point(*(a[:, row].copy() for a in point)) for point in drawn))
+    return kept, float(deviation[worst]), row, start
 
 
 def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
@@ -350,8 +359,10 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     the largest deviation, found by ``np.argmax`` in chunk order, so the
     report is identical for every thread count.  A NaN deviation does not
     drop out of that max: the first pair whose deviation is NaN is the worst
-    pair, the deviation reads NaN and the verdict is inexact.  The verdict is
-    exact when the deviation is within ``tol`` (0 <= tol < inf).
+    pair, the deviation reads NaN and the verdict is inexact.  The chunks
+    keep no draws: the winning chunk's p and q are drawn again from its
+    starting generator, and the worst pair is read from that row.  The
+    verdict is exact when the deviation is within ``tol`` (0 <= tol < inf).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -361,11 +372,15 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     if not check_h_type(alg, samples=256, seed=seed).is_h_type:
         raise ValueError(f"{alg.label} is not of Heisenberg type; "
                          "the gauge inversion identity is only assessed on H-type algebras")
-    used, deviations, pairs = zip(*_sampled(
+    used, deviations, rows, starts = zip(*_sampled(
         lambda count, rng: _inversion_chunk(alg, count, radius, rng), samples, seed,
         _cpu_count() if threads is None else threads))
     worst = int(np.argmax(deviations))
-    if pairs[worst] is None:
+    if rows[worst] is None:
         raise ValueError("no usable sample pairs were generated")
+    row, rng = rows[worst], starts[worst]
+    count = min(_CHUNK, samples - worst * _CHUNK)  # the size util._sampled gave that chunk
+    p, q = (Point(v[row].copy(), z[row].copy())
+            for v, z in (sample_with_rng(alg, count, radius, rng) for _ in range(2)))
     return InversionReport(alg.label, alg.fingerprint, samples, seed, tol, deviations[worst],
-                           deviations[worst] <= tol, pairs[worst], sum(used))
+                           deviations[worst] <= tol, WorstPair(p, q), sum(used))

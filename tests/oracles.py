@@ -9,6 +9,8 @@ does not need; the distance-matrix CSV writer and reader as they were
 before the writer formatted each symmetric pair once and the reader parsed
 with numpy; the triangle scan that validation and the closure share, as
 it was before its float32 pre-filter, every block in float64; the
+H-type residual with every Clifford block in one array, as it was before
+the center directions were taken one at a time; the
 inversion-identity chunk as it was before it
 fused the kernels, through the public ``gauge_arrays``, ``gauge_dist_arrays``
 and ``sigma_arrays``; the quasimobius cross-ratios as they
@@ -20,6 +22,7 @@ and every product and residual of a kind taken as one whole array, as it
 was before each chunk was reduced on its own; and the tracemalloc peak of
 a call."""
 
+import copy
 import csv
 import json
 import tracemalloc
@@ -31,9 +34,9 @@ from heislab.algebra import (_SLICE_ROWS, AlgebraKind, ArithmeticReport, mul_arr
                              multiplication_tensor, random_elements)
 from heislab.distortion import sample_quadruples
 from heislab.finite_metric import _SCAN_BLOCK, FiniteMetricSpace
-from heislab.hgroup import Point, gauge_arrays, gauge_dist_arrays, sample_with_rng
+from heislab.hgroup import gauge_arrays, gauge_dist_arrays, sample_with_rng
 from heislab.hlie import HTypeAlgebra, bracket_arrays
-from heislab.inversion import WorstPair, sigma_arrays
+from heislab.inversion import sigma_arrays
 from heislab.util import _CHUNK, format_float
 
 
@@ -210,29 +213,38 @@ def peak_mib(call) -> float:
         tracemalloc.stop()
 
 
+def h_type_residual_whole(alg: HTypeAlgebra) -> float:
+    """Reference residual of ``hlie.check_h_type``: every S_ab - delta_ab I of
+    the Clifford relations in one (dim_z, dim_z, dim_v, dim_v) array, as it
+    was before the directions were taken one at a time."""
+    gram = np.einsum("aij,bik->abjk", alg.j_stack, alg.j_stack)
+    clifford = 0.5 * (gram + gram.transpose(1, 0, 2, 3))
+    np.einsum("aajj->aj", clifford)[...] -= 1.0
+    return float(np.max(np.abs(clifford), initial=0.0))
+
+
 def inversion_chunk_whole(alg: HTypeAlgebra, count: int, radius: float,
                           rng: np.random.Generator) -> tuple:
-    """Reference chunk of ``verify_inversion``, by the public kernels."""
+    """Reference chunk of ``verify_inversion``, by the public kernels: pairs
+    used, worst deviation, worst row, and the generator as it was before
+    the draws."""
+    start = copy.deepcopy(rng)
     vp, zp = sample_with_rng(alg, count, radius, rng)
     vq, zq = sample_with_rng(alg, count, radius, rng)
     gp = gauge_arrays(alg, vp, zp)
     gq = gauge_arrays(alg, vq, zq)
     d_pq = gauge_dist_arrays(alg, vp, zp, vq, zq)
     keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
-    used = int(np.count_nonzero(keep))
-    if used == 0:
-        return 0, -1.0, None
-    if used < count:  # usually every pair is kept, and nothing is copied
-        vp, zp, vq, zq, gp, gq, d_pq = (a[keep] for a in (vp, zp, vq, zq, gp, gq, d_pq))
+    rows = np.flatnonzero(keep)
+    if rows.size == 0:
+        return 0, -1.0, None, start
+    vp, zp, vq, zq, gp, gq, d_pq = (a[keep] for a in (vp, zp, vq, zq, gp, gq, d_pq))
     sp = sigma_arrays(alg, vp, zp)
     sq = sigma_arrays(alg, vq, zq)
     ratio = gauge_dist_arrays(alg, sp[0], sp[1], sq[0], sq[1]) * gp * gq / d_pq
     deviation = np.abs(ratio - 1.0)
     worst = int(np.argmax(deviation))
-    # copies, so that a chunk's result does not keep its sample alive
-    pair = WorstPair(Point(vp[worst].copy(), zp[worst].copy()),
-                     Point(vq[worst].copy(), zq[worst].copy()))
-    return used, float(deviation[worst]), pair
+    return rows.size, float(deviation[worst]), int(rows[worst]), start
 
 
 def _quasimobius_rows(d_in: np.ndarray, samples: int, seed: int) -> np.ndarray:

@@ -162,10 +162,11 @@ def index_order_sum(rows) -> np.ndarray:
 
 
 class TestRowSum:
-    """The coordinate-major row sums of the gauge add in index order, whatever
-    the memory layout of the terms: the bits of ``np.sum`` over the strided
-    coordinate axis of a coordinate-major array, not those of ``np.sum``
-    over a row-major row, which sums pairwise from 8 terms."""
+    """The coordinate-major sums of squares of the gauge add the squares in
+    index order, whatever the memory layout of the coordinates: the bits of
+    ``np.sum`` of the squares over the strided coordinate axis of a
+    coordinate-major array, not those of ``np.sum`` over a row-major row,
+    which sums pairwise from 8 terms."""
 
     @pytest.mark.parametrize("width", list(range(0, 17)) + [127, 128, 129, 300])
     def test_sum_of_squares_is_np_sum_bitwise(self, width):
@@ -174,10 +175,9 @@ class TestRowSum:
         x = rng.standard_normal((5000, width)) * np.exp(4.0 * rng.standard_normal((5000, width)))
         squares = x * x
         expected = index_order_sum(squares)
-        columns = np.ascontiguousarray(squares.T)
-        assert np.sum(columns, axis=0).tobytes() == expected.tobytes()
-        assert hgroup._row_sum(columns).tobytes() == expected.tobytes()
-        assert hgroup._row_sum(squares.T).tobytes() == expected.tobytes()
+        assert np.sum(np.ascontiguousarray(squares.T), axis=0).tobytes() == expected.tobytes()
+        assert hgroup._sum_squares(np.ascontiguousarray(x.T)).tobytes() == expected.tobytes()
+        assert hgroup._sum_squares(x.T).tobytes() == expected.tobytes()
         exact = np.array([math.fsum(row) for row in squares.tolist()])
         assert np.all(np.abs(expected - exact) <= width * 2.0 ** -53 * exact)
 

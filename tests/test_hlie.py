@@ -12,7 +12,7 @@ from heislab import algebra as al
 from heislab import hlie
 from heislab.algebra import AlgebraKind
 from oracles import (ROW_COUNTS, apply_j_rows_einsum, bracket, bracket_einsum, bracket_gather,
-                     j_map, peak_mib, write_algebra_spec)
+                     h_type_residual_whole, j_map, peak_mib, write_algebra_spec)
 
 HEISENBERG_NAMES = ["H_R:5", "H_C:1", "H_C:3", "H_H:1", "H_H:2", "H_O"]
 
@@ -314,6 +314,23 @@ class TestCheckHType:
         # the Clifford residual has dim_z**2 blocks of dim_v x dim_v: none at dim_z = 0
         alg = hlie.algebra_from_name("H_R:2000")
         assert peak_mib(lambda: hlie.check_h_type(alg)) < 1.0
+
+    def test_large_center_holds_one_direction(self):
+        # all dim_z**2 blocks of dim_v x dim_v at once took 96 MiB here
+        alg = hlie.HTypeAlgebra("zero", 16, 128, np.zeros((128, 16, 16)))
+        assert peak_mib(lambda: hlie.check_h_type(alg)) < 2.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_residual_is_the_whole_formula_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        dim_z, dim_v = rng.integers(1, 9), rng.integers(1, 17)
+        shape = (int(dim_z), int(dim_v), int(dim_v))
+        # magnitudes spread over many binades, so that a change of summation order shows
+        tensor = rng.standard_normal(shape) * np.exp(3.0 * rng.standard_normal(shape))
+        alg = hlie.HTypeAlgebra("random", shape[1], shape[0], tensor - tensor.transpose(0, 2, 1))
+        report = hlie.check_h_type(alg)
+        assert not report.is_h_type
+        assert report.max_residual == h_type_residual_whole(alg)
 
     def test_degenerate_direct_sum_fails(self):
         # J_Z annihilates X_3, so the Clifford relation J_Z^T J_Z = I misses by exactly 1

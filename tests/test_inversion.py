@@ -103,6 +103,47 @@ class TestSigmaClosedForm:
         assert np.max(np.abs(product - 1.0)) <= 1e-11
 
 
+class TestSigmaCallersLeaveTheirInputs:
+    """sigma is written over the coordinate-major copies it is given: the public
+    callers hand it fresh copies, so the caller's arrays keep every byte."""
+
+    @staticmethod
+    def points(alg, radius):
+        """A sample with one row on the center; at radii 1e-77 and 1e77 the
+        gauge^4 of every row leaves [2^-960, 2^960], so sigma redoes each
+        row at unit scale."""
+        v, z = sample(alg, 5000, seed=21, radius=radius)
+        v[7] = 0.0
+        n4 = hgroup._gauge4(v.T, z.T)[1]
+        redo = ~((n4 >= 2.0 ** -960) & (n4 <= 2.0 ** 960))
+        assert np.all(redo) if radius != 1.0 else not np.any(redo)
+        return v, z
+
+    @pytest.mark.parametrize("radius", [1e-77, 1.0, 1e77])
+    @pytest.mark.parametrize("name", ["H_C:1", "H_O", "truncated_HH"])
+    def test_sigma_arrays_and_inversion_map(self, name, radius):
+        alg = builtin(name)
+        v, z = self.points(alg, radius)
+        before = v.tobytes(), z.tobytes()
+        sv, sz = inversion.sigma_arrays(alg, v, z)
+        assert (v.tobytes(), z.tobytes()) == before
+        image = distortion.inversion_map(alg)(v, z)
+        assert (v.tobytes(), z.tobytes()) == before
+        assert image[0].tobytes() == sv.tobytes() and image[1].tobytes() == sz.tobytes()
+
+    @pytest.mark.parametrize("radius", [1e-77, 1.0, 1e77])
+    def test_phi_at(self, radius):
+        alg = builtin("H_H:1")
+        v, z = self.points(alg, radius)
+        inf = np.zeros(len(v), dtype=bool)
+        inf[::5] = True
+        x = ExtendedPoints(v[::-1].copy(), z[::-1].copy(), inf[::-1].copy())
+        w = ExtendedPoints(v, z, inf)
+        before = [a.tobytes() for a in (*x, *w)]
+        inversion.phi_at(alg, x, w)
+        assert [a.tobytes() for a in (*x, *w)] == before
+
+
 class TestVerifyInversion:
     @pytest.mark.parametrize("name", ["H_C:2", "H_O"])
     def test_division_algebra_groups_are_exact(self, name):
@@ -184,8 +225,8 @@ class TestVerifyReduction:
 
         def patched(alg, count, radius, rng):
             chunk = rng.bit_generator.seed_seq.spawn_key[-1]
-            used, dev, pair = real(alg, count, radius, rng)
-            return used, (np.nan if chunk in chunks else dev), pair
+            used, dev, row, start = real(alg, count, radius, rng)
+            return used, (np.nan if chunk in chunks else dev), row, start
 
         monkeypatch.setattr(inversion, "_inversion_chunk", patched)
 
@@ -193,9 +234,12 @@ class TestVerifyReduction:
     def test_nan_chunk_wins(self, monkeypatch, chunks):
         alg = builtin("truncated_HH")
         finite = inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4)
-        pairs = [inversion._inversion_chunk(alg, size, 1.0, np.random.default_rng(s))[2]
-                 for size, s in zip([util._CHUNK, util._CHUNK, 500],
-                                    np.random.SeedSequence(4).spawn(3))]
+        first = min(chunks)
+        size = [util._CHUNK, util._CHUNK, 500][first]
+        child = np.random.SeedSequence(4).spawn(3)[first]
+        row = inversion._inversion_chunk(alg, size, 1.0, np.random.default_rng(child))[2]
+        rng = np.random.default_rng(child)
+        p, q = (hgroup.sample_with_rng(alg, size, 1.0, rng) for _ in range(2))
         self.nan_in_chunks(monkeypatch, chunks)
         reports = [inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4, threads=t)
                    for t in (1, 2)]
@@ -203,9 +247,8 @@ class TestVerifyReduction:
         report = reports[0]
         assert np.isnan(report.max_relative_deviation) and not report.is_exact_inversion
         assert report.pairs_used == finite.pairs_used
-        first = pairs[min(chunks)]
-        assert np.array_equal(report.worst_pair.p.v, first.p.v)
-        assert np.array_equal(report.worst_pair.q.z, first.q.z)
+        assert np.array_equal(report.worst_pair.p.v, p[0][row])
+        assert np.array_equal(report.worst_pair.q.z, q[1][row])
 
     def test_finite_reports_do_not_change(self, monkeypatch):
         alg = builtin("truncated_HH")
@@ -234,26 +277,77 @@ class TestVerifyReduction:
         def planted(alg, count, radius, rng):
             v, z = real(alg, count, radius, rng)
             draws.append((v, z))
-            if len(draws) == 2:  # q of the only chunk: one row repeats p's
+            if len(draws) in (2, 4):  # q of the only chunk and of its replay: one row repeats p's
+                pv, pz = draws[-2]
                 row = planted_row
-                if np.array_equal(draws[0][0][row], clean.worst_pair.p.v):
+                if np.array_equal(pv[row], clean.worst_pair.p.v):
                     row += 1
-                v[row], z[row] = draws[0][0][row], draws[0][1][row]
+                v[row], z[row] = pv[row], pz[row]
             return v, z
 
         monkeypatch.setattr(inversion, "sample_with_rng", planted)
         report = inversion.verify_inversion(alg, samples=5000, seed=6)
-        assert len(draws) == 2
+        assert len(draws) == 4  # p and q of the chunk, then of the worst pair's replay
         assert report.pairs_used == clean.pairs_used - 1 == 4999
         assert report.max_relative_deviation == clean.max_relative_deviation
         assert canonical_json({"w": report.to_dict()["worst_pair"]}) == \
             canonical_json({"w": clean.to_dict()["worst_pair"]})
 
+    @pytest.mark.parametrize("planted", [set(), {1}, {2}])
+    def test_worst_pair_is_the_drawn_row_of_the_winning_chunk(self, monkeypatch, planted):
+        # three chunks, the last one short; a NaN deviation planted in chunk 1
+        # or in the short chunk 2 makes that chunk win
+        alg = builtin("truncated_HH")
+        real = inversion.sample_with_rng
+        draws = []
+
+        def recorded(alg, count, radius, rng):
+            draws.append(real(alg, count, radius, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(inversion, "sample_with_rng", recorded)
+        self.nan_in_chunks(monkeypatch, planted)
+        report = inversion.verify_inversion(alg, samples=self.SAMPLES, seed=4, threads=1)
+        assert len(draws) == 8 and [d[0].shape[0] for d in draws[:6:2]] == [util._CHUNK,
+                                                                            util._CHUNK, 500]
+        # the deviation of every drawn pair, by the public kernels; dropped pairs lose
+        deviations = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (vp, zp), (vq, zq) in zip(draws[:6:2], draws[1:6:2]):
+                gp, gq = hgroup.gauge_arrays(alg, vp, zp), hgroup.gauge_arrays(alg, vq, zq)
+                d_pq = hgroup.gauge_dist_arrays(alg, vp, zp, vq, zq)
+                ratio = (hgroup.gauge_dist_arrays(alg, *inversion.sigma_arrays(alg, vp, zp),
+                                                  *inversion.sigma_arrays(alg, vq, zq))
+                         * gp * gq / d_pq)
+                keep = (gp > 0.0) & (gq > 0.0) & (d_pq > 0.0)
+                deviations.append(np.where(keep, np.abs(ratio - 1.0), -np.inf))
+        maxima = [np.nan if k in planted else np.max(d) for k, d in enumerate(deviations)]
+        winner = int(np.argmax(maxima))
+        assert winner == min(planted, default=winner)
+        row = int(np.argmax(deviations[winner]))
+        (pv, pz), (qv, qz) = draws[2 * winner], draws[2 * winner + 1]
+        assert [a.tobytes() for a in (*report.worst_pair.p, *report.worst_pair.q)] == \
+            [a[row].tobytes() for a in (pv, pz, qv, qz)]
+        # the replay draws the winning chunk again
+        assert all(np.array_equal(a, b) for a, b in zip((*draws[6], *draws[7]),
+                                                        (pv, pz, qv, qz)))
+        if not planted:
+            assert report.max_relative_deviation == maxima[winner]
+
     def test_chunk_holds_no_row_major_draws(self):
-        # with a row-major copy of each chunk's draws the peak was 16.5 MiB
+        # with a row-major copy of each chunk's draws the peak was 16.5 MiB;
+        # with the draws held to the chunk's end, 11.5 MiB; with sigma written
+        # over p and q and the worst pair drawn again, 7.0 MiB
         alg = builtin("H_O")
         assert peak_mib(lambda: inversion.verify_inversion(
-            alg, samples=100000, seed=1, threads=1)) <= 14.0
+            alg, samples=100000, seed=1, threads=1)) <= 8.5
+
+    def test_two_workers_hold_two_chunks(self):
+        # 19.5-22.8 MiB with the draws held to each chunk's end; 13.4-14.3 MiB
+        # with sigma written over p and q
+        alg = builtin("H_O")
+        assert peak_mib(lambda: inversion.verify_inversion(
+            alg, samples=100000, seed=1, threads=2)) <= 16.0
 
 
 class TestChunkAgainstWholeChunk:
@@ -270,9 +364,9 @@ class TestChunkAgainstWholeChunk:
         chunk = util._CHUNK
         sizes = [1, 2047, 2048, 2049, 4095, 4096, 4097, chunk - 1, chunk, chunk + 1,
                  20001, 2 * chunk]
-        fused = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+        fused = [self.report(alg, n, t) for n in sizes for t in (1, 2, 3)]
         monkeypatch.setattr(inversion, "_inversion_chunk", inversion_chunk_whole)
-        whole = [self.report(alg, n, t) for n in sizes for t in (1, 2)]
+        whole = [self.report(alg, n, t) for n in sizes for t in (1, 2, 3)]
         assert fused == whole
 
 
