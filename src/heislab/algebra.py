@@ -30,7 +30,6 @@ __all__ = [
     "ArithmeticReport",
     "OCTONION_TRIPLES",
     "QUATERNION_TRIPLES",
-    "epsilon_tensor",
     "multiplication_tensor",
     "mul_arrays",
     "conj_arrays",
@@ -41,12 +40,12 @@ __all__ = [
 OCTONION_TRIPLES = ((1, 2, 4), (1, 3, 7), (1, 5, 6), (2, 3, 5), (2, 6, 7), (3, 4, 6), (4, 5, 7))
 QUATERNION_TRIPLES = ((1, 2, 3),)
 
-# Rows per slice of the row kernels behind :func:`_by_slices` (the entry
-# kernel, the gauge, the distance and sigma).  Each slice pays a fixed number
-# of ufunc calls per structure entry, and halving it did not pay:
-# verify_inversion on H_O at 1e6 pairs, then evaluated in slices, took 1.41 s
-# at 2,048 rows against 1.34 s at 4,096 on one thread, 1.45 s against 1.06 s
-# on two (medians of 5, 2-vCPU VM).
+# Rows per slice of :func:`_by_slices`, which runs the row kernels for
+# pairwise_gauge_dist and the chunks of `distort regularity`, `distort qc`,
+# `algebra check` and `invert transport`.  Each slice pays a fixed number of
+# ufunc calls per structure entry, and holds its temporaries: pairwise_gauge_dist
+# of 1,000 points on H_O took 0.20, 0.16 and 0.13 s at 2,048, 4,096 and 8,192
+# rows, with traced peaks of 8.6, 9.5 and 11.4 MiB (medians of 11, 2-vCPU VM).
 _SLICE_ROWS = 4096
 
 
@@ -83,20 +82,6 @@ _TRIPLES = {
 }
 
 @lru_cache(maxsize=None)
-def epsilon_tensor(kind: AlgebraKind) -> np.ndarray:
-    """Antisymmetric structure tensor of the imaginary basis products, read-only
-    int8 of shape (im_dim,) * 3: entry ``[i-1, j-1, k-1]`` is eps_ijk."""
-    m = kind.im_dim
-    eps = np.zeros((m, m, m), dtype=np.int8)
-    for i, j, k in _TRIPLES[kind]:
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            eps[a - 1, b - 1, c - 1] = 1
-            eps[b - 1, a - 1, c - 1] = -1
-    eps.setflags(write=False)
-    return eps
-
-
-@lru_cache(maxsize=None)
 def multiplication_tensor(kind: AlgebraKind) -> np.ndarray:
     """Dense structure tensor M with ``(ab)_k = sum_ij a_i b_j M[i,j,k]``: e_0 is
     the unit, e_i e_i = -e_0 and eps gives the other imaginary products."""
@@ -106,7 +91,9 @@ def multiplication_tensor(kind: AlgebraKind) -> np.ndarray:
     tensor[:, 0] = np.eye(d)
     imaginary = np.arange(1, d)
     tensor[imaginary, imaginary, 0] = -1.0
-    tensor[1:, 1:, 1:] = epsilon_tensor(kind)
+    for i, j, k in _TRIPLES[kind]:  # eps_ijk = +1 on the cyclic orbit, antisymmetric
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            tensor[a, b, c], tensor[b, a, c] = 1.0, -1.0
     tensor.setflags(write=False)
     return tensor
 

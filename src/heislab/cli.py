@@ -199,7 +199,7 @@ def _distort_qm(args) -> None:
 
 
 def _distort_qc(args) -> None:
-    from heislab import distortion
+    from heislab import distortion, hgroup
     alg = _load_algebra(args.algebra)
     radius_list = _radius_list(args.radii)
     map_name = args.map
@@ -216,6 +216,9 @@ def _distort_qc(args) -> None:
     else:
         raise ValueError(f"unknown map {map_name!r} (identity, inversion, dilate:T)")
     center = distortion.random_center(alg, args.center_gauge, seed=args.seed)
+    if map_name.startswith("dilate:") and 0.0 < factor < float("inf"):
+        for r in (args.center_gauge, *radius_list):  # past this range t^2 z under- or overflows
+            hgroup._check_radius(factor * r, "dilated center gauge or radius")
     report = distortion.estimate_qc_ratio(alg, point_map, center, radius_list,
                                           samples=args.samples, seed=args.seed)
     _emit(args, report, map=map_name)

@@ -19,11 +19,12 @@ a report holds a single point as a :class:`Point`, which it writes as
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from heislab.algebra import _by_slices
+from heislab.algebra import _by_slices, _entry_kernel
 from heislab.hlie import HTypeAlgebra, _bracket_cols, bracket_arrays
 from heislab.util import _write_text, format_floats
 
@@ -51,31 +52,21 @@ class Point(NamedTuple):
 # kernels on coordinate arrays
 
 
-def _sum_squares(x: np.ndarray) -> np.ndarray:
-    """Sum of squares over the first axis of a coordinate-major (width, ...)
-    array, square by square in index order from +0:
-    ``((0 + x_0^2) + x_1^2) + ...``, zeros at width 0.
-
-    An explicit loop, because ``np.sum`` sums pairwise along a contiguous
-    axis, so its bits would depend on the memory layout, and the redo path
-    of :func:`_gauge_of` passes transposed views.  Each square goes through
-    one row buffer, so no (width, ...) array of squares is made."""
-    total = np.zeros(x.shape[1:])
-    square = np.empty(x.shape[1:])
-    for row in x:
-        np.multiply(row, row, out=square)
-        np.add(total, square, out=total)
-    return total
+@lru_cache(maxsize=None)
+def _squares(width: int) -> tuple:
+    """Entries (i, i, 0, 1.0) of ``algebra._entry_kernel``: ``((0 + x_0^2) + x_1^2) + ...``
+    whatever the layout, unlike ``np.sum``, for the transposed views :func:`_gauge_of` passes."""
+    return tuple((i, i, 0, 1.0) for i in range(width))
 
 
 def _gauge4(v, z) -> tuple[np.ndarray, np.ndarray]:
     """Rowwise a = |v|^2 / 4 and the gauge's fourth power a^2 + |z|^2 of
     coordinate-major (dim_v, ...) and (dim_z, ...) arrays, each sum of
-    squares in index order (:func:`_sum_squares`).  Overflow gives inf
+    squares in index order (:func:`_squares`).  Overflow gives inf
     without a warning; the callers evaluate such rows again at unit scale."""
     with np.errstate(over="ignore"):
-        a = 0.25 * _sum_squares(v)
-        return a, a * a + _sum_squares(z)
+        a = 0.25 * _entry_kernel(_squares(len(v)), v, v, 1)[0]
+        return a, a * a + _entry_kernel(_squares(len(z)), z, z, 1)[0]
 
 
 def _unit_exponent(*points) -> np.ndarray:

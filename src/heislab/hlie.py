@@ -81,13 +81,6 @@ class HTypeAlgebra:
         object.__setattr__(self, "structure", tensor)
 
     @cached_property
-    def j_stack(self) -> np.ndarray:
-        """Matrices of J over the orthonormal center basis: ``j_stack[k] = J_{Z_k}``."""
-        stack = self.structure.transpose(0, 2, 1).copy()
-        stack.setflags(write=False)
-        return stack
-
-    @cached_property
     def _j_entries(self) -> tuple[tuple[int, int, int, float], ...]:
         """Structure entries (k, i, j, B[k,i,j]) for ``algebra._entry_kernel``:
         ``(J_z x)_j = sum_ki z_k x_i B[k,i,j]``."""
@@ -96,10 +89,8 @@ class HTypeAlgebra:
     @cached_property
     def _bracket_entries(self) -> tuple[tuple[int, int, int, float], ...]:
         """Strictly-upper structure entries (i, j, k, B[k,i,j]) for the skew
-        ``algebra._entry_kernel``, by direction k and then in (i, j) order."""
-        k, i, j = np.nonzero(self.structure)
-        return tuple((int(a), int(b), int(c), float(self.structure[c, a, b]))
-                     for c, a, b in zip(k, i, j) if a < b)
+        ``algebra._entry_kernel``; each direction k sums its entries in (i, j) order."""
+        return _algebra._entries(np.triu(self.structure, 1).transpose(1, 2, 0))
 
     @cached_property
     def fingerprint(self) -> str:
@@ -161,8 +152,9 @@ def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> n
 
     Each output coordinate j sums ``z_k x_i B[k,i,j]`` by increasing k from
     +0, the order of the earlier BLAS form (a matrix product of x against
-    the flattened structure tensor, then a row contraction with z), whose
-    bits it keeps on every builtin algebra.
+    the flattened structure tensor, then a row contraction with z).  It keeps
+    that form's bits where each column B[k, :, j] holds at most one nonzero,
+    of +-1, as on every builtin algebra; a denser tensor may round otherwise.
     """
     return _algebra._by_slices(lambda z, x: [_j_cols(alg, z, x)], [alg.dim_v],
                                z_rows, x_rows)[0]
@@ -215,19 +207,19 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     entry of ``S_ab - delta_ab I``, which passes within ``tol``
     (0 <= tol < inf).  With an empty center the condition holds vacuously.
     The S_ab are taken one center direction a at a time, from
-    ``G_a = (J_a^T J_b)_b``: J_b^T J_a is the transpose of J_a^T J_b bit for
-    bit, so ``S_ab = (G_ab + G_ab^T) / 2``, and no more than dim_z dim_v^2
-    floats, the size of the structure tensor, are held at once.
+    ``G_a = (J_a^T J_b)_b = (B_a^T B_b)_b`` (J_a = -B_a): J_b^T J_a is the
+    transpose of J_a^T J_b bit for bit, so ``S_ab = (G_ab + G_ab^T) / 2``, and
+    no more than dim_z dim_v^2 floats, the size of the structure tensor, are held at once.
     ``samples`` and ``seed`` are recorded in the report for replay only;
     they change no verdict or residual.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_tol(tol)
-    j = alg.j_stack
+    tensor = alg.structure
     maxima = []
     for a in range(alg.dim_z):
-        gram = np.einsum("ij,bik->bjk", j[a], j)  # J_a^T J_b
+        gram = np.einsum("ij,bik->bjk", tensor[a], tensor)  # J_a^T J_b = B_a^T B_b
         clifford = 0.5 * (gram + gram.transpose(0, 2, 1))
         np.einsum("jj->j", clifford[a])[...] -= 1.0  # the diagonal of S_aa, in place
         maxima.append(np.max(np.abs(clifford)))
@@ -236,24 +228,10 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     return HTypeReport(alg.label, alg.fingerprint, worst <= tol, worst, samples, tol, seed)
 
 
-def _j2_residuals(alg: HTypeAlgebra, x: np.ndarray, z: np.ndarray,
-                  zp: np.ndarray) -> np.ndarray:
-    """Distance of J_z J_z' x from span{J_{Z_k} x}, for unit rows x, z, z'."""
-    inner = apply_j_rows(alg, zp, x)
-    target = apply_j_rows(alg, z, inner)
-    generators = np.stack([apply_j_rows(alg, np.broadcast_to(unit, z.shape), x)
-                           for unit in np.eye(alg.dim_z)], axis=1)
-    gram = np.einsum("skv,slv->skl", generators, generators)
-    rhs = np.einsum("skv,sv->sk", generators, target)
-    coeff = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    projection = np.einsum("skv,sk->sv", generators, coeff)
-    return np.linalg.norm(target - projection, axis=1)
-
-
 def _j2_cubic(alg: HTypeAlgebra, a: int, b: int) -> np.ndarray:
     """Coefficients T of ``F_ab(X)_i = sum_jkl T[i,j,k,l] X_j X_k X_l``, symmetric in
     (j, k, l), for ``F_ab(X) = |X|^2 J_a J_b X - sum_c <J_c X, J_a J_b X> J_c X``."""
-    j = alg.j_stack
+    j = -alg.structure  # j[c] = J_c
     product = j[a] @ j[b]
     cubic = np.einsum("ij,kl->ijkl", product, np.eye(alg.dim_v))
     cubic -= np.tensordot(j, j.transpose(0, 2, 1) @ product, axes=(0, 0))
@@ -271,14 +249,16 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
     coefficient over all pairs.  The witness x is the normalized polarization
     point ``e_j +- e_k +- e_l`` of that coefficient whose ``J_{e_a} J_{e_b} x``
     lies farthest from span{J_W x}; polarization puts one of them off the
-    span.  Requires a Heisenberg-type algebra, and 0 <= tol < inf (both
-    checked by :func:`check_h_type`); a center of dimension 0 or 1
-    satisfies the condition vacuously.  Each cubic has dim_v**4
-    coefficients, at most 2**24 (``_MAX_SPEC_ENTRIES``): a larger algebra
-    with a center of dimension 2 or more raises ValueError before one is
-    built (``H_H:16`` certifies, ``H_H:17`` is refused).  ``samples`` and
-    ``seed`` are recorded in the report for replay only; they change no
-    verdict, residual or witness.
+    span.  For a unit x the J_c x are orthonormal, so that distance is
+    ``|F_ab(x)|``, read off the cubic restricted to coordinates j, k, l.
+    Requires a Heisenberg-type algebra, and 0 <= tol < inf (both checked by
+    :func:`check_h_type`); a center of dimension 0 or 1 satisfies the
+    condition vacuously.  Each cubic has dim_v**4 coefficients, at most
+    2**24 (``_MAX_SPEC_ENTRIES``): a larger algebra with a center of
+    dimension 2 or more raises ValueError before one is built (``H_H:16``
+    certifies, ``H_H:17`` is refused).  ``samples`` and ``seed`` are
+    recorded in the report for replay only; they change no verdict,
+    residual or witness.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -293,19 +273,21 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
         )
     worst, largest = 0.0, None
     for a, b in permutations(range(alg.dim_z), 2):
-        cubic = np.abs(_j2_cubic(alg, a, b))
-        index = np.unravel_index(np.argmax(cubic), cubic.shape)
-        if cubic[index] > worst:
-            worst, largest = float(cubic[index]), (a, b, index[1:])
+        cubic = _j2_cubic(alg, a, b)
+        index = np.unravel_index(np.argmax(np.abs(cubic)), cubic.shape)
+        if abs(cubic[index]) > worst:
+            c = np.array(sorted(set(index[1:])))  # the polarization points' coordinates
+            worst = float(abs(cubic[index]))
+            largest = (a, b, index[1:], c, cubic[:, c[:, None, None], c[:, None], c])
     witness = None
     if worst > tol:
-        a, b, (j, k, l) = largest
+        a, b, (j, k, l), c, restricted = largest
         signs = np.array([[1, s, t] for s in (1, -1) for t in (1, -1)])  # e_j +- e_k +- e_l
         x = signs @ np.eye(alg.dim_v)[[j, k, l]]
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        z, zp = np.eye(alg.dim_z)[[a] * 4], np.eye(alg.dim_z)[[b] * 4]
-        best = int(np.argmax(_j2_residuals(alg, x, z, zp)))
-        witness = J2Witness(x[best], z[best], zp[best])
+        off = np.einsum("ipqr,sp,sq,sr->si", restricted, *[x[:, c]] * 3)  # F_ab(x) per row
+        best = int(np.argmax(np.linalg.norm(off, axis=1)))
+        witness = J2Witness(x[best], np.eye(alg.dim_z)[a], np.eye(alg.dim_z)[b])
     return J2Report(alg.label, alg.fingerprint, worst <= tol, worst, witness, samples, tol,
                     seed)
 

@@ -217,7 +217,9 @@ def h_type_residual_whole(alg: HTypeAlgebra) -> float:
     """Reference residual of ``hlie.check_h_type``: every S_ab - delta_ab I of
     the Clifford relations in one (dim_z, dim_z, dim_v, dim_v) array, as it
     was before the directions were taken one at a time."""
-    gram = np.einsum("aij,bik->abjk", alg.j_stack, alg.j_stack)
+    # in C order, the layout check_h_type reads B in: einsum's summation order follows it
+    j = np.array([j_map(alg, unit) for unit in np.eye(alg.dim_z)])
+    gram = np.einsum("aij,bik->abjk", j, j)
     clifford = 0.5 * (gram + gram.transpose(1, 0, 2, 3))
     np.einsum("aajj->aj", clifford)[...] -= 1.0
     return float(np.max(np.abs(clifford), initial=0.0))

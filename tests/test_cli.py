@@ -664,6 +664,26 @@ class TestDistortCommands:
         assert capsys.readouterr().err == (
             f"error: dilation factor must be positive and finite, got {factor}\n")
 
+    @pytest.mark.parametrize("factor, bound", [("1e-160", "too small"), ("1e160", "too large")])
+    def test_qc_rejects_a_dilation_past_the_sampler_range(self, factor, bound, capsys):
+        # t^2 z under- or overflowed here: ratios of 25 and 235, or NaN, at exit 0
+        assert run(["distort", "qc", "--algebra", "H_C:1", "--map", f"dilate:{factor}",
+                    "--samples", "1000", "--seed", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dilated center gauge or radius {float(factor)} is {bound}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("factor", ["1e-100", "1e100"])
+    def test_qc_dilation_far_from_unit_scale_keeps_the_identity_ratios(self, factor, tmp_path):
+        ratios = {}
+        for name in ("identity", f"dilate:{factor}"):
+            out = tmp_path / "qc.json"
+            assert run(["distort", "qc", "--algebra", "H_C:1", "--map", name, "--samples",
+                        "1000", "--seed", "3", "--output", str(out), "--no-timestamp"]) == 0
+            ratios[name] = [e["ratio"] for e in read_json(out)["statistics"]["per_radius"]]
+        expected = np.array(ratios["identity"])
+        assert np.all(np.abs(np.array(ratios[f"dilate:{factor}"]) - expected) <= 1e-9 * expected)
+
     @pytest.mark.parametrize("center, radii", [("1", "1e100"), ("1e100", "1e99,1e98")])
     def test_qc_far_from_unit_scale_raises_no_warning(self, center, radii, tmp_path):
         out = tmp_path / "qc.json"

@@ -176,8 +176,9 @@ class TestRowSum:
         squares = x * x
         expected = index_order_sum(squares)
         assert np.sum(np.ascontiguousarray(squares.T), axis=0).tobytes() == expected.tobytes()
-        assert hgroup._sum_squares(np.ascontiguousarray(x.T)).tobytes() == expected.tobytes()
-        assert hgroup._sum_squares(x.T).tobytes() == expected.tobytes()
+        for cols in (np.ascontiguousarray(x.T), x.T):
+            got = al._entry_kernel(hgroup._squares(width), cols, cols, 1)[0]
+            assert got.tobytes() == expected.tobytes()
         exact = np.array([math.fsum(row) for row in squares.tolist()])
         assert np.all(np.abs(expected - exact) <= width * 2.0 ** -53 * exact)
 

@@ -252,7 +252,7 @@ class TestJMap:
     @pytest.mark.parametrize("alg", every_builtin(), ids=lambda a: a.label)
     def test_skew_symmetry(self, alg):
         for k in range(alg.dim_z):
-            j = alg.j_stack[k]
+            j = j_map(alg, np.eye(alg.dim_z)[k])
             assert np.max(np.abs(j + j.T)) <= 1e-14
 
     @pytest.mark.parametrize("alg", every_builtin(), ids=lambda a: a.label)
@@ -319,6 +319,11 @@ class TestCheckHType:
         # all dim_z**2 blocks of dim_v x dim_v at once took 96 MiB here
         alg = hlie.HTypeAlgebra("zero", 16, 128, np.zeros((128, 16, 16)))
         assert peak_mib(lambda: hlie.check_h_type(alg)) < 2.0
+
+    def test_reads_the_structure_tensor_without_a_copy(self):
+        # three 8 MiB blocks; a cached copy of J = -B, 8 MiB more, took 32 MiB here
+        alg = hlie.algebra_from_name("H_C:512")
+        assert peak_mib(lambda: hlie.check_h_type(alg)) <= 26.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_residual_is_the_whole_formula_bitwise(self, seed):

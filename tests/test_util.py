@@ -1,6 +1,7 @@
 """The one worker map, ``util._ordered_map``, which runs the triangle scan and
-the chunks of ``verify_inversion``, its default worker count, and the one
-seeded chunk map, ``util._sampled``, of the sampled estimators."""
+the chunks of ``verify_inversion``, its default worker count, the one
+seeded chunk map, ``util._sampled``, of the sampled estimators, and the
+static lists of the library functions that seed a generator or call BLAS."""
 
 import ast
 import os
@@ -94,9 +95,9 @@ SEEDING_SITES = {"util._sampled", "distortion.estimate_qc_ratio",
                  "distortion.random_center"}
 
 
-def seeding_sites(tree, module: str) -> set:
-    """``module.function`` of each call of ``default_rng``, ``SeedSequence`` or
-    ``.spawn`` in a parsed module."""
+def library_sites(name_of) -> set:
+    """``(module.function, name)`` of each node of the library's modules for
+    which ``name_of(node)`` gives a name."""
     sites = set()
 
     def visit(node, scope):
@@ -104,19 +105,50 @@ def seeding_sites(tree, module: str) -> set:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("default_rng", "SeedSequence", "spawn"):
-                    sites.add(".".join((module,) + scope))
+            if (name := name_of(child)) is not None:
+                sites.add((".".join(scope), name))
             visit(child, scope)
 
-    visit(tree, ())
+    for path in sorted(Path(util.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
     return sites
 
 
+def seeding_call(node):
+    """The name of a call of ``default_rng``, ``SeedSequence`` or ``.spawn``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("default_rng", "SeedSequence", "spawn"):
+            return name
+    return None
+
+
 def test_no_other_code_seeds_a_sampling_loop():
-    sites = set()
-    for path in sorted(Path(util.__file__).parent.glob("*.py")):
-        sites |= seeding_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert sites == SEEDING_SITES
+    assert {site for site, _ in library_sites(seeding_call)} == SEEDING_SITES
+
+
+# the library's BLAS and LAPACK calls: the least-squares fit of the growth
+# exponent, the exact J^2 cubic and its witness points, whose bits may depend
+# on the BLAS build and its thread count.
+BLAS_CALLERS = {("distortion.estimate_regularity", "np.linalg.lstsq"),
+                ("distortion.estimate_regularity", "@"),
+                ("hlie._j2_cubic", "@"),
+                ("hlie._j2_cubic", "np.tensordot"),
+                ("hlie.check_j2", "@")}
+
+
+def blas_call(node):
+    """``@`` or the name of a numpy matrix product or ``np.linalg`` call but ``norm``."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Call):
+        name = ast.unparse(node.func)
+        if name in ("np.dot", "np.vdot", "np.inner", "np.matmul", "np.tensordot") or (
+                name.startswith("np.linalg.") and name != "np.linalg.norm"):
+            return name
+    return None
+
+
+def test_blas_callers_are_listed():
+    assert library_sites(blas_call) == BLAS_CALLERS
