@@ -32,7 +32,6 @@ __all__ = [
     "QUATERNION_TRIPLES",
     "multiplication_tensor",
     "mul_arrays",
-    "conj_arrays",
     "random_elements",
     "check_arithmetic",
 ]
@@ -43,9 +42,11 @@ QUATERNION_TRIPLES = ((1, 2, 3),)
 # Rows per slice of :func:`_by_slices`, which runs the row kernels for
 # pairwise_gauge_dist and the chunks of `distort regularity`, `distort qc`,
 # `algebra check` and `invert transport`.  Each slice pays a fixed number of
-# ufunc calls per structure entry, and holds its temporaries: pairwise_gauge_dist
-# of 1,000 points on H_O took 0.20, 0.16 and 0.13 s at 2,048, 4,096 and 8,192
-# rows, with traced peaks of 8.6, 9.5 and 11.4 MiB (medians of 11, 2-vCPU VM).
+# ufunc calls per structure entry, and holds its temporaries.  At 16,384 rows,
+# `group distmat` of 1,000 H_O points took 7 % less CPU, but `distort qc` (H_H:4,
+# 100,000 samples) and `invert transport` (H_C:16, 4,000 trials) 17-29 % more, with
+# 2-7x the page faults, and check_arithmetic's traced peak rose from 7.5 to 9.3 MiB
+# (medians of 4 runs, 2-vCPU VM); so 4,096 stays.
 _SLICE_ROWS = 4096
 
 
@@ -174,12 +175,6 @@ def mul_arrays(kind: AlgebraKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     entries = _product_entries(kind)
     return _by_slices(lambda a, b: [_entry_kernel(entries, a, b, kind.dim)], [kind.dim],
                       a, b)[0]
-
-
-def conj_arrays(kind: AlgebraKind, a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64)
-    out[:, 1:] *= -1.0
-    return out
 
 
 def random_elements(kind: AlgebraKind, count: int, rng: np.random.Generator) -> np.ndarray:

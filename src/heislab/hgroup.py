@@ -135,9 +135,7 @@ def dilate_arrays(t, v, z) -> tuple[np.ndarray, np.ndarray]:
     bad = t[~((t > 0.0) & (t < np.inf))]
     if bad.size:
         raise ValueError(f"dilation factor must be positive and finite, got {bad.flat[0]}")
-    if t.ndim == 0:
-        return t * v, (t * t) * z
-    return t[:, None] * v, (t * t)[:, None] * z
+    return t[..., None] * v, (t * t)[..., None] * z
 
 
 def gauge_arrays(alg: HTypeAlgebra, v, z) -> np.ndarray:

@@ -36,7 +36,6 @@ __all__ = [
     "J2Report",
     "J2Witness",
     "bracket_arrays",
-    "apply_j_rows",
     "check_h_type",
     "check_j2",
     "make_heisenberg",
@@ -112,7 +111,9 @@ def _bracket_cols(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray
 
 
 def _j_cols(alg: HTypeAlgebra, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """J_z x of coordinate-major (dim_z, ...) and (dim_v, ...) arrays; returns (dim_v, ...)."""
+    """J_z x of coordinate-major (dim_z, ...) and (dim_v, ...) arrays; returns (dim_v, ...).
+    The one J kernel, of ``inversion._sigma``, whose bits rest on this: each output j
+    sums ``z_k x_i B[k,i,j]`` from +0 by increasing k, then i (``_j_entries``' C order)."""
     return _algebra._entry_kernel(alg._j_entries, z, x, alg.dim_v)
 
 
@@ -145,19 +146,6 @@ def bracket_arrays(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarra
     2.4.6), mostly in page faults on those tables.
     """
     return _algebra._by_slices(lambda x, y: [_bracket_cols(alg, x, y)], [alg.dim_z], x, y)[0]
-
-
-def apply_j_rows(alg: HTypeAlgebra, z_rows: np.ndarray, x_rows: np.ndarray) -> np.ndarray:
-    """Rowwise J_{z_rows[s]} x_rows[s]; returns (n, dim_v), by ``algebra._entry_kernel``.
-
-    Each output coordinate j sums ``z_k x_i B[k,i,j]`` by increasing k from
-    +0, the order of the earlier BLAS form (a matrix product of x against
-    the flattened structure tensor, then a row contraction with z).  It keeps
-    that form's bits where each column B[k, :, j] holds at most one nonzero,
-    of +-1, as on every builtin algebra; a denser tensor may round otherwise.
-    """
-    return _algebra._by_slices(lambda z, x: [_j_cols(alg, z, x)], [alg.dim_v],
-                               z_rows, x_rows)[0]
 
 
 @dataclass
@@ -207,9 +195,11 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     entry of ``S_ab - delta_ab I``, which passes within ``tol``
     (0 <= tol < inf).  With an empty center the condition holds vacuously.
     The S_ab are taken one center direction a at a time, from
-    ``G_a = (J_a^T J_b)_b = (B_a^T B_b)_b`` (J_a = -B_a): J_b^T J_a is the
-    transpose of J_a^T J_b bit for bit, so ``S_ab = (G_ab + G_ab^T) / 2``, and
-    no more than dim_z dim_v^2 floats, the size of the structure tensor, are held at once.
+    ``G_a = (J_a^T J_b)_{b >= a} = (B_a^T B_b)_{b >= a}`` (J_a = -B_a): J_b^T J_a
+    is the transpose of J_a^T J_b bit for bit, so ``S_ab = (G_ab + G_ab^T) / 2``
+    and S_ba = S_ab bit for bit, whence the max over b >= a is the max over all b
+    (a NaN or inf included).  No more than dim_z dim_v^2 floats, the size of the
+    structure tensor, are held at once.
     ``samples`` and ``seed`` are recorded in the report for replay only;
     they change no verdict or residual.
     """
@@ -219,9 +209,9 @@ def check_h_type(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TO
     tensor = alg.structure
     maxima = []
     for a in range(alg.dim_z):
-        gram = np.einsum("ij,bik->bjk", tensor[a], tensor)  # J_a^T J_b = B_a^T B_b
+        gram = np.einsum("ij,bik->bjk", tensor[a], tensor[a:])  # J_a^T J_b = B_a^T B_b
         clifford = 0.5 * (gram + gram.transpose(0, 2, 1))
-        np.einsum("jj->j", clifford[a])[...] -= 1.0  # the diagonal of S_aa, in place
+        np.einsum("jj->j", clifford[0])[...] -= 1.0  # the diagonal of S_aa, in place
         maxima.append(np.max(np.abs(clifford)))
     # np.max, unlike max(), keeps a NaN
     worst = float(np.max(maxima, initial=0.0))
@@ -265,7 +255,7 @@ def check_j2(alg: HTypeAlgebra, samples: int = 2000, tol: float = DEFAULT_TOL,
     if alg.dim_z >= 2 and alg.dim_v ** 4 > _MAX_SPEC_ENTRIES:
         raise ValueError(f"{alg.label}: dim_v**4 exceeds the cap of "
                          f"{_MAX_SPEC_ENTRIES} J^2 cubic coefficients")
-    precheck = check_h_type(alg, samples=min(samples, 512), tol=tol, seed=seed)
+    precheck = check_h_type(alg, tol=tol)
     if not precheck.is_h_type:
         raise ValueError(
             f"{alg.label} is not of Heisenberg type "

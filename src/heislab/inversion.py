@@ -369,7 +369,7 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
     _check_tol(tol)
-    if not check_h_type(alg, samples=256, seed=seed).is_h_type:
+    if not check_h_type(alg).is_h_type:
         raise ValueError(f"{alg.label} is not of Heisenberg type; "
                          "the gauge inversion identity is only assessed on H-type algebras")
     used, deviations, rows, starts = zip(*_sampled(

@@ -1,8 +1,9 @@
 """Test oracles and fixtures: the bracket and the J-map of single vectors,
 which the library evaluates only rowwise (``hlie.bracket_arrays``,
-``hlie.apply_j_rows``); einsum forms of the three bilinear kernels
-(``hlie.bracket_arrays``, ``hlie.apply_j_rows``, ``algebra.mul_arrays``),
-as the library evaluated them before it used cached structure matrices;
+``hlie._j_cols``); division-algebra conjugation, which the library does not
+need; einsum forms of the three bilinear kernels (``hlie.bracket_arrays``,
+``hlie._j_cols``, ``algebra.mul_arrays``), as the library evaluated them
+before it used cached structure matrices;
 the bracket as the library evaluated it before its coordinate-major layout,
 by gathers out of the last axis; an algebra-spec writer, which the library
 does not need; the distance-matrix CSV writer and reader as they were
@@ -40,9 +41,8 @@ from heislab.inversion import sigma_arrays
 from heislab.util import _CHUNK, format_float
 
 
-# Row counts that cover the kernels' row slices: one row, one slice and one
-# slice +- 1, and the edges of the 2,048-row blocks of the earlier BLAS form
-# (2,047-2,049 and 6,149, three blocks + 5, also one slice and a part).
+# Row counts that cover the row slices of ``algebra._by_slices``: one row, one
+# slice and one slice +- 1, half a slice +- 1, and 6,149, one slice and a part.
 ROW_COUNTS = [1, 2047, 2048, 2049, _SLICE_ROWS - 1, _SLICE_ROWS, _SLICE_ROWS + 1, 6149]
 
 
@@ -66,6 +66,14 @@ def j_map(alg: HTypeAlgebra, z) -> np.ndarray:
     if z.shape != (alg.dim_z,):
         raise ValueError(f"z has shape {z.shape}, expected ({alg.dim_z},) for {alg.label}")
     return np.einsum("k,kij->ji", z, alg.structure)
+
+
+def conj(a) -> np.ndarray:
+    """The conjugates of division-algebra elements, one per row: the imaginary
+    coefficients negated."""
+    out = np.array(a, dtype=np.float64)
+    out[..., 1:] *= -1.0
+    return out
 
 
 def bracket_einsum(alg: HTypeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
