@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import gc
 import io
 import os
@@ -204,15 +205,16 @@ def _distort_qc(args) -> None:
     radius_list = _radius_list(args.radii)
     map_name = args.map
     if map_name == "identity":
-        point_map = distortion.identity_map(alg)
+        point_map = lambda v, z: (v, z)
     elif map_name == "inversion":
-        point_map = distortion.inversion_map(alg)
+        from heislab import inversion
+        point_map = functools.partial(inversion.sigma_arrays, alg)
     elif map_name.startswith("dilate:"):
         try:
             factor = float(map_name.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"--map dilate:T needs a number T, got {map_name!r}") from None
-        point_map = distortion.dilation_map(alg, factor)
+        point_map = functools.partial(hgroup.dilate_arrays, factor)
     else:
         raise ValueError(f"unknown map {map_name!r} (identity, inversion, dilate:T)")
     center = distortion.random_center(alg, args.center_gauge, seed=args.seed)
@@ -266,7 +268,7 @@ def _parser() -> _Parser:
     root = _Parser(prog="heislab", description="Numerical laboratory for H-type groups and "
                                                "their gauge inversions.")
     groups = root.add_subparsers(dest="group", required=True)
-    ALGEBRA = f"builtin name ({', '.join(hlie.builtin_names())}) or algebra-spec JSON path"
+    ALGEBRA = f"builtin name ({', '.join(hlie.BUILTIN_NAMES)}) or algebra-spec JSON path"
 
     def group(name: str, doc: str):
         parser = groups.add_parser(name, help=doc, description=doc)

@@ -25,6 +25,8 @@ import numpy as np
 from heislab.hgroup import (
     Point,
     _check_radius,
+    _gauge4,
+    _gauge_of,
     dilate_arrays,
     gauge_arrays,
     gauge_dist_arrays,
@@ -32,7 +34,7 @@ from heislab.hgroup import (
     sample_with_rng,
 )
 from heislab.hlie import HTypeAlgebra
-from heislab.util import Report, _sampled, _write_text, format_floats
+from heislab.util import Report, _cpu_count, _sampled, _write_text, format_floats
 
 __all__ = [
     "DistortionReport",
@@ -42,9 +44,6 @@ __all__ = [
     "random_center",
     "estimate_qc_ratio",
     "estimate_regularity",
-    "identity_map",
-    "inversion_map",
-    "dilation_map",
     "save_ratio_pairs_csv",
 ]
 
@@ -71,21 +70,19 @@ class DistortionReport(Report):
     raw_pairs: Optional[list] = field(default=None, repr=False)
 
 
-def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray, *, swapped: bool = False
-                     ) -> np.ndarray:
-    """Cross-ratios of quadruple rows; a degenerate row, or one out of the
-    float range, comes out as 0, inf or NaN, with no warning.
-
-    With ``swapped``, the cross-ratios of the rows with the middle pair
-    swapped follow them, ``d(x, z) d(y, w) / (d(x, y) d(z, w))``, from the
-    same four gathers and with the bits of those rows' own cross-ratios.
+def cross_ratio_rows(dist: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Cross-ratios of N quadruple rows, then those of the same rows with the
+    middle pair swapped, ``d(x, z) d(y, w) / (d(x, y) d(z, w))``: 2N values,
+    from the same four gathers and with the bits of the swapped rows' own
+    cross-ratios.  A degenerate row, or one out of the float range, comes
+    out as 0, inf or NaN, with no warning.
     """
     x, y, z, w = quads.T
     d_xy, d_zw, d_xz, d_yw = (np.take(dist, np.ravel_multi_index(pair, dist.shape))
                               for pair in ((x, y), (z, w), (x, z), (y, w)))
     with np.errstate(all="ignore"):  # zero, overflowed and NaN rows are the caller's
         near, far = d_xy * d_zw, d_xz * d_yw
-        return np.concatenate([near / far, far / near]) if swapped else near / far
+        return np.concatenate([near / far, far / near])
 
 
 def sample_quadruples(n_points: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,8 +123,8 @@ def _quasimobius_chunk(d_in: np.ndarray, d_out: np.ndarray, count: int,
     of its ratios, its envelope bins with their maxima, and with ``raw_pairs``
     its used (t_in, t_out) of the sampled rows and of the middle-swapped rows."""
     quads = sample_quadruples(d_in.shape[0], count, rng)
-    t_in = cross_ratio_rows(d_in, quads, swapped=True)
-    t_out = cross_ratio_rows(d_out, quads, swapped=True)
+    t_in = cross_ratio_rows(d_in, quads)
+    t_out = cross_ratio_rows(d_out, quads)
     good = np.isfinite(t_in) & np.isfinite(t_out) & (t_in > 0.0) & (t_out > 0.0)
     # a row and its middle-swapped copy share their quadruple and its distances
     skipped = quads[np.flatnonzero(~good) % count]
@@ -220,29 +217,6 @@ def save_ratio_pairs_csv(report: DistortionReport, path_or_file) -> None:
                           for a, b in zip(format_floats(t_in), format_floats(t_out)))
 
     _write_text(path_or_file, write)
-
-
-# ---------------------------------------------------------------------------
-# point maps for quasiconformality experiments
-
-def identity_map(alg: HTypeAlgebra) -> Callable:
-    def apply(v, z):
-        return v, z
-    return apply
-
-
-def inversion_map(alg: HTypeAlgebra) -> Callable:
-    from heislab.inversion import sigma_arrays
-
-    def apply(v, z):
-        return sigma_arrays(alg, v, z)
-    return apply
-
-
-def dilation_map(alg: HTypeAlgebra, t: float) -> Callable:
-    def apply(v, z):
-        return dilate_arrays(t, v, z)
-    return apply
 
 
 def random_center(alg: HTypeAlgebra, center_gauge: float, seed: int = 0) -> Point:
@@ -348,21 +322,22 @@ def _envelope_volume(alg: HTypeAlgebra, r: float, samples: int) -> float:
 
 def _uniform_ball(rng: np.random.Generator, count: int, dim: int,
                   radius: float) -> np.ndarray:
-    """Uniform draws from a Euclidean ball (Gaussian direction, radial cdf)."""
+    """Uniform draws from a Euclidean ball (Gaussian direction, radial cdf) as (dim, count)."""
     if dim == 0:
-        return np.zeros((count, 0))
+        return np.zeros((0, count))
     direction = rng.standard_normal((count, dim))
     norms = np.maximum(np.linalg.norm(direction, axis=1), 1e-300)
     scale = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / dim)
-    return direction * (scale / norms)[:, None]
+    return np.multiply(direction.T, scale / norms, order="C")
 
 
 def _ball_hits(alg: HTypeAlgebra, r: float, count: int, rng: np.random.Generator) -> int:
     """How many of ``count`` uniform draws from the envelope of radius r of
-    :func:`estimate_regularity` fall in the gauge ball of radius r."""
+    :func:`estimate_regularity` fall in the gauge ball of radius r, by the private
+    kernels of ``gauge_arrays`` (its bits): a worker calls no public function."""
     v = _uniform_ball(rng, count, alg.dim_v, 2.0 * r)
     z = _uniform_ball(rng, count, alg.dim_z, r * r)
-    return int(np.count_nonzero(gauge_arrays(alg, v, z) <= r))
+    return int(np.count_nonzero(_gauge_of(v, z, _gauge4(v, z)[1]) <= r))
 
 
 def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
@@ -377,6 +352,8 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
     |z| <= r^2, the tight ball-shaped hull of the gauge ball; it wastes far
     fewer samples than the coordinate box in high dimension.  The radii
     must span at least one decade, each in ``hgroup._check_radius``'s range.
+    The chunks run on ``util._cpu_count()`` threads, each with a stream of
+    its own, so the report does not depend on how many.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -393,7 +370,7 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
     per_radius = []
     for r, envelope, radius_seed in zip(radii, envelopes, seeds):
         hits = sum(_sampled(lambda count, rng: _ball_hits(alg, r, count, rng),
-                            samples, radius_seed))
+                            samples, radius_seed, _cpu_count()))
         if hits == 0:
             raise ValueError(f"no hits at radius {r}: fit would be degenerate; "
                              "raise the sample count")

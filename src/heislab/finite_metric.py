@@ -48,7 +48,7 @@ __all__ = [
 
 INFINITY_LABEL = "∞"
 
-DEFAULT_SLACK = 1e-9
+DEFAULT_SLACK = 1e-9  # relative, see validate_distance_matrix
 # Cap on the points of a space handed to the closure (numpy Floyd–Warshall,
 # O(n^2) memory: at n = 2000 the matrix and its working copy take 32 MB each
 # and the scan's float32 copy 16 MB; one triangle scan when nothing needs
@@ -126,11 +126,12 @@ def _exact_block(dist: np.ndarray, slack: float, i: int, j0: int, buf: np.ndarra
                  best: np.ndarray) -> np.ndarray:
     """The float64 block of the scan: fill ``buf`` with d(j, k) + d(i, k) for
     the rows j = j0 .. j0 + len(buf) - 1, as the witness of
-    ``_triangle_error`` computes it, and return which of those rows violate."""
+    ``_triangle_error`` computes it, and return which of those rows violate
+    by more than ``slack`` times d(i, j)."""
     m = buf.shape[0]
     np.add(dist[j0:j0 + m], dist[i], out=buf)
     np.min(buf, axis=1, out=best)
-    return dist[i, j0:j0 + m] > best + slack
+    return dist[i, j0:j0 + m] > best + slack * dist[i, j0:j0 + m]
 
 
 def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
@@ -151,10 +152,10 @@ def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
     most 2^-53.  The float32 sum is then at most (1 + u)^2 / (1 - 2^-53)
     < 1 + 2^-22 times the float64 one, so below d(i, j) (1 + 2^-22), while
     the float64 product d(i, j) (1 + 2^-21) is above that.  A slack of at
-    least 0 only makes a violation rarer.  Outside these conditions
-    ``_coarse_copy`` gives None, and every block runs the float64 block
-    alone.  So the marks are those of the float64 scan, and only the
-    float64 block decides a violation.
+    least 0 only makes a violation rarer, as fl(sum + slack d(i, j)) >= sum.
+    Outside these conditions ``_coarse_copy`` gives None, and every block
+    runs the float64 block alone.  So the marks are those of the float64
+    scan, and only the float64 block decides a violation.
 
     Every row is scanned to its end, and a violating (i, k, j) flags row
     j >= i too (its mirror (j, k, i) violates) and pivot k.  A worker
@@ -189,7 +190,7 @@ def _scan_rows(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
 def _triangle_error(dist: np.ndarray, i: int, slack: float) -> ValueError:
     """The message naming the first violating (i, k, j) of row i."""
     via = dist[i:] + dist[i]
-    a = int(np.flatnonzero(dist[i, i:] > via.min(axis=1) + slack)[0])
+    a = int(np.flatnonzero(dist[i, i:] > via.min(axis=1) + slack * dist[i, i:])[0])
     j = i + a
     k = int(np.argmin(via[a]))
     return ValueError(
@@ -200,9 +201,12 @@ def _triangle_error(dist: np.ndarray, i: int, slack: float) -> ValueError:
     )
 
 
-def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> None:
+def validate_distance_matrix(dist: np.ndarray) -> None:
     """Raise with the offending entry or triple if ``dist`` is not a metric.
 
+    (i, k, j) violates when d(i, j) > (d(i, k) + d(k, j)) + DEFAULT_SLACK d(i, j):
+    the tolerance is relative, so a power-of-two scaling that keeps the
+    entries normal floats keeps the verdict and the reported triple.
     The triangle scan is the closure's (``_scan``), on the available CPUs;
     the verdict and the reported triple do not depend on how many.  It
     scans every row to its end, so rejecting a matrix costs about what
@@ -219,9 +223,9 @@ def validate_distance_matrix(dist: np.ndarray, slack: float = DEFAULT_SLACK) -> 
     # those are scanned.  A row j is flagged through a row i only for i < j,
     # and row i is then flagged too, so the first flagged row is the first
     # violating row.
-    bad, _ = _scan(dist, slack)
+    bad, _ = _scan(dist, DEFAULT_SLACK)
     if bad.any():
-        raise _triangle_error(dist, int(np.argmax(bad)), slack)
+        raise _triangle_error(dist, int(np.argmax(bad)), DEFAULT_SLACK)
 
 
 class FiniteMetricSpace:

@@ -42,7 +42,7 @@ __all__ = [
     "make_truncated_quaternionic",
     "make_degenerate_direct_sum",
     "algebra_from_name",
-    "builtin_names",
+    "BUILTIN_NAMES",
     "load_algebra_spec",
 ]
 
@@ -352,8 +352,8 @@ _BUILTIN_FIXED = {
 _LETTER_KIND = {v: k for k, v in _KIND_LETTER.items()}
 
 
-def builtin_names() -> list[str]:
-    return ["H_R:n", "H_C:n", "H_H:n", "H_O", "truncated_HH", "degenerate_sum"]
+# the patterns algebra_from_name resolves; n is the block count
+BUILTIN_NAMES = ("H_R:n", "H_C:n", "H_H:n", "H_O", "truncated_HH", "degenerate_sum")
 
 
 def algebra_from_name(name: str) -> HTypeAlgebra:
@@ -368,7 +368,7 @@ def algebra_from_name(name: str) -> HTypeAlgebra:
             raise ValueError(f"invalid block count {suffix!r} in algebra name {name!r}") from None
         return make_heisenberg(_LETTER_KIND[base[2:]], n)
     raise ValueError(
-        f"unknown algebra name {name!r} (expected one of {', '.join(builtin_names())}, "
+        f"unknown algebra name {name!r} (expected one of {', '.join(BUILTIN_NAMES)}, "
         "or a path to an algebra-spec JSON file)"
     )
 

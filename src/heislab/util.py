@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -22,8 +23,10 @@ class Report:
     """Base of the report dataclasses: ``to_dict`` is the JSON payload, keyed by field name.
 
     Arrays become float lists; named tuples (an ``hgroup.Point`` gives
-    ``{"v", "z"}``) and nested dataclasses become dicts.  A ``repr=False``
-    field stays out, and so does a field that defaults to None and is None.
+    ``{"v", "z"}``) and nested dataclasses become dicts; a non-finite float
+    becomes the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``, as
+    strict JSON has no such number.  A ``repr=False`` field stays out, and
+    so does a field that defaults to None and is None.
     """
 
     def to_dict(self) -> dict:
@@ -35,13 +38,15 @@ def _jsonable(value):
         return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)
                 if f.repr and not (f.default is None and getattr(value, f.name) is None)}
     if isinstance(value, np.ndarray):
-        return value.astype(np.float64).tolist()
+        value = value.astype(np.float64).tolist()
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         value = value._asdict()
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     return value
 
 
@@ -58,8 +63,9 @@ def fingerprint_of_arrays(*arrays: np.ndarray) -> str:
 
 
 def canonical_json(payload: dict) -> str:
-    """Deterministic JSON text: sorted keys, shortest round-trip floats."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic strict JSON text: sorted keys, shortest round-trip floats,
+    and values as ``Report.to_dict`` gives them (a non-finite float as a string)."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def format_float(x: float) -> str:

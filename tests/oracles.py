@@ -183,7 +183,8 @@ def load_space_csv_rowloop(path) -> FiniteMetricSpace:
 def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarray,
                       pivots: np.ndarray) -> None:
     """Flag in ``bad`` the rows of ``rows`` with a triangle violation at some
-    j >= i, and in ``pivots`` the k of every violating (i, k, j).
+    j >= i, by more than ``slack`` times d(i, j), and in ``pivots`` the k of
+    every violating (i, k, j).
 
     Row a of the buffer holds d(j, k) + d(i, k) for j = j0 + a, as the
     witness of ``_triangle_error`` computes it.  Every row is scanned to its
@@ -201,13 +202,20 @@ def scan_rows_float64(dist: np.ndarray, slack: float, rows: range, bad: np.ndarr
             m = min(_SCAN_BLOCK, n - j0)
             np.add(dist[j0:j0 + m], dist[i], out=buf[:m])
             np.min(buf[:m], axis=1, out=best[:m])
-            over = dist[i, j0:j0 + m] > best[:m] + slack
+            d = dist[i, j0:j0 + m]
+            over = d > best[:m] + slack * d
             if not over.any():
                 continue
             bad[i] = True
             bad[j0:j0 + m] |= over
             if not pivots.all():
                 pivots |= (buf[:m] < dist[i, j0:j0 + m, None]).any(axis=0)
+
+
+def reject_constant(name: str):
+    """``parse_constant`` of a strict JSON reader: the tokens ``NaN``,
+    ``Infinity`` and ``-Infinity`` are not JSON."""
+    raise ValueError(f"non-JSON constant {name}")
 
 
 def peak_mib(call) -> float:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,9 @@ import pytest
 import heislab
 from heislab import cli
 from heislab import finite_metric as fm
-from heislab import hgroup, hlie, util
+from heislab import distortion, hgroup, hlie, inversion, util
 from heislab.cli import run
-from oracles import write_algebra_spec
+from oracles import reject_constant, write_algebra_spec
 
 
 def read_json(path):
@@ -718,6 +719,20 @@ class TestDistortCommands:
         cross = center[0] * first[1] - center[1] * first[0]
         assert abs(cross) > 1e-3 * np.linalg.norm(center) * np.linalg.norm(first)
 
+    @pytest.mark.parametrize("name", ["identity", "inversion", "dilate:2"])
+    def test_qc_map_is_the_direct_callable(self, name, capsys):
+        alg = hlie.algebra_from_name("H_H:1")
+        point_map = {"identity": lambda v, z: (v, z),
+                     "inversion": partial(inversion.sigma_arrays, alg),
+                     "dilate:2": partial(hgroup.dilate_arrays, 2.0)}[name]
+        report = distortion.estimate_qc_ratio(alg, point_map,
+                                              distortion.random_center(alg, 1.0, seed=5),
+                                              [0.1, 0.01], samples=3000, seed=5)
+        assert run(["distort", "qc", "--algebra", "H_H:1", "--map", name, "--radii",
+                    "0.1,0.01", "--samples", "3000", "--seed", "5", "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == util.canonical_json(
+            {"command": "distort qc", **report.to_dict(), "map": name})
+
     @pytest.mark.parametrize("command", ["qc", "regularity"])
     def test_malformed_radii(self, command, capsys):
         assert run(["distort", command, "--algebra", "H_C:1", "--radii", "0.1,x"]) == 1
@@ -875,6 +890,20 @@ class TestReproducibility:
         assert run(["lie", "check-htype", "--algebra", "H_C:1", "--samples", "100",
                     "--seed", "0", "--output", str(out)]) == 0
         assert "generated_at" in read_json(out)
+
+
+class TestStrictJson:
+    def test_overflowed_residual_is_a_string(self, tmp_path):
+        # a valid spec whose entries lie near 1e160: the H-type residual overflows
+        upper = np.triu(np.random.default_rng(1).uniform(3e159, 2e160, size=(2, 3, 3)), 1)
+        spec = tmp_path / "big.json"
+        write_algebra_spec(hlie.HTypeAlgebra("big", 3, 2, upper - upper.transpose(0, 2, 1)),
+                           spec)
+        out = tmp_path / "report.json"
+        assert run(["lie", "check-htype", "--algebra", str(spec), "--output", str(out),
+                    "--no-timestamp"]) == 0
+        payload = json.loads(out.read_text(), parse_constant=reject_constant)
+        assert payload["max_residual"] == "Infinity" and payload["is_h_type"] is False
 
 
 class TestAlgebraSpecFiles:

@@ -3,6 +3,7 @@ constants, quasiconformality ratios, and volume-growth exponents."""
 
 import csv
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ import pytest
 from heislab import algebra as al
 from heislab import distortion as dt
 from heislab import finite_metric as fm
-from heislab import hgroup, hlie
-from heislab.util import _CHUNK
+from heislab import hgroup, hlie, inversion
+from heislab.util import _CHUNK, canonical_json
 from oracles import peak_mib, quasimobius_statistics_vstack
 
 
@@ -53,12 +54,16 @@ class TestCrossRatio:
         assert cross_ratio(dist, (0, 1, 2, 3)) == np.inf
 
     def test_swapped_rows_follow_with_their_own_bits(self):
+        # 2N rows: near / far for the sampled rows, then the reciprocal far / near
         _, _, _, dist = gauge_matrix("H_O", 30, seed=26)
         quads = dt.sample_quadruples(30, 1000, np.random.default_rng(27))
-        both = dt.cross_ratio_rows(dist, quads, swapped=True)
-        alone = np.concatenate([dt.cross_ratio_rows(dist, quads),
-                                dt.cross_ratio_rows(dist, quads[:, [0, 2, 1, 3]])])
-        assert both.tobytes() == alone.tobytes()
+        both = dt.cross_ratio_rows(dist, quads)
+        alone = np.concatenate([dt.cross_ratio_rows(dist, quads)[:1000],
+                                dt.cross_ratio_rows(dist, quads[:, [0, 2, 1, 3]])[:1000]])
+        assert both.shape == (2000,) and both.tobytes() == alone.tobytes()
+        x, y, z, w = quads.T
+        near, far = dist[x, y] * dist[z, w], dist[x, z] * dist[y, w]
+        assert both.tobytes() == np.concatenate([near / far, far / near]).tobytes()
 
 
 class TestCrossRatioInvariance:
@@ -235,21 +240,21 @@ class TestQcRatio:
 
     def test_identity_map_is_one(self):
         alg = builtin("H_C:1")
-        report = dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 22),
+        report = dt.estimate_qc_ratio(alg, lambda v, z: (v, z), self.center(alg, 22),
                                       [0.1, 0.01], samples=20000, seed=23)
         for entry in report.statistics["per_radius"]:
             assert entry["ratio"] == pytest.approx(1.0, abs=5e-3)
 
     def test_dilation_is_a_similarity(self):
         alg = builtin("H_H:1")
-        report = dt.estimate_qc_ratio(alg, dt.dilation_map(alg, 3.0), self.center(alg, 24),
-                                      [0.1, 0.01], samples=20000, seed=25)
+        report = dt.estimate_qc_ratio(alg, partial(hgroup.dilate_arrays, 3.0),
+                                      self.center(alg, 24), [0.1, 0.01], samples=20000, seed=25)
         for entry in report.statistics["per_radius"]:
             assert entry["ratio"] == pytest.approx(1.0, abs=5e-3)
 
     def test_insufficient_sampling_is_flagged(self):
         alg = builtin("H_C:1")
-        report = dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 26),
+        report = dt.estimate_qc_ratio(alg, lambda v, z: (v, z), self.center(alg, 26),
                                       [0.1], samples=1, seed=27)
         entry = report.statistics["per_radius"][0]
         assert entry["insufficient_sampling"] is True
@@ -258,15 +263,15 @@ class TestQcRatio:
     def test_samples_must_be_positive(self):
         alg = builtin("H_C:1")
         with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
-            dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 26),
+            dt.estimate_qc_ratio(alg, lambda v, z: (v, z), self.center(alg, 26),
                                  [0.1], samples=0, seed=27)
 
     @pytest.mark.parametrize("name, map_name", [("H_C:1", "inversion"), ("H_H:2", "dilation"),
                                                 ("H_O", "inversion")])
     def test_row_blocks_do_not_change_the_report(self, monkeypatch, name, map_name):
         alg = builtin(name)
-        point_map = (dt.inversion_map(alg) if map_name == "inversion"
-                     else dt.dilation_map(alg, 3.0))
+        point_map = (partial(inversion.sigma_arrays, alg) if map_name == "inversion"
+                     else partial(hgroup.dilate_arrays, 3.0))
         center = self.center(alg, 31)
 
         def report(block):
@@ -281,7 +286,7 @@ class TestQcRatio:
     def test_radii_must_decrease(self):
         alg = builtin("H_C:1")
         with pytest.raises(ValueError, match="decreasing"):
-            dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 28),
+            dt.estimate_qc_ratio(alg, lambda v, z: (v, z), self.center(alg, 28),
                                  [0.01, 0.1], samples=10, seed=29)
 
 
@@ -292,7 +297,7 @@ class TestQcRatio:
     def test_radii_within_the_sampler_range(self, radii, message):
         alg = builtin("H_C:1")
         with pytest.raises(ValueError, match=message):
-            dt.estimate_qc_ratio(alg, dt.identity_map(alg), self.center(alg, 28),
+            dt.estimate_qc_ratio(alg, lambda v, z: (v, z), self.center(alg, 28),
                                  radii, samples=10, seed=29)
 
     @pytest.mark.parametrize("scale", [1e-100, 1e100])
@@ -302,15 +307,16 @@ class TestQcRatio:
         alg = builtin("H_C:1")
 
         def ratios(s):
-            report = dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28, s),
-                                          [s * 0.1, s * 0.01], samples=2000, seed=29)
+            report = dt.estimate_qc_ratio(alg, partial(inversion.sigma_arrays, alg),
+                                          self.center(alg, 28, s), [s * 0.1, s * 0.01],
+                                          samples=2000, seed=29)
             return [entry["ratio"] for entry in report.statistics["per_radius"]]
         assert ratios(scale) == pytest.approx(ratios(1.0), rel=1e-9)
 
     def test_radius_far_above_the_center_gauge(self):
         alg = builtin("H_C:1")
-        report = dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28),
-                                      [1e100], samples=200, seed=29)
+        report = dt.estimate_qc_ratio(alg, partial(inversion.sigma_arrays, alg),
+                                      self.center(alg, 28), [1e100], samples=200, seed=29)
         entry = report.statistics["per_radius"][0]
         assert entry["inner_points"] > 0 and entry["outer_points"] > 0
         assert np.isfinite(entry["ratio"])
@@ -319,8 +325,9 @@ class TestQcRatio:
         alg = builtin("H_C:1")
         # underflow of the tiny images is numpy's default "ignore", as outside this test
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            report = dt.estimate_qc_ratio(alg, dt.inversion_map(alg), self.center(alg, 28),
-                                          [1.1e77, 1e76], samples=200, seed=29)
+            report = dt.estimate_qc_ratio(alg, partial(inversion.sigma_arrays, alg),
+                                          self.center(alg, 28), [1.1e77, 1e76], samples=200,
+                                          seed=29)
         assert all(entry["outer_points"] > 0 for entry in report.statistics["per_radius"])
 
 class TestRegularity:
@@ -355,6 +362,30 @@ class TestRegularity:
         alg = builtin("H_C:1")
         with pytest.raises(ValueError, match="positive"):
             dt.estimate_regularity(alg, [-1.0, 10.0], samples=100, seed=35)
+
+    def test_report_is_free_of_the_worker_count(self, monkeypatch):
+        alg = builtin("H_H:1")
+        sampled = dt._sampled
+        workers = []
+        monkeypatch.setattr(dt, "_sampled", lambda fn, samples, seed, count=1: (
+            workers.append(count), sampled(fn, samples, seed, count))[1])
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(dt, "_cpu_count", lambda: cpus)
+            reports.append(canonical_json(dt.estimate_regularity(
+                alg, [0.1, 1.0, 10.0], samples=3 * _CHUNK + 5, seed=36).to_dict()))
+        assert reports[0] == reports[1] == reports[2]
+        assert workers == [1] * 3 + [2] * 3 + [3] * 3
+
+    @pytest.mark.parametrize("r", [1e-100, 1.0, 1e100])
+    def test_hits_are_those_of_the_gauge_kernel(self, r):
+        # the chunk evaluates the gauge without gauge_arrays, with its bits
+        alg = builtin("H_O")
+        hits = dt._ball_hits(alg, r, 5000, np.random.default_rng(37))
+        rng = np.random.default_rng(37)
+        v = dt._uniform_ball(rng, 5000, alg.dim_v, 2.0 * r)
+        z = dt._uniform_ball(rng, 5000, alg.dim_z, r * r)
+        assert 0 < hits == int(np.count_nonzero(hgroup.gauge_arrays(alg, v.T, z.T) <= r))
 
 
 class TestSampleQuadruples:
@@ -399,7 +430,9 @@ class TestReport:
 class TestMemory:
     """The sampled estimators hold one chunk of draws at a time, not the whole sample."""
 
-    def test_regularity(self):
+    def test_regularity(self, monkeypatch):
+        # one chunk per worker thread: two, as on a 2-CPU machine
+        monkeypatch.setattr(dt, "_cpu_count", lambda: 2)
         alg = builtin("H_O")
         assert peak_mib(lambda: dt.estimate_regularity(
             alg, [0.1, 1.0], samples=200000, seed=1)) <= 8.0
@@ -408,7 +441,8 @@ class TestMemory:
         alg = builtin("H_O")
         center = dt.random_center(alg, 1.0, seed=1)
         assert peak_mib(lambda: dt.estimate_qc_ratio(
-            alg, dt.inversion_map(alg), center, [0.1, 0.01], samples=200000, seed=1)) <= 16.0
+            alg, partial(inversion.sigma_arrays, alg), center, [0.1, 0.01], samples=200000,
+            seed=1)) <= 16.0
 
     def test_quasimobius(self):
         # the stacked sample would be 500,000 x 4 indices and 1e6 x 2 ratios (32 MB)

@@ -12,6 +12,7 @@ import pytest
 
 from heislab import finite_metric as fm
 from heislab import hgroup, hlie, inversion, util
+from heislab.cli import run
 from heislab.util import format_float
 from oracles import load_space_csv_rowloop, save_space_csv_rowwise, scan_rows_float64
 
@@ -86,11 +87,13 @@ class TestValidation:
 
 
 def row_loop_validation_error(dist, slack=fm.DEFAULT_SLACK):
-    """Triangle check over every (i, k, j), row by row: the reference."""
+    """Triangle check over every (i, k, j), row by row: the reference.  The
+    slack is relative: (i, k, j) violates when d(i, j) exceeds d(i, k) +
+    d(k, j) by more than slack d(i, j)."""
     for i in range(dist.shape[0]):
         via = dist[i][:, None] + dist
         best = via.min(axis=0)
-        bad_j = np.argwhere(dist[i] > best + slack)
+        bad_j = np.argwhere(dist[i] > best + slack * dist[i])
         if bad_j.size:
             j = int(bad_j[0][0])
             k = int(np.argmin(via[:, j]))
@@ -99,6 +102,38 @@ def row_loop_validation_error(dist, slack=fm.DEFAULT_SLACK):
                     f"d(i,k) + d(k,j) = {format_float(via[k, j])} "
                     f"by {dist[i, j] - via[k, j]:.3e}")
     return None
+
+
+def validate_at(monkeypatch, dist, slack):
+    """``validate_distance_matrix`` with ``slack`` in place of its one tolerance,
+    ``DEFAULT_SLACK``."""
+    monkeypatch.setattr(fm, "DEFAULT_SLACK", slack)
+    fm.validate_distance_matrix(dist)
+
+
+class TestScaleFreeValidation:
+    """The relative tolerance gives the same verdict and triple at every
+    power-of-two scale, and heislab reads back every matrix it writes."""
+
+    EXPONENTS = [-400, -100, -30, 0, 30, 100, 400]
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    def test_violation_is_rejected_at_every_scale(self, k):
+        dist = 2.0 ** k * np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^triangle inequality violated at "
+                                             r"\(i, k, j\) = \(0, 1, 2\): "):
+            fm.validate_distance_matrix(dist)
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    @pytest.mark.parametrize("name", ["H_C:1", "truncated_HH"])
+    def test_written_maps_load_back(self, tmp_path, name, k):
+        space = group_space(name, 60, seed=13)
+        source = tmp_path / "domain.csv"
+        fm.save_space_csv(fm.FiniteMetricSpace(space.labels, 2.0 ** k * space.dist), source)
+        for command in ("sphericalize", "invert"):
+            out = tmp_path / f"{command}.csv"
+            assert run(["metric", command, "--input", str(source), "--output", str(out)]) == 0
+            assert fm.load_space_csv(out).n == (61 if command == "sphericalize" else 60)
 
 
 class TestTriangleScanAgainstRowLoop:
@@ -117,7 +152,7 @@ class TestTriangleScanAgainstRowLoop:
         return dist + dist.T
 
     @pytest.mark.parametrize("decimals", [None, 1, 2])
-    def test_messages_match(self, decimals):
+    def test_messages_match(self, monkeypatch, decimals):
         rng = np.random.default_rng(31 + (decimals or 0))
         violating = 0
         for _ in range(300):
@@ -126,27 +161,29 @@ class TestTriangleScanAgainstRowLoop:
             slack = float(rng.choice([0.0, 1e-9, 0.05]))
             expected = row_loop_validation_error(dist, slack)
             if expected is None:
-                fm.validate_distance_matrix(dist, slack)
+                validate_at(monkeypatch, dist, slack)
                 continue
             violating += 1
             with pytest.raises(ValueError) as info:
-                fm.validate_distance_matrix(dist, slack)
+                validate_at(monkeypatch, dist, slack)
             assert str(info.value) == expected
         assert 50 < violating < 300
 
-    def test_negative_slack_reports_the_diagonal(self):
+    def test_negative_slack_flags_the_first_pair(self, monkeypatch):
+        # a relative slack of -1 makes every off-diagonal pair violate, and
+        # the scan runs without its float32 pre-filter
         dist = self.perturbed(np.random.default_rng(4), 6, None)
-        expected = row_loop_validation_error(dist, -1.0)
-        assert "(i, k, j) = (0, 0, 0)" in expected
-        with pytest.raises(ValueError) as info:
-            fm.validate_distance_matrix(dist, -1.0)
-        assert str(info.value) == expected
+        assert fm._coarse_copy(dist, -1.0) is None
+        with pytest.raises(ValueError, match=r"^triangle inequality violated at "
+                                             r"\(i, k, j\) = \(0, \d+, 1\): ") as info:
+            validate_at(monkeypatch, dist, -1.0)
+        assert str(info.value) == row_loop_validation_error(dist, -1.0)
 
     @staticmethod
     def scan_message(monkeypatch, dist, slack, workers):
         monkeypatch.setattr(fm, "_cpu_count", lambda: workers)
         try:
-            fm.validate_distance_matrix(dist, slack)
+            validate_at(monkeypatch, dist, slack)
         except ValueError as exc:
             return str(exc)
         return None
@@ -306,14 +343,15 @@ class TestChainMetric:
         assert out[0, 2] == pytest.approx(2.0)
         assert out[0, 1] == pytest.approx(1.0)
 
-    def test_output_is_a_metric_below_the_input(self):
+    def test_output_is_a_metric_below_the_input(self, monkeypatch):
         rng = np.random.default_rng(6)
         n = 40
         q = rng.uniform(0.5, 2.0, size=(n, n))
         q = np.triu(q, 1)
         q = q + q.T
         out = fm.chain_metric(q)
-        fm.validate_distance_matrix(out, slack=1e-12)
+        # every entry lies in [0.5, 2], so the relative 5e-13 allows at most 1e-12
+        validate_at(monkeypatch, out, 5e-13)
         assert np.all(out <= q + 1e-15)
 
     def test_asymmetric_input_rejected(self):
@@ -405,10 +443,10 @@ class TestChainMetricAgainstScipy:
 
     @pytest.mark.parametrize("make", [fm.inversion_quasimetric, fm.sphericalization_quasimetric])
     @pytest.mark.parametrize("name", ["H_C:1", "H_H:2", "H_O", "truncated_HH"])
-    def test_gauge_samples(self, name, make):
+    def test_gauge_samples(self, monkeypatch, name, make):
         q = make(group_space(name, 300, seed=11).dist, 0)
         out = self.closed(q)
-        fm.validate_distance_matrix(out, slack=0.0)
+        validate_at(monkeypatch, out, 0.0)
         # the sphericalization lowers the pair (base, infinity) by rounding;
         # the inversion changes entries only on the group without J^2
         changed = int(np.count_nonzero(out != q))
@@ -418,15 +456,16 @@ class TestChainMetricAgainstScipy:
             assert (changed > 0) == (name == "truncated_HH")
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_random_non_metrics(self, kind):
+    def test_random_non_metrics(self, monkeypatch, kind):
         rng = np.random.default_rng(KINDS.index(kind))
         for n in (5, 17, 60, 150):
             q = non_metric(rng, n, kind)
             out = self.closed(q)
             assert np.any(out < q)
             # Floyd–Warshall sums a path in the order its pivots meet it, so a
-            # closed entry can exceed another two-hop sum by an ulp
-            fm.validate_distance_matrix(out, slack=4 * np.spacing(out.max()))
+            # closed entry can exceed another two-hop sum by an ulp; relative
+            # to the largest entry, this allows at most 4 of its ulps anywhere
+            validate_at(monkeypatch, out, 4 * np.spacing(out.max()) / out.max())
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 259])
@@ -504,7 +543,7 @@ class TestScanAgainstFloat64Scan:
         scan(dist, slack, range(n), bad, pivots, coarse=fm._coarse_copy(dist, slack))
         marks = bad.tobytes(), pivots.tobytes()
         try:
-            fm.validate_distance_matrix(dist, slack)
+            validate_at(monkeypatch, dist, slack)
             message = None
         except ValueError as exc:
             message = str(exc)

@@ -525,6 +525,14 @@ class TestConstructors:
         with pytest.raises(ValueError, match="invalid block count"):
             hlie.algebra_from_name("H_C:abc")
 
+    @pytest.mark.parametrize("pattern", hlie.BUILTIN_NAMES)
+    def test_every_builtin_pattern_resolves(self, pattern):
+        # a pattern ending in ":n" takes a block count n; the CLI help lists these
+        names = ([pattern.replace(":n", f":{n}") for n in (1, 2)] if pattern.endswith(":n")
+                 else [pattern])
+        for name in names:
+            assert hlie.algebra_from_name(name).label == name
+
     def test_antisymmetry_validation(self):
         bad = np.zeros((1, 2, 2))
         bad[0, 0, 1] = 1.0  # missing the antisymmetric partner

@@ -1,9 +1,11 @@
 """The one worker map, ``util._ordered_map``, which runs the triangle scan and
 the chunks of ``verify_inversion``, its default worker count, the one
-seeded chunk map, ``util._sampled``, of the sampled estimators, and the
-static lists of the library functions that seed a generator or call BLAS."""
+seeded chunk map, ``util._sampled``, of the sampled estimators, the strict
+JSON of the reports, and the static lists of the library functions that
+seed a generator or call BLAS."""
 
 import ast
+import json
 import os
 import threading
 from pathlib import Path
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from heislab import finite_metric, hlie, inversion, util
+from oracles import reject_constant
 
 
 class TestOrderedMap:
@@ -86,6 +89,18 @@ class TestSampled:
             assert util._sampled(self.chunk, samples, 11, workers) == expected
             assert util._sampled(self.chunk, samples, np.random.SeedSequence(11),
                                  workers) == expected
+
+
+class TestCanonicalJson:
+    def test_non_finite_floats_are_strings(self):
+        text = util.canonical_json({"a": [np.nan, np.inf], "b": {"c": (-np.inf, 1.5)}})
+        assert json.loads(text, parse_constant=reject_constant) == {
+            "a": ["NaN", "Infinity"], "b": {"c": ["-Infinity", 1.5]}}
+
+    def test_finite_payloads_keep_their_bytes(self):
+        payload = {"b": [1.0, 2, None, True, "x"], "a": {"z": 0.1, "y": (1e-300, -0.0)}}
+        assert util.canonical_json(payload) == json.dumps(payload, sort_keys=True,
+                                                          indent=2) + "\n"
 
 
 # the functions that may make a generator or a seed: the chunk map, the
