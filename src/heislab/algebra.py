@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from heislab.util import Report, _check_tol, _sampled
+from heislab.util import Report, _check_tol, _cpu_count, _sampled
 
 __all__ = [
     "AlgebraKind",
@@ -224,19 +224,19 @@ def check_arithmetic(kinds, samples: int, seed: int = 0, tol: float = 1e-12) -> 
 
     Each kind draws through ``util._sampled``: every chunk of
     ``util._CHUNK`` samples draws its operands from its own child of
-    ``seed`` and is reduced to its residuals (:func:`_residuals`), so only
-    one chunk of products is held, and a kind's residuals depend only on
-    the kind, ``samples`` and ``seed``.  The chunk maxima merge by
-    ``np.max``, which keeps a NaN.  A kind passes when its composition
-    residual is within ``tol`` (0 <= tol < inf) and its other residual
-    within 1e-12.
+    ``seed`` and is reduced to its residuals (:func:`_residuals`), so each
+    of the ``util._cpu_count()`` workers holds one chunk of products, and a
+    kind's residuals depend only on the kind, ``samples`` and ``seed``.
+    The chunk maxima merge by ``np.max``, which keeps a NaN.  A kind passes
+    when its composition residual is within ``tol`` (0 <= tol < inf) and
+    its other residual within 1e-12.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     _check_tol(tol)
     results = []
     for kind in kinds:
-        worst = _sampled(partial(_residuals, kind), samples, seed)
+        worst = _sampled(partial(_residuals, kind), samples, seed, _cpu_count())
         composition, residual = (float(np.max(m)) for m in zip(*worst))
         octonion = kind is AlgebraKind.OCTONION
         name = "alternativity_residual" if octonion else "associativity_residual"

@@ -324,8 +324,9 @@ def _parser() -> _Parser:
     p.add_argument("--tolerance", type=float, default=hlie.DEFAULT_TOL, help=_TOLERANCE)
     p.add_argument("--radius", type=float, default=1.0, help=_DEFAULT)
     p.add_argument("--threads", type=int,
-                   help="worker threads of the pair sweep (default: the CPUs this process "
-                        "may use; the result does not depend on the count)")
+                   help="workers of the pair sweep, forked processes where the platform "
+                        "has fork (default: the CPUs this process may use; the result does "
+                        "not depend on the count)")
     p.add_argument("--expect", choices=["exact", "inexact"],
                    help="fail (exit 2) unless the verdict matches")
     _report_options(p)
@@ -401,8 +402,8 @@ def run(argv=None) -> int:
 
 
 def _keep_heap() -> None:
-    """Pin glibc's heap thresholds and arenas for this process; a no-op
-    without ``mallopt``.
+    """Pin glibc's heap thresholds for this process; a no-op without
+    ``mallopt``.
 
     By default glibc raises its mmap threshold to the largest mmapped block
     freed so far and gives the heap top back to the kernel once it exceeds
@@ -410,10 +411,8 @@ def _keep_heap() -> None:
     mapped, or faulted in, again.  A fixed 2 MiB mmap threshold keeps a
     chunk's temporaries (at most 1.5 MiB up to 12 coordinates) on the heap
     and still maps the 4 MB arrays of the metric commands; a 64 MiB trim
-    threshold keeps the chunk live sets of two worker threads.  One arena
-    serves every thread: with an arena per worker thread, each keeps the
-    high-water mark of its own chunks, and a chunk's freed arrays cannot
-    serve the other worker.
+    threshold keeps a chunk's live set between chunks.  A forked worker
+    inherits both.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -421,7 +420,6 @@ def _keep_heap() -> None:
         return
     mallopt(-3, 2 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 def entrypoint() -> None:

@@ -352,8 +352,9 @@ def estimate_regularity(alg: HTypeAlgebra, radii, samples: int = 100000,
     |z| <= r^2, the tight ball-shaped hull of the gauge ball; it wastes far
     fewer samples than the coordinate box in high dimension.  The radii
     must span at least one decade, each in ``hgroup._check_radius``'s range.
-    The chunks run on ``util._cpu_count()`` threads, each with a stream of
-    its own, so the report does not depend on how many.
+    The chunks run on ``util._cpu_count()`` forked worker processes where
+    ``os.fork`` exists, each chunk with a stream of its own and no BLAS call,
+    so the report does not depend on how many.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -110,15 +110,20 @@ def _coarse_copy(dist: np.ndarray, slack: float) -> np.ndarray | None:
 def _scan(dist: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray]:
     """The triangle scan of ``dist``: the rows it flags and the useful pivots,
     each as one mask over all workers.  Above one block of rows it runs on
-    ``util._cpu_count()`` workers, each with marks of its own, and worker w
-    takes the rows i = w (mod workers), which balances the triangle.  The
-    float32 copy is freed on return."""
+    ``util._cpu_count()`` workers, and worker w takes the rows
+    i = w (mod workers), which balances the triangle, and returns its own
+    marks from its job, as a forked worker's writes stay in its process.
+    The float32 copy is freed on return."""
     n = dist.shape[0]
     workers = _cpu_count() if n > _SCAN_BLOCK else 1
-    marks = [(np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)) for _ in range(workers)]
     coarse = _coarse_copy(dist, slack)
-    _ordered_map(lambda w: _scan_rows(dist, slack, range(w, n, workers), *marks[w],
-                                      coarse=coarse), range(workers), workers)
+
+    def scan(w):
+        marks = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        _scan_rows(dist, slack, range(w, n, workers), *marks, coarse=coarse)
+        return marks
+
+    marks = _ordered_map(scan, range(workers), workers)
     return tuple(np.logical_or.reduce(worker_marks) for worker_marks in zip(*marks))
 
 

@@ -354,15 +354,17 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     """Measure the 1-inversion identity over seeded random pairs.
 
     Sampling is split into the seeded chunks of ``util._sampled``, which
-    run on ``threads`` workers (by default the CPUs this process may use,
-    ``util._cpu_count``).  The worst pair is that of the first chunk with
-    the largest deviation, found by ``np.argmax`` in chunk order, so the
-    report is identical for every thread count.  A NaN deviation does not
-    drop out of that max: the first pair whose deviation is NaN is the worst
-    pair, the deviation reads NaN and the verdict is inexact.  The chunks
-    keep no draws: the winning chunk's p and q are drawn again from its
-    starting generator, and the worst pair is read from that row.  The
-    verdict is exact when the deviation is within ``tol`` (0 <= tol < inf).
+    run on ``threads`` forked worker processes where ``os.fork`` exists (by
+    default the CPUs this process may use, ``util._cpu_count``), each
+    holding one chunk at a time and calling no BLAS.  The worst pair is
+    that of the first chunk with the largest deviation, found by
+    ``np.argmax`` in chunk order, so the report is identical for every
+    worker count.  A NaN deviation does not drop out of that max: the
+    first pair whose deviation is NaN is the worst pair, the deviation
+    reads NaN and the verdict is inexact.  The chunks keep no draws: the
+    winning chunk's p and q are drawn again from its starting generator,
+    and the worst pair is read from that row.  The verdict is exact when
+    the deviation is within ``tol`` (0 <= tol < inf).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -3,9 +3,8 @@ the one text-file writer, the one worker map and its default worker count,
 the one seeded chunk map of the sampled estimators, and the one check of a
 verdict's tolerance.
 
-``hashlib`` and ``concurrent.futures`` are imported by the one function that
-uses each, so that a command that hashes nothing or starts no thread does not
-import them."""
+``hashlib`` is imported by the one function that uses it, so that a command
+that hashes nothing does not import it (numpy has imported ``pickle``)."""
 
 from __future__ import annotations
 
@@ -13,6 +12,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 
@@ -89,9 +89,9 @@ def _write_text(path_or_file, write) -> None:
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on: the default worker count of every
-    :func:`_ordered_map` caller.  Where the affinity mask cannot be read
-    (macOS, Windows), the CPUs of the machine."""
+    """The CPUs this process may run on: the default count of the forked
+    workers of every :func:`_ordered_map` caller.  Where the affinity mask
+    cannot be read (macOS, Windows), the CPUs of the machine."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -99,15 +99,105 @@ def _cpu_count() -> int:
 
 # Private: a traced run wraps public names, and would parent worker spans to the map.
 def _ordered_map(fn, jobs, workers: int) -> list:
-    """``[fn(job) for job in jobs]`` on up to ``workers`` threads, in job order;
-    in the calling thread for one worker or one job.  The exception of the
-    first failing job in job order is raised here."""
+    """``[fn(job) for job in jobs]`` on up to ``workers`` forked worker
+    processes, in job order; in the calling thread for one worker or one
+    job, or where there is no ``os.fork``.
+
+    Worker w of W runs jobs w, w + W, .. in order and stops at its first
+    exception.  It pickles its results, or that exception, to a pipe of its
+    own and leaves by ``os._exit``, so it runs no atexit handler and
+    flushes no inherited buffer; whatever else a job changes stays in its
+    worker.  The exception of the first failing job in job order is raised
+    here, and a result or an exception that will not pickle raises a
+    ``pickle.PickleError`` that names its job; a worker that ends without
+    writing its results raises ``ChildProcessError``.  Every worker is
+    reaped before this returns or raises."""
     jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs))
+    if workers <= 1 or not hasattr(os, "fork"):
         return [fn(job) for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    pids, reads, payloads = [], [], []
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, list(enumerate(jobs))[w::workers], write)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        for read in reads:
+            os.close(read)
+        if len(payloads) < len(pids):  # interrupted: no result will be read
+            import signal
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    results, failures = {}, {}
+    for w, payload in enumerate(payloads):
+        if not payload:
+            raise ChildProcessError(f"the worker of jobs {w}, {w + workers}, .. of the map "
+                                    "ended without a result")
+        blobs, failure = pickle.loads(payload)
+        results.update(zip(range(w, len(jobs), workers), blobs))
+        if failure is not None:
+            failures[w + len(blobs) * workers] = failure
+    if failures:
+        first = min(failures)
+        raise _unpickled(failures[first], first, "exception")
+    return [_unpickled(results[j], j, "result") for j in range(len(jobs))]
+
+
+def _work(fn, jobs, write: int):
+    """The body of a forked worker of :func:`_ordered_map`: run the
+    ``(index, job)`` pairs in order up to the first failure, write
+    ``(pickled results, pickled exception or None)`` to the pipe ``write``,
+    and leave the process."""
+    status = 1
+    try:
+        blobs, failure = [], None
+        for index, job in jobs:
+            try:
+                result = fn(job)
+            except BaseException as exc:
+                failure = _pickled(exc, index)
+                break
+            try:
+                blobs.append(pickle.dumps(result))
+            except Exception as error:
+                failure = pickle.dumps(pickle.PicklingError(
+                    f"job {index} of the map: its result will not pickle: {error!r}"))
+                break
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps((blobs, failure)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _pickled(exc: BaseException, index: int) -> bytes:
+    """``pickle.dumps(exc)``, or that of a ``PicklingError`` naming the job."""
+    try:
+        return pickle.dumps(exc)
+    except Exception as error:
+        return pickle.dumps(pickle.PicklingError(
+            f"job {index} of the map: its exception {exc!r} will not pickle: {error!r}"))
+
+
+def _unpickled(blob: bytes, index: int, what: str):
+    """``pickle.loads(blob)``, or an ``UnpicklingError`` naming the job."""
+    try:
+        return pickle.loads(blob)
+    except Exception as error:
+        raise pickle.UnpicklingError(
+            f"job {index} of the map: its {what} will not unpickle: {error!r}") from None
 
 
 def _check_tol(tol: float) -> None:
@@ -117,21 +207,22 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
 
 
-# Samples per chunk of :func:`_sampled`, each evaluated in one pass.  A chunk
-# makes a few hundred short ufunc calls, and each may hand the GIL to another
-# worker, so few, long chunks keep the workers parallel.  A chunk temporary of
-# an algebra of 12 coordinates (H_H:3) is 16,384 x 12 x 8 B = 1.5 MiB, under
-# the mmap threshold that ``cli.run`` pins.  A chunk of ``verify_inversion``
-# holds at most two point sets of that size, p and q or their sigma images,
-# which are written over them, besides its distance temporaries: a one-thread
-# run on H_O (15 coordinates) peaks at 7.0 MiB traced.
+# Samples per chunk of :func:`_sampled`, each evaluated in one pass of a few
+# hundred whole-chunk ufunc calls, and each worker of :func:`_ordered_map`
+# holds one chunk at a time.  The value is kept because every stream depends
+# on it.  A chunk temporary of an algebra of 12 coordinates (H_H:3) is
+# 16,384 x 12 x 8 B = 1.5 MiB, under the mmap threshold that ``cli.run``
+# pins.  A chunk of ``verify_inversion`` holds at most two point sets of that
+# size, p and q or their sigma images, which are written over them, besides
+# its distance temporaries: a one-worker run on H_O (15 coordinates) peaks at
+# 7.0 MiB traced.
 _CHUNK = 16384
 
 
 def _sampled(fn, samples: int, seed, workers: int = 1) -> list:
     """``fn(count, rng)`` on chunks of ``_CHUNK`` samples, the last one
     shorter, each with a generator of its own child spawned from ``seed``
-    (an int or a ``SeedSequence``), on up to ``workers`` threads
+    (an int or a ``SeedSequence``), on up to ``workers`` worker processes
     (:func:`_ordered_map`); the results in chunk order."""
     sizes = [min(_CHUNK, samples - start) for start in range(0, samples, _CHUNK)]
     if not isinstance(seed, np.random.SeedSequence):

@@ -20,12 +20,16 @@ pair, with the statistics of ``estimate_quasimobius`` reduced from them as
 whole arrays, as they were before each chunk was reduced on its own;
 ``check_arithmetic`` with the chunk draws of ``util._sampled`` concatenated
 and every product and residual of a kind taken as one whole array, as it
-was before each chunk was reduced on its own; and the tracemalloc peak of
-a call."""
+was before each chunk was reduced on its own; the tracemalloc peak of a
+call; and how far the forked workers of a call rise above their parent's
+resident size."""
 
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -227,6 +231,33 @@ def peak_mib(call) -> float:
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def worker_growth_mib(setup: str, call: str) -> float:
+    """How far the resident size of the largest forked worker of ``call`` rose
+    above its parent's peak before the call, in MiB (negative when it stayed
+    below it).  ``setup`` and ``call`` run in a fresh interpreter, whose only
+    children are the workers of the map: tracemalloc would see the parent
+    alone.  The parent's peak is its ``VmHWM``, as Linux carries the
+    spawner's high-water mark into the ``ru_maxrss`` of an exec'd process,
+    and a fresh interpreter spawned by the test process would read that."""
+    if not os.path.exists("/proc/self/status"):
+        import pytest
+        pytest.skip("the peak resident size of the parent is read from /proc")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import re, resource\n"
+            f"{setup}\n"
+            "status = open('/proc/self/status').read()\n"
+            "before = int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1))\n"
+            f"{call}\n"
+            "print(before, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    before, children = map(int, proc.stdout.split())
+    assert children > 0, "the call forked no worker"
+    return (children - before) / 1024
 
 
 def h_type_residual_whole(alg: HTypeAlgebra) -> float:

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from heislab import algebra as al
 from heislab.algebra import AlgebraKind
-from heislab.util import _CHUNK
-from oracles import ROW_COUNTS, check_arithmetic_whole, conj, mul_arrays_einsum, peak_mib
+from heislab.util import _CHUNK, canonical_json
+from oracles import ROW_COUNTS, check_arithmetic_whole, conj, mul_arrays_einsum, worker_growth_mib
 
 ALL_KINDS = list(AlgebraKind)
 
@@ -260,6 +260,19 @@ class TestCheckArithmetic:
         assert repr(al.check_arithmetic(kinds, samples, seed=5).to_dict()) == \
             repr(check_arithmetic_whole(kinds, samples, seed=5).to_dict())
 
+    def test_report_is_free_of_the_worker_count(self, monkeypatch):
+        sampled = al._sampled
+        workers = []
+        monkeypatch.setattr(al, "_sampled", lambda fn, samples, seed, count=1: (
+            workers.append(count), sampled(fn, samples, seed, count))[1])
+        reports = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(al, "_cpu_count", lambda: cpus)
+            reports.append(canonical_json(al.check_arithmetic(
+                ALL_KINDS, 3 * _CHUNK + 5, seed=7).to_dict()))
+        assert reports[0] == reports[1] == reports[2]
+        assert workers == [1] * 4 + [2] * 4 + [3] * 4
+
     @pytest.mark.parametrize("kind, draw", [(AlgebraKind.QUATERNION, 6),
                                             (AlgebraKind.OCTONION, 4)],
                              ids=["quaternion", "octonion"])
@@ -278,6 +291,8 @@ class TestCheckArithmetic:
             return x
 
         monkeypatch.setattr(al, "random_elements", planted)
+        # one worker, so that the draws are counted in this process
+        monkeypatch.setattr(al, "_cpu_count", lambda: 1)
         report = al.check_arithmetic([kind], 2 * _CHUNK + 7, seed=2)
         (entry,) = report.results
         name = "alternativity_residual" if kind is AlgebraKind.OCTONION else "associativity_residual"
@@ -288,9 +303,13 @@ class TestCheckArithmetic:
 
 class TestMemory:
     def test_check_arithmetic_holds_one_slice(self):
-        # the whole arrays of 100,000 samples took 47 MiB, whole a and b
-        # with c in slices 12.6 MiB, and one chunk of every operand 7.5 MiB
-        assert peak_mib(lambda: al.check_arithmetic(ALL_KINDS, 100000, seed=1)) <= 9.0
+        # the whole arrays of 100,000 samples took 47 MiB traced, whole a and b
+        # with c in slices 12.6 MiB, and one chunk of every operand 7.5 MiB; on
+        # two worker processes, the largest rose 3.4-3.5 MiB above its parent's
+        # peak, and 6.0 MiB with a 2 MiB array added to each chunk
+        assert worker_growth_mib(
+            "from heislab import algebra as al\nal._cpu_count = lambda: 2",
+            "al.check_arithmetic(list(al.AlgebraKind), 100000, seed=1)") <= 4.5
 
 
 class TestImaginaryBracket:

@@ -260,19 +260,26 @@ class TestTriangleScanAgainstRowLoop:
         assert {span[6] for span in tracer.spans} == {root}
         assert tracer.worker_parents() == set()
 
-    def test_verify_threads_parent_their_spans_to_verify(self):
+    def test_verify_workers_record_no_span_off_the_calling_thread(self):
         # the traced benchmark allows worker-thread spans under verify_inversion
-        # only, so the worker map must stay untraced
+        # only; with forked workers no span is recorded on any other thread, and
+        # the traced report is the untraced one
+        alg = hlie.algebra_from_name("H_C:1")
+
+        def report():
+            return util.canonical_json(inversion.verify_inversion(
+                alg, samples=2 * util._CHUNK + 100, seed=3, threads=2).to_dict())
+
+        untraced = report()
         tracer = self.perfbench_tracer()
         tracer.install()
         try:
-            inversion.verify_inversion(hlie.algebra_from_name("H_C:1"),
-                                       samples=2 * util._CHUNK + 100, seed=3, threads=2)
+            traced = report()
         finally:
             tracer.uninstall()
-        root = threading.get_ident()
-        assert {span[6] for span in tracer.spans} - {root}
-        assert tracer.worker_parents() == {"inversion.verify_inversion"}
+        assert {span[6] for span in tracer.spans} == {threading.get_ident()}
+        assert tracer.worker_parents() == set()
+        assert traced == untraced
 
 
 class TestInversionQuasimetric:
@@ -615,6 +622,9 @@ class TestScanAgainstFloat64Scan:
         assert fm._coarse_copy(dist.astype(np.float32), 0.0) is None
 
     def test_float64_block_runs_only_where_a_violation_can_be(self, monkeypatch):
+        # one worker, so that the calls are made in this process: the
+        # property is per row, and a forked worker's calls stay in its process
+        monkeypatch.setattr(fm, "_cpu_count", lambda: 1)
         calls = []
         block = fm._exact_block
         monkeypatch.setattr(fm, "_exact_block",

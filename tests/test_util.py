@@ -7,7 +7,11 @@ seed a generator or call BLAS."""
 import ast
 import json
 import os
+import pickle
+import select
+import signal
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,26 +21,66 @@ from heislab import finite_metric, hlie, inversion, util
 from oracles import reject_constant
 
 
+class Planted(Exception):
+    """A job's own exception type, which the map must raise as it is."""
+
+
+class NeedsTwo(Exception):
+    """Pickles, but will not unpickle: its ``args`` hold one of two arguments."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
+def returns_a_lambda_at_2(j):
+    return (lambda: j) if j == 2 else j
+
+
+def raises_a_callback_at_1(j):
+    """Job 1 raises an exception that will not pickle: an attribute of it is a lambda."""
+    if j == 1:
+        error = ValueError("with a callback")
+        error.callback = lambda: None
+        raise error
+    return j
+
+
 class TestOrderedMap:
     def test_results_keep_job_order_when_later_jobs_finish_first(self):
-        last_done = threading.Event()
-        finished = []
+        # job 0 waits for a byte that job 3 writes, each in a worker of its own
+        read, write = os.pipe()
 
         def job(j):
             if j == 0:
-                assert last_done.wait(timeout=30)
-            finished.append(j)
+                assert select.select([read], [], [], 30)[0]
+                assert os.read(read, 1) == b"3"
+            done = time.monotonic_ns()
             if j == 3:
-                last_done.set()
-            return 10 * j
+                os.write(write, b"3")
+            return 10 * j, done
 
-        assert util._ordered_map(job, range(4), 4) == [0, 10, 20, 30]
-        assert finished[-1] == 0
+        try:
+            results = util._ordered_map(job, range(4), 4)
+        finally:
+            os.close(read)
+            os.close(write)
+        assert [value for value, _ in results] == [0, 10, 20, 30]
+        assert results[0][1] > results[3][1]
 
     @pytest.mark.parametrize("jobs, workers", [(3, 1), (1, 4), (0, 4)])
     def test_one_worker_or_one_job_runs_in_the_calling_thread(self, jobs, workers):
         threads = util._ordered_map(lambda j: threading.get_ident(), range(jobs), workers)
         assert threads == [threading.get_ident()] * jobs
+
+    def test_workers_are_processes_of_their_own(self):
+        pids = util._ordered_map(lambda j: os.getpid(), range(4), 2)
+        assert pids[0] == pids[2] != pids[1] == pids[3]
+        assert os.getpid() not in pids
+
+    def test_without_fork_the_jobs_run_in_the_calling_thread(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert util._ordered_map(lambda j: (os.getpid(), threading.get_ident()),
+                                 range(3), 3) == [(os.getpid(), threading.get_ident())] * 3
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_the_first_failing_job_raises(self, workers):
@@ -47,6 +91,84 @@ class TestOrderedMap:
 
         with pytest.raises(ValueError, match="^job 1$"):
             util._ordered_map(job, range(5), workers)
+
+    def test_the_first_failing_job_in_job_order_keeps_its_type(self):
+        # at 3 workers, jobs 3, 4 and 5 fail in three workers; job 5 fails
+        # first in time, and job 3 is the first in job order
+        def job(j):
+            if j == 3:
+                time.sleep(0.2)
+                raise Planted("three", j)
+            if j == 4:
+                raise KeyError("four")
+            if j == 5:
+                raise ValueError("five")
+            return j
+
+        with pytest.raises(Planted) as info:
+            util._ordered_map(job, range(8), 3)
+        assert info.value.args == ("three", 3)
+
+    @pytest.mark.parametrize("job, message", [
+        (returns_a_lambda_at_2, r"^job 2 of the map: its result will not pickle: "),
+        (raises_a_callback_at_1,
+         r"^job 1 of the map: its exception ValueError\('with a callback'\) will not pickle: "),
+    ], ids=["result", "exception"])
+    def test_what_will_not_pickle_names_its_job(self, job, message):
+        with pytest.raises(pickle.PicklingError, match=message):
+            util._ordered_map(job, range(4), 3)
+
+    def test_an_exception_that_will_not_unpickle_names_its_job(self):
+        def job(j):
+            if j == 2:
+                raise NeedsTwo("first", "second")
+            return j
+
+        with pytest.raises(pickle.UnpicklingError,
+                           match=r"^job 2 of the map: its exception will not unpickle: "):
+            util._ordered_map(job, range(4), 3)
+
+    def test_a_worker_that_dies_raises(self):
+        def job(j):
+            if j == 1:
+                os._exit(3)
+            return j
+
+        with pytest.raises(ChildProcessError, match="^the worker of jobs 1, 3, .. of the map "):
+            util._ordered_map(job, range(4), 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_worker_is_left(self, fails):
+        def job(j):
+            if fails and j == 1:
+                raise ValueError("job 1")
+            return j
+
+        try:
+            util._ordered_map(job, range(3), 3)
+        except ValueError:
+            assert fails
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupted_map_reaps_its_workers(self):
+        # worker 1 interrupts the caller while worker 0 is still running
+        def job(j):
+            if j == 0:
+                time.sleep(60)
+            else:
+                time.sleep(0.2)
+                os.kill(os.getppid(), signal.SIGINT)
+            return j
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            util._ordered_map(job, range(2), 2)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestCpuCount:
