@@ -48,7 +48,7 @@ from heislab.hgroup import (
     group_mul,
     sample_with_rng,
 )
-from heislab.util import _CHUNK, Report, _check_tol, _cpu_count, _sampled
+from heislab.util import Report, _check_tol, _cpu_count, _sampled
 
 __all__ = [
     "ExtendedPoints",
@@ -361,10 +361,11 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     ``np.argmax`` in chunk order, so the report is identical for every
     worker count.  A NaN deviation does not drop out of that max: the
     first pair whose deviation is NaN is the worst pair, the deviation
-    reads NaN and the verdict is inexact.  The chunks keep no draws: the
-    winning chunk's p and q are drawn again from its starting generator,
-    and the worst pair is read from that row.  The verdict is exact when
-    the deviation is within ``tol`` (0 <= tol < inf).
+    reads NaN and the verdict is inexact.  The chunks keep no draws: each
+    returns the pair count that ``util._sampled`` gave it, and the worst
+    pair is read from the winning chunk's p and q, drawn again, that many,
+    from its starting generator.  The verdict is exact when the deviation
+    is within ``tol`` (0 <= tol < inf).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -374,14 +375,13 @@ def verify_inversion(alg: HTypeAlgebra, samples: int = 100000, seed: int = 0,
     if not check_h_type(alg).is_h_type:
         raise ValueError(f"{alg.label} is not of Heisenberg type; "
                          "the gauge inversion identity is only assessed on H-type algebras")
-    used, deviations, rows, starts = zip(*_sampled(
-        lambda count, rng: _inversion_chunk(alg, count, radius, rng), samples, seed,
+    counts, used, deviations, rows, starts = zip(*_sampled(
+        lambda count, rng: (count, *_inversion_chunk(alg, count, radius, rng)), samples, seed,
         _cpu_count() if threads is None else threads))
     worst = int(np.argmax(deviations))
     if rows[worst] is None:
         raise ValueError("no usable sample pairs were generated")
-    row, rng = rows[worst], starts[worst]
-    count = min(_CHUNK, samples - worst * _CHUNK)  # the size util._sampled gave that chunk
+    count, row, rng = counts[worst], rows[worst], starts[worst]
     p, q = (Point(v[row].copy(), z[row].copy())
             for v, z in (sample_with_rng(alg, count, radius, rng) for _ in range(2)))
     return InversionReport(alg.label, alg.fingerprint, samples, seed, tol, deviations[worst],

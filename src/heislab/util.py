@@ -97,7 +97,8 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# Private: a traced run wraps public names, and would parent worker spans to the map.
+# Private, so a traced run, which wraps public names, opens no span for the map:
+# the spans of a job made in a forked worker never reach the tracer.
 def _ordered_map(fn, jobs, workers: int) -> list:
     """``[fn(job) for job in jobs]`` on up to ``workers`` forked worker
     processes, in job order; in the calling thread for one worker or one

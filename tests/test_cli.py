@@ -475,6 +475,49 @@ class TestMetricCommands:
         assert out.read_bytes() == expected.read_bytes()
 
 
+class TestStdout:
+    """Without ``--output`` a command writes to stdout what it writes to the
+    file, and as it writes the file: a CSV row at a time."""
+
+    @pytest.fixture()
+    def argvs(self, tmp_path):
+        matrix = tmp_path / "dist.csv"
+        assert run(["group", "distmat", "--algebra", "H_C:1", "--count", "40",
+                    "--seed", "5", "--output", str(matrix)]) == 0
+        return {
+            "sample": ["group", "sample", "--algebra", "H_C:2", "--count", "50", "--seed", "3"],
+            "distmat": ["group", "distmat", "--algebra", "H_H:1", "--count", "30", "--seed", "4"],
+            "invert": ["metric", "invert", "--input", str(matrix), "--base", "3"],
+            "sphericalize": ["metric", "sphericalize", "--input", str(matrix)],
+            "check-j2": ["lie", "check-j2", "--algebra", "truncated_HH", "--no-timestamp"],
+        }
+
+    @pytest.mark.parametrize("command", ["sample", "distmat", "invert", "sphericalize",
+                                         "check-j2"])
+    def test_stdout_bytes_are_the_output_file(self, argvs, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(argvs[command] + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argvs[command]) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("command", ["sample", "distmat", "invert"])
+    def test_csv_reaches_stdout_a_row_at_a_time(self, argvs, command, monkeypatch):
+        class Stdout:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+        stdout = Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run(argvs[command]) == 0
+        rows = "".join(stdout.writes).splitlines(keepends=True)
+        assert len(rows) > 2 and max(map(len, stdout.writes)) <= max(map(len, rows))
+
+
 def python_env() -> dict:
     """The environment of a fresh interpreter that imports heislab from ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -559,6 +602,24 @@ class TestConsoleEntry:
         expected = capsys.readouterr().out.encode()
         assert self.entry(argv) == (0, expected, b"")
 
+    def test_stdout_bytes_are_the_output_file(self, tmp_path):
+        out = tmp_path / "dist.csv"
+        argv = ["group", "distmat", "--algebra", "H_C:1", "--count", "300", "--seed", "2"]
+        assert run(argv + ["--output", str(out)]) == 0
+        assert self.entry(argv) == (0, out.read_bytes(), b"")
+
+    def test_stdout_closed_early_is_an_io_error(self):
+        # 1.8 MB of CSV, far more than a pipe holds: the writer meets the closed
+        # pipe, with stdout buffered or not (PYTHONUNBUFFERED)
+        proc = subprocess.Popen([sys.executable, "-c", self.ENTRYPOINT, "group", "distmat",
+                                 "--algebra", "H_C:1", "--count", "300"], env=python_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(100).startswith(b"0,1,2,")
+        proc.stdout.close()
+        assert (proc.wait(timeout=120), proc.stderr.read()) == \
+            (1, b"error: [Errno 32] Broken pipe\n")
+        proc.stderr.close()
+
     def test_exit_codes_are_those_of_run(self, capsys):
         inexact = ["invert", "verify", "--algebra", "H_C:1", "--samples", "2000",
                    "--expect", "inexact", "--no-timestamp"]
@@ -577,13 +638,14 @@ class TestConsoleEntry:
         return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
     def test_verify_chunks_do_not_fault_in_again(self):
-        # 14-20k minor faults on 2 vCPUs, about 5k of them the start-up;
-        # 80-160k when glibc trims the heap after every chunk
+        # about 15k minor faults on 2 vCPUs and 2 forked workers, about 5k
+        # of them the start-up; about 96k when glibc trims the heap after
+        # every chunk
         assert self.verify_faults(self.ENTRYPOINT) <= 25000
 
     def test_run_keeps_the_heap_in_process(self):
-        # cli.run itself keeps the heap: about 20k minor faults, as the
-        # console script; 231-334k when only the console script kept it
+        # cli.run itself keeps the heap: about 15k minor faults, as the
+        # console script; about 126k unpinned
         assert self.verify_faults("import sys; from heislab.cli import run; "
                                   "sys.exit(run())") <= 25000
 

@@ -48,6 +48,21 @@ def _within(roots) -> set:
     return {id(node) for root in roots for node in ast.walk(root)}
 
 
+# the one module that reads each name: the chunk size of `util._sampled`, and
+# the stdout that the CLI writes as it writes `--output`
+OWNERS = {"_CHUNK": {"util"}, "stdout": {"cli"}}
+
+
+def test_each_decision_has_one_owner():
+    readers = {name: set() for name in OWNERS}
+    for path in Path(heislab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.name if isinstance(node, ast.alias) else _named(node)
+            if name in readers:
+                readers[name].add(path.stem)
+    assert readers == OWNERS
+
+
 def test_every_exported_name_is_called_in_the_library():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in Path(heislab.__file__).parent.glob("*.py")}

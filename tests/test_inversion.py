@@ -376,6 +376,36 @@ class TestChunkAgainstWholeChunk:
         assert fused == whole
 
 
+class TestChunkPlan:
+    """``util._sampled`` alone sets the chunk sizes: verify_inversion replays
+    the winning chunk at the size it was given, whatever ``util._CHUNK`` is."""
+
+    @staticmethod
+    def deviation(alg, pair) -> float:
+        """|r - 1| of one pair, by the public kernels."""
+        (vp, zp), (vq, zq) = ((p.v[None], p.z[None]) for p in pair)
+        gp, gq = hgroup.gauge_arrays(alg, vp, zp), hgroup.gauge_arrays(alg, vq, zq)
+        ratio = (hgroup.gauge_dist_arrays(alg, *inversion.sigma_arrays(alg, vp, zp),
+                                          *inversion.sigma_arrays(alg, vq, zq))
+                 * gp * gq / hgroup.gauge_dist_arrays(alg, vp, zp, vq, zq))
+        return float(np.abs(ratio - 1.0)[0])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk", [1000, 333])  # 333: nine chunks and one of 3 pairs
+    def test_worst_pair_is_replayed_at_its_chunk_size(self, monkeypatch, chunk, threads):
+        alg = builtin("truncated_HH")
+        monkeypatch.setattr(util, "_CHUNK", chunk)
+        reports = [inversion.verify_inversion(alg, samples=3000, seed=seed, threads=threads)
+                   for seed in range(6)]
+        for report in reports:
+            assert self.deviation(alg, report.worst_pair) == report.max_relative_deviation
+        monkeypatch.setattr(inversion, "_inversion_chunk", inversion_chunk_whole)
+        whole = [inversion.verify_inversion(alg, samples=3000, seed=seed, threads=threads)
+                 for seed in range(6)]
+        assert [canonical_json(r.to_dict()) for r in reports] == \
+            [canonical_json(r.to_dict()) for r in whole]
+
+
 class TestPhiAt:
     def test_phi_at_identity_extends_sigma(self):
         alg = builtin("H_C:1")
